@@ -22,7 +22,6 @@ from .spectral import (
     dealias,
     div,
     fft_forward,
-    fft_inverse,
     from_function,
     grad,
     l2_norm,
@@ -82,7 +81,7 @@ __all__ = [
     "StepperConfig", "SyntheticVelocity", "acoustic_to_state", "besov_norm",
     "besov_norm_hetero", "block_norms", "build_partition", "compressible_mode",
     "curl2d", "cutoff_n", "dealias", "delta_q", "div", "evaluate_log_estimate",
-    "fft_forward", "fft_inverse", "find_profile", "fit_log_constant",
+    "fft_forward", "find_profile", "fit_log_constant",
     "free_propagate", "from_function", "grad", "l2_norm", "leray_p", "leray_q",
     "lifespan_prediction", "load_profile", "lp_norm", "make_acoustic",
     "make_initial_data", "measure_strichartz", "named_profile", "parse_config",

@@ -10,11 +10,15 @@ fluctuation:
 Both satisfy (d/dt + (i/eps)|D|) psi = source, so the source-free evolution
 multiplies each Fourier mode by exp(-i t |k| / eps), a unitary map mode by
 mode. Real and imaginary parts are taken pointwise in physical space; the
-coefficient arrays themselves carry no conjugate symmetry.
+coefficient arrays themselves carry no conjugate symmetry, so complex fields
+keep the full (n, n) spectrum with the full |k| table built here. Real
+fields cross over only at the edges: ``make_acoustic`` expands their half
+spectra, and ``spatial_real_part``/``spatial_imag_part`` fold back to half.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +30,8 @@ from .spectral import FlowState, Grid, SpectralScalarField, SpectralVectorField
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex scalar field as normalized Fourier coefficients (no symmetry)."""
+    """Complex scalar field as normalized full-spectrum Fourier coefficients
+    (n, n): a complex field has no conjugate symmetry to halve it by."""
 
     grid: Grid
     modes: np.ndarray
@@ -37,7 +42,25 @@ class ComplexField:
 
     def spatial(self) -> np.ndarray:
         """Complex samples on the grid."""
-        return np.fft.ifft2(self.modes * self.grid.n**2)
+        return np.fft.ifft2(self.modes, norm="forward")
+
+
+@functools.lru_cache(maxsize=8)
+def full_kmag(grid: Grid) -> np.ndarray:
+    """|k| on the full (n, n) lattice that complex fields use (read-only, cached
+    because the propagator applies it at every sample time)."""
+    k = (2.0 * math.pi / grid.box_length) * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+    kmag.flags.writeable = False
+    return kmag
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """Expand half spectra (..., n, n/2 + 1) of real fields to full (..., n, n)
+    spectra: column n - j holds the conjugate of column j at row -i."""
+    n = half.shape[-2]
+    rows = (-np.arange(n)) % n
+    return np.concatenate([half, np.conj(half[..., rows, n // 2 - 1:0:-1])], axis=-1)
 
 
 def _conjugate_flip(modes: np.ndarray) -> np.ndarray:
@@ -46,12 +69,14 @@ def _conjugate_flip(modes: np.ndarray) -> np.ndarray:
 
 
 def spatial_real_part(f: ComplexField) -> SpectralScalarField:
-    """Pointwise real part, returned as a real spectral field."""
-    return SpectralScalarField(f.grid, 0.5 * (f.modes + _conjugate_flip(f.modes)))
+    """Pointwise real part, returned as a real (half-spectrum) field."""
+    half = 0.5 * (f.modes + _conjugate_flip(f.modes))
+    return SpectralScalarField(f.grid, half[:, : f.grid.n // 2 + 1])
 
 
 def spatial_imag_part(f: ComplexField) -> SpectralScalarField:
-    return SpectralScalarField(f.grid, (f.modes - _conjugate_flip(f.modes)) / 2j)
+    half = (f.modes - _conjugate_flip(f.modes)) / 2j
+    return SpectralScalarField(f.grid, half[:, : f.grid.n // 2 + 1])
 
 
 def complex_lp_norm(fields, p: float) -> float:
@@ -97,23 +122,22 @@ def make_acoustic(state: FlowState) -> AcousticPair:
 
     The 1/|D| factors use the mean-free gauge: the spatial means of c and of
     the velocity potential are projected away here, deliberately and
-    silently, since the zero mode carries no acoustic content.
+    silently, since the zero mode carries no acoustic content. The real
+    ingredients are built as half spectra and expanded to full spectra
+    before they are combined into complex fields.
     """
     g = state.grid
-    vx, vy = state.v.ux.modes, state.v.uy.modes
-    c = state.c.modes.copy()
+    c = state.modes[2].copy()
     c[0, 0] = 0.0
-    div_modes = 1j * g.kx * vx + 1j * g.ky * vy
+    div_modes = spectral.div(state.v).modes
     phi = -g.inv_k2 * div_modes  # velocity potential, mean-free
-    qx = 1j * g.kx * phi
-    qy = 1j * g.ky * phi
-    # grad |D|^-1 c in mode space: (i k / |k|) c
-    gx = 1j * g.kx * g.inv_kmag * c
-    gy = 1j * g.ky * g.inv_kmag * c
-    gamma_x = ComplexField(g, qx - 1j * gx)
-    gamma_y = ComplexField(g, qy - 1j * gy)
-    upsilon = ComplexField(g, g.inv_kmag * div_modes + 1j * c)
-    return AcousticPair(gamma_x=gamma_x, gamma_y=gamma_y, upsilon=upsilon, eps=state.eps)
+    q = 1j * g.kvec * phi
+    grad_c = 1j * g.kvec * g.inv_kmag * c  # grad |D|^-1 c in mode space: (i k / |k|) c
+    qx, qy, gx, gy, pot, cf = full_spectrum(
+        np.concatenate([q, grad_c, np.stack([g.inv_kmag * div_modes, c])]))
+    return AcousticPair(gamma_x=ComplexField(g, qx - 1j * gx),
+                        gamma_y=ComplexField(g, qy - 1j * gy),
+                        upsilon=ComplexField(g, pot + 1j * cf), eps=state.eps)
 
 
 def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
@@ -124,21 +148,17 @@ def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
     Qv is the pointwise real part of Gamma and c the pointwise imaginary part
     of Upsilon.
     """
-    qx = spatial_real_part(pair.gamma_x)
-    qy = spatial_real_part(pair.gamma_y)
-    c = spatial_imag_part(pair.upsilon)
-    v = spectral.vector(
-        SpectralScalarField(solenoidal.grid, solenoidal.ux.modes + qx.modes),
-        SpectralScalarField(solenoidal.grid, solenoidal.uy.modes + qy.modes),
-    )
-    return FlowState(v=v, c=c, eps=pair.eps, gamma_bar=gamma_bar, time=time)
+    q = np.stack([spatial_real_part(pair.gamma_x).modes, spatial_real_part(pair.gamma_y).modes])
+    c = spatial_imag_part(pair.upsilon).modes
+    return FlowState(solenoidal.grid, np.concatenate([solenoidal.modes + q, c[None]]),
+                     pair.eps, gamma_bar, time)
 
 
 def free_propagate(f: ComplexField, t: float, eps: float) -> ComplexField:
     """Source-free evolution: multiply mode k by exp(-i t |k| / eps)."""
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    phase = np.exp(-1j * (t / eps) * f.grid.kmag)
+    phase = np.exp(-1j * (t / eps) * full_kmag(f.grid))
     return ComplexField(f.grid, f.modes * phase)
 
 

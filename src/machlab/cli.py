@@ -3,8 +3,10 @@
     machlab <experiment> --config <path> [--out <dir>] [--threads N]
 
 Exit codes: 0 all summary assertions passed, 1 at least one failed,
-2 configuration problem, 3 runtime failure (including blowup outside the
-lifespan-table experiment, where blowup is data).
+2 configuration problem, 3 runtime failure. A blowup outside the
+lifespan-table experiment (where blowup is data) is a runtime failure; it
+first writes config.resolved, the partial ledgers, and a summary whose FAIL
+line names the time, the step, and the column that tripped.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, \
     validate_config, with_overrides
-from .experiments import run_experiment
+from .experiments import SweepBlowup, run_experiment
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -79,6 +81,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         passed, lines = run_experiment(cfg)
+    except SweepBlowup as exc:
+        print(f"machlab: {exc}; partial artifacts in {cfg.out}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME

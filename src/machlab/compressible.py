@@ -26,7 +26,7 @@ import numpy as np
 from . import littlewood_paley as lp
 from . import spectral
 from .ledger import COMPRESSIBLE_COLUMNS, RunLedger
-from .spectral import FlowState, SpectralScalarField, SpectralVectorField
+from .spectral import FlowState
 
 _CFL_FLOOR = 1e-12
 
@@ -57,45 +57,37 @@ class StepperConfig:
 
 
 class Blowup(RuntimeError):
-    """Raised when a monitored norm crosses its threshold or goes non-finite."""
+    """Raised when a monitored norm crosses its threshold or goes non-finite.
 
-    def __init__(self, time: float, reason: str, ledger: Optional[RunLedger] = None):
-        super().__init__(f"blowup at t={time:.6g}: {reason}")
+    ``column`` names the ledger column that tripped and ``step`` is the
+    number of the accepted step whose monitor row tripped (0 is the
+    initial state).
+    """
+
+    def __init__(self, time: float, reason: str, ledger: Optional[RunLedger] = None,
+                 column: str = "", step: int = 0):
+        super().__init__(f"blowup at t={time:.6g}, step {step}: {reason}")
         self.time = time
         self.reason = reason
         self.ledger = ledger
+        self.column = column
+        self.step = step
 
 
-def rhs_nonlinear(state: FlowState) -> tuple[SpectralVectorField, SpectralScalarField]:
-    """Quadratic tendencies, dealiased:
+def rhs_nonlinear(state: FlowState) -> np.ndarray:
+    """Quadratic tendencies of (vx, vy, c), dealiased, as one (3, n, n/2 + 1) array:
 
     f = -(v.grad) v - gamma_bar c grad c
     g = -(v.grad) c - gamma_bar c div v
     """
     g = state.grid
-    n2 = g.n**2
-    vx_m, vy_m = state.v.ux.modes, state.v.uy.modes
-    c_m = state.c.modes
-    vx = np.real(np.fft.ifft2(vx_m * n2))
-    vy = np.real(np.fft.ifft2(vy_m * n2))
-    c = np.real(np.fft.ifft2(c_m * n2))
-    dx_vx = np.real(np.fft.ifft2(1j * g.kx * vx_m * n2))
-    dy_vx = np.real(np.fft.ifft2(1j * g.ky * vx_m * n2))
-    dx_vy = np.real(np.fft.ifft2(1j * g.kx * vy_m * n2))
-    dy_vy = np.real(np.fft.ifft2(1j * g.ky * vy_m * n2))
-    dx_c = np.real(np.fft.ifft2(1j * g.kx * c_m * n2))
-    dy_c = np.real(np.fft.ifft2(1j * g.ky * c_m * n2))
-    gb = state.gamma_bar
-    fx = -(vx * dx_vx + vy * dy_vx) - gb * c * dx_c
-    fy = -(vx * dx_vy + vy * dy_vy) - gb * c * dy_c
-    gg = -(vx * dx_c + vy * dy_c) - gb * c * (dx_vx + dy_vy)
-    mask = g.dealias_mask
-    f_vec = spectral.vector(
-        SpectralScalarField(g, np.where(mask, np.fft.fft2(fx) / n2, 0.0), dealiased=True),
-        SpectralScalarField(g, np.where(mask, np.fft.fft2(fy) / n2, 0.0), dealiased=True),
-    )
-    g_scal = SpectralScalarField(g, np.where(mask, np.fft.fft2(gg) / n2, 0.0), dealiased=True)
-    return f_vec, g_scal
+    u = state.modes
+    # one inverse of 9 planes: (vx, vy, c), their x derivatives, their y derivatives
+    w, dx, dy = spectral.to_samples(np.stack([u, 1j * g.kx * u, 1j * g.ky * u]))
+    vx, vy, c = w
+    coupling = np.stack([dx[2], dy[2], dx[0] + dy[1]])  # grad c and div v
+    tendency = -(vx * dx + vy * dy) - (state.gamma_bar * c) * coupling
+    return np.where(g.dealias_mask, spectral.to_modes(tendency), 0.0)
 
 
 def acoustic_exact_step(state: FlowState, dt: float) -> FlowState:
@@ -114,71 +106,33 @@ def acoustic_exact_step(state: FlowState, dt: float) -> FlowState:
     theta = g.kmag * (dt / state.eps)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    khat_x = g.kx * g.inv_kmag
-    khat_y = g.ky * g.inv_kmag
-    vx, vy = state.v.ux.modes, state.v.uy.modes
-    b = state.c.modes
-    a = khat_x * vx + khat_y * vy
+    khat = g.kvec * g.inv_kmag
+    v, b = state.modes[:2], state.modes[2]
+    a = khat[0] * v[0] + khat[1] * v[1]
     a2 = a * cos_t - 1j * b * sin_t
     b2 = b * cos_t - 1j * a * sin_t
-    vx2 = vx + (a2 - a) * khat_x
-    vy2 = vy + (a2 - a) * khat_y
-    v2 = spectral.vector(
-        SpectralScalarField(g, vx2, dealiased=state.v.ux.dealiased),
-        SpectralScalarField(g, vy2, dealiased=state.v.uy.dealiased),
-    )
-    c2 = SpectralScalarField(g, b2, dealiased=state.c.dealiased)
-    return replace(state, v=v2, c=c2, time=state.time + dt)
+    modes = np.concatenate([v + (a2 - a) * khat, b2[None]])
+    return replace(state, modes=modes, time=state.time + dt)
 
 
 def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     """Advective step size: the fast linear part is integrated exactly, so
     only |v| and the quadratic sound speed coupling constrain dt."""
-    v_max = spectral.lp_norm(state.v, math.inf)
-    c_max = spectral.lp_norm(state.c, math.inf)
+    samples = spectral.to_samples(state.modes)
+    v_max = float(np.max(spectral.magnitude(samples[:2])))
+    c_max = float(np.max(np.abs(samples[2])))
     speed = v_max + state.gamma_bar * c_max + _CFL_FLOOR
     return min(config.max_dt, config.cfl * state.grid.spacing / speed)
 
 
 def _nonlinear_rk4(state: FlowState, dt: float, config: StepperConfig) -> FlowState:
-    def deriv(v: SpectralVectorField, c: SpectralScalarField):
-        f, gg = rhs_nonlinear(replace(state, v=v, c=c))
+    def deriv(u: np.ndarray, t: float) -> np.ndarray:
+        k = rhs_nonlinear(replace(state, modes=u))
         if config.project_solenoidal_rhs:
-            f = spectral.leray_p(f)
-        return f, gg
+            k[:2] = spectral.leray_p(spectral.SpectralVectorField(state.grid, k[:2])).modes
+        return k
 
-    def axpy(v, c, f, gg, h):
-        return (
-            spectral.vector(
-                SpectralScalarField(v.grid, v.ux.modes + h * f.ux.modes, dealiased=True),
-                SpectralScalarField(v.grid, v.uy.modes + h * f.uy.modes, dealiased=True),
-            ),
-            SpectralScalarField(c.grid, c.modes + h * gg.modes, dealiased=True),
-        )
-
-    v0, c0 = state.v, state.c
-    k1f, k1g = deriv(v0, c0)
-    v1, c1 = axpy(v0, c0, k1f, k1g, dt / 2.0)
-    k2f, k2g = deriv(v1, c1)
-    v2, c2 = axpy(v0, c0, k2f, k2g, dt / 2.0)
-    k3f, k3g = deriv(v2, c2)
-    v3, c3 = axpy(v0, c0, k3f, k3g, dt)
-    k4f, k4g = deriv(v3, c3)
-    vx = v0.ux.modes + (dt / 6.0) * (
-        k1f.ux.modes + 2.0 * k2f.ux.modes + 2.0 * k3f.ux.modes + k4f.ux.modes
-    )
-    vy = v0.uy.modes + (dt / 6.0) * (
-        k1f.uy.modes + 2.0 * k2f.uy.modes + 2.0 * k3f.uy.modes + k4f.uy.modes
-    )
-    cm = c0.modes + (dt / 6.0) * (k1g.modes + 2.0 * k2g.modes + 2.0 * k3g.modes + k4g.modes)
-    g = state.grid
-    return replace(
-        state,
-        v=spectral.vector(
-            SpectralScalarField(g, vx, dealiased=True), SpectralScalarField(g, vy, dealiased=True)
-        ),
-        c=SpectralScalarField(g, cm, dealiased=True),
-    )
+    return replace(state, modes=spectral.rk4(deriv, state.modes, state.time, dt))
 
 
 def step(state: FlowState, config: StepperConfig, dt: Optional[float] = None) -> FlowState:
@@ -190,54 +144,49 @@ def step(state: FlowState, config: StepperConfig, dt: Optional[float] = None) ->
     if not config.disable_nonlinear:
         half = _nonlinear_rk4(half, dt, config)
     full = acoustic_exact_step(half, 0.5 * dt)
-    full = replace(
-        full,
-        v=spectral.dealias_vector(full.v),
-        c=spectral.dealias(full.c),
-        time=t0 + dt,
-    )
-    return full
-
-
-def _jacobian_sup(v: SpectralVectorField) -> float:
-    """Largest sup norm over the four entries of grad v."""
-    g = v.grid
-    n2 = g.n**2
-    worst = 0.0
-    for comp in (v.ux, v.uy):
-        for kdir in (g.kx, g.ky):
-            d = np.real(np.fft.ifft2(1j * kdir * comp.modes * n2))
-            worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    return replace(spectral.dealias(full), time=t0 + dt)
 
 
 def monitor_row(state: FlowState, config: StepperConfig) -> dict[str, float]:
-    """All ledger columns for one state (accumulators excluded)."""
-    grad_v = _jacobian_sup(state.v)
-    grad_c = spectral.lp_norm(spectral.grad(state.c), math.inf)
-    div_v = spectral.div(state.v)
-    omega = spectral.curl2d(state.v)
-    qv = spectral.leray_q(state.v)
-    fields_vc = [state.v.ux, state.v.uy, state.c]
+    """All ledger columns for one state (accumulators excluded).
+
+    The sample-space columns come from one batched inverse of the velocity
+    Jacobian, grad c, Qv and c, and the block-sum columns from one batched
+    inverse of the vorticity and divergence blocks.
+    """
+    g = state.grid
+    area = g.cell_area
+    u = state.modes
+    jac = 1j * g.kvec[:, None] * u[None, :2]  # jac[i, j] = d_i v_j
+    div_m = jac[0, 0] + jac[1, 1]
+    omega_m = jac[0, 1] - jac[1, 0]
+    qv = spectral.leray_q(state.v).modes
+    samples = spectral.to_samples(np.concatenate(
+        [jac.reshape((4,) + g.modes_shape), 1j * g.kvec * u[2], qv, u[2:]]))
+    dx_vx, dx_vy, dy_vx, dy_vy = samples[:4]
+    div_v = dx_vx + dy_vy
+    omega = dx_vy - dy_vx
+    blocks = lp.block_samples(g, np.stack([omega_m, div_m]))
+    b2 = lp.block_norms(state, 2.0)
     row = {
-        "grad_v_linf": grad_v,
-        "grad_c_linf": grad_c,
-        "div_v_linf": spectral.lp_norm(div_v, math.inf),
-        "omega_linf": spectral.lp_norm(omega, math.inf),
-        "vc_l2": spectral.l2_norm(fields_vc),
-        "vc_b2": lp.besov_norm(fields_vc, 2.0, 2.0, 1.0),
+        "grad_v_linf": float(np.max(np.abs(samples[:4]))),
+        "grad_c_linf": float(np.max(spectral.magnitude(samples[4:6]))),
+        "div_v_linf": float(np.max(np.abs(div_v))),
+        "omega_linf": float(np.max(np.abs(omega))),
+        "vc_l2": spectral.l2_norm(state),
+        "vc_b2": lp.besov_sum(b2, 2.0, 1.0),
         "vc_b2_hetero": (
-            lp.besov_norm_hetero(fields_vc, 2.0, 2.0, 1.0, config.profile)
+            lp.besov_sum(b2, 2.0, 1.0, config.profile)
             if config.profile is not None
             else math.nan
         ),
-        "omega_b0": lp.besov_norm(omega, 0.0, math.inf, 1.0),
-        "div_v_b0": lp.besov_norm(div_v, 0.0, math.inf, 1.0),
-        "qv_linf": spectral.lp_norm(qv, math.inf),
-        "c_linf": spectral.lp_norm(state.c, math.inf),
+        "omega_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 0], math.inf, area), 0.0),
+        "div_v_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 1], math.inf, area), 0.0),
+        "qv_linf": float(np.max(spectral.magnitude(samples[6:8]))),
+        "c_linf": float(np.max(np.abs(samples[8]))),
         "v_l2": spectral.l2_norm(state.v),
-        "div_v_b12": lp.besov_norm(div_v, 0.5, 4.0, 1.0),
-        "div_v_b1": lp.besov_norm(div_v, 1.0, 2.0, 1.0),
+        "div_v_b12": lp.besov_sum(spectral.plane_norms(blocks[:, 1], 4.0, area), 0.5),
+        "div_v_b1": lp.besov_norm(spectral.SpectralScalarField(g, div_m), 1.0, 2.0, 1.0),
     }
     row["grad_sum"] = row["grad_v_linf"] + row["grad_c_linf"]
     return row
@@ -245,12 +194,13 @@ def monitor_row(state: FlowState, config: StepperConfig) -> dict[str, float]:
 
 def _check_blowup(state: FlowState, row: dict[str, float], config: StepperConfig,
                   ledger: RunLedger) -> None:
-    if not all(math.isfinite(v) for k, v in row.items() if k != "vc_b2_hetero"):
-        raise Blowup(state.time, "non-finite monitored norm", ledger)
-    if row["grad_v_linf"] > config.blowup_grad_linf:
-        raise Blowup(state.time, f"grad_v_linf {row['grad_v_linf']:.3e} over threshold", ledger)
-    if row["vc_b2"] > config.blowup_besov:
-        raise Blowup(state.time, f"vc_b2 {row['vc_b2']:.3e} over threshold", ledger)
+    step_no = len(ledger) - 1
+    for k, v in row.items():
+        if k != "vc_b2_hetero" and not math.isfinite(v):
+            raise Blowup(state.time, f"non-finite {k}", ledger, k, step_no)
+    for k, limit in (("grad_v_linf", config.blowup_grad_linf), ("vc_b2", config.blowup_besov)):
+        if row[k] > limit:
+            raise Blowup(state.time, f"{k} {row[k]:.3e} over threshold", ledger, k, step_no)
 
 
 def run(initial: FlowState, t_final: float, config: StepperConfig,
@@ -264,9 +214,7 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
     """
     if not (t_final > initial.time):
         raise ValueError("t_final must exceed the initial time")
-    state = replace(
-        initial, v=spectral.dealias_vector(initial.v), c=spectral.dealias(initial.c)
-    )
+    state = spectral.dealias(initial)
     ledger = RunLedger(COMPRESSIBLE_COLUMNS, run_id=run_id, config_hash=config_hash)
     pending = sorted(t for t in (snapshot_times or []) if t > state.time)
     snapshots: dict[float, FlowState] = {}

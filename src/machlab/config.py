@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 from .initial_data import KNOWN_DATA
@@ -57,13 +58,31 @@ class ExperimentConfig:
         return 0.5 * (self.gamma - 1.0)
 
 
-_KEY_TO_FIELD = {
-    "experiment": "experiment", "n": "n", "box_length": "box_length", "eps": "eps",
-    "t_final": "t_final", "gamma": "gamma", "data": "data", "amplitude": "amplitude",
-    "seed": "seed", "profile": "profile", "cfl": "cfl", "max_dt": "max_dt",
-    "snapshots": "snapshots", "out": "out", "threads": "threads", "p": "p_space",
-    "c0": "c0", "t_cap": "t_cap", "blowup_factor": "blowup_factor",
-}
+# config-file key -> ExperimentConfig field; both the parser and the
+# canonical dump use this one table, so a dump always parses back
+_KEY_TO_FIELD = {("p" if f.name == "p_space" else f.name): f.name for f in fields(ExperimentConfig)}
+_FIELD_TO_KEY = {name: key for key, name in _KEY_TO_FIELD.items()}
+
+_FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamma", "c0",
+                  "blowup_factor")
+
+# Peak working set in float64 n-by-n planes, from peak-RSS measurements of
+# compressible runs at n = 256 .. 1024: about 80 per running solver (state,
+# RK4 stages, batched transforms, block stacks and numpy temporaries), and
+# sweep members run ``threads`` at a time. Each stored state snapshot adds 3.
+_PLANES_PER_RUN = 80
+
+
+def _working_set_bytes(config: "ExperimentConfig") -> int:
+    planes = _PLANES_PER_RUN * max(1, config.threads) + 3 * len(config.eps) * config.snapshots
+    return planes * 8 * config.n * config.n
+
+
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return None
 
 
 def _parse_length(text: str) -> float:
@@ -131,9 +150,20 @@ def validate_config(config: ExperimentConfig, require_experiment: bool = True) -
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {config.experiment!r}"
         )
+    for name in _FINITE_FIELDS:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be finite, got {value}")
     n = config.n
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigError(f"n must be a power of two >= 8, got {n}")
+    memory = _physical_memory_bytes()
+    if memory is not None and _working_set_bytes(config) > memory:
+        raise ConfigError(
+            f"n = {n} needs an estimated {_working_set_bytes(config) / 2**30:.3g} GiB working "
+            f"set (threads = {config.threads}, {len(config.eps)} eps x {config.snapshots} "
+            f"snapshots), more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     if not (config.box_length > 0.0):
         raise ConfigError(f"box_length must be positive, got {config.box_length}")
     if not config.eps:
@@ -191,7 +221,7 @@ def canonical_dump(config: ExperimentConfig) -> str:
             v = ",".join(f"{x:.17g}" for x in v)
         elif isinstance(v, float):
             v = f"{v:.17g}"
-        lines.append(f"{f.name} = {v}")
+        lines.append(f"{_FIELD_TO_KEY[f.name]} = {v}")
     return "\n".join(lines) + "\n"
 
 

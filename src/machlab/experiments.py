@@ -48,14 +48,30 @@ def build_profile(config: ExperimentConfig, grid: Grid) -> lp.BesovProfile:
     for e in config.eps:
         st = make_initial_data(config.data, grid, e, config.amplitude, config.seed,
                                config.gamma_bar)
-        members.append([st.v.ux, st.v.uy, st.c])
+        members.append(st)
     return lp.find_profile(members, 2.0, 2.0, 1.0)
+
+
+class SweepBlowup(RuntimeError):
+    """At least one sweep member blew up. ``blowups`` maps each such eps to
+    its ``Blowup``; ``ledgers`` holds every member's ledger, partial ones
+    included."""
+
+    def __init__(self, ledgers: dict[float, RunLedger],
+                 blowups: dict[float, compressible.Blowup]):
+        first = max(blowups)
+        super().__init__(f"eps={first:g}: {blowups[first]}")
+        self.ledgers = ledgers
+        self.blowups = blowups
 
 
 def run_sweep(config: ExperimentConfig, grid: Grid, profile: Optional[lp.BesovProfile],
               snapshot_times: Optional[list[float]] = None,
               ) -> dict[float, tuple[RunLedger, dict[float, FlowState]]]:
-    """One compressible run per eps, identical data family, shared stepper."""
+    """One compressible run per eps, identical data family, shared stepper.
+
+    Every member runs to its end; if any blew up, raises ``SweepBlowup``.
+    """
     stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt,
                                          profile=profile)
     chash = config_hash(config)
@@ -63,18 +79,26 @@ def run_sweep(config: ExperimentConfig, grid: Grid, profile: Optional[lp.BesovPr
     def one(eps: float):
         state = make_initial_data(config.data, grid, eps, config.amplitude, config.seed,
                                   config.gamma_bar)
-        _, ledger, snaps = compressible.run(
-            state, config.t_final, stepper, snapshot_times=snapshot_times,
-            run_id=f"eps={eps:g}", config_hash=chash,
-        )
+        try:
+            _, ledger, snaps = compressible.run(
+                state, config.t_final, stepper, snapshot_times=snapshot_times,
+                run_id=f"eps={eps:g}", config_hash=chash,
+            )
+        except compressible.Blowup as blow:
+            return blow
         return ledger, snaps
 
     eps_list = sorted(config.eps, reverse=True)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, eps_list))
-        return dict(zip(eps_list, results))
-    return {e: one(e) for e in eps_list}
+            results = dict(zip(eps_list, pool.map(one, eps_list)))
+    else:
+        results = {e: one(e) for e in eps_list}
+    blowups = {e: r for e, r in results.items() if isinstance(r, compressible.Blowup)}
+    if blowups:
+        raise SweepBlowup({e: r.ledger if e in blowups else r[0] for e, r in results.items()},
+                          blowups)
+    return results
 
 
 def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic.ComplexField:
@@ -88,10 +112,8 @@ def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic
     dy = (y - 0.5 * L + 0.5 * L) % L - 0.5 * L
     bump = np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
     f = spectral.dealias(spectral.fft_forward(grid, bump))
-    modes = f.modes.copy()
-    modes[0, 0] = 0.0
-    norm = grid.box_length * math.sqrt(float(np.sum(np.abs(modes) ** 2)))
-    return acoustic.ComplexField(grid, modes.astype(np.complex128) / norm)
+    f.modes[0, 0] = 0.0
+    return acoustic.ComplexField(grid, acoustic.full_spectrum(f.modes) / spectral.l2_norm(f))
 
 
 def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
@@ -226,9 +248,23 @@ def _write_summary(out_dir: str, config: ExperimentConfig, summary: _Summary) ->
         fh.write(f"RESULT {'PASS' if summary.passed else 'FAIL'}\n")
 
 
-def _write_ledgers(out_dir: str, sweep) -> None:
-    for e in sorted(sweep, reverse=True):
-        sweep[e][0].to_csv(os.path.join(out_dir, f"ledger_eps_{_eps_tag(e)}.csv"))
+def _write_ledgers(out_dir: str, ledgers: dict[float, RunLedger]) -> None:
+    for e in sorted(ledgers, reverse=True):
+        ledgers[e].to_csv(os.path.join(out_dir, f"ledger_eps_{_eps_tag(e)}.csv"))
+
+
+def _write_blowup(config: ExperimentConfig, blow: SweepBlowup) -> None:
+    """The artifacts of a sweep that blew up: every member's ledger, partial
+    or not, and a summary with one FAIL line per blown-up member."""
+    summary = _Summary()
+    for e in sorted(blow.blowups, reverse=True):
+        b = blow.blowups[e]
+        summary.check(f"run.no_blowup[eps={e:g}]", False,
+                      f"blew up at t={_fmt(b.time)}, step {b.step}, column {b.column}: "
+                      f"{b.reason}")
+    os.makedirs(config.out, exist_ok=True)
+    _write_ledgers(config.out, blow.ledgers)
+    _write_summary(config.out, config, summary)
 
 
 def _write_plot(path: str, x_name: str, y_name: str, xs, ys) -> None:
@@ -279,7 +315,7 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
                       f"fitted C={_fmt(rep.c_l2)} (must be <= 2)")
     out = config.out
     os.makedirs(out, exist_ok=True)
-    _write_ledgers(out, sweep)
+    _write_ledgers(out, ledgers)
     with open(os.path.join(out, "acoustic_decay.csv"), "w") as fh:
         fh.write("eps,a1_window,a4_window,blocksum_window,phi,free_wave,free_wave_normalized\n")
         for i, e in enumerate(report.eps):
@@ -321,7 +357,7 @@ def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str
                   f"fitted at eps={report.eps[0]:g}")
     out = config.out
     os.makedirs(out, exist_ok=True)
-    _write_ledgers(out, sweep)
+    _write_ledgers(out, {e: sweep[e][0] for e in sweep})
     ref_ledger.to_csv(os.path.join(out, "ledger_reference.csv"))
     with open(os.path.join(out, "incompressible_limit.csv"), "w") as fh:
         fh.write("eps," + ",".join(f"l2_t{_fmt(t)}" for t in times) + "\n")
@@ -443,7 +479,7 @@ def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
     for e in eps_desc:
         state = make_initial_data(config.data, grid, e, config.amplitude, config.seed,
                                   config.gamma_bar)
-        g0 = compressible._jacobian_sup(state.v)
+        g0 = spectral.jacobian_sup(state.v)
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
@@ -512,7 +548,13 @@ _DRIVERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
+    """Run one driver. A sweep blowup first leaves its partial artifacts in
+    ``config.out``, then propagates."""
     driver = _DRIVERS.get(config.experiment)
     if driver is None:
         raise ValueError(f"no driver for experiment {config.experiment!r}")
-    return driver(config)
+    try:
+        return driver(config)
+    except SweepBlowup as blow:
+        _write_blowup(config, blow)
+        raise

@@ -47,7 +47,7 @@ def _periodized_bump(grid: Grid, center: tuple[float, float], sigma: float) -> n
 def _mean_free(f: SpectralScalarField) -> SpectralScalarField:
     modes = f.modes.copy()
     modes[0, 0] = 0.0
-    return SpectralScalarField(f.grid, modes, dealiased=f.dealiased)
+    return SpectralScalarField(f.grid, modes)
 
 
 def _scaled(f: SpectralScalarField, target_sup: float, measure) -> SpectralScalarField:
@@ -100,12 +100,9 @@ def _taylor_green(grid: Grid, amplitude: float, gamma_bar: float, eps: float,
     vx = amplitude * np.sin(kappa * x) * np.cos(kappa * y)
     vy = -amplitude * np.cos(kappa * x) * np.sin(kappa * y)
     c = (amplitude / kappa) * np.sin(kappa * x) * np.sin(kappa * y)
-    v = spectral.dealias_vector(spectral.vector(
-        spectral.fft_forward(grid, np.broadcast_to(vx, (grid.n, grid.n))),
-        spectral.fft_forward(grid, np.broadcast_to(vy, (grid.n, grid.n))),
-    ))
-    c_f = spectral.dealias(spectral.fft_forward(grid, np.broadcast_to(c, (grid.n, grid.n))))
-    return FlowState(v=v, c=c_f, eps=eps, gamma_bar=gamma_bar)
+    samples = np.stack(np.broadcast_arrays(vx, vy, c))
+    modes = np.where(grid.dealias_mask, spectral.to_modes(samples), 0.0)
+    return FlowState(grid, modes, eps, gamma_bar)
 
 
 def _vortex_pair(grid: Grid, amplitude: float, gamma_bar: float, eps: float, seed: int,
@@ -120,11 +117,8 @@ def _vortex_pair(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     s = acoustic_scale * amplitude / div_sup
     c = _scaled(c, 1.0, lambda f: spectral.lp_norm(spectral.grad(f), math.inf))
     c = spectral.scale(c, acoustic_scale * amplitude)
-    v = spectral.vector(
-        SpectralScalarField(grid, v_rot.ux.modes + s * grad_phi.ux.modes, dealiased=True),
-        SpectralScalarField(grid, v_rot.uy.modes + s * grad_phi.uy.modes, dealiased=True),
-    )
-    return FlowState(v=v, c=c, eps=eps, gamma_bar=gamma_bar)
+    v = SpectralVectorField(grid, v_rot.modes + s * grad_phi.modes)
+    return FlowState.from_fields(v, c, eps, gamma_bar)
 
 
 def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, seed: int,
@@ -137,26 +131,23 @@ def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     """
     rng = np.random.default_rng(seed)
     part = lp.build_partition(grid)
-    whites = [spectral.dealias(spectral.fft_forward(grid, rng.standard_normal((grid.n, grid.n))))
-              for _ in range(3)]
+    white = rng.standard_normal((3, grid.n, grid.n))
+    whites = np.where(grid.dealias_mask, spectral.to_modes(white), 0.0)
     kmag = grid.kmag
-    acc = [np.zeros((grid.n, grid.n), dtype=np.complex128) for _ in range(3)]
+    acc = np.zeros_like(whites)
     for q in range(-1, part.q_max + 1):
         if q < 0:
             mask = (kmag <= 0.75) & (kmag > 0.0)
         else:
             mask = ((4.0 / 3.0) * 2.0**q <= kmag) & (kmag <= 1.5 * 2.0**q)
-        pieces = [np.where(mask, w.modes, 0.0) for w in whites]
-        joint = spectral.l2_norm([SpectralScalarField(grid, p, dealiased=True) for p in pieces])
+        pieces = np.where(mask, whites, 0.0)
+        joint = spectral.l2_norm([SpectralScalarField(grid, p) for p in pieces])
         if joint <= 0.0:
             continue  # ring empty on this lattice (can happen at the cutoff)
         weight = 1.0 if q < 0 else 2.0 ** (-(2.0 + rate) * q)
-        s = amplitude * weight / joint
-        for a, p in zip(acc, pieces):
-            a += s * p
-    fields = [_mean_free(SpectralScalarField(grid, m, dealiased=True)) for m in acc]
-    v = spectral.vector(fields[0], fields[1])
-    return FlowState(v=v, c=fields[2], eps=eps, gamma_bar=gamma_bar)
+        acc += (amplitude * weight / joint) * pieces
+    acc[:, 0, 0] = 0.0  # mean-free
+    return FlowState(grid, acc, eps, gamma_bar)
 
 
 def make_initial_data(name: str, grid: Grid, eps: float, amplitude: float = 1.0,

@@ -16,12 +16,13 @@ reproduces the plain norm at regularity s + alpha exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .spectral import Grid, SpectralScalarField, SpectralVectorField, lp_norm
+from . import spectral
+from .spectral import Grid, SpectralScalarField
 
 # Values of the plateau profile below this are snapped to exact zero so that
 # support disjointness (|p - q| >= 2) holds in exact arithmetic.
@@ -55,37 +56,24 @@ def _chi_profile(r: np.ndarray) -> np.ndarray:
 class DyadicPartition:
     """Dyadic frequency partition bound to one grid.
 
-    ``chi`` is the low-frequency block multiplier (index q = -1) and
-    ``phis[q]`` the ring multiplier for q = 0 .. q_max, where q_max is the
-    largest ring whose lower support edge 3/4 * 2**q lies at or below the
-    dealiasing cutoff. With that choice the multipliers sum to exactly 1 on
-    every retained mode.
+    ``stack`` holds the half-spectrum block multipliers in order: the low
+    block chi (index q = -1), then the rings phi_q for q = 0 .. q_max, where
+    q_max is the largest ring whose lower support edge 3/4 * 2**q lies at or
+    below the dealiasing cutoff. With that choice the multipliers sum to
+    exactly 1 on every retained mode.
     """
 
     grid: Grid
-    chi: np.ndarray
-    phis: tuple[np.ndarray, ...]
+    stack: np.ndarray
 
     @property
     def q_max(self) -> int:
-        return len(self.phis) - 1
+        return len(self.stack) - 2
 
     def multiplier(self, q: int) -> np.ndarray:
-        if q == -1:
-            return self.chi
-        if 0 <= q <= self.q_max:
-            return self.phis[q]
+        if -1 <= q <= self.q_max:
+            return self.stack[q + 1]
         raise ValueError(f"block index {q} outside [-1, {self.q_max}]")
-
-    def diagnostics_rows(self) -> list[tuple[float, ...]]:
-        """(|k|, chi, phi_0, ..., phi_qmax) per retained mode radius, for CSV dumps."""
-        kmag = self.grid.kmag[self.grid.dealias_mask]
-        radii = np.unique(np.round(kmag, 12))
-        rows = []
-        for r in radii:
-            rows.append((float(r), float(_chi_profile(np.array([r]))[0]),
-                         *(float(_ring_profile(np.array([r]), q)[0]) for q in range(len(self.phis)))))
-        return rows
 
 
 def _ring_profile(r: np.ndarray, q: int) -> np.ndarray:
@@ -110,61 +98,46 @@ def build_partition(grid: Grid) -> DyadicPartition:
         )
     q_max = int(math.floor(math.log2(kmax / 0.75)))
     kmag = grid.kmag
-    chi = _chi_profile(kmag)
-    phis = tuple(_ring_profile(kmag, q) for q in range(q_max + 1))
-    part = DyadicPartition(grid=grid, chi=chi, phis=phis)
+    stack = np.stack([_chi_profile(kmag)] + [_ring_profile(kmag, q) for q in range(q_max + 1)])
+    part = DyadicPartition(grid=grid, stack=stack)
     _PARTITION_CACHE[key] = part
     return part
 
 
 def delta_q(f: SpectralScalarField, q: int) -> SpectralScalarField:
-    """Frequency block q of a scalar field (q = -1 is the low block)."""
-    part = build_partition(f.grid)
-    return SpectralScalarField(f.grid, f.modes * part.multiplier(q), dealiased=f.dealiased)
+    """Frequency block q of a field (q = -1 is the low block)."""
+    return replace(f, modes=f.modes * build_partition(f.grid).multiplier(q))
 
 
 def s_q(f: SpectralScalarField, q: int) -> SpectralScalarField:
     """Low-pass partial sum: all blocks strictly below q."""
     part = build_partition(f.grid)
     if q < 0:
-        return SpectralScalarField(f.grid, np.zeros_like(f.modes), dealiased=True)
-    mult = part.chi.copy()
-    for p in range(min(q, part.q_max + 1)):
-        mult = mult + part.phis[p]
-    return SpectralScalarField(f.grid, f.modes * mult, dealiased=f.dealiased)
+        return replace(f, modes=np.zeros_like(f.modes))
+    return replace(f, modes=f.modes * np.sum(part.stack[: min(q, part.q_max + 1) + 1], axis=0))
 
 
-def _as_field_list(f) -> list[SpectralScalarField]:
-    if isinstance(f, SpectralScalarField):
-        return [f]
-    if isinstance(f, SpectralVectorField):
-        return [f.ux, f.uy]
-    return list(f)
+def block_samples(grid: Grid, modes: np.ndarray) -> np.ndarray:
+    """Real samples of every block of every plane, from one batched inverse:
+    shape (q_max + 2, *planes, n, n) for ``modes`` of shape (*planes, n, n/2 + 1)."""
+    stack = build_partition(grid).stack
+    return spectral.to_samples(stack[(slice(None),) + (None,) * (modes.ndim - 2)] * modes)
 
 
 def block_norms(f, p: float) -> np.ndarray:
     """||Delta_q f||_p for q = -1 .. q_max; multi-component inputs jointly.
 
     For p = 2 the norms are evaluated in mode space via Parseval, which keeps
-    per-step diagnostics cheap; other p go through real space.
+    per-step diagnostics cheap; other p go through real space, all blocks in
+    one batched inverse.
     """
-    fields = _as_field_list(f)
-    grid = fields[0].grid
-    part = build_partition(grid)
-    out = np.zeros(part.q_max + 2)
+    grid, modes = spectral.gather(f)
     if p == 2.0:
-        L = grid.box_length
-        for qi, q in enumerate(range(-1, part.q_max + 1)):
-            m = part.multiplier(q)
-            total = 0.0
-            for fld in fields:
-                total += float(np.sum(np.abs(fld.modes * m) ** 2))
-            out[qi] = L * math.sqrt(total)
-    else:
-        for qi, q in enumerate(range(-1, part.q_max + 1)):
-            blocks = [delta_q(fld, q) for fld in fields]
-            out[qi] = lp_norm(blocks, p)
-    return out
+        power = grid.parseval_weight * np.sum(np.abs(modes) ** 2, axis=0)
+        stack = build_partition(grid).stack
+        return grid.box_length * np.sqrt(np.sum(stack**2 * power, axis=(1, 2)))
+    blocks = spectral.magnitude(block_samples(grid, modes))
+    return spectral.plane_norms(blocks, p, grid.cell_area)
 
 
 def _ell_r(values: np.ndarray, r: float) -> float:
@@ -173,12 +146,20 @@ def _ell_r(values: np.ndarray, r: float) -> float:
     return float(np.sum(values**r) ** (1.0 / r))
 
 
+def besov_sum(norms: np.ndarray, s: float, r: float = 1.0,
+              profile: Optional["BesovProfile"] = None) -> float:
+    """The l^r norm over blocks of Psi(q) 2**(q s) norms[q], with norms[0] at
+    q = -1; Psi is 1 without a profile."""
+    q = np.arange(-1, len(norms) - 1)
+    weights = 2.0 ** (q.astype(np.float64) * s)
+    if profile is not None:
+        weights = np.array([profile.psi(int(k)) for k in q]) * weights
+    return _ell_r(weights * norms, r)
+
+
 def besov_norm(f, s: float, p: float, r: float = 1.0) -> float:
     """Besov norm: the l^r norm over blocks of 2**(q s) ||Delta_q f||_p."""
-    norms = block_norms(f, p)
-    grid = _as_field_list(f)[0].grid
-    q = np.arange(-1, build_partition(grid).q_max + 1, dtype=np.float64)
-    return _ell_r(2.0 ** (q * s) * norms, r)
+    return besov_sum(block_norms(f, p), s, r)
 
 
 def besov_norm_hetero(f, s: float, p: float, r: float, profile: "BesovProfile") -> float:
@@ -187,11 +168,7 @@ def besov_norm_hetero(f, s: float, p: float, r: float, profile: "BesovProfile") 
     With Psi identically 1 this is the plain norm; with Psi(q) = 2**(alpha q)
     it equals the plain norm at regularity s + alpha exactly, block by block.
     """
-    norms = block_norms(f, p)
-    grid = _as_field_list(f)[0].grid
-    qs = np.arange(-1, build_partition(grid).q_max + 1)
-    weights = np.array([profile.psi(int(q)) for q in qs])
-    return _ell_r(weights * 2.0 ** (qs.astype(np.float64) * s) * norms, r)
+    return besov_sum(block_norms(f, p), s, r, profile)
 
 
 @dataclass(frozen=True)
@@ -328,7 +305,7 @@ def find_profile(f, s: float, p: float, r: float = 1.0) -> BesovProfile:
     weight and the remaining summability, and the factor-2 step cap keeps the
     weight slowly varying, so sum_q Psi(q) a_q <= 2 * sum_q a_q.
     """
-    if isinstance(f, (SpectralScalarField, SpectralVectorField)):
+    if hasattr(f, "modes"):  # one field or flow state
         members = [f]
     else:
         seq = list(f)
@@ -338,7 +315,7 @@ def find_profile(f, s: float, p: float, r: float = 1.0) -> BesovProfile:
             members = seq
     if not members:
         raise ValueError("need at least one field")
-    grid = _as_field_list(members[0])[0].grid
+    grid = spectral.gather(members[0])[0]
     part = build_partition(grid)
     qs = np.arange(-1, part.q_max + 1, dtype=np.float64)
     a = np.zeros(qs.size)

@@ -1,9 +1,17 @@
 """Spectral substrate for doubly periodic 2D fields.
 
-Fields live on an n-by-n grid over a square box of side ``box_length`` and
-are carried as normalized Fourier coefficients: the coefficient array is
-``fft2(samples) / n**2``, so the zero mode equals the spatial mean and a pure
-cosine of unit amplitude shows up as two coefficients of magnitude 1/2.
+Fields live on an n-by-n grid over a square box of side ``box_length``. A
+real field is carried as its half spectrum: the coefficient array is
+``numpy.fft.rfft2(samples, norm="forward")`` of shape (n, n/2 + 1), so the
+zero mode equals the spatial mean, a pure cosine of unit amplitude shows up
+as a coefficient of magnitude 1/2, and the inverse ``irfft2(..., norm="forward")``
+needs no rescaling. The columns hold ky = 0 .. n/2; the negative ky half is
+the complex conjugate and is never stored. Sums over the full spectrum
+become sums over the half with the Parseval column weights: 1 on columns 0
+and n/2, which are their own conjugate partners, and 2 on every other column.
+
+Every transform goes through ``to_modes``/``to_samples``, which act on the
+last two axes, so stacks of fields transform in one batched call.
 Derivatives, inverse operators, and the Leray projectors are exact Fourier
 multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
 """
@@ -31,9 +39,19 @@ _SNAPSHOT_MAGIC = b"MLF1"
 _SNAPSHOT_HEADER = struct.Struct("<4sIdI")
 
 
+def to_modes(samples: np.ndarray) -> np.ndarray:
+    """Half spectra of real samples, batched over every leading axis."""
+    return np.fft.rfft2(samples, norm="forward")
+
+
+def to_samples(modes: np.ndarray) -> np.ndarray:
+    """Real samples of half spectra, batched over every leading axis."""
+    return np.fft.irfft2(modes, norm="forward")
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with precomputed wavenumber tables.
+    """Uniform periodic grid with precomputed half-spectrum wavenumber tables.
 
     Parameters
     ----------
@@ -41,6 +59,10 @@ class Grid:
         Points per side. Must be a power of two, at least 8.
     box_length : float
         Physical side length of the periodic box.
+
+    ``kx`` (n, 1) and ``ky`` (1, n/2 + 1) broadcast to the half-spectrum
+    shape, ``kvec`` stacks them to (2, n, n/2 + 1), and ``parseval_weight``
+    is the column weight row of the half-spectrum sums.
 
     The 2/3-rule dealiasing cutoff is radial:
     ``kmax_dealias = (2/3) * (n/2) * (2*pi/box_length)``. Because n is a
@@ -59,26 +81,25 @@ class Grid:
         if not (self.box_length > 0.0):
             raise ValueError(f"box_length must be positive, got {self.box_length}")
         dk = 2.0 * math.pi / self.box_length
-        idx = np.fft.fftfreq(n, d=1.0 / n)  # signed integer lattice indices
-        kx = dk * idx[:, None]
-        ky = dk * idx[None, :]
+        kx = dk * np.fft.fftfreq(n, d=1.0 / n)[:, None]  # signed rows
+        ky = dk * np.arange(n // 2 + 1, dtype=np.float64)[None, :]
         k2 = kx * kx + ky * ky
         kmag = np.sqrt(k2)
         kmax = (2.0 / 3.0) * (n / 2.0) * dk
-        mask = kmag <= kmax
-        inv_k2 = np.zeros_like(k2)
         nz = k2 > 0.0
+        inv_k2 = np.zeros_like(k2)
         inv_k2[nz] = 1.0 / k2[nz]
         inv_kmag = np.zeros_like(kmag)
         inv_kmag[nz] = 1.0 / kmag[nz]
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmag", kmag)
-        object.__setattr__(self, "inv_k2", inv_k2)
-        object.__setattr__(self, "inv_kmag", inv_kmag)
-        object.__setattr__(self, "kmax_dealias", kmax)
-        object.__setattr__(self, "dealias_mask", mask)
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        tables = {
+            "kx": kx, "ky": ky, "kvec": np.stack(np.broadcast_arrays(kx, ky)),
+            "k2": k2, "kmag": kmag, "inv_k2": inv_k2, "inv_kmag": inv_kmag,
+            "kmax_dealias": kmax, "dealias_mask": kmag <= kmax, "parseval_weight": weight,
+        }
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def spacing(self) -> float:
@@ -88,29 +109,37 @@ class Grid:
     def cell_area(self) -> float:
         return (self.box_length / self.n) ** 2
 
+    @property
+    def modes_shape(self) -> tuple[int, int]:
+        return (self.n, self.n // 2 + 1)
+
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes as broadcastable (n,1) and (1,n) arrays; samples[i,j] = u(x_i, y_j)."""
         x = np.arange(self.n) * self.spacing
         return x[:, None], x[None, :]
 
 
+def _check_shape(grid: Grid, modes: np.ndarray, lead: tuple[int, ...]) -> None:
+    if modes.shape != lead + grid.modes_shape:
+        raise ValueError(
+            f"mode array shape {modes.shape} does not match grid n={grid.n} "
+            f"(expected {lead + grid.modes_shape})"
+        )
+
+
 @dataclass(frozen=True)
 class SpectralScalarField:
-    """Real scalar field stored as normalized Fourier coefficients."""
+    """Real scalar field stored as its (n, n/2 + 1) half spectrum."""
 
     grid: Grid
     modes: np.ndarray
-    dealiased: bool = False
 
     def __post_init__(self) -> None:
-        if self.modes.shape != (self.grid.n, self.grid.n):
-            raise ValueError(
-                f"mode array shape {self.modes.shape} does not match grid n={self.grid.n}"
-            )
+        _check_shape(self.grid, self.modes, ())
 
     def values(self) -> np.ndarray:
         """Real-space samples on the grid."""
-        return np.real(np.fft.ifft2(self.modes * self.grid.n**2))
+        return to_samples(self.modes)
 
     @property
     def mean(self) -> float:
@@ -119,38 +148,50 @@ class SpectralScalarField:
 
 @dataclass(frozen=True)
 class SpectralVectorField:
-    """Two-component real vector field; components share one grid."""
+    """Two-component real vector field stored as one (2, n, n/2 + 1) array."""
 
     grid: Grid
-    ux: SpectralScalarField
-    uy: SpectralScalarField
+    modes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ux.grid != self.grid or self.uy.grid != self.grid:
-            raise ValueError("vector components must share the parent grid")
+        _check_shape(self.grid, self.modes, (2,))
 
     @property
-    def components(self) -> tuple[SpectralScalarField, SpectralScalarField]:
-        return (self.ux, self.uy)
+    def ux(self) -> SpectralScalarField:
+        return SpectralScalarField(self.grid, self.modes[0])
 
     @property
-    def dealiased(self) -> bool:
-        return self.ux.dealiased and self.uy.dealiased
+    def uy(self) -> SpectralScalarField:
+        return SpectralScalarField(self.grid, self.modes[1])
 
 
-def fft_forward(grid: Grid, samples: np.ndarray, dealiased: bool = False) -> SpectralScalarField:
-    """Transform real samples to normalized coefficients.
+def gather(f) -> tuple[Grid, np.ndarray]:
+    """Grid and stacked (components, n, n/2 + 1) modes of a field.
+
+    Accepts anything with ``grid`` and ``modes`` (scalar and vector fields,
+    flow states) or a sequence of such objects, whose components are
+    concatenated in order.
+    """
+    if hasattr(f, "modes"):
+        return f.grid, f.modes[None] if f.modes.ndim == 2 else f.modes
+    parts = [gather(x) for x in f]
+    if not parts:
+        raise ValueError("need at least one field")
+    grid = parts[0][0]
+    if any(g != grid for g, _ in parts):
+        raise ValueError("all fields must share one grid")
+    return grid, np.concatenate([m for _, m in parts])
+
+
+def fft_forward(grid: Grid, samples: np.ndarray) -> SpectralScalarField:
+    """Transform real samples to a half-spectrum field.
 
     Rejects sample arrays whose shape does not match the grid.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (grid.n, grid.n):
         raise ValueError(f"sample array shape {samples.shape} does not match grid n={grid.n}")
-    return SpectralScalarField(grid, np.fft.fft2(samples) / grid.n**2, dealiased=dealiased)
-
-
-def fft_inverse(f: SpectralScalarField) -> np.ndarray:
-    return f.values()
+    return SpectralScalarField(grid, to_modes(samples))
 
 
 def from_function(grid: Grid, fn) -> SpectralScalarField:
@@ -159,44 +200,42 @@ def from_function(grid: Grid, fn) -> SpectralScalarField:
 
 
 def zeros(grid: Grid) -> SpectralScalarField:
-    return SpectralScalarField(grid, np.zeros((grid.n, grid.n), dtype=np.complex128), dealiased=True)
+    return SpectralScalarField(grid, np.zeros(grid.modes_shape, dtype=np.complex128))
 
 
 def vector(ux: SpectralScalarField, uy: SpectralScalarField) -> SpectralVectorField:
-    return SpectralVectorField(ux.grid, ux, uy)
+    if ux.grid != uy.grid:
+        raise ValueError("vector components must share one grid")
+    return SpectralVectorField(ux.grid, np.stack([ux.modes, uy.modes]))
 
 
-def dealias(f: SpectralScalarField) -> SpectralScalarField:
-    """Zero every mode with |k| above the radial 2/3 cutoff."""
-    return SpectralScalarField(f.grid, np.where(f.grid.dealias_mask, f.modes, 0.0), dealiased=True)
+def dealias(f):
+    """Zero every mode with |k| above the radial 2/3 cutoff.
+
+    Works on any object with ``grid`` and ``modes``: scalar and vector
+    fields and flow states alike.
+    """
+    return replace(f, modes=np.where(f.grid.dealias_mask, f.modes, 0.0))
 
 
-def dealias_vector(v: SpectralVectorField) -> SpectralVectorField:
-    return vector(dealias(v.ux), dealias(v.uy))
-
-
-def _mul(f: SpectralScalarField, multiplier: np.ndarray) -> SpectralScalarField:
-    return SpectralScalarField(f.grid, f.modes * multiplier, dealiased=f.dealiased)
+def _mul(f, multiplier: np.ndarray):
+    return replace(f, modes=f.modes * multiplier)
 
 
 def grad(f: SpectralScalarField) -> SpectralVectorField:
     g = f.grid
-    return vector(_mul(f, 1j * g.kx), _mul(f, 1j * g.ky))
+    return SpectralVectorField(g, 1j * g.kvec * f.modes)
 
 
 def div(v: SpectralVectorField) -> SpectralScalarField:
     g = v.grid
-    return SpectralScalarField(
-        g, 1j * g.kx * v.ux.modes + 1j * g.ky * v.uy.modes, dealiased=v.dealiased
-    )
+    return SpectralScalarField(g, 1j * g.kx * v.modes[0] + 1j * g.ky * v.modes[1])
 
 
 def curl2d(v: SpectralVectorField) -> SpectralScalarField:
     """Scalar vorticity d(uy)/dx - d(ux)/dy."""
     g = v.grid
-    return SpectralScalarField(
-        g, 1j * g.kx * v.uy.modes - 1j * g.ky * v.ux.modes, dealiased=v.dealiased
-    )
+    return SpectralScalarField(g, 1j * g.kx * v.modes[1] - 1j * g.ky * v.modes[0])
 
 
 def laplacian(f: SpectralScalarField) -> SpectralScalarField:
@@ -210,7 +249,7 @@ def _project_mean_free(f: SpectralScalarField, op_name: str) -> SpectralScalarFi
         logger.warning("%s: projecting away nonzero mean %.3e", op_name, float(np.real(zero_mode)))
     modes = f.modes.copy()
     modes[0, 0] = 0.0
-    return SpectralScalarField(f.grid, modes, dealiased=f.dealiased)
+    return SpectralScalarField(f.grid, modes)
 
 
 def inv_laplacian(f: SpectralScalarField) -> SpectralScalarField:
@@ -233,87 +272,77 @@ def abs_d_inv(f: SpectralScalarField) -> SpectralScalarField:
 def leray_q(v: SpectralVectorField) -> SpectralVectorField:
     """Gradient (curl-free) part: Q = grad inv_laplacian div."""
     g = v.grid
-    dv = 1j * g.kx * v.ux.modes + 1j * g.ky * v.uy.modes  # div in mode space
-    phi = -g.inv_k2 * dv
-    return vector(
-        SpectralScalarField(g, 1j * g.kx * phi, dealiased=v.dealiased),
-        SpectralScalarField(g, 1j * g.ky * phi, dealiased=v.dealiased),
-    )
+    phi = -g.inv_k2 * div(v).modes
+    return SpectralVectorField(g, 1j * g.kvec * phi)
 
 
 def leray_p(v: SpectralVectorField) -> SpectralVectorField:
     """Divergence-free part: P = I - Q. The zero mode stays in P."""
-    q = leray_q(v)
-    return vector(
-        SpectralScalarField(v.grid, v.ux.modes - q.ux.modes, dealiased=v.dealiased),
-        SpectralScalarField(v.grid, v.uy.modes - q.uy.modes, dealiased=v.dealiased),
-    )
+    return SpectralVectorField(v.grid, v.modes - leray_q(v).modes)
 
 
 def perp_grad(psi: SpectralScalarField) -> SpectralVectorField:
     """Rotated gradient (-d/dy, d/dx); gives the velocity of a stream function."""
     g = psi.grid
-    return vector(_mul(psi, -1j * g.ky), _mul(psi, 1j * g.kx))
+    return SpectralVectorField(g, np.stack([-1j * g.ky * psi.modes, 1j * g.kx * psi.modes]))
 
 
-def add(f: SpectralScalarField, g: SpectralScalarField) -> SpectralScalarField:
-    return SpectralScalarField(f.grid, f.modes + g.modes, dealiased=f.dealiased and g.dealiased)
+def sub(f, g):
+    return replace(f, modes=f.modes - g.modes)
 
 
-def sub(f: SpectralScalarField, g: SpectralScalarField) -> SpectralScalarField:
-    return SpectralScalarField(f.grid, f.modes - g.modes, dealiased=f.dealiased and g.dealiased)
+def scale(f, a: float):
+    return replace(f, modes=a * f.modes)
 
 
-def scale(f: SpectralScalarField, a: float) -> SpectralScalarField:
-    return SpectralScalarField(f.grid, a * f.modes, dealiased=f.dealiased)
+def magnitude(samples: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude over the component axis (third from last)."""
+    if samples.shape[-3] == 1:
+        return np.abs(samples[..., 0, :, :])
+    return np.sqrt(np.sum(samples**2, axis=-3))
 
 
-def _pointwise_magnitude(fields) -> tuple[Grid, np.ndarray]:
-    fields = list(fields)
-    if not fields:
-        raise ValueError("need at least one field")
-    grid = fields[0].grid
-    acc = np.zeros((grid.n, grid.n))
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("all fields must share one grid")
-        acc += f.values() ** 2
-    return grid, np.sqrt(acc)
+def plane_norms(samples: np.ndarray, p: float, cell_area: float) -> np.ndarray:
+    """L^p quadrature norm of each plane, over the last two axes."""
+    if math.isinf(p):
+        return np.max(np.abs(samples), axis=(-2, -1))
+    return (np.sum(np.abs(samples) ** p, axis=(-2, -1)) * cell_area) ** (1.0 / p)
 
 
 def lp_norm(f, p: float) -> float:
     """Spatial L^p quadrature norm, p in [1, inf].
 
-    Accepts a scalar field, a vector field, or a sequence of scalar fields;
+    Accepts a scalar field, a vector field, or a sequence of fields;
     multi-component inputs use the pointwise Euclidean magnitude. A constant
     field of height a has L^p norm a * box_length**(2/p).
     """
-    if isinstance(f, SpectralScalarField):
-        fields = [f]
-    elif isinstance(f, SpectralVectorField):
-        fields = [f.ux, f.uy]
-    else:
-        fields = list(f)
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
-    grid, mag = _pointwise_magnitude(fields)
-    if math.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.cell_area) ** (1.0 / p))
+    grid, modes = gather(f)
+    return float(plane_norms(magnitude(to_samples(modes)), p, grid.cell_area))
 
 
 def l2_norm(f) -> float:
-    """L^2 norm via Parseval: ||u||_2^2 = box_length^2 * sum |coeff|^2."""
-    if isinstance(f, SpectralScalarField):
-        fields = [f]
-    elif isinstance(f, SpectralVectorField):
-        fields = [f.ux, f.uy]
-    else:
-        fields = list(f)
-    total = 0.0
-    for fld in fields:
-        total += float(np.sum(np.abs(fld.modes) ** 2))
-    return fields[0].grid.box_length * math.sqrt(total)
+    """L^2 norm via Parseval: ||u||_2^2 = box_length^2 * sum_full |coeff|^2,
+    summed over the half spectrum with the column weights."""
+    grid, modes = gather(f)
+    total = float(np.sum(grid.parseval_weight * np.abs(modes) ** 2))
+    return grid.box_length * math.sqrt(total)
+
+
+def jacobian_sup(v: SpectralVectorField) -> float:
+    """Largest sup norm over the four entries of grad v, from one batched inverse."""
+    g = v.grid
+    return float(np.max(np.abs(to_samples(1j * g.kvec[:, None] * v.modes[None]))))
+
+
+def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of du/dt = tendency(u, t) on a mode array."""
+    k1 = tendency(u, t)
+    k2 = tendency(u + (dt / 2.0) * k1, t + 0.5 * dt)
+    k3 = tendency(u + (dt / 2.0) * k2, t + 0.5 * dt)
+    k4 = tendency(u + dt * k3, t + dt)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _trig_point(f: "SpectralScalarField", x: float, y: float):
@@ -321,7 +350,7 @@ def _trig_point(f: "SpectralScalarField", x: float, y: float):
     kx = f.grid.kx.ravel()
     ky = f.grid.ky.ravel()
     ex = np.exp(1j * kx * x)
-    ey = np.exp(1j * ky * y)
+    ey = f.grid.parseval_weight * np.exp(1j * ky * y)  # the conjugate half, folded in
     cy = f.modes @ ey
     cy1 = f.modes @ (1j * ky * ey)
     cy2 = f.modes @ (-(ky**2) * ey)
@@ -345,10 +374,11 @@ def refined_extrema(f: "SpectralScalarField", upsample: int = 4,
     grid = f.grid
     n = grid.n
     m = upsample * n
-    big = np.zeros((m, m), dtype=np.complex128)
+    big = np.zeros((m, m // 2 + 1), dtype=np.complex128)
     ix = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    big[np.ix_(ix, ix)] = f.modes
-    fine = np.real(np.fft.ifft2(big)) * (m * m)
+    big[ix, : n // 2 + 1] = f.modes
+    big[:, n // 2] *= 0.5  # the Nyquist column is interior on the fine grid
+    fine = to_samples(big)
     h_fine = grid.box_length / m
     out = []
     for pick in (np.argmin, np.argmax):
@@ -400,31 +430,40 @@ def mixed_time_norm(times, values, r: float) -> float:
 class FlowState:
     """Velocity-plus-sound-speed state of the rescaled barotropic system.
 
-    ``c`` is the rescaled sound speed fluctuation, ``eps`` the Mach-like
-    scaling parameter in (0, 1], and ``gamma_bar = (gamma - 1) / 2`` the
-    coupling constant in front of the quadratic terms.
+    ``modes`` stacks the half spectra of (vx, vy, c) into one
+    (3, n, n/2 + 1) array. ``c`` is the rescaled sound speed fluctuation,
+    ``eps`` the Mach-like scaling parameter in (0, 1], and
+    ``gamma_bar = (gamma - 1) / 2`` the coupling constant in front of the
+    quadratic terms.
     """
 
-    v: SpectralVectorField
-    c: SpectralScalarField
+    grid: Grid
+    modes: np.ndarray
     eps: float
     gamma_bar: float = 0.2
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.v.grid != self.c.grid:
-            raise ValueError("velocity and sound speed must share one grid")
+        _check_shape(self.grid, self.modes, (3,))
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         if not (self.gamma_bar > 0.0):
             raise ValueError(f"gamma_bar must be positive, got {self.gamma_bar}")
 
-    @property
-    def grid(self) -> Grid:
-        return self.v.grid
+    @classmethod
+    def from_fields(cls, v: SpectralVectorField, c: SpectralScalarField, eps: float,
+                    gamma_bar: float = 0.2, time: float = 0.0) -> "FlowState":
+        if v.grid != c.grid:
+            raise ValueError("velocity and sound speed must share one grid")
+        return cls(v.grid, np.concatenate([v.modes, c.modes[None]]), eps, gamma_bar, time)
 
-    def with_time(self, t: float) -> "FlowState":
-        return replace(self, time=t)
+    @property
+    def v(self) -> SpectralVectorField:
+        return SpectralVectorField(self.grid, self.modes[:2])
+
+    @property
+    def c(self) -> SpectralScalarField:
+        return SpectralScalarField(self.grid, self.modes[2])
 
 
 def write_snapshot(path, grid: Grid, fields) -> None:

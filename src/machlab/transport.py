@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from . import littlewood_paley as lp
 from . import spectral
@@ -37,8 +36,8 @@ class SyntheticVelocity:
     ``velocity(t, x, y)`` returns (vx, vy); ``jacobian`` returns the four
     entries (dx_vx, dy_vx, dx_vy, dy_vy); all callables broadcast over
     coordinate arrays. ``speed_bound`` dominates |v| for CFL purposes and
-    ``periodic`` marks whether the fields respect the box (the linear
-    profile below does not and is only meant for short oracle checks).
+    ``periodic`` marks whether the fields respect the box; the spectral
+    solver refuses a velocity that does not.
     """
 
     name: str
@@ -141,67 +140,36 @@ def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
     )
 
 
-def linear_velocity(rate: float, center: tuple[float, float],
-                    box_length: float = spectral.DEFAULT_BOX_LENGTH) -> SyntheticVelocity:
-    """Uniform-divergence profile v = (rate/2)(x - c); not periodic, so only
-    valid while characteristics stay away from the box edge."""
-    cx, cy = center
-
-    def vel(t, x, y):
-        return 0.5 * rate * (x - cx), 0.5 * rate * (y - cy)
-
-    def jac(t, x, y):
-        shape = np.broadcast(x, y).shape
-        half = np.full(shape, 0.5 * rate)
-        z = np.zeros(shape)
-        return half, z, z.copy(), half.copy()
-
-    def dvg(t, x, y):
-        return np.full(np.broadcast(x, y).shape, rate)
-
-    return SyntheticVelocity(
-        name=f"linear(rate={rate})",
-        velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=abs(rate) * box_length / 2.0, periodic=False,
-    )
-
-
-def sample_velocity(vel: SyntheticVelocity, grid: Grid, t: float):
-    x, y = grid.coordinates()
-    vx, vy = vel.velocity(t, x, y)
-    shape = (grid.n, grid.n)
-    return np.broadcast_to(vx, shape), np.broadcast_to(vy, shape)
-
-
 def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: SyntheticVelocity,
                         t: float) -> np.ndarray:
-    n2 = grid.n**2
     x, y = grid.coordinates()
     vx, vy = vel.velocity(t, x, y)
     dvg = vel.divergence(t, x, y)
-    f = np.real(np.fft.ifft2(f_modes * n2))
-    fx = np.real(np.fft.ifft2(1j * grid.kx * f_modes * n2))
-    fy = np.real(np.fft.ifft2(1j * grid.ky * f_modes * n2))
+    f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
     out = -(vx * fx + vy * fy) - f * dvg
-    return np.where(grid.dealias_mask, np.fft.fft2(out) / n2, 0.0)
+    return np.where(grid.dealias_mask, spectral.to_modes(out), 0.0)
 
 
 def transport_monitor_row(f: SpectralScalarField, vel: SyntheticVelocity, t: float) -> dict:
+    """Ledger columns for one time; the blocks of f and of div v come from
+    one batched inverse."""
     grid = f.grid
+    area = grid.cell_area
     x, y = grid.coordinates()
     j = vel.jacobian(t, x, y)
     grad_sup = max(float(np.max(np.abs(np.broadcast_to(a, (grid.n, grid.n))))) for a in j)
     div_samples = np.broadcast_to(vel.divergence(t, x, y), (grid.n, grid.n))
-    div_field = spectral.fft_forward(grid, np.array(div_samples))
+    div_modes = spectral.to_modes(div_samples)
+    blocks = lp.block_samples(grid, np.stack([f.modes, div_modes]))
     return {
         "f_linf": spectral.lp_norm(f, math.inf),
-        "f_mass": float(np.real(f.modes[0, 0])) * grid.box_length**2,
-        "f_b0": lp.besov_norm(f, 0.0, math.inf, 1.0),
+        "f_mass": f.mean * grid.box_length**2,
+        "f_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 0], math.inf, area), 0.0),
         "grad_v_linf": grad_sup,
         "div_v_linf": float(np.max(np.abs(div_samples))),
-        "div_v_b0": lp.besov_norm(div_field, 0.0, math.inf, 1.0),
-        "div_v_b12": lp.besov_norm(div_field, 0.5, 4.0, 1.0),
-        "div_v_b1": lp.besov_norm(div_field, 1.0, 2.0, 1.0),
+        "div_v_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 1], math.inf, area), 0.0),
+        "div_v_b12": lp.besov_sum(spectral.plane_norms(blocks[:, 1], 4.0, area), 0.5),
+        "div_v_b1": lp.besov_norm(SpectralScalarField(grid, div_modes), 1.0, 2.0, 1.0),
     }
 
 
@@ -226,12 +194,8 @@ def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_
     dt_base = min(max_dt, cfl * grid.spacing / (vel.speed_bound + 1e-12))
     while t < t_final - 1e-12:
         dt = min(dt_base, t_final - t)
-        m0 = f.modes
-        k1 = _transport_tendency(m0, grid, vel, t)
-        k2 = _transport_tendency(m0 + 0.5 * dt * k1, grid, vel, t + 0.5 * dt)
-        k3 = _transport_tendency(m0 + 0.5 * dt * k2, grid, vel, t + 0.5 * dt)
-        k4 = _transport_tendency(m0 + dt * k3, grid, vel, t + dt)
-        f = SpectralScalarField(grid, m0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), dealiased=True)
+        f = SpectralScalarField(grid, spectral.rk4(
+            lambda m, s: _transport_tendency(m, grid, vel, s), f.modes, t, dt))
         t += dt
         ledger.append(t, **transport_monitor_row(f, vel, t))
     return f, ledger
@@ -247,6 +211,8 @@ def solve_transport_oracle(f0: SpectralScalarField, vel: SyntheticVelocity, t_fi
     """
     if substeps < 1:
         raise ValueError("need at least one substep")
+    from scipy import ndimage  # imported here: the oracle is its only user
+
     grid = f0.grid
     x, y = grid.coordinates()
     X = np.broadcast_to(x, (grid.n, grid.n)).astype(np.float64).copy()

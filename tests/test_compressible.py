@@ -74,7 +74,8 @@ def test_projected_dynamics_matches_vorticity_solver(grid64):
     state = small_state(grid64)
     v0 = spectral.leray_p(state.v)
     zero_c = spectral.zeros(grid64)
-    proj_state = spectral.FlowState(v=v0, c=zero_c, eps=state.eps, gamma_bar=state.gamma_bar)
+    proj_state = spectral.FlowState.from_fields(v0, zero_c, eps=state.eps,
+                                                gamma_bar=state.gamma_bar)
     dt, t_final = 0.01, 0.1
     cfg = StepperConfig(cfl=1.0, max_dt=dt, project_solenoidal_rhs=True)
     comp_final, _, _ = compressible.run(proj_state, t_final, cfg)

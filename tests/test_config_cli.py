@@ -1,11 +1,14 @@
 """Config parsing, validation, hashing, and the CLI exit-code contract."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machlab import cli
 from machlab.config import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     canonical_dump,
@@ -14,6 +17,7 @@ from machlab.config import (
     validate_config,
     with_overrides,
 )
+from machlab.ledger import RunLedger
 
 GOOD = """\
 # demo sweep
@@ -99,6 +103,21 @@ class TestValidation:
         for spec in ("from-data", "constant", "exp:1", "power:2"):
             validate_config(ExperimentConfig(profile=spec), require_experiment=False)
 
+    @pytest.mark.parametrize("key", ["t_final", "t_cap", "max_dt", "amplitude", "box_length",
+                                     "gamma", "c0", "blowup_factor"])
+    def test_non_finite_values_are_rejected_by_key(self, key):
+        # parsed only: a config like this must never reach a solver
+        for value in ("inf", "nan"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(f"{key} = {value}\n")
+
+    def test_grid_beyond_physical_memory_is_rejected(self):
+        # parsed only: n = 2^20 would need petabytes of working set
+        with pytest.raises(ConfigError, match="n = 1048576"):
+            parse_config("n = 1048576\n")
+        with pytest.raises(ConfigError, match="t_final"):
+            parse_config("t_final = inf\nt_cap = inf\nmax_dt = inf\nn = 1048576\n")
+
 
 class TestHashing:
     def test_hash_ignores_where_artifacts_land(self):
@@ -120,6 +139,42 @@ class TestHashing:
         assert "n = 256" in dump
         assert "out" not in dump and "threads" not in dump
         assert dump.endswith("\n")
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_configs = st.builds(
+    ExperimentConfig,
+    experiment=st.sampled_from(EXPERIMENTS),
+    n=st.sampled_from([8, 16, 32, 64, 128, 256, 512]),
+    box_length=st.floats(1e-3, 1e3, **_finite),
+    eps=st.lists(st.floats(1e-6, 1.0, **_finite), min_size=1, max_size=5,
+                 unique=True).map(tuple),
+    t_final=st.floats(1e-6, 1e3, **_finite),
+    gamma=st.floats(1.0, 3.0, exclude_min=True, **_finite),
+    data=st.sampled_from(["taylor-green-ill", "vortex-pair-ill", "random-band",
+                          "random-band:1.5", "well-prepared-contrast"]),
+    amplitude=st.floats(1e-6, 1e3, **_finite),
+    seed=st.integers(0, 2**31),
+    profile=st.sampled_from(["from-data", "constant", "exp:1", "power:2.5"]),
+    cfl=st.floats(1e-3, 1.0, **_finite),
+    max_dt=st.floats(1e-6, 1.0, **_finite),
+    snapshots=st.integers(2, 50),
+    p_space=st.one_of(st.just(math.inf), st.floats(2.0, 1e3, **_finite)),
+    c0=st.floats(1e-3, 1e3, **_finite),
+    t_cap=st.floats(1e-3, 1e3, **_finite),
+    blowup_factor=st.floats(1.0, 1e3, exclude_min=True, **_finite),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_configs)
+def test_resolved_config_replays(cfg):
+    """config.resolved parses back to the same config and the same hash;
+    only the volatile output path and thread count fall back to defaults."""
+    validate_config(cfg)
+    back = parse_config(canonical_dump(cfg))
+    assert back == replace(cfg, out=ExperimentConfig.out, threads=ExperimentConfig.threads)
+    assert config_hash(back) == config_hash(cfg)
 
 
 def _write_cfg(tmp_path, text):
@@ -163,6 +218,25 @@ class TestCli:
         code = cli.main(["acoustic-decay", "--config", cfg,
                          "--out", str(tmp_path / "out")])
         assert code == 3
+
+    def test_blowup_exits_three_after_writing_partial_artifacts(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "n = 64\neps = 0.5\namplitude = 8\nt_final = 4\n")
+        out = tmp_path / "out"
+        assert cli.main(["acoustic-decay", "--config", cfg, "--out", str(out)]) == 3
+        assert "eps=0.5: blowup at t=2.04787" in capsys.readouterr().err
+        resolved = parse_config((out / "config.resolved").read_text())
+        assert resolved.amplitude == 8.0 and resolved.eps == (0.5,)
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[0] == f"machlab summary v1 config={config_hash(resolved)}"
+        fail = summary[1]
+        assert fail.startswith("FAIL run.no_blowup[eps=0.5]: blew up at t=2.04787, step ")
+        assert "column grad_v_linf" in fail
+        assert summary[-1] == "RESULT FAIL"
+        ledger = RunLedger.from_csv(out / "ledger_eps_0p5.csv")
+        step = int(fail.split("step ")[1].split(",")[0])
+        assert len(ledger) == step + 1
+        assert ledger.column("grad_v_linf")[-1] > 1e4
+        assert ledger.time_array()[-1] == pytest.approx(2.04787, rel=1e-5)
 
     def test_threads_fall_back_to_the_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MACHLAB_THREADS", "not-a-number")

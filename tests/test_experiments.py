@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from machlab import spectral
+from machlab import acoustic, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -28,7 +28,8 @@ def test_gaussian_probe_is_unit_norm_mean_free_dealiased(grid64):
     norm = grid64.box_length * math.sqrt(float(np.sum(np.abs(probe.modes) ** 2)))
     assert norm == pytest.approx(1.0, rel=1e-12)
     assert probe.modes[0, 0] == 0.0
-    assert np.max(np.abs(np.where(grid64.dealias_mask, 0.0, probe.modes))) == 0.0
+    kept = acoustic.full_kmag(grid64) <= grid64.kmax_dealias
+    assert np.max(np.abs(np.where(kept, 0.0, probe.modes))) == 0.0
 
 
 def test_free_wave_normalized_reports_window_validity(grid64):

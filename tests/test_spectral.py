@@ -16,7 +16,7 @@ def random_field(grid, rng):
 
 def test_roundtrip(grid64, rng):
     samples = rng.standard_normal((64, 64))
-    back = spectral.fft_inverse(spectral.fft_forward(grid64, samples))
+    back = spectral.fft_forward(grid64, samples).values()
     assert np.max(np.abs(back - samples)) <= 1e-12 * np.max(np.abs(samples))
 
 
@@ -31,7 +31,7 @@ def test_parseval(grid64, rng):
 def test_derivatives_exact_on_modes(grid64):
     k = 2.0 * math.pi / grid64.box_length * 3
     f = spectral.from_function(grid64, lambda x, y: np.sin(k * x) * np.cos(2 * k * y))
-    gx = spectral.fft_inverse(spectral.grad(f).ux)
+    gx = spectral.grad(f).ux.values()
     x, y = grid64.coordinates()
     exact = k * np.cos(k * x) * np.cos(2 * k * y)
     assert np.max(np.abs(gx - exact)) <= 1e-12 * k
@@ -99,7 +99,7 @@ def test_dealias_idempotent_and_radial(grid64, rng):
     f = spectral.dealias(random_field(grid64, rng))
     again = spectral.dealias(f)
     assert np.array_equal(f.modes, again.modes)
-    assert f.dealiased
+    assert np.all(f.modes[~grid64.dealias_mask] == 0.0)
 
 
 def test_dealiased_product_is_alias_free(grid64, rng):
@@ -107,19 +107,17 @@ def test_dealiased_product_is_alias_free(grid64, rng):
     product on the retained set; the radial 2/3 cutoff makes this exact."""
     f = spectral.dealias(random_field(grid64, rng))
     g = spectral.dealias(random_field(grid64, rng))
-    coarse = spectral.fft_forward(grid64, spectral.fft_inverse(f) * spectral.fft_inverse(g))
+    coarse = spectral.fft_forward(grid64, f.values() * g.values())
 
     fine = Grid(128, grid64.box_length)
-    def lift(h):
-        big = np.zeros((128, 128), dtype=np.complex128)
-        n = 64
-        ix = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        big[np.ix_(ix, ix)] = h.modes
-        return spectral.SpectralScalarField(fine, big)
-    prod_fine = spectral.fft_forward(
-        fine, spectral.fft_inverse(lift(f)) * spectral.fft_inverse(lift(g)))
     ix = np.fft.fftfreq(64, d=1.0 / 64).astype(int)
-    restricted = prod_fine.modes[np.ix_(ix, ix)]
+
+    def lift(h):  # zero-pad the half spectrum; the dealiased Nyquist modes are zero
+        big = np.zeros(fine.modes_shape, dtype=np.complex128)
+        big[ix, :33] = h.modes
+        return spectral.SpectralScalarField(fine, big)
+    prod_fine = spectral.fft_forward(fine, lift(f).values() * lift(g).values())
+    restricted = prod_fine.modes[ix, :33]
     kept = spectral.dealias(coarse).modes
     ref = spectral.dealias(spectral.SpectralScalarField(grid64, restricted)).modes
     assert np.max(np.abs(kept - ref)) <= 1e-13 * np.max(np.abs(ref))
