@@ -130,8 +130,12 @@ class Workbench:
         return cfg
 
     @cached_property
+    def initial_states(self):
+        return experiments.initial_states(self.config, self.grid)
+
+    @cached_property
     def profile(self) -> lp.BesovProfile:
-        return experiments.build_profile(self.config, self.grid)
+        return experiments.build_profile(self.config, self.initial_states)
 
     @cached_property
     def model(self) -> asymptotics.LifespanModel:
@@ -144,12 +148,12 @@ class Workbench:
 
     @cached_property
     def sweep(self):
-        return experiments.run_sweep(self.config, self.grid, self.profile,
+        return experiments.run_sweep(self.config, self.initial_states, self.profile,
                                      snapshot_times=self.snapshot_times)
 
     @cached_property
     def reference(self):
-        return experiments.reference_incompressible(self.config, self.grid,
+        return experiments.reference_incompressible(self.config, self.initial_states,
                                                     self.scale.t_final, self.snapshot_times)
 
     @cached_property

@@ -39,17 +39,20 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def build_profile(config: ExperimentConfig, grid: Grid) -> lp.BesovProfile:
+def initial_states(config: ExperimentConfig, grid: Grid) -> dict[float, FlowState]:
+    """The initial state of every eps in the sweep, in config order, each
+    built once and shared by the profile fit, the sweep and the reference."""
+    return {e: make_initial_data(config.data, grid, e, config.amplitude, config.seed,
+                                 config.gamma_bar)
+            for e in config.eps}
+
+
+def build_profile(config: ExperimentConfig, states: dict[float, FlowState]) -> lp.BesovProfile:
     """The weight profile: named closed form, or fitted to the initial data
     family (joint velocity and sound speed components, worst case over eps)."""
     if config.profile != "from-data":
         return lp.named_profile(config.profile)
-    members = []
-    for e in config.eps:
-        st = make_initial_data(config.data, grid, e, config.amplitude, config.seed,
-                               config.gamma_bar)
-        members.append(st)
-    return lp.find_profile(members, 2.0, 2.0, 1.0)
+    return lp.find_profile(list(states.values()), 2.0, 2.0, 1.0)
 
 
 class SweepBlowup(RuntimeError):
@@ -65,10 +68,11 @@ class SweepBlowup(RuntimeError):
         self.blowups = blowups
 
 
-def run_sweep(config: ExperimentConfig, grid: Grid, profile: Optional[lp.BesovProfile],
+def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
+              profile: Optional[lp.BesovProfile],
               snapshot_times: Optional[list[float]] = None,
               ) -> dict[float, tuple[RunLedger, dict[float, FlowState]]]:
-    """One compressible run per eps, identical data family, shared stepper.
+    """One compressible run per eps from ``states``, shared stepper.
 
     Every member runs to its end; if any blew up, raises ``SweepBlowup``.
     """
@@ -77,11 +81,9 @@ def run_sweep(config: ExperimentConfig, grid: Grid, profile: Optional[lp.BesovPr
     chash = config_hash(config)
 
     def one(eps: float):
-        state = make_initial_data(config.data, grid, eps, config.amplitude, config.seed,
-                                  config.gamma_bar)
         try:
             _, ledger, snaps = compressible.run(
-                state, config.t_final, stepper, snapshot_times=snapshot_times,
+                states[eps], config.t_final, stepper, snapshot_times=snapshot_times,
                 run_id=f"eps={eps:g}", config_hash=chash,
             )
         except compressible.Blowup as blow:
@@ -137,14 +139,12 @@ def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
     return out
 
 
-def reference_incompressible(config: ExperimentConfig, grid: Grid, t_final: float,
-                             snapshot_times: list[float]):
+def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowState],
+                             t_final: float, snapshot_times: list[float]):
     """Limit dynamics: project the shared initial velocity and evolve its
     vorticity. The vortical part of every catalog member is eps-independent,
-    so one reference serves the whole sweep."""
-    state = make_initial_data(config.data, grid, max(config.eps), config.amplitude,
-                              config.seed, config.gamma_bar)
-    v0 = spectral.leray_p(state.v)
+    so one reference, from the largest eps's state, serves the whole sweep."""
+    v0 = spectral.leray_p(states[max(states)].v)
     omega0 = spectral.curl2d(v0)
     initial = incompressible.IncompressibleState(omega=omega0)
     return incompressible.run_incompressible(
@@ -277,9 +277,10 @@ def _write_plot(path: str, x_name: str, y_name: str, xs, ys) -> None:
 
 def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
     grid = Grid(config.n, config.box_length)
-    profile = build_profile(config, grid)
+    states = initial_states(config, grid)
+    profile = build_profile(config, states)
     model = asymptotics.LifespanModel(profile, c0=config.c0)
-    sweep = run_sweep(config, grid, profile)
+    sweep = run_sweep(config, states, profile)
     summary = _Summary()
     ledgers = {e: sweep[e][0] for e in sweep}
     report = asymptotics.check_acoustic_decay(ledgers, model, grid.box_length)
@@ -335,11 +336,12 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
 
 def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str]]:
     grid = Grid(config.n, config.box_length)
-    profile = build_profile(config, grid)
+    states = initial_states(config, grid)
+    profile = build_profile(config, states)
     model = asymptotics.LifespanModel(profile, c0=config.c0)
     times = [round(t, 12) for t in np.linspace(0.0, config.t_final, config.snapshots)]
-    sweep = run_sweep(config, grid, profile, snapshot_times=times)
-    _, ref_ledger, ref_snaps = reference_incompressible(config, grid, config.t_final, times)
+    sweep = run_sweep(config, states, profile, snapshot_times=times)
+    _, ref_ledger, ref_snaps = reference_incompressible(config, states, config.t_final, times)
     l2s, b2s, gaps = limit_error_series(sweep, ref_snaps, times)
     report = asymptotics.check_incompressible_limit(times, l2s, b2s, gaps, model)
     summary = _Summary()

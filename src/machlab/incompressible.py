@@ -45,16 +45,19 @@ def velocity_from_vorticity(omega: SpectralScalarField) -> SpectralVectorField:
     return spectral.perp_grad(SpectralScalarField(omega.grid, -omega.grid.inv_k2 * omega.modes))
 
 
-def _advection_tendency(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """-(v . grad omega), dealiased, from one batched inverse of v and grad omega."""
+def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:
+    """-(v . grad omega), dealiased, into ``out``, from one batched inverse of
+    v and grad omega."""
     v = velocity_from_vorticity(SpectralScalarField(grid, w)).modes
     vx, vy, wx, wy = spectral.to_samples(np.concatenate([v, 1j * grid.kvec * w]))
-    return np.where(grid.dealias_mask, -spectral.to_modes(vx * wx + vy * wy), 0.0)
+    np.negative(spectral.to_modes(vx * wx + vy * wy, out=out), out=out)
+    np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
 def step_incompressible(state: IncompressibleState, dt: float) -> IncompressibleState:
     g = state.grid
-    modes = spectral.rk4(lambda w, t: _advection_tendency(w, g), state.omega.modes, state.time, dt)
+    modes = spectral.rk4(lambda w, t, out: _advection_tendency(w, g, out), state.omega.modes,
+                         state.time, dt)
     return IncompressibleState(omega=spectral.dealias(SpectralScalarField(g, modes)),
                                time=state.time + dt)
 

@@ -126,8 +126,8 @@ class RunLedger:
 COMPRESSIBLE_COLUMNS = [
     "grad_v_linf", "grad_c_linf", "div_v_linf", "omega_linf",
     "vc_l2", "vc_b2", "vc_b2_hetero", "omega_b0", "div_v_b0",
-    "qv_linf", "c_linf", "v_l2", "div_v_b12", "div_v_b1",
-    "grad_sum", "int_grad_sum", "int_div_v_b0", "int_div_v_b12", "int_div_v_linf",
+    "qv_linf", "c_linf", "v_l2",
+    "grad_sum", "int_grad_sum", "int_div_v_b0", "int_div_v_linf",
 ]
 # grad_sum = grad_v_linf + grad_c_linf; its integral is the Gronwall budget V(t).
 

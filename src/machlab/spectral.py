@@ -11,7 +11,8 @@ become sums over the half with the Parseval column weights: 1 on columns 0
 and n/2, which are their own conjugate partners, and 2 on every other column.
 
 Every transform goes through ``to_modes``/``to_samples``, which act on the
-last two axes, so stacks of fields transform in one batched call.
+last two axes, so stacks of fields transform in one batched call. Hot paths
+pass ``out=`` arrays from ``scratch``, the per-thread work buffers.
 Derivatives, inverse operators, and the Leray projectors are exact Fourier
 multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
 """
@@ -21,12 +22,10 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-# np.trapz was renamed in numpy 2.0
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 logger = logging.getLogger(__name__)
 
@@ -39,14 +38,65 @@ _SNAPSHOT_MAGIC = b"MLF1"
 _SNAPSHOT_HEADER = struct.Struct("<4sIdI")
 
 
-def to_modes(samples: np.ndarray) -> np.ndarray:
-    """Half spectra of real samples, batched over every leading axis."""
-    return np.fft.rfft2(samples, norm="forward")
+def to_modes(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra of real samples, batched over every leading axis; written
+    into ``out`` when it is given."""
+    return np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
 
 
-def to_samples(modes: np.ndarray) -> np.ndarray:
-    """Real samples of half spectra, batched over every leading axis."""
-    return np.fft.irfft2(modes, norm="forward")
+def to_samples(modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of half spectra, batched over every leading axis; written
+    into ``out`` when it is given.
+
+    This calls ``irfftn``: ``irfft2`` passes ``out=None`` on to it, so an
+    ``out`` given to ``irfft2`` is left untouched and a new array returned.
+    """
+    return np.fft.irfftn(modes, axes=(-2, -1), norm="forward", out=out)
+
+
+class Scratch:
+    """Work arrays of one thread for one grid size, kept from call to call.
+
+    Their contents are garbage on entry. No array that is returned, stored in
+    a state or kept in a snapshot may alias them.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._arrays: dict = {}
+
+    def _take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is None or len(arr) < shape[0]:
+            arr = self._arrays[key] = np.empty(shape, dtype)
+        return arr[: shape[0]]
+
+    def modes(self, planes: int) -> np.ndarray:
+        """A (planes, n, n/2 + 1) complex stack."""
+        return self._take("modes", (planes, self.n, self.n // 2 + 1), np.complex128)
+
+    def samples(self, planes: int) -> np.ndarray:
+        """A (planes, n, n) real stack."""
+        return self._take("samples", (planes, self.n, self.n), np.float64)
+
+    def rk4_work(self, u: np.ndarray) -> np.ndarray:
+        """The three RK4 work arrays (acc, k, stage), each shaped like ``u``."""
+        return self._take(("rk4", u.shape, u.dtype), (3,) + u.shape, u.dtype)
+
+
+_THREAD = threading.local()
+
+
+def scratch(n: int) -> Scratch:
+    """This thread's work arrays for grids of n points per side.
+
+    Threads never share them, and a thread keeps those of its last grid size
+    only: asking for another size drops them.
+    """
+    buf = getattr(_THREAD, "scratch", None)
+    if buf is None or buf.n != n:
+        buf = _THREAD.scratch = Scratch(n)
+    return buf
 
 
 @dataclass(frozen=True)
@@ -337,12 +387,25 @@ def jacobian_sup(v: SpectralVectorField) -> float:
 
 
 def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of du/dt = tendency(u, t) on a mode array."""
-    k1 = tendency(u, t)
-    k2 = tendency(u + (dt / 2.0) * k1, t + 0.5 * dt)
-    k3 = tendency(u + (dt / 2.0) * k2, t + 0.5 * dt)
-    k4 = tendency(u + dt * k3, t + dt)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of du/dt = tendency(u, t) on a mode array.
+
+    ``tendency(u, t, out)`` writes its value into ``out``. The stages live in
+    this thread's scratch, and the returned array is new. The sum runs in the
+    order ((k1 + 2 k2) + 2 k3) + k4, then times dt/6, then plus u, so the
+    result is bit for bit that of the textbook expression.
+    """
+    acc, k, stage = scratch(u.shape[-2]).rk4_work(u)
+    tendency(u, t, acc)
+    np.add(u, np.multiply(dt / 2.0, acc, out=stage), out=stage)
+    tendency(stage, t + 0.5 * dt, k)
+    np.add(u, np.multiply(dt / 2.0, k, out=stage), out=stage)
+    acc += np.multiply(2.0, k, out=k)
+    tendency(stage, t + 0.5 * dt, k)
+    np.add(u, np.multiply(dt, k, out=stage), out=stage)
+    acc += np.multiply(2.0, k, out=k)
+    tendency(stage, t + dt, k)
+    acc += k
+    return u + np.multiply(dt / 6.0, acc, out=acc)
 
 
 def _trig_point(f: "SpectralScalarField", x: float, y: float):
@@ -423,7 +486,7 @@ def mixed_time_norm(times, values, r: float) -> float:
         return float(np.max(values))
     if not (r >= 1.0):
         raise ValueError(f"time exponent must be >= 1 or inf, got {r}")
-    return float(_trapezoid(values**r, times) ** (1.0 / r))
+    return float(np.trapezoid(values**r, times) ** (1.0 / r))
 
 
 @dataclass(frozen=True)

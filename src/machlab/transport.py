@@ -141,13 +141,13 @@ def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
 
 
 def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: SyntheticVelocity,
-                        t: float) -> np.ndarray:
+                        t: float, out: np.ndarray) -> None:
     x, y = grid.coordinates()
     vx, vy = vel.velocity(t, x, y)
     dvg = vel.divergence(t, x, y)
     f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
-    out = -(vx * fx + vy * fy) - f * dvg
-    return np.where(grid.dealias_mask, spectral.to_modes(out), 0.0)
+    spectral.to_modes(-(vx * fx + vy * fy) - f * dvg, out=out)
+    np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
 def transport_monitor_row(f: SpectralScalarField, vel: SyntheticVelocity, t: float) -> dict:
@@ -195,7 +195,7 @@ def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_
     while t < t_final - 1e-12:
         dt = min(dt_base, t_final - t)
         f = SpectralScalarField(grid, spectral.rk4(
-            lambda m, s: _transport_tendency(m, grid, vel, s), f.modes, t, dt))
+            lambda m, s, out: _transport_tendency(m, grid, vel, s, out), f.modes, t, dt))
         t += dt
         ledger.append(t, **transport_monitor_row(f, vel, t))
     return f, ledger

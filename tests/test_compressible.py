@@ -1,6 +1,8 @@
 """Split integrator for the rescaled barotropic system."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -137,3 +139,87 @@ def test_monitor_row_covers_ledger_columns(grid64):
     non_accum = [c for c in COMPRESSIBLE_COLUMNS if not c.startswith("int_")]
     assert set(row) == set(non_accum)
     assert math.isnan(row["vc_b2_hetero"])  # no profile attached
+
+
+def parent_rhs(state):
+    """The allocating tendency expression the scratch version must reproduce."""
+    g = state.grid
+    u = state.modes
+    w, dx, dy = np.fft.irfft2(np.stack([u, 1j * g.kx * u, 1j * g.ky * u]), norm="forward")
+    vx, vy, c = w
+    coupling = np.stack([dx[2], dy[2], dx[0] + dy[1]])
+    tendency = -(vx * dx + vy * dy) - (state.gamma_bar * c) * coupling
+    return np.where(g.dealias_mask, np.fft.rfft2(tendency, norm="forward"), 0.0)
+
+
+def test_rhs_nonlinear_into_out_matches_the_plain_expression(grid64):
+    state = small_state(grid64, amplitude=2.0)
+    out = np.full_like(state.modes, np.nan)
+    assert compressible.rhs_nonlinear(state, out=out) is out
+    assert out.tobytes() == parent_rhs(state).tobytes()
+    fresh = compressible.rhs_nonlinear(state)
+    assert fresh.tobytes() == out.tobytes() and not np.shares_memory(fresh, out)
+
+
+def run_steps(state, steps, between=lambda: None):
+    """Final modes and monitor rows after ``steps`` CFL-sized Strang steps,
+    calling ``between`` after each one."""
+    cfg = StepperConfig()
+    rows = []
+    for _ in range(steps):
+        state = compressible.step(state, cfg, compressible.cfl_dt(state, cfg))
+        rows.append(compressible.monitor_row(state, cfg))
+        between()
+    return state.modes.tobytes(), rows
+
+
+def test_steps_are_bit_identical_across_grids_and_threads(grid64, grid32):
+    start = small_state(grid64, amplitude=2.0)
+    alone = run_steps(start, 4)
+
+    # each step on a second grid swaps this thread's scratch for another size
+    other = [small_state(grid32, amplitude=2.0)]
+
+    def step_other():
+        other[0] = compressible.step(other[0], StepperConfig())
+        compressible.monitor_row(other[0], StepperConfig())
+
+    assert run_steps(start, 4, step_other) == alone
+
+    # three threads at once, switching often: a shared scratch would mix their stages
+    results = [None] * 3
+
+    def worker(i):
+        results[i] = run_steps(start, 4)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [alone] * 3
+
+
+def test_returned_states_do_not_alias_the_scratch(grid64):
+    cfg = StepperConfig()
+    s0 = small_state(grid64, amplitude=2.0)
+    s1 = compressible.step(s0, cfg)
+    k = compressible.rhs_nonlinear(s1)
+    final, _, snaps = compressible.run(s1, s1.time + 0.05, cfg, snapshot_times=[s1.time + 0.02])
+    returned = [s0.modes, s1.modes, k, final.modes] + [s.modes for s in snaps.values()]
+    kept = [a.copy() for a in returned]
+    state = s1
+    for _ in range(3):
+        state = compressible.step(state, cfg)
+        compressible.monitor_row(state, cfg)
+        compressible.rhs_nonlinear(state)
+        compressible.cfl_dt(state, cfg)
+    compressible.run(s0, 0.05, cfg)
+    for a, b in zip(returned, kept):
+        assert a.tobytes() == b.tobytes()

@@ -14,6 +14,7 @@ from machlab.experiments import (
     drive_strichartz_sweep,
     free_wave_normalized,
     gaussian_bump_complex,
+    initial_states,
     run_experiment,
     run_sweep,
     transport_catalog,
@@ -63,11 +64,10 @@ def test_transport_initial_density_is_positive_and_smooth(grid64):
 
 def test_build_profile_named_and_fitted(grid32):
     cfg = ExperimentConfig(profile="power:2")
-    named = build_profile(cfg, grid32)
+    named = build_profile(cfg, initial_states(cfg, grid32))
     assert named.name == "power:2"
-    fitted = build_profile(
-        ExperimentConfig(n=32, eps=(0.2, 0.1), data="random-band:1", profile="from-data"),
-        grid32)
+    cfg = ExperimentConfig(n=32, eps=(0.2, 0.1), data="random-band:1", profile="from-data")
+    fitted = build_profile(cfg, initial_states(cfg, grid32))
     assert fitted.values[0] == 1.0
     assert fitted.ratio_bound <= 2.0 + 1e-12
     assert np.all(np.diff(fitted.values) >= 0.0)
@@ -78,8 +78,9 @@ def test_run_sweep_output_does_not_depend_on_thread_count(tmp_path):
                             t_final=0.1, max_dt=0.05, profile="constant")
     grid = Grid(base.n, base.box_length)
     profile = lp.named_profile("constant")
-    serial = run_sweep(with_overrides(base, threads=1), grid, profile)
-    pooled = run_sweep(with_overrides(base, threads=3), grid, profile)
+    states = initial_states(base, grid)
+    serial = run_sweep(with_overrides(base, threads=1), states, profile)
+    pooled = run_sweep(with_overrides(base, threads=3), states, profile)
     for e in base.eps:
         a, b = serial[e][0], pooled[e][0]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

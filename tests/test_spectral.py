@@ -1,6 +1,7 @@
 """Fourier substrate: transforms, calculus, projections, dealiasing."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -121,6 +122,56 @@ def test_dealiased_product_is_alias_free(grid64, rng):
     kept = spectral.dealias(coarse).modes
     ref = spectral.dealias(spectral.SpectralScalarField(grid64, restricted)).modes
     assert np.max(np.abs(kept - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_transforms_write_into_out_bit_for_bit(rng):
+    """irfft2 drops its ``out`` argument, so to_samples must not rely on it:
+    with ``out`` the result is irfft2's, bit for bit, in the given array."""
+    stack = spectral.to_modes(rng.standard_normal((3, 3, 32, 32)))
+    want = np.fft.irfft2(stack, norm="forward")
+    buf = np.full((3, 3, 32, 32), np.nan)
+    assert spectral.to_samples(stack, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    modes = np.full(stack.shape, np.nan, dtype=np.complex128)
+    assert spectral.to_modes(want, out=modes) is modes
+    assert modes.tobytes() == np.fft.rfft2(want, norm="forward").tobytes()
+
+
+def test_rk4_matches_the_textbook_formula_bit_for_bit(rng):
+    u = rng.standard_normal((3, 32, 17)) + 1j * rng.standard_normal((3, 32, 17))
+
+    def f(w, t):
+        return np.cos(t) * w * w - 1j * w
+
+    def into(w, t, out):
+        out[...] = f(w, t)
+
+    t, dt = 0.3, 0.05
+    k1 = f(u, t)
+    k2 = f(u + (dt / 2.0) * k1, t + 0.5 * dt)
+    k3 = f(u + (dt / 2.0) * k2, t + 0.5 * dt)
+    k4 = f(u + dt * k3, t + dt)
+    want = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = spectral.rk4(into, u, t, dt)
+    assert got.tobytes() == want.tobytes()
+    again = spectral.rk4(into, u, t, dt)  # the work arrays are reused, the result is not
+    assert again.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, again)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scratch_is_per_thread_and_keeps_one_grid_size():
+    buf = spectral.scratch(32)
+    assert spectral.scratch(32) is buf
+    assert spectral.scratch(32).modes(4).shape == (4, 32, 17)
+    assert spectral.scratch(32).samples(2).shape == (2, 32, 32)
+    other = []
+    worker = threading.Thread(target=lambda: other.append(spectral.scratch(32)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and other[0] is not buf
+    assert spectral.scratch(64) is not buf
+    assert spectral.scratch(32) is not buf
 
 
 def test_lp_norm_inf_is_pointwise_sup(grid64, rng):
