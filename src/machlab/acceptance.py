@@ -24,7 +24,6 @@ import numpy as np
 from . import acoustic, asymptotics, compressible, experiments, incompressible, spectral, transport
 from . import littlewood_paley as lp
 from .config import ExperimentConfig, validate_config, with_overrides
-from .fitting import strictly_decreasing
 from .initial_data import make_initial_data
 from .spectral import FlowState, Grid, SpectralScalarField
 
@@ -328,16 +327,14 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
     worst_mass = 0.0
     worst_maxprin = 0.0
     saw_divfree = False
-    log_ratios: list[float] = []
     for n in (s.n, s.n_hi):
         grid_n = Grid(n, s.box_length)
         f0 = experiments.transport_initial_density(grid_n, s.seed)
-        cal_ledger = None
+        ledgers = []
         for vel in catalog:
             fT, led = transport.solve_transport_spectral(f0, vel, s.transport_t,
                                                          cfl=s.cfl, max_dt=s.max_dt)
-            if vel is cal:
-                cal_ledger = led
+            ledgers.append(led)
             steps = max(1, len(led) - 1)
             oracle = transport.solve_transport_oracle(f0, vel, s.transport_t,
                                                       substeps=4 * steps)
@@ -356,11 +353,9 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
                 expansion = max(hi1 - hi0, lo0 - lo1, 0.0) / (hi0 - lo0)
                 worst_maxprin = max(worst_maxprin, expansion)
         if n == s.n:
-            c_fit = transport.fit_log_constant(cal_ledger)
-            for vel in holdouts:
-                _, led = transport.solve_transport_spectral(f0, vel, s.transport_t,
-                                                            cfl=s.cfl, max_dt=s.max_dt)
-                log_ratios.append(transport.evaluate_log_estimate(led, c_fit).max_ratio)
+            c_fit = transport.fit_log_constant(ledgers[0])
+            log_ratios = [transport.evaluate_log_estimate(led, c_fit).max_ratio
+                          for led in ledgers[1:]]
     oracle_ok = all(worst_oracle[n] <= tol_by_n[n] for n in tol_by_n)
     log_ok = len(log_ratios) >= 3 and all(r <= 1.0 + 1e-12 for r in log_ratios)
     passed = (oracle_ok and worst_mass <= 1e-8 and saw_divfree
@@ -451,22 +446,10 @@ def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
             worst_closed = max(worst_closed, abs(got - want) / abs(want))
     if worst_closed > 1e-12:
         problems.append(f"closed forms off by {worst_closed:.2e}")
-    t_nums = []
-    censored_first = False
-    for e in s.lifespan_eps:
-        st = make_initial_data(s.data, bench.grid, e, s.lifespan_amplitude, s.seed,
-                               s.gamma_bar)
-        g0 = spectral.jacobian_sup(st.v)
-        cfg = compressible.StepperConfig(cfl=s.cfl, max_dt=s.max_dt,
-                                         blowup_grad_linf=s.blowup_factor * g0)
-        try:
-            compressible.run(st, s.lifespan_cap, cfg)
-            t_nums.append(s.lifespan_cap)
-            if e == s.lifespan_eps[0]:
-                censored_first = True
-        except compressible.Blowup as blow:
-            t_nums.append(blow.time)
-    if censored_first:
+    cfg = with_overrides(bench.config, eps=s.lifespan_eps, amplitude=s.lifespan_amplitude)
+    lifespans = experiments.measure_lifespans(cfg, experiments.initial_states(cfg, bench.grid))
+    t_nums = [lifespans[e][0] for e in s.lifespan_eps]
+    if lifespans[s.lifespan_eps[0]][1]:
         problems.append(f"no blowup at eps={s.lifespan_eps[0]:g} within T={s.lifespan_cap:g}")
     if not all(t_nums[i] <= t_nums[i + 1] + 1e-12 for i in range(len(t_nums) - 1)):
         problems.append("measured lifespans not nondecreasing")

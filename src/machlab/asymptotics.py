@@ -243,28 +243,6 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
 
 
 @dataclass(frozen=True)
-class GradientSplitReport:
-    c_applied: float
-    max_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_ratio <= 1.0 + 1e-12
-
-
-def fit_gradient_split(ledger: RunLedger, headroom: float = 2.0) -> float:
-    """Constant for ||grad v||_inf <= C (||v||_2 + ||div v||_B0 + ||omega||_B0),
-    fitted on one run."""
-    rhs = ledger.column("v_l2") + ledger.column("div_v_b0") + ledger.column("omega_b0")
-    return headroom * max_ratio(ledger.column("grad_v_linf"), rhs)
-
-
-def check_gradient_split(ledger: RunLedger, c: float) -> GradientSplitReport:
-    rhs = c * (ledger.column("v_l2") + ledger.column("div_v_b0") + ledger.column("omega_b0"))
-    return GradientSplitReport(c_applied=c, max_ratio=max_ratio(ledger.column("grad_v_linf"), rhs))
-
-
-@dataclass(frozen=True)
 class EnergyReport:
     c_l2: float
     c_hetero: float

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -101,6 +100,30 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
         raise SweepBlowup({e: r.ledger if e in blowups else r[0] for e, r in results.items()},
                           blowups)
     return results
+
+
+def measure_lifespans(config: ExperimentConfig, states: dict[float, FlowState],
+                      ) -> dict[float, tuple[float, bool]]:
+    """The numerical lifespan proxy of every state in ``states``.
+
+    Each state runs to ``config.t_cap`` with the gradient threshold at
+    ``config.blowup_factor`` times its initial Jacobian sup (floored at 1e-12,
+    so a state with no gradient does not trip at step 0). Returns eps ->
+    (t_num, censored): the blowup time, or the cap when no blowup came.
+    """
+    out = {}
+    for e, state in states.items():
+        g0 = spectral.jacobian_sup(state.v)
+        stepper = compressible.StepperConfig(
+            cfl=config.cfl, max_dt=config.max_dt,
+            blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
+        )
+        try:
+            compressible.run(state, config.t_cap, stepper, run_id=f"lifespan eps={e:g}")
+            out[e] = (config.t_cap, True)
+        except compressible.Blowup as blow:
+            out[e] = (blow.time, False)
+    return out
 
 
 def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic.ComplexField:
@@ -478,19 +501,9 @@ def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
     }
     rows = []
     eps_desc = sorted(config.eps, reverse=True)
+    lifespans = measure_lifespans(config, initial_states(config, grid))
     for e in eps_desc:
-        state = make_initial_data(config.data, grid, e, config.amplitude, config.seed,
-                                  config.gamma_bar)
-        g0 = spectral.jacobian_sup(state.v)
-        stepper = compressible.StepperConfig(
-            cfl=config.cfl, max_dt=config.max_dt,
-            blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
-        )
-        try:
-            compressible.run(state, config.t_cap, stepper, run_id=f"lifespan eps={e:g}")
-            t_num, censored = config.t_cap, True
-        except compressible.Blowup as blow:
-            t_num, censored = blow.time, False
+        t_num, censored = lifespans[e]
         row = {"eps": e, "t_num": t_num, "censored": censored}
         for tag, model in models.items():
             est = asymptotics.lifespan_prediction(model, e)

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import littlewood_paley as lp
 from . import spectral
 from .ledger import INCOMPRESSIBLE_COLUMNS, RunLedger
 from .spectral import Grid, SpectralScalarField, SpectralVectorField
@@ -76,33 +75,15 @@ def run_incompressible(initial: IncompressibleState, t_final: float, cfl: float 
     """Integrate to t_final with per-step norm logging and exact snapshot times."""
     if not (t_final > initial.time):
         raise ValueError("t_final must exceed the initial time")
-    state = IncompressibleState(spectral.dealias(initial.omega), time=initial.time)
     ledger = RunLedger(INCOMPRESSIBLE_COLUMNS, run_id=run_id, config_hash=config_hash)
-    pending = sorted(t for t in (snapshot_times or []) if t > state.time)
-    snapshots: dict[float, IncompressibleState] = {}
-    for t in (snapshot_times or []):
-        if t <= state.time:
-            snapshots[t] = state
 
-    def log(st: IncompressibleState) -> None:
+    def record(st: IncompressibleState, t: float) -> None:
         v = velocity_from_vorticity(st.omega)
-        ledger.append(
-            st.time,
-            grad_v_linf=spectral.jacobian_sup(v),
-            omega_linf=spectral.lp_norm(st.omega, math.inf),
-            omega_l2=spectral.l2_norm(st.omega),
-            v_l2=spectral.l2_norm(v),
-            omega_b0=lp.besov_norm(st.omega, 0.0, math.inf, 1.0),
-        )
+        ledger.append(t, grad_v_linf=spectral.jacobian_sup(v),
+                      omega_linf=spectral.lp_norm(st.omega, math.inf), v_l2=spectral.l2_norm(v))
 
-    log(state)
-    while state.time < t_final - 1e-12:
-        dt = cfl_dt_incompressible(state, cfl, max_dt)
-        dt = min(dt, t_final - state.time)
-        if pending:
-            dt = min(dt, pending[0] - state.time)
-        state = step_incompressible(state, dt)
-        log(state)
-        if pending and state.time >= pending[0] - 1e-12:
-            snapshots[pending.pop(0)] = state
+    state, snapshots = spectral.integrate(
+        IncompressibleState(spectral.dealias(initial.omega), time=initial.time), initial.time,
+        t_final, lambda s: cfl_dt_incompressible(s, cfl, max_dt),
+        lambda s, t, dt: step_incompressible(s, dt), record, snapshot_times or ())
     return state, ledger, snapshots

@@ -8,7 +8,6 @@ significant digits so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -121,21 +120,30 @@ class RunLedger:
             return led
 
 
-# Column sets shared by the solvers and the experiment drivers.
+# Column sets shared by the solvers and the experiment drivers. Each column
+# has a reader; a column nothing reads is not computed.
 
+# grad_v_linf and vc_b2: the blowup thresholds, all that lifespan-table needs;
+# div_v_linf, grad_c_linf, qv_linf, c_linf, div_v_b0: the acoustic-decay
+# budgets; vc_l2 + int_div_v_linf and vc_b2_hetero + int_grad_sum: the
+# energy-growth check; omega_linf: the acceptance vorticity control.
+# grad_sum = grad_v_linf + grad_c_linf; its integral is the Gronwall budget V(t).
 COMPRESSIBLE_COLUMNS = [
     "grad_v_linf", "grad_c_linf", "div_v_linf", "omega_linf",
-    "vc_l2", "vc_b2", "vc_b2_hetero", "omega_b0", "div_v_b0",
-    "qv_linf", "c_linf", "v_l2",
-    "grad_sum", "int_grad_sum", "int_div_v_b0", "int_div_v_linf",
+    "vc_l2", "vc_b2", "vc_b2_hetero", "div_v_b0", "qv_linf", "c_linf",
+    "grad_sum", "int_grad_sum", "int_div_v_linf",
 ]
-# grad_sum = grad_v_linf + grad_c_linf; its integral is the Gronwall budget V(t).
 
+# omega_linf and v_l2: the vorticity and energy drift checks; grad_v_linf and
+# int_grad_v_linf: the benchmark's ledger-integral check.
 INCOMPRESSIBLE_COLUMNS = [
-    "grad_v_linf", "omega_linf", "omega_l2", "v_l2", "omega_b0", "int_grad_v_linf",
+    "grad_v_linf", "omega_linf", "v_l2", "int_grad_v_linf",
 ]
 
+# f_mass: mass conservation; div_v_linf: divergence-free detection; f_b0,
+# int_grad_v_linf, int_div_v_b12: the growth-bound fit; div_v_b0, div_v_b1,
+# div_v_b12: the interpolation ratio.
 TRANSPORT_COLUMNS = [
-    "f_linf", "f_mass", "f_b0", "grad_v_linf", "div_v_linf", "div_v_b0",
-    "div_v_b12", "div_v_b1", "int_grad_v_linf", "int_div_v_b12", "int_div_v_linf",
+    "f_mass", "f_b0", "grad_v_linf", "div_v_linf", "div_v_b0", "div_v_b12", "div_v_b1",
+    "int_grad_v_linf", "int_div_v_b12",
 ]

@@ -408,6 +408,34 @@ def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     return u + np.multiply(dt / 6.0, acc, out=acc)
 
 
+def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_times=()):
+    """The time loop shared by every solver: step u from time t to t_final.
+
+    ``dt_of(u)`` proposes a step size, which is clipped to t_final and to the
+    next pending snapshot time; ``advance(u, t, dt)`` returns the state one
+    step of dt later; ``record(u, t)`` runs on the initial state and after
+    every accepted step, and whatever it raises propagates with the earlier
+    rows already recorded. Time advances as t + dt, step by step.
+
+    Returns (u, snapshots); ``snapshots`` maps each requested time to the
+    state there, hit exactly, and every time at or before the start to the
+    initial state.
+    """
+    pending = sorted(s for s in snapshot_times if s > t)
+    snapshots = {s: u for s in snapshot_times if s <= t}
+    record(u, t)
+    while t < t_final - 1e-12:
+        dt = min(dt_of(u), t_final - t)
+        if pending:
+            dt = min(dt, pending[0] - t)
+        u = advance(u, t, dt)
+        t = t + dt
+        record(u, t)
+        if pending and t >= pending[0] - 1e-12:
+            snapshots[pending.pop(0)] = u
+    return u, snapshots
+
+
 def _trig_point(f: "SpectralScalarField", x: float, y: float):
     """Value, gradient, Hessian of the trigonometric interpolant at (x, y)."""
     kx = f.grid.kx.ravel()

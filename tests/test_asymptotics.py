@@ -10,10 +10,8 @@ from machlab.asymptotics import (
     LifespanModel,
     check_acoustic_decay,
     check_energy_growth,
-    check_gradient_split,
     check_incompressible_limit,
     cutoff_n,
-    fit_gradient_split,
     interpolation_ratio,
     lifespan_prediction,
     phi_of_eps,
@@ -234,20 +232,8 @@ class TestEnergyGrowth:
         assert not pinned.hetero_ok
 
 
-class TestGradientSplit:
-    def test_fit_then_check_protocol(self):
-        led = RunLedger(["grad_v_linf", "v_l2", "div_v_b0", "omega_b0"])
-        for t in np.linspace(0.0, 1.0, 6):
-            led.append(t, grad_v_linf=0.7 * 3.0, v_l2=1.0, div_v_b0=1.0, omega_b0=1.0)
-        c = fit_gradient_split(led)
-        assert c == pytest.approx(1.4, rel=1e-12)
-        report = check_gradient_split(led, c)
-        assert report.max_ratio == pytest.approx(0.5, rel=1e-12)
-        assert report.passed
-        assert not check_gradient_split(led, 0.5).passed
-
-    def test_interpolation_ratio(self):
-        led = RunLedger(["div_v_b12", "div_v_b1", "div_v_b0"])
-        for t in (0.0, 1.0):
-            led.append(t, div_v_b12=2.0, div_v_b1=4.0, div_v_b0=4.0)
-        assert interpolation_ratio(led) == pytest.approx(0.5, rel=1e-12)
+def test_interpolation_ratio():
+    led = RunLedger(["div_v_b12", "div_v_b1", "div_v_b0"])
+    for t in (0.0, 1.0):
+        led.append(t, div_v_b12=2.0, div_v_b1=4.0, div_v_b0=4.0)
+    assert interpolation_ratio(led) == pytest.approx(0.5, rel=1e-12)

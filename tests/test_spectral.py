@@ -160,6 +160,43 @@ def test_rk4_matches_the_textbook_formula_bit_for_bit(rng):
     assert got.tobytes() == want.tobytes()
 
 
+def toy_integrate(rows, steps, check=lambda u, t: None, snapshot_times=()):
+    """spectral.integrate from 0 to 1 on a state that is its own clock, with
+    a proposed dt of 0.375; every value involved is exact in binary."""
+
+    def advance(u, t, dt):
+        assert u == t
+        steps.append(dt)
+        return u + dt
+
+    def record(u, t):
+        rows.append(t)
+        check(u, t)
+
+    return spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, advance, record, snapshot_times)
+
+
+def test_integrate_clips_to_snapshots_and_to_t_final():
+    rows, steps = [], []
+    u, snaps = toy_integrate(rows, steps, snapshot_times=(0.5, 0.0, 0.25))
+    assert steps == [0.25, 0.25, 0.375, 0.125]  # two snapshot clips, then t_final
+    assert rows == [0.0, 0.25, 0.5, 0.875, 1.0]  # the start, then once per step
+    assert snaps == {0.0: 0.0, 0.25: 0.25, 0.5: 0.5}
+    assert u == 1.0
+
+
+def test_integrate_propagates_a_raise_in_record_after_the_earlier_rows():
+    def check(u, t):
+        if t > 0.6:
+            raise RuntimeError(f"tripped at {t}")
+
+    rows, steps = [], []
+    with pytest.raises(RuntimeError, match="tripped at 0.75"):
+        toy_integrate(rows, steps, check)
+    assert rows == [0.0, 0.375, 0.75]
+    assert steps == [0.375, 0.375]
+
+
 def test_scratch_is_per_thread_and_keeps_one_grid_size():
     buf = spectral.scratch(32)
     assert spectral.scratch(32) is buf
