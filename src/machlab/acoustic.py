@@ -9,98 +9,37 @@ fluctuation:
 
 Both satisfy (d/dt + (i/eps)|D|) psi = source, so the source-free evolution
 multiplies each Fourier mode by exp(-i t |k| / eps), a unitary map mode by
-mode. Real and imaginary parts are taken pointwise in physical space; the
-coefficient arrays themselves carry no conjugate symmetry, so complex fields
-keep the full (n, n) spectrum with the full |k| table built here. Real
-fields cross over only at the edges: ``make_acoustic`` expands their half
-spectra, and ``spatial_real_part``/``spatial_imag_part`` fold back to half.
+mode. Real and imaginary parts are taken pointwise in physical space, so a
+complex field is the pair of real fields (re, im), each carried as its half
+spectrum like every real field; the propagator acts on the pair as the
+rotation re' = cos(theta) re + sin(theta) im, im' = cos(theta) im -
+sin(theta) re with theta = t |k| / eps on the half table. No full spectrum
+is ever formed, and ``spectral.lp_norm``/``l2_norm`` measure the pointwise
+modulus of a complex field like that of a two-component real field.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .spectral import FlowState, Grid, SpectralScalarField, SpectralVectorField
+from .spectral import FlowState, Grid, SpectralVectorField
 
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex scalar field as normalized full-spectrum Fourier coefficients
-    (n, n): a complex field has no conjugate symmetry to halve it by."""
+    """Complex scalar field as the (2, n, n/2 + 1) stack of the half spectra of
+    its pointwise real part (plane 0) and imaginary part (plane 1)."""
 
     grid: Grid
     modes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.modes.shape != (self.grid.n, self.grid.n):
+        if self.modes.shape != (2,) + self.grid.modes_shape:
             raise ValueError("mode array shape does not match grid")
-
-    def spatial(self) -> np.ndarray:
-        """Complex samples on the grid."""
-        return np.fft.ifft2(self.modes, norm="forward")
-
-
-@functools.lru_cache(maxsize=8)
-def full_kmag(grid: Grid) -> np.ndarray:
-    """|k| on the full (n, n) lattice that complex fields use (read-only, cached
-    because the propagator applies it at every sample time)."""
-    k = (2.0 * math.pi / grid.box_length) * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
-    kmag.flags.writeable = False
-    return kmag
-
-
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """Expand half spectra (..., n, n/2 + 1) of real fields to full (..., n, n)
-    spectra: column n - j holds the conjugate of column j at row -i."""
-    n = half.shape[-2]
-    rows = (-np.arange(n)) % n
-    return np.concatenate([half, np.conj(half[..., rows, n // 2 - 1:0:-1])], axis=-1)
-
-
-def _conjugate_flip(modes: np.ndarray) -> np.ndarray:
-    # coefficient of -k, conjugated: index map i -> (n - i) mod n on both axes
-    return np.conj(np.roll(modes[::-1, ::-1], shift=1, axis=(0, 1)))
-
-
-def spatial_real_part(f: ComplexField) -> SpectralScalarField:
-    """Pointwise real part, returned as a real (half-spectrum) field."""
-    half = 0.5 * (f.modes + _conjugate_flip(f.modes))
-    return SpectralScalarField(f.grid, half[:, : f.grid.n // 2 + 1])
-
-
-def spatial_imag_part(f: ComplexField) -> SpectralScalarField:
-    half = (f.modes - _conjugate_flip(f.modes)) / 2j
-    return SpectralScalarField(f.grid, half[:, : f.grid.n // 2 + 1])
-
-
-def complex_lp_norm(fields, p: float) -> float:
-    """L^p norm of the pointwise modulus; accepts one field or a sequence."""
-    if isinstance(fields, ComplexField):
-        fields = [fields]
-    fields = list(fields)
-    grid = fields[0].grid
-    mag2 = np.zeros((grid.n, grid.n))
-    for f in fields:
-        mag2 += np.abs(f.spatial()) ** 2
-    mag = np.sqrt(mag2)
-    if math.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.cell_area) ** (1.0 / p))
-
-
-def complex_l2_norm(fields) -> float:
-    """L^2 norm via Parseval on the coefficient arrays."""
-    if isinstance(fields, ComplexField):
-        fields = [fields]
-    fields = list(fields)
-    total = sum(float(np.sum(np.abs(f.modes) ** 2)) for f in fields)
-    return fields[0].grid.box_length * math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -122,9 +61,10 @@ def make_acoustic(state: FlowState) -> AcousticPair:
 
     The 1/|D| factors use the mean-free gauge: the spatial means of c and of
     the velocity potential are projected away here, deliberately and
-    silently, since the zero mode carries no acoustic content. The real
-    ingredients are built as half spectra and expanded to full spectra
-    before they are combined into complex fields.
+    silently, since the zero mode carries no acoustic content. Every
+    ingredient is a real field, so each complex field is the stack of its
+    real and imaginary parts: Gamma = (Qv, -grad |D|^-1 c) per component and
+    Upsilon = (|D|^-1 div v, c).
     """
     g = state.grid
     c = state.modes[2].copy()
@@ -133,11 +73,10 @@ def make_acoustic(state: FlowState) -> AcousticPair:
     phi = -g.inv_k2 * div_modes  # velocity potential, mean-free
     q = 1j * g.kvec * phi
     grad_c = 1j * g.kvec * g.inv_kmag * c  # grad |D|^-1 c in mode space: (i k / |k|) c
-    qx, qy, gx, gy, pot, cf = full_spectrum(
-        np.concatenate([q, grad_c, np.stack([g.inv_kmag * div_modes, c])]))
-    return AcousticPair(gamma_x=ComplexField(g, qx - 1j * gx),
-                        gamma_y=ComplexField(g, qy - 1j * gy),
-                        upsilon=ComplexField(g, pot + 1j * cf), eps=state.eps)
+    return AcousticPair(gamma_x=ComplexField(g, np.stack([q[0], -grad_c[0]])),
+                        gamma_y=ComplexField(g, np.stack([q[1], -grad_c[1]])),
+                        upsilon=ComplexField(g, np.stack([g.inv_kmag * div_modes, c])),
+                        eps=state.eps)
 
 
 def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
@@ -145,21 +84,36 @@ def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
     """Reassemble a flow state from filtered quantities plus the untouched
     divergence-free velocity part.
 
-    Qv is the pointwise real part of Gamma and c the pointwise imaginary part
-    of Upsilon.
+    Qv is the pointwise real part of Gamma (plane 0) and c the pointwise
+    imaginary part of Upsilon (plane 1).
     """
-    q = np.stack([spatial_real_part(pair.gamma_x).modes, spatial_real_part(pair.gamma_y).modes])
-    c = spatial_imag_part(pair.upsilon).modes
-    return FlowState(solenoidal.grid, np.concatenate([solenoidal.modes + q, c[None]]),
+    q = np.stack([pair.gamma_x.modes[0], pair.gamma_y.modes[0]])
+    return FlowState(solenoidal.grid, np.concatenate([solenoidal.modes + q, pair.upsilon.modes[1:]]),
                      pair.eps, gamma_bar, time)
 
 
-def free_propagate(f: ComplexField, t: float, eps: float) -> ComplexField:
-    """Source-free evolution: multiply mode k by exp(-i t |k| / eps)."""
+def _rotate(f: ComplexField, t: float, eps: float, trig: np.ndarray, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """Write the modes of f after a time t of free evolution into ``out``
+    (2, n, n/2 + 1); ``trig`` (2, n, n/2 + 1) real and ``tmp`` (n, n/2 + 1)
+    are work space."""
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    phase = np.exp(-1j * (t / eps) * full_kmag(f.grid))
-    return ComplexField(f.grid, f.modes * phase)
+    cos_t, sin_t = trig
+    np.multiply(f.grid.kmag, t / eps, out=cos_t)
+    np.sin(cos_t, out=sin_t)
+    np.cos(cos_t, out=cos_t)
+    re, im = f.modes
+    np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
+    np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])
+    return out
+
+
+def free_propagate(f: ComplexField, t: float, eps: float) -> ComplexField:
+    """Source-free evolution: multiply mode k by exp(-i t |k| / eps), which
+    rotates the (re, im) half spectra by theta = t |k| / eps."""
+    trig = np.empty((2,) + f.grid.modes_shape)
+    return ComplexField(f.grid, _rotate(f, t, eps, trig, np.empty_like(f.modes), np.empty_like(f.modes[0])))
 
 
 def strichartz_exponents(p: float) -> tuple[float, float]:
@@ -195,15 +149,25 @@ def measure_strichartz(initial: ComplexField, eps: float, t_final: float, p: flo
     Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
     L^p norm over [0, t_final] with at least 64 samples. Callers should keep
     t_final inside ``wraparound_window``; the measurement itself does not
-    enforce it.
+    enforce it. Each sample time rotates, inverts and reduces in this
+    thread's scratch, so the loop allocates no n-by-n array.
     """
     if num_times < 64:
         num_times = 64
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     r, _ = strichartz_exponents(p)
+    g = initial.grid
+    buf = spectral.scratch(g.n)
+    trig, rotated, samples = buf.multipliers(2), buf.modes(3), buf.samples(2)
     times = np.linspace(0.0, t_final, num_times)
     vals = np.empty(num_times)
     for i, t in enumerate(times):
-        vals[i] = complex_lp_norm(free_propagate(initial, float(t), eps), p)
+        _rotate(initial, float(t), eps, trig, rotated[:2], rotated[2])
+        re, im = spectral.to_samples(rotated[:2], out=samples)
+        mag2 = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
+        if math.isinf(p):
+            vals[i] = math.sqrt(np.max(mag2))
+        else:
+            vals[i] = (np.sum(np.power(mag2, 0.5 * p, out=mag2)) * g.cell_area) ** (1.0 / p)
     return spectral.mixed_time_norm(times, vals, r)

@@ -111,7 +111,13 @@ def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndar
     return out
 
 
-def acoustic_exact_step(state: FlowState, dt: float) -> FlowState:
+def _rotation(grid: spectral.Grid, dt: float, eps: float) -> tuple[np.ndarray, ...]:
+    """cos(theta), sin(theta) with theta = |k| dt / eps, and the unit wavevector."""
+    theta = grid.kmag * (dt / eps)
+    return np.cos(theta), np.sin(theta), grid.kvec * grid.inv_kmag
+
+
+def acoustic_exact_step(state: FlowState, dt: float, rotation=None) -> FlowState:
     """Exact flow of the stiff linear part over dt.
 
     Per mode, with a the component of the velocity coefficient along the unit
@@ -121,18 +127,23 @@ def acoustic_exact_step(state: FlowState, dt: float) -> FlowState:
         b' = b cos(theta) - i a sin(theta),    theta = |k| dt / eps.
 
     The divergence-free velocity part and the zero mode are untouched, and
-    |a|^2 + |b|^2 is conserved mode by mode.
+    |a|^2 + |b|^2 is conserved mode by mode. ``rotation`` is
+    ``_rotation(grid, dt, eps)`` when the caller already holds it; the
+    temporaries live in this thread's scratch and the returned state is new.
     """
     g = state.grid
-    theta = g.kmag * (dt / state.eps)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    khat = g.kvec * g.inv_kmag
+    cos_t, sin_t, khat = rotation if rotation is not None else _rotation(g, dt, state.eps)
     v, b = state.modes[:2], state.modes[2]
-    a = khat[0] * v[0] + khat[1] * v[1]
-    a2 = a * cos_t - 1j * b * sin_t
-    b2 = b * cos_t - 1j * a * sin_t
-    modes = np.concatenate([v + (a2 - a) * khat, b2[None]])
+    modes = np.empty_like(state.modes)
+    a, a2, tmp = spectral.scratch(g.n).modes(3)
+    np.add(np.multiply(khat[0], v[0], out=a), np.multiply(khat[1], v[1], out=tmp), out=a)
+    # a2 = a cos - (i b) sin and b2 = b cos - (i a) sin, each term in that order
+    np.subtract(np.multiply(a, cos_t, out=a2),
+                np.multiply(np.multiply(1j, b, out=tmp), sin_t, out=tmp), out=a2)
+    np.subtract(np.multiply(b, cos_t, out=modes[2]),
+                np.multiply(np.multiply(1j, a, out=tmp), sin_t, out=tmp), out=modes[2])
+    np.multiply(np.subtract(a2, a, out=a2), khat, out=modes[:2])
+    np.add(v, modes[:2], out=modes[:2])
     return replace(state, modes=modes, time=state.time + dt)
 
 
@@ -160,10 +171,11 @@ def step(state: FlowState, config: StepperConfig, dt: Optional[float] = None) ->
     if dt is None:
         dt = cfl_dt(state, config)
     t0 = state.time
-    half = acoustic_exact_step(state, 0.5 * dt)
+    rotation = _rotation(state.grid, 0.5 * dt, state.eps)  # shared by both half steps
+    half = acoustic_exact_step(state, 0.5 * dt, rotation)
     if not config.disable_nonlinear:
         half = _nonlinear_rk4(half, dt, config)
-    full = acoustic_exact_step(half, 0.5 * dt)
+    full = acoustic_exact_step(half, 0.5 * dt, rotation)
     return replace(spectral.dealias(full), time=t0 + dt)
 
 

@@ -138,7 +138,8 @@ def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic
     bump = np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
     f = spectral.dealias(spectral.fft_forward(grid, bump))
     f.modes[0, 0] = 0.0
-    return acoustic.ComplexField(grid, acoustic.full_spectrum(f.modes) / spectral.l2_norm(f))
+    return acoustic.ComplexField(grid, np.stack([f.modes, np.zeros_like(f.modes)])
+                                 / spectral.l2_norm(f))
 
 
 def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,

@@ -75,6 +75,10 @@ class Scratch:
         """A (planes, n, n/2 + 1) complex stack."""
         return self._take("modes", (planes, self.n, self.n // 2 + 1), np.complex128)
 
+    def multipliers(self, planes: int) -> np.ndarray:
+        """A (planes, n, n/2 + 1) real stack, for multipliers on the half table."""
+        return self._take("multipliers", (planes, self.n, self.n // 2 + 1), np.float64)
+
     def samples(self, planes: int) -> np.ndarray:
         """A (planes, n, n) real stack."""
         return self._take("samples", (planes, self.n, self.n), np.float64)
@@ -408,6 +412,18 @@ def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     return u + np.multiply(dt / 6.0, acc, out=acc)
 
 
+class StalledStep(RuntimeError):
+    """Raised by ``integrate`` when a step would not advance time: its dt is
+    not finite, not positive, or too small to change t. ``step`` is the
+    number of that step (1 is the first); the rows recorded before it stay.
+    """
+
+    def __init__(self, time: float, step: int, dt: float):
+        super().__init__(f"step {step} does not advance time from t={time!r} (dt={dt!r})")
+        self.time = time
+        self.step = step
+
+
 def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_times=()):
     """The time loop shared by every solver: step u from time t to t_final.
 
@@ -419,15 +435,20 @@ def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_time
 
     Returns (u, snapshots); ``snapshots`` maps each requested time to the
     state there, hit exactly, and every time at or before the start to the
-    initial state.
+    initial state. A step whose clipped dt would not advance t raises
+    ``StalledStep`` instead of looping or ending at t = NaN.
     """
-    pending = sorted(s for s in snapshot_times if s > t)
+    pending = sorted({s for s in snapshot_times if s > t})  # a repeated time would stall
     snapshots = {s: u for s in snapshot_times if s <= t}
     record(u, t)
+    steps = 0
     while t < t_final - 1e-12:
         dt = min(dt_of(u), t_final - t)
         if pending:
             dt = min(dt, pending[0] - t)
+        steps += 1
+        if not (math.isfinite(dt) and dt > 0.0 and t + dt != t):
+            raise StalledStep(t, steps, dt)
         u = advance(u, t, dt)
         t = t + dt
         record(u, t)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from machlab import acoustic, spectral
+from machlab import spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -26,11 +26,12 @@ from machlab.spectral import Grid
 
 def test_gaussian_probe_is_unit_norm_mean_free_dealiased(grid64):
     probe = gaussian_bump_complex(grid64)
-    norm = grid64.box_length * math.sqrt(float(np.sum(np.abs(probe.modes) ** 2)))
+    weighted = grid64.parseval_weight * np.abs(probe.modes) ** 2
+    norm = grid64.box_length * math.sqrt(float(np.sum(weighted)))
     assert norm == pytest.approx(1.0, rel=1e-12)
-    assert probe.modes[0, 0] == 0.0
-    kept = acoustic.full_kmag(grid64) <= grid64.kmax_dealias
-    assert np.max(np.abs(np.where(kept, 0.0, probe.modes))) == 0.0
+    assert np.all(probe.modes[:, 0, 0] == 0.0)
+    assert np.max(np.abs(probe.modes[1])) == 0.0  # a real bump: no imaginary part
+    assert np.max(np.abs(np.where(grid64.dealias_mask, 0.0, probe.modes))) == 0.0
 
 
 def test_free_wave_normalized_reports_window_validity(grid64):

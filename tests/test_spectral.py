@@ -178,7 +178,7 @@ def toy_integrate(rows, steps, check=lambda u, t: None, snapshot_times=()):
 
 def test_integrate_clips_to_snapshots_and_to_t_final():
     rows, steps = [], []
-    u, snaps = toy_integrate(rows, steps, snapshot_times=(0.5, 0.0, 0.25))
+    u, snaps = toy_integrate(rows, steps, snapshot_times=(0.5, 0.0, 0.25, 0.5))
     assert steps == [0.25, 0.25, 0.375, 0.125]  # two snapshot clips, then t_final
     assert rows == [0.0, 0.25, 0.5, 0.875, 1.0]  # the start, then once per step
     assert snaps == {0.0: 0.0, 0.25: 0.25, 0.5: 0.5}
@@ -197,11 +197,29 @@ def test_integrate_propagates_a_raise_in_record_after_the_earlier_rows():
     assert steps == [0.375, 0.375]
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_integrate_raises_on_a_step_that_does_not_advance_time(bad):
+    proposals = [0.25, 0.25, bad]
+    rows, steps = [], []
+
+    def advance(u, t, dt):
+        steps.append(dt)
+        return u + dt
+
+    with pytest.raises(spectral.StalledStep, match=r"step 3 does not advance time from t=0\.5") as err:
+        spectral.integrate(0.0, 0.0, 1.0, lambda u: proposals.pop(0), advance,
+                           lambda u, t: rows.append(t))
+    assert (err.value.time, err.value.step) == (0.5, 3)
+    assert rows == [0.0, 0.25, 0.5]  # the rows before the stall are kept
+    assert steps == [0.25, 0.25]
+
+
 def test_scratch_is_per_thread_and_keeps_one_grid_size():
     buf = spectral.scratch(32)
     assert spectral.scratch(32) is buf
     assert spectral.scratch(32).modes(4).shape == (4, 32, 17)
     assert spectral.scratch(32).samples(2).shape == (2, 32, 32)
+    assert spectral.scratch(32).multipliers(2).dtype == np.float64
     other = []
     worker = threading.Thread(target=lambda: other.append(spectral.scratch(32)))
     worker.start()
