@@ -12,6 +12,7 @@ from machlab.experiments import (
     build_profile,
     drive_incompressible_limit,
     drive_strichartz_sweep,
+    drive_transport_log,
     free_wave_normalized,
     gaussian_bump_complex,
     initial_states,
@@ -122,6 +123,30 @@ def test_incompressible_limit_driver_smoke(tmp_path):
     assert n == 32 and L == pytest.approx(cfg.box_length) and len(fields) == 3
     _, _, ref_fields = spectral.read_snapshot(out / "snap_reference_final.mlf")
     assert len(ref_fields) == 2
+
+
+def test_transport_log_driver_smoke(tmp_path):
+    # at n = 32 the shear holdout's interpolant range grows by 1.1e-6 of the
+    # initial range by t = 0.1, past the 1e-6 tolerance; 0.05 keeps it at 5e-7
+    cfg = ExperimentConfig(experiment="transport-log", n=32, t_final=0.05,
+                           out=str(tmp_path / "out"))
+    passed, lines = drive_transport_log(cfg)
+    assert passed, "\n".join(lines)
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == sorted(
+        ["config.resolved", "summary.txt", "ledger_transport_calibration.csv",
+         "transport_compare.csv"]
+        + [f"plot_growth_ratio_holdout{i}.csv" for i in range(4)])
+    names = [line.split(":")[0] for line in lines if not line.startswith("note")]
+    assert names == [
+        f"PASS transport.{check}[{i}]"
+        for i in range(4)
+        for check in ("log_estimate", "oracle_agreement", "mass_conservation",
+                      "max_principle" if i == 3 else "interpolation")
+    ]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "RESULT PASS"
+    assert (out / "config.resolved").read_text() == canonical_dump(cfg)
 
 
 def test_run_experiment_rejects_unknown_driver():
