@@ -72,9 +72,6 @@ class RunLedger:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name])
 
-    def final(self, name: str) -> float:
-        return self.data[name][-1]
-
     def window_mixed_norm(self, name: str, r: float, t_max: Optional[float] = None) -> float:
         """L^r-in-time norm of a column over [0, t_max] (full range if None)."""
         t = self.time_array()

@@ -109,14 +109,6 @@ def delta_q(f: SpectralScalarField, q: int) -> SpectralScalarField:
     return replace(f, modes=f.modes * build_partition(f.grid).multiplier(q))
 
 
-def s_q(f: SpectralScalarField, q: int) -> SpectralScalarField:
-    """Low-pass partial sum: all blocks strictly below q."""
-    part = build_partition(f.grid)
-    if q < 0:
-        return replace(f, modes=np.zeros_like(f.modes))
-    return replace(f, modes=f.modes * np.sum(part.stack[: min(q, part.q_max + 1) + 1], axis=0))
-
-
 def block_samples(grid: Grid, modes: np.ndarray) -> np.ndarray:
     """Real samples of every block of every plane, from one batched inverse:
     shape (q_max + 2, *planes, n, n) for ``modes`` of shape (*planes, n, n/2 + 1)."""

@@ -312,17 +312,6 @@ def inv_laplacian(f: SpectralScalarField) -> SpectralScalarField:
     return _mul(f, -f.grid.inv_k2)
 
 
-def abs_d(f: SpectralScalarField) -> SpectralScalarField:
-    """Multiplier |k| (the square root of the negative Laplacian)."""
-    return _mul(f, f.grid.kmag)
-
-
-def abs_d_inv(f: SpectralScalarField) -> SpectralScalarField:
-    """Multiplier 1/|k| in the mean-free gauge."""
-    f = _project_mean_free(f, "abs_d_inv")
-    return _mul(f, f.grid.inv_kmag)
-
-
 def leray_q(v: SpectralVectorField) -> SpectralVectorField:
     """Gradient (curl-free) part: Q = grad inv_laplacian div."""
     g = v.grid

@@ -21,7 +21,6 @@ def test_append_and_read_back():
     assert led.columns == ["a", "b"]
     assert np.array_equal(led.time_array(), [0.0, 0.5])
     assert np.array_equal(led.column("a"), [1.0, 3.0])
-    assert led.final("b") == 4.0
 
 
 def test_time_column_is_implicit():

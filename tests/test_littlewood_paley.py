@@ -40,16 +40,6 @@ def test_distant_blocks_are_exactly_disjoint(grid64, rng):
             assert np.max(np.abs(comp.modes)) == 0.0
 
 
-def test_lowpass_plus_tail_is_identity(grid64, rng):
-    f = random_field(grid64, rng)
-    part = lp.build_partition(grid64)
-    for q in (0, 2):
-        acc = lp.s_q(f, q).modes.copy()
-        for j in range(q, part.q_max + 1):
-            acc += lp.delta_q(f, j).modes
-        assert np.max(np.abs(acc - f.modes)) <= 1e-12 * np.max(np.abs(f.modes))
-
-
 def test_bernstein_ratio_on_shells(grid64, rng):
     f = random_field(grid64, rng)
     part = lp.build_partition(grid64)

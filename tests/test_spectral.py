@@ -53,14 +53,6 @@ def test_inv_laplacian_inverts_on_mean_free(grid64, rng):
     assert np.max(np.abs(g.modes - diff)) <= 1e-12 * np.max(np.abs(diff))
 
 
-def test_abs_d_pair(grid64, rng):
-    f = random_field(grid64, rng)
-    g = spectral.abs_d_inv(spectral.abs_d(f))
-    expect = f.modes.copy()
-    expect[0, 0] = 0.0
-    assert np.max(np.abs(g.modes - expect)) <= 1e-12
-
-
 class TestLeray:
     def test_annihilates_gradients(self, grid64, rng):
         g = spectral.grad(random_field(grid64, rng))
