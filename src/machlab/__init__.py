@@ -70,19 +70,19 @@ from .initial_data import make_initial_data
 from .ledger import RunLedger
 from .config import ConfigError, ExperimentConfig, parse_config, validate_config
 from .experiments import run_experiment
-from .acceptance import AcceptanceScale, run_all
+from .acceptance import run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceScale", "AcousticPair", "BesovProfile", "Blowup", "ComplexField",
-    "ConfigError", "ExperimentConfig", "FlowState", "Grid", "IncompressibleState",
+    "AcousticPair", "BesovProfile", "Blowup", "ComplexField", "ConfigError",
+    "ExperimentConfig", "FlowState", "Grid", "IncompressibleState",
     "LifespanModel", "RunLedger", "SpectralScalarField", "SpectralVectorField",
     "StepperConfig", "SyntheticVelocity", "acoustic_to_state", "besov_norm",
     "besov_norm_hetero", "block_norms", "build_partition", "compressible_mode",
     "curl2d", "cutoff_n", "dealias", "delta_q", "div", "evaluate_log_estimate",
-    "fft_forward", "find_profile", "fit_log_constant",
-    "free_propagate", "from_function", "grad", "l2_norm", "leray_p", "leray_q",
+    "fft_forward", "find_profile", "fit_log_constant", "free_propagate",
+    "from_function", "grad", "l2_norm", "leray_p", "leray_q",
     "lifespan_prediction", "load_profile", "lp_norm", "make_acoustic",
     "make_initial_data", "measure_strichartz", "named_profile", "parse_config",
     "phi_of_eps", "read_snapshot", "run", "run_all", "run_experiment",

@@ -1,12 +1,14 @@
 """Desk-scale acceptance checks for the whole laboratory.
 
 Each check returns a CheckResult with a fixed tolerance baked in; the test
-suite prints one line per check and asserts it. ``Workbench`` lazily builds
-and caches the artifacts several checks share (the eps sweep above all), so
-``run_all`` touches each expensive computation once.
-
-Scale knobs live in ``AcceptanceScale``; the defaults keep every check within
-a few minutes on one core while leaving the trends it probes visible.
+suite prints one line per check and asserts it. The checks read one
+``ExperimentConfig`` (the ``selftest`` defaults keep every check within a few
+minutes on one core while leaving the trends it probes visible) through a
+``Workbench``: an ``experiments.SweepStudy`` at the config's snapshot times,
+so the eps sweep and the reference run are computed once. The decay, limit
+and transport checks call the evaluators the experiment drivers call, and
+add only their own cross-checks: the transport lab again at ``n_hi``, the
+long reference, linear acoustics, the splitting order and determinism.
 """
 
 from __future__ import annotations
@@ -14,18 +16,25 @@ from __future__ import annotations
 import filecmp
 import math
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import acoustic, asymptotics, compressible, experiments, incompressible, spectral, transport
+from . import acoustic, asymptotics, compressible, experiments, spectral, transport
 from . import littlewood_paley as lp
-from .config import ExperimentConfig, validate_config, with_overrides
-from .initial_data import make_initial_data
+from .config import ExperimentConfig, with_overrides
 from .spectral import FlowState, Grid, SpectralScalarField
+
+# The fixed scale of the checks, which no config key reaches.
+LINEAR_T = 0.5                      # linear-acoustics horizon
+ORDER_EPS, ORDER_T = 0.1, 0.4       # splitting-order run
+ORDER_DTS = (0.02, 0.01, 0.005)
+TRANSPORT_T = 1.0                   # transport-lab horizon
+REFERENCE_T, REFERENCE_MAX_DT = 5.0, 0.05   # long incompressible reference
+LIFESPAN_EPS = (1.0, 0.5, 0.25)
+SUBSTRATE_FIELDS, PARTITION_FIELDS = 100, 50   # random fields per substrate check
 
 
 @dataclass(frozen=True)
@@ -33,54 +42,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-@dataclass(frozen=True)
-class AcceptanceScale:
-    """Resolution, sweep, and calibration knobs for the acceptance checks."""
-
-    n: int = 256
-    n_hi: int = 512
-    box_length: float = 16.0 * math.pi
-    eps_sweep: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    t_final: float = 1.0
-    data: str = "vortex-pair-ill"
-    amplitude: float = 0.5
-    seed: int = 0
-    gamma: float = 1.4
-    cfl: float = 0.4
-    max_dt: float = 0.02
-    snapshots: int = 11
-    c0: float = 1.0
-    linear_t: float = 0.5
-    order_eps: float = 0.1
-    order_t: float = 0.4
-    order_dts: tuple[float, float, float] = (0.02, 0.01, 0.005)
-    transport_t: float = 1.0
-    reference_t: float = 5.0
-    reference_max_dt: float = 0.05
-    lifespan_eps: tuple[float, ...] = (1.0, 0.5, 0.25)
-    lifespan_amplitude: float = 4.0
-    lifespan_cap: float = 4.0
-    blowup_factor: float = 8.0
-    substrate_fields: int = 100
-    partition_fields: int = 50
-
-    @property
-    def gamma_bar(self) -> float:
-        return 0.5 * (self.gamma - 1.0)
-
-
-def scale_from_config(config: ExperimentConfig) -> AcceptanceScale:
-    return AcceptanceScale(
-        n=config.n, n_hi=min(2 * config.n, 512), box_length=config.box_length,
-        eps_sweep=tuple(sorted(config.eps, reverse=True)), t_final=config.t_final,
-        data=config.data, amplitude=config.amplitude, seed=config.seed,
-        gamma=config.gamma, cfl=config.cfl, max_dt=config.max_dt,
-        snapshots=config.snapshots, c0=config.c0,
-        lifespan_amplitude=8.0 * config.amplitude, lifespan_cap=config.t_cap,
-        blowup_factor=config.blowup_factor,
-    )
 
 
 def _random_band_field(grid: Grid, rng: np.random.Generator,
@@ -105,68 +66,22 @@ def _mode_energy(state: FlowState) -> np.ndarray:
     return np.abs(a) ** 2 + np.abs(state.modes[2]) ** 2
 
 
-class Workbench:
-    """Shared lazily-computed artifacts for the acceptance checks."""
+class Workbench(experiments.SweepStudy):
+    """The shared sweep of ``config`` at its snapshot times, plus the two
+    values acceptance derives from the config."""
 
-    def __init__(self, scale: AcceptanceScale):
-        self.scale = scale
+    def __init__(self, config: ExperimentConfig):
+        super().__init__(config, experiments.snapshot_times(config))
 
-    @cached_property
-    def grid(self) -> Grid:
-        return Grid(self.scale.n, self.scale.box_length)
-
-    @cached_property
-    def config(self) -> ExperimentConfig:
-        s = self.scale
-        cfg = with_overrides(
-            ExperimentConfig(), experiment="selftest", n=s.n, box_length=s.box_length,
-            eps=s.eps_sweep, t_final=s.t_final, gamma=s.gamma, data=s.data,
-            amplitude=s.amplitude, seed=s.seed, cfl=s.cfl, max_dt=s.max_dt,
-            snapshots=s.snapshots, c0=s.c0, t_cap=s.lifespan_cap,
-            blowup_factor=s.blowup_factor,
-        )
-        validate_config(cfg)
-        return cfg
+    @property
+    def n_hi(self) -> int:
+        """Resolution of the transport cross-check; it runs only above n."""
+        return min(2 * self.config.n, 512)
 
     @cached_property
-    def initial_states(self):
-        return experiments.initial_states(self.config, self.grid)
-
-    @cached_property
-    def profile(self) -> lp.BesovProfile:
-        return experiments.build_profile(self.config, self.initial_states)
-
-    @cached_property
-    def model(self) -> asymptotics.LifespanModel:
-        return asymptotics.LifespanModel(self.profile, c0=self.scale.c0)
-
-    @cached_property
-    def snapshot_times(self) -> list[float]:
-        return [round(float(t), 12)
-                for t in np.linspace(0.0, self.scale.t_final, self.scale.snapshots)]
-
-    @cached_property
-    def sweep(self):
-        return experiments.run_sweep(self.config, self.initial_states, self.profile,
-                                     snapshot_times=self.snapshot_times)
-
-    @cached_property
-    def reference(self):
-        return experiments.reference_incompressible(self.config, self.initial_states,
-                                                    self.scale.t_final, self.snapshot_times)
-
-    @cached_property
-    def decay_report(self) -> asymptotics.AcousticDecayReport:
-        ledgers = {e: self.sweep[e][0] for e in self.sweep}
-        return asymptotics.check_acoustic_decay(ledgers, self.model, self.scale.box_length)
-
-    @cached_property
-    def limit_report(self) -> asymptotics.IncompressibleLimitReport:
-        _, _, ref_snaps = self.reference
-        l2s, b2s, gaps = experiments.limit_error_series(self.sweep, ref_snaps,
-                                                        self.snapshot_times)
-        return asymptotics.check_incompressible_limit(self.snapshot_times, l2s, b2s,
-                                                      gaps, self.model)
+    def lifespan_config(self) -> ExperimentConfig:
+        return with_overrides(self.config, eps=LIFESPAN_EPS,
+                              amplitude=8.0 * self.config.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +93,7 @@ def check_spectral_substrate(bench: Workbench) -> CheckResult:
     rng = np.random.default_rng(101)
     tol = 1e-12
     worst = {"roundtrip": 0.0, "parseval": 0.0, "idempotent": 0.0, "gradient": 0.0}
-    for _ in range(bench.scale.substrate_fields):
+    for _ in range(SUBSTRATE_FIELDS):
         samples = rng.standard_normal((grid.n, grid.n))
         f = spectral.fft_forward(grid, samples)
         back = f.values()
@@ -215,7 +130,7 @@ def check_dyadic_partition(bench: Workbench) -> CheckResult:
     rng = np.random.default_rng(202)
     recon_worst = 0.0
     bern_lo, bern_hi = math.inf, 0.0
-    for _ in range(bench.scale.partition_fields):
+    for _ in range(PARTITION_FIELDS):
         u = _random_band_field(grid, rng, k_corner=0.5 * grid.kmax_dealias)
         acc = np.zeros_like(u.modes)
         for q in range(-1, part.q_max + 1):
@@ -256,7 +171,7 @@ def check_weighted_norms(bench: Workbench) -> CheckResult:
                 worst_red = max(worst_red, abs(het - plain) / plain)
     fit_ok = True
     fit_msg = "all admissible"
-    for _ in range(bench.scale.partition_fields):
+    for _ in range(PARTITION_FIELDS):
         u = _random_band_field(grid, rng, k_corner=rng.uniform(0.5, 4.0))
         try:
             prof = lp.find_profile(u, 2.0, 2.0)
@@ -272,24 +187,22 @@ def check_weighted_norms(bench: Workbench) -> CheckResult:
 
 
 def check_linear_acoustics(bench: Workbench) -> CheckResult:
-    s = bench.scale
-    grid = bench.grid
-    cfg = compressible.StepperConfig(cfl=s.cfl, max_dt=s.max_dt, disable_nonlinear=True)
+    cfg = compressible.StepperConfig(cfl=bench.config.cfl, max_dt=bench.config.max_dt,
+                                     disable_nonlinear=True)
     worst_err = 0.0
     worst_drift = 0.0
-    for e in s.eps_sweep:
-        st0 = spectral.dealias(make_initial_data(s.data, grid, e, s.amplitude, s.seed,
-                                                 s.gamma_bar))
-        stT, _, _ = compressible.run(st0, s.linear_t, cfg)
+    for e, st in bench.initial_states.items():
+        st0 = spectral.dealias(st)
+        stT, _, _ = compressible.run(st0, LINEAR_T, cfg)
         pair = acoustic.make_acoustic(st0)
         moved = acoustic.AcousticPair(
-            gamma_x=acoustic.free_propagate(pair.gamma_x, s.linear_t, e),
-            gamma_y=acoustic.free_propagate(pair.gamma_y, s.linear_t, e),
-            upsilon=acoustic.free_propagate(pair.upsilon, s.linear_t, e),
+            gamma_x=acoustic.free_propagate(pair.gamma_x, LINEAR_T, e),
+            gamma_y=acoustic.free_propagate(pair.gamma_y, LINEAR_T, e),
+            upsilon=acoustic.free_propagate(pair.upsilon, LINEAR_T, e),
             eps=e,
         )
-        exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), s.gamma_bar,
-                                           time=s.linear_t)
+        exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v),
+                                           bench.config.gamma_bar, time=LINEAR_T)
         worst_err = max(worst_err, _rel_state_diff(stT, exact))
         e0 = _mode_energy(st0)
         eT = _mode_energy(stT)
@@ -301,67 +214,52 @@ def check_linear_acoustics(bench: Workbench) -> CheckResult:
 
 
 def check_splitting_order(bench: Workbench) -> CheckResult:
-    s = bench.scale
-    st0 = spectral.dealias(make_initial_data(s.data, bench.grid, s.order_eps, s.amplitude,
-                                             s.seed, s.gamma_bar))
+    states = bench.initial_states
+    if ORDER_EPS not in states:  # a sweep without it still checks the order there
+        states = experiments.initial_states(with_overrides(bench.config, eps=(ORDER_EPS,)),
+                                            bench.grid)
+    st0 = spectral.dealias(states[ORDER_EPS])
     finals = []
-    for dt in s.order_dts:
+    for dt in ORDER_DTS:
         cfg = compressible.StepperConfig(cfl=0.95, max_dt=dt)
-        stT, _, _ = compressible.run(st0, s.order_t, cfg)
+        stT, _, _ = compressible.run(st0, ORDER_T, cfg)
         finals.append(stT)
     e1 = _rel_state_diff(finals[0], finals[1])
     e2 = _rel_state_diff(finals[1], finals[2])
     order = math.log2(e1 / e2)
     passed = 1.8 <= order <= 2.2
     detail = (f"self-convergence order {order:.3f} from errors {e1:.3e} / {e2:.3e} "
-              f"at dt {s.order_dts} (window [1.8, 2.2])")
+              f"at dt {ORDER_DTS} (window [1.8, 2.2])")
     return CheckResult("splitting-order", passed, detail)
 
 
 def check_transport_lab(bench: Workbench) -> CheckResult:
-    s = bench.scale
-    tol_by_n = {s.n: 1e-3, s.n_hi: 2.5e-4}
-    cal, holdouts = experiments.transport_catalog(s.box_length)
-    catalog = [cal] + holdouts
-    worst_oracle = {n: 0.0 for n in tol_by_n}
+    cfg, n, n_hi = bench.config, bench.config.n, bench.n_hi
+    tol_by_n = {n: 1e-3, n_hi: 2.5e-4} if n_hi > n else {n: 1e-3}
+    cal, holdouts = experiments.transport_catalog(cfg.box_length)
+    worst_oracle = {}
     worst_mass = 0.0
-    worst_maxprin = 0.0
-    saw_divfree = False
-    for n in (s.n, s.n_hi):
-        grid_n = Grid(n, s.box_length)
-        f0 = experiments.transport_initial_density(grid_n, s.seed)
-        ledgers = []
-        for vel in catalog:
-            fT, led = transport.solve_transport_spectral(f0, vel, s.transport_t,
-                                                         cfl=s.cfl, max_dt=s.max_dt)
-            ledgers.append(led)
-            steps = max(1, len(led) - 1)
-            oracle = transport.solve_transport_oracle(f0, vel, s.transport_t,
-                                                      substeps=4 * steps)
-            worst_oracle[n] = max(worst_oracle[n],
-                                  float(np.max(np.abs(fT.values() - oracle))))
-            mass = led.column("f_mass")
-            worst_mass = max(worst_mass,
-                             float(np.max(np.abs(mass - mass[0]))) / abs(mass[0]))
-            if np.max(led.column("div_v_linf")) < 1e-12:
-                # range may only shrink under divergence-free transport; the
-                # grid-sample sup moves by O(h^2) as peaks drift off-grid, so
-                # compare interpolant extrema instead
-                saw_divfree = True
-                lo0, hi0 = spectral.refined_extrema(f0)
-                lo1, hi1 = spectral.refined_extrema(fT)
-                expansion = max(hi1 - hi0, lo0 - lo1, 0.0) / (hi0 - lo0)
-                worst_maxprin = max(worst_maxprin, expansion)
-        if n == s.n:
-            c_fit = transport.fit_log_constant(ledgers[0])
-            log_ratios = [transport.evaluate_log_estimate(led, c_fit).max_ratio
-                          for led in ledgers[1:]]
-    oracle_ok = all(worst_oracle[n] <= tol_by_n[n] for n in tol_by_n)
+    growths = []
+    for res in tol_by_n:
+        f0 = experiments.transport_initial_density(Grid(res, cfg.box_length), cfg.seed)
+        runs = [experiments.evaluate_transport_velocity(f0, vel, TRANSPORT_T, cfg.cfl,
+                                                        cfg.max_dt)
+                for vel in [cal] + holdouts]
+        worst_oracle[res] = max(r.oracle_gap for r in runs)
+        worst_mass = max([worst_mass] + [r.mass_drift for r in runs])
+        growths += [r.range_growth for r in runs if r.range_growth is not None]
+        if res == n:
+            c_fit = transport.fit_log_constant(runs[0].ledger)
+            log_ratios = [transport.evaluate_log_estimate(r.ledger, c_fit).max_ratio
+                          for r in runs[1:]]
+    worst_maxprin = max(growths, default=0.0)
+    oracle_ok = all(worst_oracle[res] <= tol for res, tol in tol_by_n.items())
     log_ok = len(log_ratios) >= 3 and all(r <= 1.0 + 1e-12 for r in log_ratios)
-    passed = (oracle_ok and worst_mass <= 1e-8 and saw_divfree
+    passed = (oracle_ok and worst_mass <= 1e-8 and bool(growths)
               and worst_maxprin <= 1e-6 and log_ok)
-    detail = (f"oracle gap {worst_oracle[s.n]:.2e}@n={s.n} (tol 1e-3), "
-              f"{worst_oracle[s.n_hi]:.2e}@n={s.n_hi} (tol 2.5e-4); "
+    hi = (f"{worst_oracle[n_hi]:.2e}@n={n_hi} (tol 2.5e-4)" if n_hi > n
+          else f"no pass at n_hi={n_hi}, which is not above n")
+    detail = (f"oracle gap {worst_oracle[n]:.2e}@n={n} (tol 1e-3), {hi}; "
               f"mass drift {worst_mass:.2e} (tol 1e-8); "
               f"max-principle drift {worst_maxprin:.2e} (tol 1e-6); "
               f"growth-bound ratios max {max(log_ratios):.3f} over {len(log_ratios)} holdouts")
@@ -369,10 +267,8 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
 
 
 def check_acoustic_decay_trend(bench: Workbench) -> CheckResult:
-    rep = bench.decay_report
-    free = experiments.free_wave_normalized(bench.grid, bench.scale.eps_sweep)
-    normalized = [free[e][1] for e in sorted(free, reverse=True)]
-    free_spread = max(normalized) / min(normalized)
+    rep, free = experiments.evaluate_acoustic_decay(bench)
+    free_spread = experiments.free_wave_spread(free)
     passed = (rep.a1_decreasing and rep.a4_decreasing
               and free_spread <= 2.0 and rep.a4_normalized_spread <= 4.0)
     detail = (f"L1 budget {'decreasing' if rep.a1_decreasing else 'NOT decreasing'} "
@@ -385,7 +281,7 @@ def check_acoustic_decay_trend(bench: Workbench) -> CheckResult:
 
 
 def check_incompressible_limit_trend(bench: Workbench) -> CheckResult:
-    rep = bench.limit_report
+    rep, _ = experiments.evaluate_incompressible_limit(bench)
     ratio = rep.smallest_over_largest
     passed = rep.l2_decreasing and ratio <= 0.25 and rep.rate_bound_holds
     detail = (f"sup-L2 gaps {tuple(round(v, 5) for v in rep.sup_l2)} "
@@ -397,31 +293,25 @@ def check_incompressible_limit_trend(bench: Workbench) -> CheckResult:
 
 
 def check_vorticity_control(bench: Workbench) -> CheckResult:
-    s = bench.scale
     worst_sweep = 0.0
-    for e in sorted(bench.sweep, reverse=True):
-        led = bench.sweep[e][0]
+    for led in bench.ledgers.values():
         w = led.column("omega_linf")
         worst_sweep = max(worst_sweep, float(np.max(np.abs(w - w[0]))) / w[0])
-    st = make_initial_data(s.data, bench.grid, s.eps_sweep[0], s.amplitude, s.seed,
-                           s.gamma_bar)
-    omega0 = spectral.curl2d(spectral.leray_p(st.v))
-    _, led_ref, _ = incompressible.run_incompressible(
-        incompressible.IncompressibleState(omega0), s.reference_t,
-        cfl=s.cfl, max_dt=s.reference_max_dt, run_id="long-reference")
+    _, led_ref, _ = experiments.reference_incompressible(
+        with_overrides(bench.config, max_dt=REFERENCE_MAX_DT), bench.initial_states,
+        REFERENCE_T, [])
     w = led_ref.column("omega_linf")
     ref_drift = float(np.max(np.abs(w - w[0]))) / w[0]
     energy = led_ref.column("v_l2") ** 2
     energy_drift = float(np.max(np.abs(energy - energy[0]))) / energy[0]
     passed = worst_sweep <= 0.05 and ref_drift <= 0.005 and energy_drift <= 1e-6
     detail = (f"sweep vorticity sup drift {worst_sweep:.4f} (tol 0.05); reference over "
-              f"T={s.reference_t:g}: vorticity drift {ref_drift:.5f} (tol 0.005), "
+              f"T={REFERENCE_T:g}: vorticity drift {ref_drift:.5f} (tol 0.005), "
               f"energy drift {energy_drift:.2e} (tol 1e-6)")
     return CheckResult("vorticity-control", passed, detail)
 
 
 def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
-    s = bench.scale
     problems: list[str] = []
     eps_grid = np.geomspace(1e-6, 0.9, 40)
     for name in ("exp:1", "power:2"):
@@ -446,11 +336,11 @@ def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
             worst_closed = max(worst_closed, abs(got - want) / abs(want))
     if worst_closed > 1e-12:
         problems.append(f"closed forms off by {worst_closed:.2e}")
-    cfg = with_overrides(bench.config, eps=s.lifespan_eps, amplitude=s.lifespan_amplitude)
-    lifespans = experiments.measure_lifespans(cfg, experiments.initial_states(cfg, bench.grid))
-    t_nums = [lifespans[e][0] for e in s.lifespan_eps]
-    if lifespans[s.lifespan_eps[0]][1]:
-        problems.append(f"no blowup at eps={s.lifespan_eps[0]:g} within T={s.lifespan_cap:g}")
+    cfg = bench.lifespan_config
+    lifespans = experiments.measure_lifespans(cfg)
+    t_nums = [lifespans[e][0] for e in cfg.eps]
+    if lifespans[cfg.eps[0]][1]:
+        problems.append(f"no blowup at eps={cfg.eps[0]:g} within T={cfg.t_cap:g}")
     if not all(t_nums[i] <= t_nums[i + 1] + 1e-12 for i in range(len(t_nums) - 1)):
         problems.append("measured lifespans not nondecreasing")
     passed = not problems
@@ -463,29 +353,24 @@ def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
 def check_determinism(bench: Workbench) -> CheckResult:
     base = with_overrides(
         ExperimentConfig(), experiment="acoustic-decay", n=64,
-        box_length=bench.scale.box_length, eps=(0.2, 0.1, 0.05), t_final=0.3,
-        amplitude=bench.scale.amplitude, seed=bench.scale.seed, max_dt=0.05,
+        box_length=bench.config.box_length, eps=(0.2, 0.1, 0.05), t_final=0.3,
+        amplitude=bench.config.amplitude, seed=bench.config.seed, max_dt=0.05,
         snapshots=2, threads=2,
     )
-    dirs = [tempfile.mkdtemp(prefix="machlab-det-") for _ in range(2)]
-    try:
-        for d in dirs:
-            cfg = with_overrides(base, out=d)
-            validate_config(cfg)
-            experiments.run_experiment(cfg)
-        names = sorted(os.listdir(dirs[0]))
-        other = sorted(os.listdir(dirs[1]))
+    with tempfile.TemporaryDirectory(prefix="machlab-det-") as first, \
+            tempfile.TemporaryDirectory(prefix="machlab-det-") as second:
+        for d in (first, second):
+            experiments.run_experiment(with_overrides(base, out=d))
+        names = sorted(os.listdir(first))
+        other = sorted(os.listdir(second))
         if names != other:
             return CheckResult("determinism", False,
                                f"artifact sets differ: {names} vs {other}")
-        match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
-        passed = not mismatch and not errors
-        detail = (f"{len(match)} artifacts bit-identical across repeated runs"
-                  if passed else f"differing artifacts: {mismatch or errors}")
-        return CheckResult("determinism", passed, detail)
-    finally:
-        for d in dirs:
-            shutil.rmtree(d, ignore_errors=True)
+        match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+    passed = not mismatch and not errors
+    detail = (f"{len(match)} artifacts bit-identical across repeated runs"
+              if passed else f"differing artifacts: {mismatch or errors}")
+    return CheckResult("determinism", passed, detail)
 
 
 _CHECKS = (
@@ -503,9 +388,9 @@ _CHECKS = (
 )
 
 
-def run_all(scale: AcceptanceScale = AcceptanceScale(),
+def run_all(config: ExperimentConfig = ExperimentConfig(experiment="selftest"),
             out_dir: str | None = None) -> list[CheckResult]:
-    bench = Workbench(scale)
+    bench = Workbench(config)
     results = [fn(bench) for fn in _CHECKS]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

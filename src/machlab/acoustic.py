@@ -51,10 +51,6 @@ class AcousticPair:
     upsilon: ComplexField
     eps: float
 
-    @property
-    def grid(self) -> Grid:
-        return self.gamma_x.grid
-
 
 def make_acoustic(state: FlowState) -> AcousticPair:
     """Build Gamma and Upsilon from a flow state.

@@ -17,8 +17,7 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, \
-    validate_config, with_overrides
+from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, with_overrides
 from .experiments import SweepBlowup, run_experiment
 
 EXIT_PASS = 0
@@ -64,9 +63,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigError(f"MACHLAB_THREADS must be an integer, got {env!r}") from None
     if threads is not None:
         overrides["threads"] = threads
-    cfg = with_overrides(cfg, **overrides)
-    validate_config(cfg)
-    return cfg
+    return with_overrides(cfg, **overrides)  # validates, the experiment included
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

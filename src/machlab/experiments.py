@@ -8,9 +8,12 @@ Each driver writes, under the output directory:
 * per-run ledgers as CSV, plus experiment-specific CSV tables and MLF1
   snapshots
 
-and returns (passed, lines). Runs across an eps sweep may execute on a
-thread pool; results are keyed by eps and written in sorted order, so output
-bytes do not depend on the thread count.
+and returns (passed, lines). A driver that ``acceptance`` also checks is an
+evaluator (``evaluate_*``), which returns numbers, and a writer, which turns
+them into summary lines and artifacts; the acceptance checks call the same
+evaluators. Runs across an eps sweep may execute on a thread pool; results
+are keyed by eps and written in sorted order, so output bytes do not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,9 +107,8 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
     return results
 
 
-def measure_lifespans(config: ExperimentConfig, states: dict[float, FlowState],
-                      ) -> dict[float, tuple[float, bool]]:
-    """The numerical lifespan proxy of every state in ``states``.
+def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool]]:
+    """The numerical lifespan proxy of the initial state of every eps.
 
     Each state runs to ``config.t_cap`` with the gradient threshold at
     ``config.blowup_factor`` times its initial Jacobian sup (floored at 1e-12,
@@ -112,7 +116,7 @@ def measure_lifespans(config: ExperimentConfig, states: dict[float, FlowState],
     (t_num, censored): the blowup time, or the cap when no blowup came.
     """
     out = {}
-    for e, state in states.items():
+    for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
         g0 = spectral.jacobian_sup(state.v)
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
@@ -126,12 +130,11 @@ def measure_lifespans(config: ExperimentConfig, states: dict[float, FlowState],
     return out
 
 
-def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic.ComplexField:
-    """Localized real bump as a complex field, mean-free and normalized to
-    unit L^2 norm; the standard probe for free-propagation decay."""
+def gaussian_bump_complex(grid: Grid) -> acoustic.ComplexField:
+    """Localized real bump of width L/20 as a complex field, mean-free and
+    normalized to unit L^2 norm; the standard probe for free-propagation decay."""
     L = grid.box_length
-    if sigma is None:
-        sigma = L / 20.0
+    sigma = L / 20.0
     x, y = grid.coordinates()
     dx = (x - 0.5 * L + 0.5 * L) % L - 0.5 * L
     dy = (y - 0.5 * L + 0.5 * L) % L - 0.5 * L
@@ -142,8 +145,8 @@ def gaussian_bump_complex(grid: Grid, sigma: Optional[float] = None) -> acoustic
                                  / spectral.l2_norm(f))
 
 
-def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
-                         window: Optional[float] = None) -> dict[float, tuple[float, float, bool]]:
+def free_wave_normalized(grid: Grid, eps_list,
+                         p: float = math.inf) -> dict[float, tuple[float, float, bool]]:
     """measure_strichartz over an eps sweep on the shared Gaussian probe.
 
     Returns eps -> (value, value / eps**decay, window_ok); all measurements
@@ -151,8 +154,7 @@ def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
     comparable.
     """
     eps_list = sorted(eps_list, reverse=True)
-    if window is None:
-        window = 0.99 * acoustic.wraparound_window(grid, min(eps_list))
+    window = 0.99 * acoustic.wraparound_window(grid, min(eps_list))
     probe = gaussian_bump_complex(grid)
     _, decay = acoustic.strichartz_exponents(p)
     out = {}
@@ -177,8 +179,8 @@ def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowS
     )
 
 
-def limit_error_series(sweep, ref_snapshots, times, profile: Optional[lp.BesovProfile] = None):
-    """Per-eps series of || P v_eps(t) - v_ref(t) || in L^2 and (weighted) B^2."""
+def limit_error_series(sweep, ref_snapshots, times):
+    """Per-eps series of || P v_eps(t) - v_ref(t) || in L^2 and B^2."""
     l2_series: dict[float, np.ndarray] = {}
     b2_series: dict[float, np.ndarray] = {}
     init_gap: dict[float, float] = {}
@@ -186,16 +188,9 @@ def limit_error_series(sweep, ref_snapshots, times, profile: Optional[lp.BesovPr
         l2_vals, b2_vals = [], []
         for t in times:
             pv = spectral.leray_p(snaps[t].v)
-            vref = incompressible.velocity_from_vorticity(ref_snapshots[t].omega)
-            diff = [
-                spectral.sub(pv.ux, vref.ux),
-                spectral.sub(pv.uy, vref.uy),
-            ]
+            diff = spectral.sub(pv, incompressible.velocity_from_vorticity(ref_snapshots[t].omega))
             l2_vals.append(spectral.l2_norm(diff))
-            if profile is None:
-                b2_vals.append(lp.besov_norm(diff, 2.0, 2.0, 1.0))
-            else:
-                b2_vals.append(lp.besov_norm_hetero(diff, 2.0, 2.0, 1.0, profile))
+            b2_vals.append(lp.besov_norm(diff, 2.0, 2.0, 1.0))
         l2_series[e] = np.asarray(l2_vals)
         b2_series[e] = np.asarray(b2_vals)
         init_gap[e] = float(l2_vals[0])
@@ -238,6 +233,111 @@ def transport_initial_density(grid: Grid, seed: int = 0) -> spectral.SpectralSca
 
 
 # ---------------------------------------------------------------------------
+# evaluators
+
+
+def snapshot_times(config: ExperimentConfig) -> list[float]:
+    """``config.snapshots`` equally spaced times over [0, t_final]."""
+    return [round(float(t), 12) for t in np.linspace(0.0, config.t_final, config.snapshots)]
+
+
+class SweepStudy:
+    """What the checks on one eps sweep share, each part computed on first
+    use: the initial states, the weight profile and its lifespan model, the
+    compressible sweep and the incompressible reference, both stored at
+    ``times``."""
+
+    def __init__(self, config: ExperimentConfig, times: Sequence[float] = ()):
+        self.config = config
+        self.times = list(times)
+
+    @cached_property
+    def grid(self) -> Grid:
+        return Grid(self.config.n, self.config.box_length)
+
+    @cached_property
+    def initial_states(self) -> dict[float, FlowState]:
+        return initial_states(self.config, self.grid)
+
+    @cached_property
+    def profile(self) -> lp.BesovProfile:
+        return build_profile(self.config, self.initial_states)
+
+    @cached_property
+    def model(self) -> asymptotics.LifespanModel:
+        return asymptotics.LifespanModel(self.profile, c0=self.config.c0)
+
+    @cached_property
+    def sweep(self) -> dict[float, tuple[RunLedger, dict[float, FlowState]]]:
+        return run_sweep(self.config, self.initial_states, self.profile, self.times)
+
+    @cached_property
+    def ledgers(self) -> dict[float, RunLedger]:
+        return {e: self.sweep[e][0] for e in self.sweep}
+
+    @cached_property
+    def reference(self):
+        return reference_incompressible(self.config, self.initial_states, self.config.t_final,
+                                        self.times)
+
+
+def free_wave_spread(free: dict[float, tuple[float, float, bool]]) -> float:
+    """Largest over smallest normalized value of a ``free_wave_normalized`` sweep."""
+    normalized = [v[1] for v in free.values()]
+    return max(normalized) / min(normalized)
+
+
+def evaluate_acoustic_decay(study: SweepStudy) -> tuple[asymptotics.AcousticDecayReport,
+                                                        dict[float, tuple[float, float, bool]]]:
+    """The sweep's windowed decay report, and the free-wave probe at p = inf
+    over the same eps."""
+    return (asymptotics.check_acoustic_decay(study.ledgers, study.model, study.grid.box_length),
+            free_wave_normalized(study.grid, study.config.eps))
+
+
+def evaluate_incompressible_limit(study: SweepStudy) -> tuple[
+        asymptotics.IncompressibleLimitReport, dict[float, np.ndarray]]:
+    """The limit report over the study's times, and its per-eps L^2 gap series."""
+    # the sweep runs first: its pool threads' scratch is freed before the
+    # reference, on this thread, allocates this thread's scratch
+    l2s, b2s, gaps = limit_error_series(study.sweep, study.reference[2], study.times)
+    return (asymptotics.check_incompressible_limit(study.times, l2s, b2s, gaps, study.model),
+            l2s)
+
+
+@dataclass(frozen=True)
+class TransportRun:
+    """One catalog velocity's spectral solve, measured against the oracle.
+    ``range_growth`` is the growth of the interpolant range over the initial
+    range, measured only for a divergence-free velocity (else None)."""
+
+    ledger: RunLedger
+    oracle_gap: float
+    mass_drift: float
+    range_growth: Optional[float]
+
+
+def evaluate_transport_velocity(f0: spectral.SpectralScalarField,
+                                vel: transport.SyntheticVelocity, t_final: float,
+                                cfl: float, max_dt: float) -> TransportRun:
+    fT, led = transport.solve_transport_spectral(f0, vel, t_final, cfl=cfl, max_dt=max_dt)
+    oracle = transport.solve_transport_oracle(f0, vel, t_final,
+                                              substeps=4 * max(1, len(led) - 1))
+    mass = led.column("f_mass")
+    growth = None
+    if float(np.max(led.column("div_v_linf"))) < 1e-12:
+        # range may only shrink under divergence-free transport; the
+        # grid-sample sup moves by O(h^2) as peaks drift off-grid, so
+        # compare interpolant extrema instead
+        lo0, hi0 = spectral.refined_extrema(f0)
+        lo1, hi1 = spectral.refined_extrema(fT)
+        growth = max(hi1 - hi0, lo0 - lo1, 0.0) / (hi0 - lo0)
+    return TransportRun(led, float(np.max(np.abs(fT.values() - oracle))),
+                        float(np.max(np.abs(mass - mass[0]))) / max(abs(mass[0]), 1e-300),
+                        growth)
+
+
+# ---------------------------------------------------------------------------
 # drivers
 
 
@@ -246,12 +346,11 @@ class _Summary:
         self.lines: list[str] = []
         self.failed = 0
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
         tag = "PASS" if ok else "FAIL"
         self.lines.append(f"{tag} {name}" + (f": {detail}" if detail else ""))
         if not ok:
             self.failed += 1
-        return ok
 
     def note(self, text: str) -> None:
         self.lines.append(f"note {text}")
@@ -300,14 +399,10 @@ def _write_plot(path: str, x_name: str, y_name: str, xs, ys) -> None:
 
 
 def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
-    grid = Grid(config.n, config.box_length)
-    states = initial_states(config, grid)
-    profile = build_profile(config, states)
-    model = asymptotics.LifespanModel(profile, c0=config.c0)
-    sweep = run_sweep(config, states, profile)
+    study = SweepStudy(config)
+    report, free = evaluate_acoustic_decay(study)
+    spread, ledgers = free_wave_spread(free), study.ledgers
     summary = _Summary()
-    ledgers = {e: sweep[e][0] for e in sweep}
-    report = asymptotics.check_acoustic_decay(ledgers, model, grid.box_length)
     summary.note(
         "block norms are inhomogeneous (low block included); decay measured on "
         f"window [0, {_fmt(report.window)}] before torus wraparound"
@@ -329,12 +424,9 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
                   report.a4_normalized_spread <= 4.0,
                   f"L4 values normalized by eps^(1/4) spread by "
                   f"x{_fmt(report.a4_normalized_spread)} (tolerance x4)")
-    free = free_wave_normalized(grid, config.eps)
-    normalized = [free[e][1] for e in sorted(free, reverse=True)]
-    spread = max(normalized) / min(normalized)
     summary.check("strichartz.free_wave_scaling", spread <= 2.0,
                   f"normalized values spread by x{_fmt(spread)} (tolerance x2)")
-    for e in sorted(sweep, reverse=True):
+    for e in sorted(ledgers, reverse=True):
         rep = asymptotics.check_energy_growth(ledgers[e])
         summary.check(f"energy.l2_growth[eps={e:g}]", rep.l2_ok,
                       f"fitted C={_fmt(rep.c_l2)} (must be <= 2)")
@@ -353,21 +445,16 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
                 report.eps, report.a4)
     _write_plot(os.path.join(out, "plot_blocksum_vs_phi.csv"), "phi", "blocksum_budget",
                 report.phi, report.b1)
-    profile.serialize(os.path.join(out, "profile.txt"))
+    study.profile.serialize(os.path.join(out, "profile.txt"))
     _write_summary(out, config, summary)
     return summary.passed, summary.lines
 
 
 def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str]]:
-    grid = Grid(config.n, config.box_length)
-    states = initial_states(config, grid)
-    profile = build_profile(config, states)
-    model = asymptotics.LifespanModel(profile, c0=config.c0)
-    times = [round(t, 12) for t in np.linspace(0.0, config.t_final, config.snapshots)]
-    sweep = run_sweep(config, states, profile, snapshot_times=times)
-    _, ref_ledger, ref_snaps = reference_incompressible(config, states, config.t_final, times)
-    l2s, b2s, gaps = limit_error_series(sweep, ref_snaps, times)
-    report = asymptotics.check_incompressible_limit(times, l2s, b2s, gaps, model)
+    study = SweepStudy(config, snapshot_times(config))
+    report, l2s = evaluate_incompressible_limit(study)
+    times, sweep, grid = study.times, study.sweep, study.grid
+    _, ref_ledger, ref_snaps = study.reference
     summary = _Summary()
     summary.check("incompressible_limit.l2_monotone", report.l2_decreasing,
                   "sup_t ||P v_eps - v||_L2 per eps: "
@@ -383,7 +470,7 @@ def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str
                   f"fitted at eps={report.eps[0]:g}")
     out = config.out
     os.makedirs(out, exist_ok=True)
-    _write_ledgers(out, {e: sweep[e][0] for e in sweep})
+    _write_ledgers(out, study.ledgers)
     ref_ledger.to_csv(os.path.join(out, "ledger_reference.csv"))
     with open(os.path.join(out, "incompressible_limit.csv"), "w") as fh:
         fh.write("eps," + ",".join(f"l2_t{_fmt(t)}" for t in times) + "\n")
@@ -410,58 +497,46 @@ def drive_transport_log(config: ExperimentConfig) -> tuple[bool, list[str]]:
     f0 = transport_initial_density(grid, config.seed)
     cal_vel, holdouts = transport_catalog(grid.box_length)
     t_final = config.t_final
-    chash = config_hash(config)
     summary = _Summary()
     _, cal_ledger = transport.solve_transport_spectral(
         f0, cal_vel, t_final, cfl=config.cfl, max_dt=config.max_dt,
-        run_id="calibration", config_hash=chash)
+        run_id="calibration", config_hash=config_hash(config))
     c_fit = transport.fit_log_constant(cal_ledger)
     summary.note(f"growth-bound constant fitted on {cal_vel.name}: C={_fmt(c_fit)} "
                  "(smallest passing, x2 headroom)")
     interp_cal = asymptotics.interpolation_ratio(cal_ledger)
-    rows = []
-    ratio_curves = []
+    results = []
+    scale = max(1.0, float(np.max(np.abs(f0.values()))))
     for i, vel in enumerate(holdouts):
-        fT, led = transport.solve_transport_spectral(
-            f0, vel, t_final, cfl=config.cfl, max_dt=config.max_dt,
-            run_id=f"holdout{i}", config_hash=chash)
-        rep = transport.evaluate_log_estimate(led, c_fit)
-        ratio_curves.append((i, rep.times, rep.ratios))
+        run = evaluate_transport_velocity(f0, vel, t_final, config.cfl, config.max_dt)
+        rep = transport.evaluate_log_estimate(run.ledger, c_fit)
+        results.append((vel.name, rep, run))
         extra = " (divergence-free reduction)" if rep.div_free else ""
         summary.check(f"transport.log_estimate[{i}]", rep.passed,
                       f"max LHS/RHS = {_fmt(rep.max_ratio)} on {vel.name}{extra}")
-        steps = max(1, len(led) - 1)
-        oracle = transport.solve_transport_oracle(f0, vel, t_final, substeps=4 * steps)
-        diff = float(np.max(np.abs(fT.values() - oracle)))
-        scale = max(1.0, float(np.max(np.abs(f0.values()))))
-        summary.check(f"transport.oracle_agreement[{i}]", diff / scale <= 1e-3,
-                      f"max |spectral - oracle| = {_fmt(diff)} on {vel.name}")
-        mass0 = led.column("f_mass")[0]
-        drift = float(np.max(np.abs(led.column("f_mass") - mass0))) / max(abs(mass0), 1e-300)
-        summary.check(f"transport.mass_conservation[{i}]", drift <= 1e-8,
-                      f"relative mass drift {drift:.3e}")
-        if float(np.max(led.column("div_v_linf"))) < 1e-12:
-            lo0, hi0 = spectral.refined_extrema(f0)
-            lo1, hi1 = spectral.refined_extrema(fT)
-            expansion = max(hi1 - hi0, lo0 - lo1, 0.0) / (hi0 - lo0)
-            summary.check(f"transport.max_principle[{i}]", expansion <= 1e-6,
-                          f"interpolant range grew by {expansion:.3e} of the "
+        summary.check(f"transport.oracle_agreement[{i}]", run.oracle_gap / scale <= 1e-3,
+                      f"max |spectral - oracle| = {_fmt(run.oracle_gap)} on {vel.name}")
+        summary.check(f"transport.mass_conservation[{i}]", run.mass_drift <= 1e-8,
+                      f"relative mass drift {run.mass_drift:.3e}")
+        if run.range_growth is not None:
+            summary.check(f"transport.max_principle[{i}]", run.range_growth <= 1e-6,
+                          f"interpolant range grew by {run.range_growth:.3e} of the "
                           f"initial range on {vel.name}")
-        ratio = asymptotics.interpolation_ratio(led)
+        ratio = asymptotics.interpolation_ratio(run.ledger)
         if math.isfinite(ratio) and ratio > 0:
             summary.check(f"transport.interpolation[{i}]", ratio <= 2.0 * max(interp_cal, 1e-12),
                           f"interpolation ratio {_fmt(ratio)} vs calibration {_fmt(interp_cal)}")
-        rows.append((vel.name, rep.max_ratio, diff, drift))
     out = config.out
     os.makedirs(out, exist_ok=True)
     cal_ledger.to_csv(os.path.join(out, "ledger_transport_calibration.csv"))
     with open(os.path.join(out, "transport_compare.csv"), "w") as fh:
         fh.write("velocity,log_ratio,oracle_diff,mass_drift\n")
-        for name, r, d, m in rows:
-            fh.write(f"\"{name}\",{r:.17g},{d:.17g},{m:.17g}\n")
-    for i, ts, ratios in ratio_curves:
+        for name, rep, run in results:
+            fh.write(f"\"{name}\",{rep.max_ratio:.17g},{run.oracle_gap:.17g},"
+                     f"{run.mass_drift:.17g}\n")
+    for i, (_, rep, _) in enumerate(results):
         _write_plot(os.path.join(out, f"plot_growth_ratio_holdout{i}.csv"),
-                    "t", "lhs_over_bound", ts, ratios)
+                    "t", "lhs_over_bound", rep.times, rep.ratios)
     _write_summary(out, config, summary)
     return summary.passed, summary.lines
 
@@ -473,8 +548,7 @@ def drive_strichartz_sweep(config: ExperimentConfig) -> tuple[bool, list[str]]:
     summary = _Summary()
     summary.note("free half-wave propagator on the inhomogeneous torus; "
                  "decay exponents quoted from the homogeneous-space scaling")
-    normalized = [free[e][1] for e in sorted(free, reverse=True)]
-    spread = max(normalized) / min(normalized)
+    spread = free_wave_spread(free)
     summary.check("strichartz.free_wave_scaling", spread <= 2.0,
                   f"p={config.p_space:g}, r={r:g}: normalized spread x{_fmt(spread)}")
     out = config.out
@@ -494,49 +568,39 @@ def drive_strichartz_sweep(config: ExperimentConfig) -> tuple[bool, list[str]]:
 
 
 def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
-    grid = Grid(config.n, config.box_length)
-    summary = _Summary()
-    models = {
-        "exp:1": asymptotics.LifespanModel(lp.named_profile("exp:1"), c0=config.c0),
-        "power:2": asymptotics.LifespanModel(lp.named_profile("power:2"), c0=config.c0),
-    }
-    rows = []
     eps_desc = sorted(config.eps, reverse=True)
-    lifespans = measure_lifespans(config, initial_states(config, grid))
-    for e in eps_desc:
-        t_num, censored = lifespans[e]
-        row = {"eps": e, "t_num": t_num, "censored": censored}
-        for tag, model in models.items():
-            est = asymptotics.lifespan_prediction(model, e)
-            row[tag] = est
-        rows.append(row)
-    t_nums = [r["t_num"] for r in rows]
+    lifespans = measure_lifespans(config)
+    t_nums = [lifespans[e][0] for e in eps_desc]
+    censored = lifespans[eps_desc[0]][1]
+    preds = {}
+    for tag in ("exp:1", "power:2"):
+        model = asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
+        preds[tag] = [asymptotics.lifespan_prediction(model, e) for e in eps_desc]
+    summary = _Summary()
     summary.check("lifespan.t_num_nondecreasing",
                   all(t_nums[i] <= t_nums[i + 1] + 1e-12 for i in range(len(t_nums) - 1)),
                   "measured lifespan proxies per eps (descending): "
                   + ", ".join(_fmt(t) for t in t_nums))
-    if rows[0]["censored"]:
+    if censored:
         blow_detail = (f"eps={eps_desc[0]:g} stayed below the gradient threshold up to "
                        f"the cap {config.t_cap:g}")
     else:
         blow_detail = (f"eps={eps_desc[0]:g} crossed the gradient threshold at "
-                       f"t={_fmt(rows[0]['t_num'])} (cap {config.t_cap:g})")
-    summary.check("lifespan.blowup_at_largest_eps", not rows[0]["censored"], blow_detail)
-    for tag, model in models.items():
-        preds = [r[tag].t_psi for r in rows]
+                       f"t={_fmt(t_nums[0])} (cap {config.t_cap:g})")
+    summary.check("lifespan.blowup_at_largest_eps", not censored, blow_detail)
+    for tag, est in preds.items():
+        t_psi = [p.t_psi for p in est]
         summary.check(f"lifespan.model_monotone[{tag}]",
-                      all(preds[i] <= preds[i + 1] + 1e-12 for i in range(len(preds) - 1)),
-                      "predicted T(eps): " + ", ".join(_fmt(p) for p in preds))
+                      all(t_psi[i] <= t_psi[i + 1] + 1e-12 for i in range(len(t_psi) - 1)),
+                      "predicted T(eps): " + ", ".join(_fmt(p) for p in t_psi))
     out = config.out
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "lifespan.csv"), "w") as fh:
         fh.write("eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2\n")
-        for r in rows:
-            fh.write(f"{r['eps']:.17g},{r['t_num']:.17g},{int(r['censored'])},"
-                     f"{r['exp:1'].t_psi:.17g},{r['exp:1'].t_phi:.17g},"
-                     f"{r['power:2'].t_psi:.17g},{r['power:2'].t_phi:.17g}\n")
-    _write_plot(os.path.join(out, "plot_lifespan_vs_eps.csv"), "eps", "t_num",
-                [r["eps"] for r in rows], t_nums)
+        for e, t, p1, p2 in zip(eps_desc, t_nums, preds["exp:1"], preds["power:2"]):
+            fh.write(f"{e:.17g},{t:.17g},{int(lifespans[e][1])},{p1.t_psi:.17g},"
+                     f"{p1.t_phi:.17g},{p2.t_psi:.17g},{p2.t_phi:.17g}\n")
+    _write_plot(os.path.join(out, "plot_lifespan_vs_eps.csv"), "eps", "t_num", eps_desc, t_nums)
     _write_summary(out, config, summary)
     return summary.passed, summary.lines
 
@@ -544,8 +608,7 @@ def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
 def drive_selftest(config: ExperimentConfig) -> tuple[bool, list[str]]:
     from . import acceptance
 
-    scale = acceptance.scale_from_config(config)
-    results = acceptance.run_all(scale, out_dir=config.out)
+    results = acceptance.run_all(config, out_dir=config.out)
     summary = _Summary()
     for res in results:
         summary.check(res.name, res.passed, res.detail)

@@ -40,8 +40,7 @@ def velocity_from_vorticity(omega: SpectralScalarField) -> SpectralVectorField:
     The vorticity zero mode is ignored (it has no periodic stream function);
     curl(velocity_from_vorticity(w)) returns the mean-free part of w.
     """
-    # inv_laplacian without the mean warning
-    return spectral.perp_grad(SpectralScalarField(omega.grid, -omega.grid.inv_k2 * omega.modes))
+    return spectral.perp_grad(spectral.inv_laplacian(omega))
 
 
 def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:

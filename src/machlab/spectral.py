@@ -19,7 +19,6 @@ multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 import threading
@@ -27,12 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_BOX_LENGTH = 16.0 * math.pi
-
-# Relative zero-mode size above which projecting to mean zero is worth a warning.
-_MEAN_WARN_REL = 1e-10
 
 _SNAPSHOT_MAGIC = b"MLF1"
 _SNAPSHOT_HEADER = struct.Struct("<4sIdI")
@@ -253,10 +247,6 @@ def from_function(grid: Grid, fn) -> SpectralScalarField:
     return fft_forward(grid, np.broadcast_to(fn(x, y), (grid.n, grid.n)))
 
 
-def zeros(grid: Grid) -> SpectralScalarField:
-    return SpectralScalarField(grid, np.zeros(grid.modes_shape, dtype=np.complex128))
-
-
 def vector(ux: SpectralScalarField, uy: SpectralScalarField) -> SpectralVectorField:
     if ux.grid != uy.grid:
         raise ValueError("vector components must share one grid")
@@ -296,19 +286,8 @@ def laplacian(f: SpectralScalarField) -> SpectralScalarField:
     return _mul(f, -f.grid.k2)
 
 
-def _project_mean_free(f: SpectralScalarField, op_name: str) -> SpectralScalarField:
-    zero_mode = f.modes[0, 0]
-    scale = float(np.sqrt(np.sum(np.abs(f.modes) ** 2)))
-    if abs(zero_mode) > _MEAN_WARN_REL * max(scale, 1e-300):
-        logger.warning("%s: projecting away nonzero mean %.3e", op_name, float(np.real(zero_mode)))
-    modes = f.modes.copy()
-    modes[0, 0] = 0.0
-    return SpectralScalarField(f.grid, modes)
-
-
 def inv_laplacian(f: SpectralScalarField) -> SpectralScalarField:
-    """Mean-free inverse Laplacian; a nonzero-mean input is projected with a warning."""
-    f = _project_mean_free(f, "inv_laplacian")
+    """Inverse Laplacian in the mean-free gauge: the zero mode maps to zero."""
     return _mul(f, -f.grid.inv_k2)
 
 

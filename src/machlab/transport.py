@@ -247,7 +247,6 @@ class LogEstimateReport:
           * (1 + int ||grad v||).
     """
 
-    c_applied: float
     max_ratio: float
     ratios: np.ndarray
     times: np.ndarray
@@ -276,7 +275,6 @@ def evaluate_log_estimate(ledger: RunLedger, c: float) -> LogEstimateReport:
     ratios = lhs / rhs
     div_free = bool(np.max(ledger.column("div_v_linf")) < 1e-12)
     return LogEstimateReport(
-        c_applied=c,
         max_ratio=float(np.max(ratios)),
         ratios=ratios,
         times=ledger.time_array(),

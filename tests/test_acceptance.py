@@ -1,18 +1,24 @@
 """Desk-scale acceptance battery: one test and one PASS/FAIL line per check.
 
-Everything runs at the default AcceptanceScale (n = 256, high-resolution
+Everything runs at the default ``selftest`` config (n = 256, high-resolution
 cross-checks at 512), so this file is the slow end of the suite; the shared
-Workbench caches the eps sweep and the reference run across tests.
+Workbench caches the eps sweep and the reference run across tests. The checks
+call the experiment drivers' evaluators; two fast tests pin the scale the
+checks resolve from the config and the resolutions the transport lab visits.
 """
 
 import pytest
 
-from machlab import acceptance
+from machlab import acceptance, experiments
+from machlab.config import ExperimentConfig
+from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
+
+SELFTEST = ExperimentConfig(experiment="selftest")
 
 
 @pytest.fixture(scope="module")
 def bench():
-    return acceptance.Workbench(acceptance.AcceptanceScale())
+    return acceptance.Workbench(SELFTEST)
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -62,3 +68,45 @@ def test_lifespan_bookkeeping(bench):
 
 def test_repeatability(bench):
     _report(acceptance.check_determinism(bench))
+
+
+def test_acceptance_scale_at_the_defaults():
+    bench = acceptance.Workbench(SELFTEST)
+    assert (bench.config.n, bench.n_hi) == (256, 512)
+    assert bench.config.eps == (0.2, 0.1, 0.05, 0.025)
+    life = bench.lifespan_config
+    assert life.eps == acceptance.LIFESPAN_EPS == (1.0, 0.5, 0.25)
+    assert (life.amplitude, life.t_cap, life.blowup_factor) == (4.0, 4.0, 8.0)
+    assert (acceptance.REFERENCE_T, acceptance.REFERENCE_MAX_DT) == (5.0, 0.05)
+    assert acceptance.ORDER_DTS == (0.02, 0.01, 0.005)
+    assert (acceptance.SUBSTRATE_FIELDS, acceptance.PARTITION_FIELDS) == (100, 50)
+
+
+def _flat_ledger() -> RunLedger:
+    led = RunLedger(TRANSPORT_COLUMNS)
+    row = {c: 1.0 for c in TRANSPORT_COLUMNS if not c.startswith("int_")}
+    for t in (0.0, 0.5, 1.0):
+        led.append(t, **row)
+    return led
+
+
+@pytest.mark.parametrize("n, visited, passed, tolerances", [
+    (256, [256] * 5 + [512] * 5, False, ["@n=256 (tol 1e-3)", "@n=512 (tol 2.5e-4)"]),
+    (512, [512] * 5, True, ["@n=512 (tol 1e-3)", "no pass at n_hi=512"]),
+    (1024, [1024] * 5, True, ["@n=1024 (tol 1e-3)", "no pass at n_hi=512"]),
+])
+def test_transport_cross_check_runs_only_above_n(monkeypatch, n, visited, passed, tolerances):
+    seen = []
+
+    def evaluate(f0, vel, t_final, cfl, max_dt):
+        seen.append(f0.grid.n)
+        # a gap between the two tolerances: only a pass at n_hi can fail it
+        return experiments.TransportRun(_flat_ledger(), 5e-4, 0.0, 0.0)
+
+    monkeypatch.setattr(experiments, "evaluate_transport_velocity", evaluate)
+    result = acceptance.check_transport_lab(
+        acceptance.Workbench(ExperimentConfig(experiment="selftest", n=n)))
+    assert seen == visited
+    assert result.passed is passed, result.detail
+    for text in tolerances:
+        assert text in result.detail

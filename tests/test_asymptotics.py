@@ -143,7 +143,6 @@ class TestAcousticDecayCheck:
         assert report.a4_normalized_spread == pytest.approx(4.0 ** 0.75, rel=1e-9)
         assert report.phi_bound_b1 and report.phi_bound_a4
         assert math.isnan(report.eta_fit)  # flat weight carries no slope
-        assert report.passed
 
     def test_default_window_is_the_wraparound_of_the_smallest_eps(self):
         times = np.linspace(0.0, 40.0, 81)
@@ -157,7 +156,7 @@ class TestAcousticDecayCheck:
         ledgers = {e: _acoustic_ledger(1.0 / e, times) for e in (0.4, 0.2, 0.1)}
         model = LifespanModel(lp.named_profile("constant"))
         report = check_acoustic_decay(ledgers, model, box_length=16 * math.pi, window=1.0)
-        assert not report.a1_decreasing and not report.passed
+        assert not report.a1_decreasing
 
     def test_needs_three_members(self):
         times = np.linspace(0.0, 1.0, 5)
@@ -178,7 +177,7 @@ class TestIncompressibleLimitCheck:
         assert report.eps == (0.4, 0.2, 0.1)
         assert report.l2_decreasing and report.b2_decreasing
         assert report.smallest_over_largest == pytest.approx(0.25, rel=1e-12)
-        assert report.rate_bound_holds and report.passed
+        assert report.rate_bound_holds
 
     def test_non_shrinking_gap_fails(self):
         times = np.linspace(0.0, 1.0, 9)
@@ -187,7 +186,7 @@ class TestIncompressibleLimitCheck:
         b2 = {e: e * np.ones_like(times) for e in (0.4, 0.2, 0.1)}
         gaps = {e: 0.0 for e in (0.4, 0.2, 0.1)}
         report = check_incompressible_limit(times, l2, b2, gaps, model)
-        assert not report.l2_decreasing and not report.passed
+        assert not report.l2_decreasing
 
 
 def _energy_ledger(times, vc, het=None, div=1.0):
@@ -220,7 +219,7 @@ class TestEnergyGrowth:
         times = np.linspace(0.0, 2.0, 41)
         led = _energy_ledger(times, np.exp(3.0 * times))
         report = check_energy_growth(led)
-        assert not report.l2_ok and not report.passed
+        assert not report.l2_ok
 
     def test_weighted_column_is_checked_when_present(self):
         times = np.linspace(0.0, 2.0, 21)

@@ -75,7 +75,7 @@ def test_projected_dynamics_matches_vorticity_solver(grid64):
     split scheme into the incompressible solver, step for step."""
     state = small_state(grid64)
     v0 = spectral.leray_p(state.v)
-    zero_c = spectral.zeros(grid64)
+    zero_c = spectral.SpectralScalarField(grid64, np.zeros(grid64.modes_shape, complex))
     proj_state = spectral.FlowState.from_fields(v0, zero_c, eps=state.eps,
                                                 gamma_bar=state.gamma_bar)
     dt, t_final = 0.01, 0.1
