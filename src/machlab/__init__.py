@@ -54,7 +54,7 @@ from .acoustic import (
     wraparound_window,
 )
 from .compressible import Blowup, StepperConfig, run, step
-from .incompressible import IncompressibleState, run_incompressible, velocity_from_vorticity
+from .incompressible import run_incompressible, velocity_from_vorticity
 from .transport import (
     SyntheticVelocity,
     compressible_mode,
@@ -76,7 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcousticPair", "BesovProfile", "Blowup", "ComplexField", "ConfigError",
-    "ExperimentConfig", "FlowState", "Grid", "IncompressibleState",
+    "ExperimentConfig", "FlowState", "Grid",
     "LifespanModel", "RunLedger", "SpectralScalarField", "SpectralVectorField",
     "StepperConfig", "SyntheticVelocity", "acoustic_to_state", "besov_norm",
     "besov_norm_hetero", "block_norms", "build_partition", "compressible_mode",

@@ -76,7 +76,7 @@ def make_acoustic(state: FlowState) -> AcousticPair:
 
 
 def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
-                      gamma_bar: float, time: float = 0.0) -> FlowState:
+                      gamma_bar: float) -> FlowState:
     """Reassemble a flow state from filtered quantities plus the untouched
     divergence-free velocity part.
 
@@ -85,7 +85,7 @@ def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
     """
     q = np.stack([pair.gamma_x.modes[0], pair.gamma_y.modes[0]])
     return FlowState(solenoidal.grid, np.concatenate([solenoidal.modes + q, pair.upsilon.modes[1:]]),
-                     pair.eps, gamma_bar, time)
+                     pair.eps, gamma_bar)
 
 
 def _rotate(f: ComplexField, t: float, eps: float, trig: np.ndarray, out: np.ndarray,

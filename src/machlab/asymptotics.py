@@ -234,20 +234,14 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
 @dataclass(frozen=True)
 class EnergyReport:
     c_l2: float
-    c_hetero: float
     l2_ok: bool
-    hetero_ok: bool
 
 
-def check_energy_growth(ledger: RunLedger, c_l2: Optional[float] = None,
-                        c_hetero: Optional[float] = None) -> EnergyReport:
-    """Gronwall-type energy monitors along one compressible run.
-
-    L^2: ||(v,c)(t)|| <= init * exp(C int ||div v||_inf); the symmetric form
-    of the system makes C <= 2 at any resolution that holds the spectrum.
-    Weighted Besov: ||(v,c)(t)||_{B^2,Psi} <= C init exp(C V(t)) with V the
-    integrated Lipschitz budget; skipped (reported as passing with C = nan)
-    when the run logged no weighted norm.
+def check_energy_growth(ledger: RunLedger) -> EnergyReport:
+    """Gronwall-type L^2 energy monitor along one compressible run:
+    ||(v,c)(t)|| <= init * exp(C int ||div v||_inf). The symmetric form of
+    the system makes the smallest such C at most 2 at any resolution that
+    holds the spectrum.
     """
     vc = ledger.column("vc_l2")
     div_budget = ledger.column("int_div_v_linf")
@@ -257,29 +251,8 @@ def check_energy_growth(ledger: RunLedger, c_l2: Optional[float] = None,
         with np.errstate(over="ignore"):
             return bool(np.all(vc <= init * np.exp(c * div_budget) * (1.0 + 1e-12)))
 
-    if c_l2 is None:
-        c_l2 = smallest_passing(l2_holds, lo=1e-9, hi=1e3)
-        l2_ok = c_l2 <= 2.0
-    else:
-        l2_ok = l2_holds(c_l2)
-
-    het = ledger.column("vc_b2_hetero")
-    if np.all(np.isnan(het)):
-        return EnergyReport(c_l2=float(c_l2), c_hetero=math.nan, l2_ok=l2_ok, hetero_ok=True)
-    budget = ledger.column("int_grad_sum")
-    het_init = het[0]
-
-    def het_holds(c: float) -> bool:
-        # large probe constants overflow the exponential; inf bound holds
-        with np.errstate(over="ignore"):
-            return bool(np.all(het <= c * het_init * np.exp(c * budget)))
-
-    if c_hetero is None:
-        c_hetero = smallest_passing(het_holds, lo=1e-9, hi=1e3)
-        het_ok = True
-    else:
-        het_ok = het_holds(c_hetero)
-    return EnergyReport(c_l2=float(c_l2), c_hetero=float(c_hetero), l2_ok=l2_ok, hetero_ok=het_ok)
+    c_l2 = smallest_passing(l2_holds, lo=1e-9, hi=1e3)
+    return EnergyReport(c_l2=float(c_l2), l2_ok=c_l2 <= 2.0)
 
 
 def interpolation_ratio(ledger: RunLedger) -> float:

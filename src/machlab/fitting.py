@@ -56,6 +56,7 @@ def strictly_decreasing(values) -> bool:
     return bool(np.all(np.diff(values) < 0.0))
 
 
-def nondecreasing(values) -> bool:
+def nondecreasing(values, tol: float = 0.0) -> bool:
+    """Every value at most its successor plus ``tol``."""
     values = np.asarray(values, dtype=np.float64)
-    return bool(np.all(np.diff(values) >= 0.0))
+    return bool(np.all(values[:-1] <= values[1:] + tol))

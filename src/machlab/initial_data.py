@@ -34,7 +34,7 @@ from .spectral import FlowState, Grid, SpectralScalarField, SpectralVectorField
 KNOWN_DATA = ("taylor-green-ill", "vortex-pair-ill", "random-band", "well-prepared-contrast")
 
 
-def _periodized_bump(grid: Grid, center: tuple[float, float], sigma: float) -> np.ndarray:
+def periodized_bump(grid: Grid, center: tuple[float, float], sigma: float) -> np.ndarray:
     """Gaussian bump via minimal-image distance; smooth to machine precision
     for sigma well below the box size."""
     x, y = grid.coordinates()
@@ -80,14 +80,14 @@ def _vortex_parts(grid: Grid, rng: np.random.Generator):
     sep = L / 10.0
     sig_v = L / 16.0
     sig_a = L / 14.0
-    omega_raw = (_periodized_bump(grid, (L / 2 + jit(), L / 2 + sep + jit()), sig_v)
-                 - _periodized_bump(grid, (L / 2 + jit(), L / 2 - sep + jit()), sig_v))
+    omega_raw = (periodized_bump(grid, (L / 2 + jit(), L / 2 + sep + jit()), sig_v)
+                 - periodized_bump(grid, (L / 2 + jit(), L / 2 - sep + jit()), sig_v))
     omega = spectral.dealias(_mean_free(spectral.fft_forward(grid, omega_raw)))
     cx, cy = L / 4 + jit(), L / 4 + jit()
-    phi_raw = _periodized_bump(grid, (cx, cy), sig_a) * np.cos(k0 * (x - cx))
+    phi_raw = periodized_bump(grid, (cx, cy), sig_a) * np.cos(k0 * (x - cx))
     phi = spectral.dealias(_mean_free(spectral.fft_forward(grid, phi_raw)))
     cx, cy = 3 * L / 4 + jit(), L / 4 + jit()
-    c_raw = _periodized_bump(grid, (cx, cy), sig_a) * np.cos(k0 * (y - cy))
+    c_raw = periodized_bump(grid, (cx, cy), sig_a) * np.cos(k0 * (y - cy))
     c = spectral.dealias(_mean_free(spectral.fft_forward(grid, c_raw)))
     return omega, phi, c
 

@@ -122,12 +122,12 @@ class RunLedger:
 
 # grad_v_linf and vc_b2: the blowup thresholds, all that lifespan-table needs;
 # div_v_linf, grad_c_linf, qv_linf, c_linf, div_v_b0: the acoustic-decay
-# budgets; vc_l2 + int_div_v_linf and vc_b2_hetero + int_grad_sum: the
-# energy-growth check; omega_linf: the acceptance vorticity control.
-# grad_sum = grad_v_linf + grad_c_linf; its integral is the Gronwall budget V(t).
+# budgets; vc_l2 + int_div_v_linf: the energy-growth check; omega_linf: the
+# acceptance vorticity control. grad_sum = grad_v_linf + grad_c_linf and its
+# integral, the Gronwall budget V(t): the benchmark's ledger-integral check.
 COMPRESSIBLE_COLUMNS = [
     "grad_v_linf", "grad_c_linf", "div_v_linf", "omega_linf",
-    "vc_l2", "vc_b2", "vc_b2_hetero", "div_v_b0", "qv_linf", "c_linf",
+    "vc_l2", "vc_b2", "div_v_b0", "qv_linf", "c_linf",
     "grad_sum", "int_grad_sum", "int_div_v_linf",
 ]
 

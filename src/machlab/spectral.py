@@ -61,7 +61,7 @@ class Scratch:
 
     def _take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         arr = self._arrays.get(key)
-        if arr is None or len(arr) < shape[0]:
+        if arr is None or len(arr) < shape[0] or arr.shape[1:] != shape[1:] or arr.dtype != dtype:
             arr = self._arrays[key] = np.empty(shape, dtype)
         return arr[: shape[0]]
 
@@ -78,8 +78,8 @@ class Scratch:
         return self._take("samples", (planes, self.n, self.n), np.float64)
 
     def rk4_work(self, u: np.ndarray) -> np.ndarray:
-        """The three RK4 work arrays (acc, k, stage), each shaped like ``u``."""
-        return self._take(("rk4", u.shape, u.dtype), (3,) + u.shape, u.dtype)
+        """The RK4 work arrays (acc, k, stage) shaped like ``u``; only the last shape's are kept."""
+        return self._take("rk4", (3,) + u.shape, u.dtype)
 
 
 _THREAD = threading.local()
@@ -359,7 +359,9 @@ def jacobian_sup(v: SpectralVectorField) -> float:
 
 
 def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of du/dt = tendency(u, t) on a mode array.
+    """One classical RK4 step of du/dt = tendency(u, t): the only RK4 of the
+    three solvers and the transport oracle. ``u`` is a mode array, or a real
+    array whose second-to-last axis has n points (the oracle's feet).
 
     ``tendency(u, t, out)`` writes its value into ``out``. The stages live in
     this thread's scratch, and the returned array is new. The sum runs in the
@@ -521,7 +523,6 @@ class FlowState:
     modes: np.ndarray
     eps: float
     gamma_bar: float = 0.2
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         _check_shape(self.grid, self.modes, (3,))
@@ -532,10 +533,10 @@ class FlowState:
 
     @classmethod
     def from_fields(cls, v: SpectralVectorField, c: SpectralScalarField, eps: float,
-                    gamma_bar: float = 0.2, time: float = 0.0) -> "FlowState":
+                    gamma_bar: float = 0.2) -> "FlowState":
         if v.grid != c.grid:
             raise ValueError("velocity and sound speed must share one grid")
-        return cls(v.grid, np.concatenate([v.modes, c.modes[None]]), eps, gamma_bar, time)
+        return cls(v.grid, np.concatenate([v.modes, c.modes[None]]), eps, gamma_bar)
 
     @property
     def v(self) -> SpectralVectorField:

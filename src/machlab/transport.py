@@ -4,9 +4,10 @@ Advances d f/dt + v . grad f + f div v = 0 for synthetic velocities with
 closed-form derivatives, two independent ways:
 
 * a pseudo-spectral RK4 integrator (products dealiased, derivatives exact),
-* a semi-Lagrangian oracle that traces characteristics backward with RK4,
-  evaluates f0 at the foot by periodic bicubic interpolation, and multiplies
-  by exp of minus the divergence accumulated along the path.
+* a semi-Lagrangian oracle that traces characteristics backward with the
+  same RK4 step (``spectral.rk4``), evaluates f0 at the foot by periodic
+  bicubic interpolation, and multiplies by exp of minus the divergence
+  accumulated along the path.
 
 Agreement between the two validates both; the ledger feeds the logarithmic
 growth estimate for the block-sum norm of f under compressible transport.
@@ -203,9 +204,10 @@ def solve_transport_oracle(f0: SpectralScalarField, vel: SyntheticVelocity, t_fi
                            substeps: int) -> np.ndarray:
     """Backward-characteristics reference solution on the grid nodes.
 
-    Traces dX/dtau = v(tau, X) from t_final back to 0 with ``substeps`` RK4
-    steps, accumulating the divergence along the path with the same stages,
-    then returns f0(foot) * exp(-integral of div v) as real samples.
+    Traces dX/dtau = v(tau, X) from t_final back to 0 with ``substeps`` steps
+    of ``spectral.rk4`` on the stack (X, Y, S), where S accumulates the
+    divergence along the path with the same stages, then returns
+    f0(foot) * exp(-integral of div v) as real samples.
     """
     if substeps < 1:
         raise ValueError("need at least one substep")
@@ -213,29 +215,23 @@ def solve_transport_oracle(f0: SpectralScalarField, vel: SyntheticVelocity, t_fi
 
     grid = f0.grid
     x, y = grid.coordinates()
-    X = np.broadcast_to(x, (grid.n, grid.n)).astype(np.float64).copy()
-    Y = np.broadcast_to(y, (grid.n, grid.n)).astype(np.float64).copy()
-    S = np.zeros_like(X)
+    path = np.zeros((3, grid.n, grid.n))
+    path[0], path[1] = x, y
+
+    def tendency(w: np.ndarray, t: float, out: np.ndarray) -> None:
+        out[0], out[1] = vel.velocity(t, w[0], w[1])
+        out[2] = vel.divergence(t, w[0], w[1])
+
     h = -t_final / substeps
     t = t_final
     for _ in range(substeps):
-        k1x, k1y = vel.velocity(t, X, Y)
-        k1s = vel.divergence(t, X, Y)
-        k2x, k2y = vel.velocity(t + 0.5 * h, X + 0.5 * h * k1x, Y + 0.5 * h * k1y)
-        k2s = vel.divergence(t + 0.5 * h, X + 0.5 * h * k1x, Y + 0.5 * h * k1y)
-        k3x, k3y = vel.velocity(t + 0.5 * h, X + 0.5 * h * k2x, Y + 0.5 * h * k2y)
-        k3s = vel.divergence(t + 0.5 * h, X + 0.5 * h * k2x, Y + 0.5 * h * k2y)
-        k4x, k4y = vel.velocity(t + h, X + h * k3x, Y + h * k3y)
-        k4s = vel.divergence(t + h, X + h * k3x, Y + h * k3y)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Y = Y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        S = S + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+        path = spectral.rk4(tendency, path, t, h)
         t += h
     f0_samples = f0.values()
-    coords = np.stack([X / grid.spacing, Y / grid.spacing])
+    coords = path[:2] / grid.spacing
     feet = ndimage.map_coordinates(f0_samples, coords.reshape(2, -1), order=3,
                                    mode="grid-wrap").reshape(grid.n, grid.n)
-    return feet * np.exp(S)
+    return feet * np.exp(path[2])
 
 
 @dataclass(frozen=True)

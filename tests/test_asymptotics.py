@@ -189,13 +189,10 @@ class TestIncompressibleLimitCheck:
         assert not report.l2_decreasing
 
 
-def _energy_ledger(times, vc, het=None, div=1.0):
-    cols = ["vc_l2", "div_v_linf", "int_div_v_linf", "vc_b2_hetero",
-            "grad_sum", "int_grad_sum"]
-    led = RunLedger(cols)
+def _energy_ledger(times, vc, div=1.0):
+    led = RunLedger(["vc_l2", "div_v_linf", "int_div_v_linf"])
     for i, t in enumerate(times):
-        h = math.nan if het is None else het[i]
-        led.append(t, vc_l2=vc[i], div_v_linf=div, vc_b2_hetero=h, grad_sum=1.0)
+        led.append(t, vc_l2=vc[i], div_v_linf=div)
     return led
 
 
@@ -205,7 +202,6 @@ class TestEnergyGrowth:
         led = _energy_ledger(times, np.ones_like(times))
         report = check_energy_growth(led)
         assert report.l2_ok and report.c_l2 <= 1e-6
-        assert report.hetero_ok and math.isnan(report.c_hetero)
 
     def test_gronwall_rate_is_recovered(self):
         times = np.linspace(0.0, 2.0, 41)
@@ -220,15 +216,6 @@ class TestEnergyGrowth:
         led = _energy_ledger(times, np.exp(3.0 * times))
         report = check_energy_growth(led)
         assert not report.l2_ok
-
-    def test_weighted_column_is_checked_when_present(self):
-        times = np.linspace(0.0, 2.0, 21)
-        het = 2.0 * np.exp(0.6 * times)
-        led = _energy_ledger(times, np.ones_like(times), het=het)
-        report = check_energy_growth(led)
-        assert report.hetero_ok and math.isfinite(report.c_hetero)
-        pinned = check_energy_growth(led, c_hetero=0.01)
-        assert not pinned.hetero_ok
 
 
 def test_interpolation_ratio():

@@ -21,7 +21,6 @@ from machlab.experiments import (
     transport_catalog,
     transport_initial_density,
 )
-from machlab import littlewood_paley as lp
 from machlab.spectral import Grid
 
 
@@ -36,8 +35,8 @@ def test_gaussian_probe_is_unit_norm_mean_free_dealiased(grid64):
 
 
 def test_free_wave_normalized_reports_window_validity(grid64):
-    out = free_wave_normalized(grid64, (0.2, 0.1))
-    assert set(out) == {0.2, 0.1}
+    window, out = free_wave_normalized(grid64, (0.2, 0.1))
+    assert window > 0.0 and set(out) == {0.2, 0.1}
     for e, (val, normalized, ok) in out.items():
         assert val > 0.0 and normalized > 0.0
         assert ok  # the shared window sits inside every member's wraparound
@@ -79,10 +78,9 @@ def test_run_sweep_output_does_not_depend_on_thread_count(tmp_path):
     base = ExperimentConfig(experiment="acoustic-decay", n=32, eps=(0.2, 0.1, 0.05),
                             t_final=0.1, max_dt=0.05, profile="constant")
     grid = Grid(base.n, base.box_length)
-    profile = lp.named_profile("constant")
     states = initial_states(base, grid)
-    serial = run_sweep(with_overrides(base, threads=1), states, profile)
-    pooled = run_sweep(with_overrides(base, threads=3), states, profile)
+    serial = run_sweep(with_overrides(base, threads=1), states)
+    pooled = run_sweep(with_overrides(base, threads=3), states)
     for e in base.eps:
         a, b = serial[e][0], pooled[e][0]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -221,6 +221,16 @@ def test_scratch_is_per_thread_and_keeps_one_grid_size():
     assert spectral.scratch(32) is not buf
 
 
+def test_scratch_keeps_the_rk4_work_of_the_last_shape_only():
+    buf = spectral.Scratch(16)
+    modes, feet = np.zeros((3, 16, 9), complex), np.zeros((3, 16, 16))
+    first = buf.rk4_work(modes)
+    assert first.shape == (3,) + modes.shape and np.shares_memory(buf.rk4_work(modes), first)
+    assert buf.rk4_work(feet).shape == (3,) + feet.shape
+    again = buf.rk4_work(modes)
+    assert again.shape == first.shape and not np.shares_memory(again, first)
+
+
 def test_lp_norm_inf_is_pointwise_sup(grid64, rng):
     samples = rng.standard_normal((64, 64))
     f = spectral.fft_forward(grid64, samples)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from machlab import spectral, transport
-from machlab.experiments import transport_initial_density
+from machlab.experiments import transport_catalog, transport_initial_density
 
 
 BOX = 16.0 * math.pi
@@ -88,6 +88,45 @@ def test_oracle_is_exact_for_uniform_translation(grid64):
     ])
     out = transport.solve_transport_oracle(f0, vel, 0.5, substeps=8)
     assert np.max(np.abs(out - f0.values())) <= 1e-10
+
+
+def hand_written_oracle(f0, vel, t_final, substeps):
+    """Characteristics traced by a hand-written RK4 over the feet X, Y and
+    the divergence integral S; the oracle must reproduce it bit for bit."""
+    from scipy import ndimage
+
+    grid = f0.grid
+    x, y = grid.coordinates()
+    X = np.broadcast_to(x, (grid.n, grid.n)).astype(np.float64).copy()
+    Y = np.broadcast_to(y, (grid.n, grid.n)).astype(np.float64).copy()
+    S = np.zeros_like(X)
+    h = -t_final / substeps
+    t = t_final
+    for _ in range(substeps):
+        k1x, k1y = vel.velocity(t, X, Y)
+        k1s = vel.divergence(t, X, Y)
+        k2x, k2y = vel.velocity(t + 0.5 * h, X + 0.5 * h * k1x, Y + 0.5 * h * k1y)
+        k2s = vel.divergence(t + 0.5 * h, X + 0.5 * h * k1x, Y + 0.5 * h * k1y)
+        k3x, k3y = vel.velocity(t + 0.5 * h, X + 0.5 * h * k2x, Y + 0.5 * h * k2y)
+        k3s = vel.divergence(t + 0.5 * h, X + 0.5 * h * k2x, Y + 0.5 * h * k2y)
+        k4x, k4y = vel.velocity(t + h, X + h * k3x, Y + h * k3y)
+        k4s = vel.divergence(t + h, X + h * k3x, Y + h * k3y)
+        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        Y = Y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        S = S + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
+        t += h
+    coords = np.stack([X / grid.spacing, Y / grid.spacing])
+    feet = ndimage.map_coordinates(f0.values(), coords.reshape(2, -1), order=3,
+                                   mode="grid-wrap").reshape(grid.n, grid.n)
+    return feet * np.exp(S)
+
+
+def test_oracle_matches_the_hand_written_characteristic_rk4(grid32):
+    f0 = transport_initial_density(grid32, seed=3)
+    cal, holdouts = transport_catalog(BOX)
+    for vel in [cal] + holdouts:
+        got = transport.solve_transport_oracle(f0, vel, 0.5, substeps=12)
+        assert got.tobytes() == hand_written_oracle(f0, vel, 0.5, 12).tobytes(), vel.name
 
 
 def test_solver_rejects_bad_time():
