@@ -34,7 +34,6 @@ from .spectral import (
 from .littlewood_paley import (
     BesovProfile,
     besov_norm,
-    besov_norm_hetero,
     block_norms,
     build_partition,
     delta_q,
@@ -65,7 +64,7 @@ from .transport import (
     solve_transport_spectral,
     superpose,
 )
-from .asymptotics import LifespanModel, cutoff_n, lifespan_prediction, phi_of_eps
+from .asymptotics import LifespanModel, lifespan_prediction, phi_of_eps
 from .initial_data import make_initial_data
 from .ledger import RunLedger
 from .config import ConfigError, ExperimentConfig, parse_config, validate_config
@@ -76,18 +75,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcousticPair", "BesovProfile", "Blowup", "ComplexField", "ConfigError",
-    "ExperimentConfig", "FlowState", "Grid",
-    "LifespanModel", "RunLedger", "SpectralScalarField", "SpectralVectorField",
-    "StepperConfig", "SyntheticVelocity", "acoustic_to_state", "besov_norm",
-    "besov_norm_hetero", "block_norms", "build_partition", "compressible_mode",
-    "curl2d", "cutoff_n", "dealias", "delta_q", "div", "evaluate_log_estimate",
-    "fft_forward", "find_profile", "fit_log_constant", "free_propagate",
-    "from_function", "grad", "l2_norm", "leray_p", "leray_q",
-    "lifespan_prediction", "load_profile", "lp_norm", "make_acoustic",
-    "make_initial_data", "measure_strichartz", "named_profile", "parse_config",
-    "phi_of_eps", "read_snapshot", "run", "run_all", "run_experiment",
-    "run_incompressible", "shear_velocity", "solve_transport_oracle",
-    "solve_transport_spectral", "step", "strichartz_exponents", "superpose",
-    "validate_config", "validate_profile", "velocity_from_vorticity",
-    "wraparound_window", "write_snapshot",
+    "ExperimentConfig", "FlowState", "Grid", "LifespanModel", "RunLedger",
+    "SpectralScalarField", "SpectralVectorField", "StepperConfig", "SyntheticVelocity",
+    "acoustic_to_state", "besov_norm", "block_norms", "build_partition", "compressible_mode",
+    "curl2d", "dealias", "delta_q", "div", "evaluate_log_estimate", "fft_forward",
+    "find_profile", "fit_log_constant", "free_propagate", "from_function", "grad", "l2_norm",
+    "leray_p", "leray_q", "lifespan_prediction", "load_profile", "lp_norm", "make_acoustic",
+    "make_initial_data", "measure_strichartz", "named_profile", "parse_config", "phi_of_eps",
+    "read_snapshot", "run", "run_all", "run_experiment", "run_incompressible",
+    "shear_velocity", "solve_transport_oracle", "solve_transport_spectral", "step",
+    "strichartz_exponents", "superpose", "validate_config", "validate_profile",
+    "velocity_from_vorticity", "wraparound_window", "write_snapshot",
 ]

@@ -128,36 +128,32 @@ def strichartz_exponents(p: float) -> tuple[float, float]:
     return 4.0 + 8.0 / (p - 2.0), 0.25 - 0.5 / p
 
 
-def wraparound_window(grid_or_length, eps: float) -> float:
+def wraparound_window(box_length: float, eps: float) -> float:
     """Largest time for which torus wraparound has not yet polluted decay.
 
     Fast waves cross the box in time box_length * eps; measurements are
     trusted below 0.45 of that.
     """
-    length = grid_or_length.box_length if isinstance(grid_or_length, Grid) else float(grid_or_length)
-    return 0.45 * length * eps
+    return 0.45 * box_length * eps
 
 
-def measure_strichartz(initial: ComplexField, eps: float, t_final: float, p: float,
-                       num_times: int = 64) -> float:
+def measure_strichartz(initial: ComplexField, eps: float, t_final: float, p: float) -> float:
     """Mixed time-space norm of the free evolution, sampled at uniform times.
 
     Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
-    L^p norm over [0, t_final] with at least 64 samples. Callers should keep
+    L^p norm over [0, t_final] from 64 uniform sample times. Callers should keep
     t_final inside ``wraparound_window``; the measurement itself does not
     enforce it. Each sample time rotates, inverts and reduces in this
     thread's scratch, so the loop allocates no n-by-n array.
     """
-    if num_times < 64:
-        num_times = 64
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     r, _ = strichartz_exponents(p)
     g = initial.grid
     buf = spectral.scratch(g.n)
     trig, rotated, samples = buf.multipliers(2), buf.modes(3), buf.samples(2)
-    times = np.linspace(0.0, t_final, num_times)
-    vals = np.empty(num_times)
+    times = np.linspace(0.0, t_final, 64)
+    vals = np.empty(64)
     for i, t in enumerate(times):
         _rotate(initial, float(t), eps, trig, rotated[:2], rotated[2])
         re, im = spectral.to_samples(rotated[:2], out=samples)

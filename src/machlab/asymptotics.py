@@ -63,44 +63,28 @@ def phi_of_eps(model: LifespanModel, eps: float) -> float:
 
 @dataclass(frozen=True)
 class LifespanEstimate:
+    """Both clocks at one eps; 0.0 marks a clock that is undefined there."""
+
     eps: float
     t_psi: float
-    t_psi_defined: bool
     t_phi: float
-    t_phi_defined: bool
 
 
 def lifespan_prediction(model: LifespanModel, eps: float) -> LifespanEstimate:
     """Both closed-form lifespan estimates at one eps.
 
-    ``t_psi`` = (1/C0) log log Psi(log(1/eps)); undefined (returned as 0 with
-    flag) while Psi(log(1/eps)) <= e. ``t_phi`` solves
+    ``t_psi`` = (1/C0) log log Psi(log(1/eps)); undefined (returned as 0)
+    while Psi(log(1/eps)) <= e. ``t_phi`` solves
     exp(exp(C0 t)) = Phi(eps)**(-1/2), the same clock expressed through the
     smallness scale; both are reported so drift between them is visible.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     psi_val = model.profile.psi_at(math.log(1.0 / eps))
-    if psi_val > math.e:
-        t_psi = math.log(math.log(psi_val)) / model.c0
-        psi_ok = True
-    else:
-        t_psi, psi_ok = 0.0, False
+    t_psi = math.log(math.log(psi_val)) / model.c0 if psi_val > math.e else 0.0
     z = phi_of_eps(model, eps) ** (-0.5)
-    if z > math.e:
-        t_phi = math.log(math.log(z)) / model.c0
-        phi_ok = True
-    else:
-        t_phi, phi_ok = 0.0, False
-    return LifespanEstimate(eps=eps, t_psi=t_psi, t_psi_defined=psi_ok,
-                            t_phi=t_phi, t_phi_defined=phi_ok)
-
-
-def cutoff_n(eps: float) -> int:
-    """Frequency truncation index: ceil(log2(1/eps) / 8)."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return int(math.ceil(math.log2(1.0 / eps) / 8.0))
+    t_phi = math.log(math.log(z)) / model.c0 if z > math.e else 0.0
+    return LifespanEstimate(eps=eps, t_psi=t_psi, t_phi=t_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +235,7 @@ def check_energy_growth(ledger: RunLedger) -> EnergyReport:
         with np.errstate(over="ignore"):
             return bool(np.all(vc <= init * np.exp(c * div_budget) * (1.0 + 1e-12)))
 
-    c_l2 = smallest_passing(l2_holds, lo=1e-9, hi=1e3)
+    c_l2 = smallest_passing(l2_holds, hi=1e3)
     return EnergyReport(c_l2=float(c_l2), l2_ok=c_l2 <= 2.0)
 
 

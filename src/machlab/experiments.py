@@ -57,7 +57,7 @@ def build_profile(config: ExperimentConfig, states: dict[float, FlowState]) -> l
     family (joint velocity and sound speed components, worst case over eps)."""
     if config.profile != "from-data":
         return lp.named_profile(config.profile)
-    return lp.find_profile(list(states.values()), 2.0, 2.0, 1.0)
+    return lp.find_profile(list(states.values()), 2.0, 2.0)
 
 
 class SweepBlowup(RuntimeError):
@@ -158,13 +158,13 @@ def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
     values are comparable.
     """
     eps_list = sorted(eps_list, reverse=True)
-    window = 0.99 * acoustic.wraparound_window(grid, min(eps_list))
+    window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps_list))
     probe = gaussian_bump_complex(grid)
     _, decay = acoustic.strichartz_exponents(p)
     out = {}
     for e in eps_list:
         val = acoustic.measure_strichartz(probe, e, window, p)
-        ok = window < acoustic.wraparound_window(grid, e)
+        ok = window < acoustic.wraparound_window(grid.box_length, e)
         out[e] = (val, val / e**decay if decay > 0 else val, ok)
     return window, out
 
@@ -193,7 +193,7 @@ def limit_error_series(sweep, ref_snapshots, times):
             pv = spectral.leray_p(snaps[t].v)
             diff = spectral.sub(pv, incompressible.velocity_from_vorticity(ref_snapshots[t]))
             l2_vals.append(spectral.l2_norm(diff))
-            b2_vals.append(lp.besov_norm(diff, 2.0, 2.0, 1.0))
+            b2_vals.append(lp.besov_norm(diff, 2.0, 2.0))
         l2_series[e] = np.asarray(l2_vals)
         b2_series[e] = np.asarray(b2_vals)
         init_gap[e] = float(l2_vals[0])

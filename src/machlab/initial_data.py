@@ -57,10 +57,10 @@ def _scaled(f: SpectralScalarField, target_sup: float, measure) -> SpectralScala
     return spectral.scale(f, target_sup / cur)
 
 
-def _carrier_wavenumber(grid: Grid, target: float = 2.0) -> float:
-    """Nearest lattice wavenumber to ``target``, at least one lattice step."""
+def _carrier_wavenumber(grid: Grid) -> float:
+    """Nearest lattice wavenumber to 2, at least one lattice step."""
     step = 2.0 * math.pi / grid.box_length
-    return step * max(1, round(target / step))
+    return step * max(1, round(2.0 / step))
 
 
 def _vortex_parts(grid: Grid, rng: np.random.Generator):
@@ -92,8 +92,7 @@ def _vortex_parts(grid: Grid, rng: np.random.Generator):
     return omega, phi, c
 
 
-def _taylor_green(grid: Grid, amplitude: float, gamma_bar: float, eps: float,
-                  seed: int) -> FlowState:
+def _taylor_green(grid: Grid, amplitude: float, gamma_bar: float, eps: float) -> FlowState:
     L = grid.box_length
     kappa = 4.0 * math.pi / L  # two cells per side
     x, y = grid.coordinates()
@@ -159,7 +158,7 @@ def make_initial_data(name: str, grid: Grid, eps: float, amplitude: float = 1.0,
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     base, _, param = name.partition(":")
     if base == "taylor-green-ill":
-        return _taylor_green(grid, amplitude, gamma_bar, eps, seed)
+        return _taylor_green(grid, amplitude, gamma_bar, eps)
     if base == "vortex-pair-ill":
         return _vortex_pair(grid, amplitude, gamma_bar, eps, seed, acoustic_scale=1.0)
     if base == "well-prepared-contrast":

@@ -8,7 +8,7 @@ significant digits so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -72,18 +72,15 @@ class RunLedger:
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name])
 
-    def window_mixed_norm(self, name: str, r: float, t_max: Optional[float] = None) -> float:
-        """L^r-in-time norm of a column over [0, t_max] (full range if None)."""
+    def window_mixed_norm(self, name: str, r: float, t_max: float) -> float:
+        """L^r-in-time norm of a column over [0, t_max]."""
         t = self.time_array()
-        v = self.column(name)
-        if t_max is not None:
-            keep = t <= t_max + 1e-12
-            if keep.sum() < 2:
-                raise ValueError(f"window [0, {t_max}] holds fewer than two samples")
-            t, v = t[keep], v[keep]
-        return mixed_time_norm(t, v, r)
+        keep = t <= t_max + 1e-12
+        if keep.sum() < 2:
+            raise ValueError(f"window [0, {t_max}] holds fewer than two samples")
+        return mixed_time_norm(t[keep], self.column(name)[keep], r)
 
-    def window_l1(self, name: str, t_max: Optional[float] = None) -> float:
+    def window_l1(self, name: str, t_max: float) -> float:
         return self.window_mixed_norm(name, 1.0, t_max)
 
     def to_csv(self, path) -> None:

@@ -7,10 +7,12 @@ ring functions phi_q(xi) = chi(xi / 2**(q+1)) - chi(xi / 2**q) supported in
 wavenumber units, so block q isolates |k| near 2**q and first derivatives of
 a block scale like 2**q with grid-independent constants.
 
-Weighted ("heterogeneous") Besov norms insert a slowly varying positive
-weight Psi(q) in front of 2**(q s) ||Delta_q u||_p. Admissible weights are
-nondecreasing with a bounded step ratio; the weight Psi(q) = 2**(alpha q)
-reproduces the plain norm at regularity s + alpha exactly.
+Every Besov space here has third index 1, so a norm is the plain sum over
+blocks. Weighted ("heterogeneous") norms, ``besov_norm(f, s, p, profile=)``,
+insert a slowly varying positive weight Psi(q) in front of
+2**(q s) ||Delta_q u||_p. Admissible weights are nondecreasing with a bounded
+step ratio; the weight Psi(q) = 2**(alpha q) reproduces the plain norm at
+regularity s + alpha exactly.
 """
 
 from __future__ import annotations
@@ -132,35 +134,24 @@ def block_norms(f, p: float) -> np.ndarray:
     return spectral.plane_norms(blocks, p, grid.cell_area)
 
 
-def _ell_r(values: np.ndarray, r: float) -> float:
-    if math.isinf(r):
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**r) ** (1.0 / r))
-
-
-def besov_sum(norms: np.ndarray, s: float, r: float = 1.0,
-              profile: Optional["BesovProfile"] = None) -> float:
-    """The l^r norm over blocks of Psi(q) 2**(q s) norms[q], with norms[0] at
+def besov_sum(norms: np.ndarray, s: float, profile: Optional["BesovProfile"] = None) -> float:
+    """The sum over blocks of Psi(q) 2**(q s) norms[q], with norms[0] at
     q = -1; Psi is 1 without a profile."""
     q = np.arange(-1, len(norms) - 1)
     weights = 2.0 ** (q.astype(np.float64) * s)
     if profile is not None:
         weights = np.array([profile.psi(int(k)) for k in q]) * weights
-    return _ell_r(weights * norms, r)
+    return float(np.sum(weights * norms))
 
 
-def besov_norm(f, s: float, p: float, r: float = 1.0) -> float:
-    """Besov norm: the l^r norm over blocks of 2**(q s) ||Delta_q f||_p."""
-    return besov_sum(block_norms(f, p), s, r)
+def besov_norm(f, s: float, p: float, profile: Optional["BesovProfile"] = None) -> float:
+    """Besov norm B^s_{p,1}: the sum over blocks of Psi(q) 2**(q s) ||Delta_q f||_p.
 
-
-def besov_norm_hetero(f, s: float, p: float, r: float, profile: "BesovProfile") -> float:
-    """Weighted Besov norm with a slowly varying weight Psi(q).
-
-    With Psi identically 1 this is the plain norm; with Psi(q) = 2**(alpha q)
-    it equals the plain norm at regularity s + alpha exactly, block by block.
+    Without a profile Psi is 1 and this is the plain norm; with
+    Psi(q) = 2**(alpha q) it equals the plain norm at regularity s + alpha
+    exactly, block by block.
     """
-    return besov_sum(block_norms(f, p), s, r, profile)
+    return besov_sum(block_norms(f, p), s, profile)
 
 
 @dataclass(frozen=True)
@@ -173,14 +164,12 @@ class BesovProfile:
 
     ``growth_exponent`` is the smallest alpha with
     Psi(q) <= Psi(-1) * exp(alpha * (q + 1)) over the table, so a pure
-    geometric weight C**q reports alpha = ln C. ``diverges`` is the
-    operational unbounded-growth proxy Psi(q_hi) > 10 * Psi(-1).
+    geometric weight C**q reports alpha = ln C.
     """
 
     values: np.ndarray
     ratio_bound: float
     growth_exponent: float
-    diverges: bool
     extension: Optional[Callable[[float], float]] = None
     name: str = "tabulated"
 
@@ -242,19 +231,22 @@ def validate_profile(values: Sequence[float], extension: Optional[Callable[[floa
         alphas = np.log(arr / base) / (qs + 1.0)
     alphas = alphas[1:]  # (q + 1) = 0 at q = -1
     growth = float(np.max(alphas)) if alphas.size else 0.0
-    diverges = bool(arr[-1] > 10.0 * arr[0])
     return BesovProfile(values=arr, ratio_bound=ratio_bound, growth_exponent=max(growth, 0.0),
-                        diverges=diverges, extension=extension, name=name)
+                        extension=extension, name=name)
 
 
-def named_profile(spec: str, q_hi: int = 48) -> BesovProfile:
+# Blocks tabulated by ``named_profile``; evaluation beyond them uses the closed form.
+_NAMED_Q_HI = 48
+
+
+def named_profile(spec: str) -> BesovProfile:
     """Construct a weight from a compact textual spec.
 
     ``constant``       Psi = 1
     ``power:a``        Psi(q) = (q + 2)**a
     ``exp:a``          Psi(q) = exp(a q)
     """
-    qs = np.arange(-1, q_hi + 1, dtype=np.float64)
+    qs = np.arange(-1, _NAMED_Q_HI + 1, dtype=np.float64)
     if spec == "constant":
         return validate_profile(np.ones_like(qs), extension=lambda x: 1.0, name=spec)
     kind, _, arg = spec.partition(":")
@@ -285,7 +277,7 @@ def load_profile(path) -> BesovProfile:
     return validate_profile(values)
 
 
-def find_profile(f, s: float, p: float, r: float = 1.0) -> BesovProfile:
+def find_profile(f, s: float, p: float) -> BesovProfile:
     """Fit a slowly varying weight to the block tails of a field (or family).
 
     With a_q = 2**(q s) ||Delta_q f||_p and tails t(q) = sum_{j >= q} a_j
@@ -297,14 +289,7 @@ def find_profile(f, s: float, p: float, r: float = 1.0) -> BesovProfile:
     weight and the remaining summability, and the factor-2 step cap keeps the
     weight slowly varying, so sum_q Psi(q) a_q <= 2 * sum_q a_q.
     """
-    if hasattr(f, "modes"):  # one field or flow state
-        members = [f]
-    else:
-        seq = list(f)
-        if seq and all(isinstance(m, SpectralScalarField) for m in seq):
-            members = [seq]  # joint components of one field, not a family
-        else:
-            members = seq
+    members = [f] if hasattr(f, "modes") else list(f)  # one field or a family
     if not members:
         raise ValueError("need at least one field")
     grid = spectral.gather(members[0])[0]

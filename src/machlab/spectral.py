@@ -444,18 +444,18 @@ def _trig_point(f: "SpectralScalarField", x: float, y: float):
     return val, g, h
 
 
-def refined_extrema(f: "SpectralScalarField", upsample: int = 4,
-                    newton_steps: int = 4) -> tuple[float, float]:
+def refined_extrema(f: "SpectralScalarField") -> tuple[float, float]:
     """(min, max) of the trigonometric interpolant, not of the grid samples.
 
     The grid sup of a band-limited field understates the true extremum by
     O((spacing / feature width)^2) whenever the peak sits between points,
     which swamps a 1e-6 max-principle tolerance; upsampled seeds plus a
-    Newton polish on the spectral series remove that sampling error.
+    Newton polish on the spectral series remove that sampling error. Seeds
+    come from the grid 4 times finer, and each gets up to 4 Newton steps.
     """
     grid = f.grid
     n = grid.n
-    m = upsample * n
+    m = 4 * n
     big = np.zeros((m, m // 2 + 1), dtype=np.complex128)
     ix = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     big[ix, : n // 2 + 1] = f.modes
@@ -467,7 +467,7 @@ def refined_extrema(f: "SpectralScalarField", upsample: int = 4,
         jx, jy = np.unravel_index(pick(fine), fine.shape)
         x, y = jx * h_fine, jy * h_fine
         val, g, hess = _trig_point(f, x, y)
-        for _ in range(newton_steps):
+        for _ in range(4):
             hxx, hxy, hyy = hess
             det = hxx * hyy - hxy * hxy
             if abs(det) < 1e-30:

@@ -36,9 +36,7 @@ class SyntheticVelocity:
 
     ``velocity(t, x, y)`` returns (vx, vy); ``jacobian`` returns the four
     entries (dx_vx, dy_vx, dx_vy, dy_vy); all callables broadcast over
-    coordinate arrays. ``speed_bound`` dominates |v| for CFL purposes and
-    ``periodic`` marks whether the fields respect the box; the spectral
-    solver refuses a velocity that does not.
+    coordinate arrays. ``speed_bound`` dominates |v| for CFL purposes.
     """
 
     name: str
@@ -46,7 +44,6 @@ class SyntheticVelocity:
     jacobian: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
     divergence: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     speed_bound: float
-    periodic: bool = True
 
 
 def shear_velocity(amplitude: float, m: int, omega: float,
@@ -70,7 +67,7 @@ def shear_velocity(amplitude: float, m: int, omega: float,
     return SyntheticVelocity(
         name=f"shear(A={amplitude},m={m},w={omega})",
         velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=abs(amplitude), periodic=True,
+        speed_bound=abs(amplitude),
     )
 
 
@@ -102,7 +99,7 @@ def compressible_mode(amplitude: float, m: tuple[int, int], omega: float,
     return SyntheticVelocity(
         name=f"mode(A={amplitude},m={m},w={omega})",
         velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=abs(amplitude), periodic=True,
+        speed_bound=abs(amplitude),
     )
 
 
@@ -137,7 +134,6 @@ def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
         name="superpose(" + "+".join(m.name for m in members) + ")",
         velocity=vel, jacobian=jac, divergence=dvg,
         speed_bound=sum(m.speed_bound for m in members),
-        periodic=all(m.periodic for m in members),
     )
 
 
@@ -169,7 +165,7 @@ def transport_monitor_row(f: SpectralScalarField, vel: SyntheticVelocity, t: flo
         "div_v_linf": float(np.max(np.abs(div_samples))),
         "div_v_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 1], math.inf, area), 0.0),
         "div_v_b12": lp.besov_sum(spectral.plane_norms(blocks[:, 1], 4.0, area), 0.5),
-        "div_v_b1": lp.besov_norm(SpectralScalarField(grid, div_modes), 1.0, 2.0, 1.0),
+        "div_v_b1": lp.besov_norm(SpectralScalarField(grid, div_modes), 1.0, 2.0),
     }
 
 
@@ -182,8 +178,6 @@ def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_
     (total mass) is conserved to rounding because the tendency is an exact
     divergence of a resolvable product.
     """
-    if not vel.periodic:
-        raise ValueError("spectral transport needs a periodic velocity")
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     grid = f0.grid
@@ -278,8 +272,7 @@ def evaluate_log_estimate(ledger: RunLedger, c: float) -> LogEstimateReport:
     )
 
 
-def fit_log_constant(ledger: RunLedger, headroom: float = 2.0) -> float:
+def fit_log_constant(ledger: RunLedger) -> float:
     """Smallest constant making the growth bound hold on a calibration run,
-    multiplied by ``headroom`` before being applied to holdout runs."""
-    c_min = smallest_passing(lambda c: evaluate_log_estimate(ledger, c).passed)
-    return headroom * c_min
+    doubled for headroom before being applied to holdout runs."""
+    return 2.0 * smallest_passing(lambda c: evaluate_log_estimate(ledger, c).passed)

@@ -11,7 +11,6 @@ from machlab.asymptotics import (
     check_acoustic_decay,
     check_energy_growth,
     check_incompressible_limit,
-    cutoff_n,
     interpolation_ratio,
     lifespan_prediction,
     phi_of_eps,
@@ -26,7 +25,7 @@ class TestFitting:
         assert 3.7 <= c <= 3.7 * (1.0 + 1e-5)
 
     def test_smallest_passing_returns_lo_when_it_already_passes(self):
-        assert smallest_passing(lambda c: True, lo=0.25) == 0.25
+        assert smallest_passing(lambda c: True) == 1e-9
 
     def test_smallest_passing_raises_when_even_hi_fails(self):
         with pytest.raises(ValueError):
@@ -86,10 +85,9 @@ class TestLifespan:
     def test_exp_profile_lifespan_closed_form(self):
         model = LifespanModel(lp.named_profile("exp:1"), c0=2.5)
         est = lifespan_prediction(model, 0.01)
-        assert est.t_psi_defined
         assert est.t_psi == pytest.approx(math.log(math.log(100.0)) / 2.5, rel=1e-12)
         # Phi(0.01)^{-1/2} = 100^{1/16} < e, so the Phi-clock is still mute
-        assert not est.t_phi_defined and est.t_phi == 0.0
+        assert est.t_phi == 0.0
 
     def test_lifespan_grows_as_eps_shrinks(self):
         model = LifespanModel(lp.named_profile("power:2"), c0=1.0)
@@ -99,24 +97,15 @@ class TestLifespan:
     def test_undefined_below_single_log_threshold(self):
         model = LifespanModel(lp.named_profile("exp:1"))
         est = lifespan_prediction(model, 0.5)  # Psi(log 2) = 2 < e
-        assert not est.t_psi_defined and est.t_psi == 0.0
+        assert est.t_psi == 0.0
 
     def test_phi_clock_kicks_in_for_tiny_eps(self):
         model = LifespanModel(lp.named_profile("exp:1"), c0=1.0)
         eps = math.exp(-32.0)
         est = lifespan_prediction(model, eps)
-        assert est.t_phi_defined
         # exp(exp(t)) = Phi^{-1/2} = exp(32/16) => t = log 2
         assert est.t_phi == pytest.approx(math.log(2.0), rel=1e-12)
         assert est.t_psi == pytest.approx(math.log(32.0), rel=1e-12)
-
-    def test_cutoff_index(self):
-        assert cutoff_n(1.0) == 0
-        assert cutoff_n(0.5) == 1
-        assert cutoff_n(2.0 ** -8) == 1
-        assert cutoff_n(2.0 ** -9) == 2
-        with pytest.raises(ValueError):
-            cutoff_n(0.0)
 
 
 def _acoustic_ledger(level: float, times) -> RunLedger:

@@ -197,7 +197,8 @@ def test_steps_are_bit_identical_across_grids_and_threads(grid64, grid32):
     other = [small_state(grid32, amplitude=2.0)]
 
     def step_other():
-        other[0] = compressible.step(other[0], StepperConfig())
+        cfg = StepperConfig()
+        other[0] = compressible.step(other[0], cfg, compressible.cfl_dt(other[0], cfg))
         compressible.monitor_row(other[0])
 
     assert run_steps(start, 4, step_other) == alone
@@ -225,14 +226,14 @@ def test_steps_are_bit_identical_across_grids_and_threads(grid64, grid32):
 def test_returned_states_do_not_alias_the_scratch(grid64):
     cfg = StepperConfig()
     s0 = small_state(grid64, amplitude=2.0)
-    s1 = compressible.step(s0, cfg)
+    s1 = compressible.step(s0, cfg, compressible.cfl_dt(s0, cfg))
     k = compressible.rhs_nonlinear(s1)
     final, _, snaps = compressible.run(s1, 0.05, cfg, snapshot_times=[0.02])
     returned = [s0.modes, s1.modes, k, final.modes] + [s.modes for s in snaps.values()]
     kept = [a.copy() for a in returned]
     state = s1
     for _ in range(3):
-        state = compressible.step(state, cfg)
+        state = compressible.step(state, cfg, compressible.cfl_dt(state, cfg))
         compressible.monitor_row(state)
         compressible.rhs_nonlinear(state)
         compressible.cfl_dt(state, cfg)

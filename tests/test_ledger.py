@@ -67,7 +67,7 @@ def test_window_norms_closed_forms():
     led = RunLedger(["f"])
     for t in np.linspace(0.0, 2.0, 21):
         led.append(t, f=3.0)
-    assert led.window_l1("f") == pytest.approx(6.0, rel=1e-12)
+    assert led.window_l1("f", 2.0) == pytest.approx(6.0, rel=1e-12)
     assert led.window_l1("f", 1.0) == pytest.approx(3.0, rel=1e-12)
     assert led.window_mixed_norm("f", 4.0, 1.0) == pytest.approx(3.0, rel=1e-12)
     assert led.window_mixed_norm("f", math.inf, 0.5) == 3.0
