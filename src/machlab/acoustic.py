@@ -13,9 +13,11 @@ mode. Real and imaginary parts are taken pointwise in physical space, so a
 complex field is the pair of real fields (re, im), each carried as its half
 spectrum like every real field; the propagator acts on the pair as the
 rotation re' = cos(theta) re + sin(theta) im, im' = cos(theta) im -
-sin(theta) re with theta = t |k| / eps on the half table. No full spectrum
-is ever formed, and ``spectral.lp_norm``/``l2_norm`` measure the pointwise
-modulus of a complex field like that of a two-component real field.
+sin(theta) re with theta = t |k| / eps on the half table, its cos and sin
+evaluated once per distinct |k| and gathered onto the table
+(``spectral.kmag_cos_sin``). No full spectrum is ever formed, and
+``spectral.lp_norm``/``l2_norm`` measure the pointwise modulus of a complex
+field like that of a two-component real field.
 """
 
 from __future__ import annotations
@@ -92,13 +94,11 @@ def _rotate(f: ComplexField, t: float, eps: float, trig: np.ndarray, out: np.nda
             tmp: np.ndarray) -> np.ndarray:
     """Write the modes of f after a time t of free evolution into ``out``
     (2, n, n/2 + 1); ``trig`` (2, n, n/2 + 1) real and ``tmp`` (n, n/2 + 1)
-    are work space."""
+    are work space. The cos and sin of theta = t |k| / eps are evaluated once
+    per distinct |k| by ``spectral.kmag_cos_sin``."""
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    cos_t, sin_t = trig
-    np.multiply(f.grid.kmag, t / eps, out=cos_t)
-    np.sin(cos_t, out=sin_t)
-    np.cos(cos_t, out=cos_t)
+    cos_t, sin_t = spectral.kmag_cos_sin(f.grid, t / eps, out=trig)
     re, im = f.modes
     np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
     np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])

@@ -6,7 +6,9 @@ Exit codes: 0 all summary assertions passed, 1 at least one failed,
 2 configuration problem, 3 runtime failure. A blowup outside the
 lifespan-table experiment (where blowup is data) is a runtime failure; it
 first writes config.resolved, the partial ledgers, and a summary whose FAIL
-line names the time, the step, and the column that tripped.
+line names the time, the step, and the column that tripped. A step that
+cannot advance time is a runtime failure too, reported on one stderr line
+that names the time and the step.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional, Sequence
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, with_overrides
 from .experiments import SweepBlowup, run_experiment
+from .spectral import StalledStep
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -80,6 +83,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         passed, lines = run_experiment(cfg)
     except SweepBlowup as exc:
         print(f"machlab: {exc}; partial artifacts in {cfg.out}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except StalledStep as exc:
+        print(f"machlab: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:
         traceback.print_exc()

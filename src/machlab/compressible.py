@@ -109,9 +109,10 @@ def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndar
 
 
 def _rotation(grid: spectral.Grid, dt: float, eps: float) -> tuple[np.ndarray, ...]:
-    """cos(theta), sin(theta) with theta = |k| dt / eps, and the unit wavevector."""
-    theta = grid.kmag * (dt / eps)
-    return np.cos(theta), np.sin(theta), grid.kvec * grid.inv_kmag
+    """cos(theta), sin(theta) with theta = |k| dt / eps, each evaluated once per
+    distinct |k| (``spectral.kmag_cos_sin``), and the unit wavevector."""
+    cos_t, sin_t = spectral.kmag_cos_sin(grid, dt / eps)
+    return cos_t, sin_t, grid.khat
 
 
 def acoustic_exact_step(state: FlowState, dt: float, rotation=None) -> FlowState:

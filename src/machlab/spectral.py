@@ -109,8 +109,12 @@ class Grid:
         Physical side length of the periodic box.
 
     ``kx`` (n, 1) and ``ky`` (1, n/2 + 1) broadcast to the half-spectrum
-    shape, ``kvec`` stacks them to (2, n, n/2 + 1), and ``parseval_weight``
-    is the column weight row of the half-spectrum sums.
+    shape, ``kvec`` stacks them to (2, n, n/2 + 1), ``khat`` is the unit
+    wavevector ``kvec * inv_kmag`` (zero at k = 0), and ``parseval_weight``
+    is the column weight row of the half-spectrum sums. ``kmag_levels`` holds
+    the sorted distinct values of ``kmag`` and the intp table ``kmag_index``
+    places them, ``kmag_levels[kmag_index] == kmag`` exactly, so a function
+    of |k| is evaluated once per distinct value (``kmag_cos_sin``).
 
     The 2/3-rule dealiasing cutoff is radial:
     ``kmax_dealias = (2/3) * (n/2) * (2*pi/box_length)``. Because n is a
@@ -141,9 +145,14 @@ class Grid:
         inv_kmag[nz] = 1.0 / kmag[nz]
         weight = np.full(n // 2 + 1, 2.0)
         weight[0] = weight[-1] = 1.0
+        kvec = np.stack(np.broadcast_arrays(kx, ky))
+        # sort, mask and searchsorted: np.unique(return_inverse=True) keeps more memory
+        flat = np.sort(kmag, axis=None)
+        levels = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
         tables = {
-            "kx": kx, "ky": ky, "kvec": np.stack(np.broadcast_arrays(kx, ky)),
+            "kx": kx, "ky": ky, "kvec": kvec, "khat": kvec * inv_kmag,
             "k2": k2, "kmag": kmag, "inv_k2": inv_k2, "inv_kmag": inv_kmag,
+            "kmag_levels": levels, "kmag_index": np.searchsorted(levels, kmag),
             "kmax_dealias": kmax, "dealias_mask": kmag <= kmax, "parseval_weight": weight,
         }
         for name, value in tables.items():
@@ -165,6 +174,24 @@ class Grid:
         """Nodes as broadcastable (n,1) and (1,n) arrays; samples[i,j] = u(x_i, y_j)."""
         x = np.arange(self.n) * self.spacing
         return x[:, None], x[None, :]
+
+
+def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The (2, n, n/2 + 1) stack (cos, sin) of theta = |k| * scale on the half
+    table, written into ``out`` when it is given.
+
+    Many modes share one |k|, so the cos and sin are evaluated once per
+    distinct |k| (``grid.kmag_levels``) and gathered by ``grid.kmag_index``;
+    each theta is the same float product as ``grid.kmag * scale``, so the
+    result equals ``np.cos``/``np.sin`` of that table bit for bit.
+    """
+    if out is None:
+        out = np.empty((2,) + grid.modes_shape)
+    theta = grid.kmag_levels * scale
+    # the index is in range by construction; mode="clip" spares np.take a copy of out
+    np.take(np.cos(theta), grid.kmag_index, out=out[0], mode="clip")
+    np.take(np.sin(theta), grid.kmag_index, out=out[1], mode="clip")
+    return out
 
 
 def _check_shape(grid: Grid, modes: np.ndarray, lead: tuple[int, ...]) -> None:

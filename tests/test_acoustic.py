@@ -134,3 +134,35 @@ def test_measure_strichartz_matches_the_full_spectrum_evolution(grid64, p):
         got = acoustic.measure_strichartz(f, eps, window, p)
         expect = full_spectrum_strichartz(grid64, z, eps, window, p)
         assert abs(got - expect) <= 1e-12 * expect
+
+
+def full_table_rotate(f, t, eps, trig, out, tmp):
+    """The rotation with cos and sin evaluated over the whole half table of
+    theta = t |k| / eps; the once-per-|k| rotation must reproduce it bit for bit."""
+    cos_t, sin_t = trig
+    np.multiply(f.grid.kmag, t / eps, out=cos_t)
+    np.sin(cos_t, out=sin_t)
+    np.cos(cos_t, out=cos_t)
+    re, im = f.modes
+    np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
+    np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])
+    return out
+
+
+def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
+    pair = acoustic.make_acoustic(state64)
+    for f in (pair.gamma_x, pair.upsilon):
+        for t in (0.37, -1.48):
+            want = full_table_rotate(f, t, state64.eps, np.empty(f.modes.shape, float),
+                                     np.empty_like(f.modes), np.empty_like(f.modes[0]))
+            assert acoustic.free_propagate(f, t, state64.eps).modes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64, monkeypatch, p):
+    f = acoustic.make_acoustic(state64).upsilon
+    window = acoustic.wraparound_window(state64.grid.box_length, state64.eps)
+    got = acoustic.measure_strichartz(f, state64.eps, window, p)
+    monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)
+    want = acoustic.measure_strichartz(f, state64.eps, window, p)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

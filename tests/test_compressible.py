@@ -40,6 +40,25 @@ def test_acoustic_exact_step_conserves_mode_energy(grid64):
     assert np.max(np.abs(e1 - e0)) <= 1e-13 * np.max(e0)
 
 
+def full_table_rotation(grid, dt, eps):
+    """cos, sin of theta = |k| dt / eps over the whole half table and the unit
+    wavevector; the once-per-|k| rotation must reproduce them bit for bit."""
+    theta = grid.kmag * (dt / eps)
+    return np.cos(theta), np.sin(theta), grid.kvec * grid.inv_kmag
+
+
+def test_acoustic_step_matches_the_full_table_rotation_bit_for_bit(grid64, monkeypatch):
+    state = small_state(grid64)
+    for dt in (0.043, 0.19):
+        got = compressible.acoustic_exact_step(state, dt)
+        want = compressible.acoustic_exact_step(state, dt, full_table_rotation(grid64, dt, state.eps))
+        assert got.modes.tobytes() == want.modes.tobytes(), dt
+    cfg = StepperConfig()
+    got = compressible.step(state, cfg, 0.05)
+    monkeypatch.setattr(compressible, "_rotation", full_table_rotation)
+    assert got.modes.tobytes() == compressible.step(state, cfg, 0.05).modes.tobytes()
+
+
 def test_acoustic_exact_step_leaves_solenoidal_part_alone(grid64):
     state = small_state(grid64)
     out = compressible.acoustic_exact_step(state, 0.19)

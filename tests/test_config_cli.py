@@ -18,6 +18,7 @@ from machlab.config import (
     with_overrides,
 )
 from machlab.ledger import RunLedger
+from machlab.spectral import StalledStep
 
 GOOD = """\
 # demo sweep
@@ -237,6 +238,16 @@ class TestCli:
         assert len(ledger) == step + 1
         assert ledger.column("grad_v_linf")[-1] > 1e4
         assert ledger.time_array()[-1] == pytest.approx(2.04787, rel=1e-5)
+
+    def test_stalled_step_exits_three_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def stalled(cfg):
+            raise StalledStep(0.25, 7, 0.0)
+
+        monkeypatch.setattr(cli, "run_experiment", stalled)
+        cfg = _write_cfg(tmp_path, "n = 32\n")
+        assert cli.main(["selftest", "--config", cfg]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "machlab: step 7 does not advance time from t=0.25 (dt=0.0)\n"
 
     def test_threads_fall_back_to_the_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MACHLAB_THREADS", "not-a-number")

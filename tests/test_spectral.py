@@ -129,6 +129,25 @@ def test_transforms_write_into_out_bit_for_bit(rng):
     assert modes.tobytes() == np.fft.rfft2(want, norm="forward").tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 64, 256, 512])
+def test_kmag_cos_sin_equals_the_full_table_trig_bit_for_bit(n):
+    grid = Grid(n)
+    for s in (0.0, 4e-3, -14.8, 22.0):  # negative: free propagation backwards in time
+        cos_t, sin_t = spectral.kmag_cos_sin(grid, s)
+        assert cos_t.tobytes() == np.cos(grid.kmag * s).tobytes(), s
+        assert sin_t.tobytes() == np.sin(grid.kmag * s).tobytes(), s
+    out = np.empty((2,) + grid.modes_shape)
+    assert spectral.kmag_cos_sin(grid, 22.0, out=out) is out
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_kmag_levels_are_the_distinct_kmag_values(n):
+    grid = Grid(n)
+    assert np.all(np.diff(grid.kmag_levels) > 0.0)
+    assert grid.kmag_index.dtype == np.intp and grid.kmag_index.shape == grid.modes_shape
+    assert grid.kmag_levels[grid.kmag_index].tobytes() == grid.kmag.tobytes()
+
+
 def test_rk4_matches_the_textbook_formula_bit_for_bit(rng):
     u = rng.standard_normal((3, 32, 17)) + 1j * rng.standard_normal((3, 32, 17))
 
