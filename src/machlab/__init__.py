@@ -14,10 +14,9 @@ Three layers:
 """
 
 from .spectral import (
+    Field,
     FlowState,
     Grid,
-    SpectralScalarField,
-    SpectralVectorField,
     curl2d,
     dealias,
     div,
@@ -43,8 +42,6 @@ from .littlewood_paley import (
     validate_profile,
 )
 from .acoustic import (
-    AcousticPair,
-    ComplexField,
     acoustic_to_state,
     free_propagate,
     make_acoustic,
@@ -74,9 +71,8 @@ from .acceptance import run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticPair", "BesovProfile", "Blowup", "ComplexField", "ConfigError",
-    "ExperimentConfig", "FlowState", "Grid", "LifespanModel", "RunLedger",
-    "SpectralScalarField", "SpectralVectorField", "StepperConfig", "SyntheticVelocity",
+    "BesovProfile", "Blowup", "ConfigError", "ExperimentConfig", "Field", "FlowState",
+    "Grid", "LifespanModel", "RunLedger", "StepperConfig", "SyntheticVelocity",
     "acoustic_to_state", "besov_norm", "block_norms", "build_partition", "compressible_mode",
     "curl2d", "dealias", "delta_q", "div", "evaluate_log_estimate", "fft_forward",
     "find_profile", "fit_log_constant", "free_propagate", "from_function", "grad", "l2_norm",

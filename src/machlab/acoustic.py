@@ -10,59 +10,37 @@ fluctuation:
 Both satisfy (d/dt + (i/eps)|D|) psi = source, so the source-free evolution
 multiplies each Fourier mode by exp(-i t |k| / eps), a unitary map mode by
 mode. Real and imaginary parts are taken pointwise in physical space, so a
-complex field is the pair of real fields (re, im), each carried as its half
-spectrum like every real field; the propagator acts on the pair as the
-rotation re' = cos(theta) re + sin(theta) im, im' = cos(theta) im -
-sin(theta) re with theta = t |k| / eps on the half table, its cos and sin
-evaluated once per distinct |k| and gathered onto the table
-(``spectral.kmag_cos_sin``). No full spectrum is ever formed, and
-``spectral.lp_norm``/``l2_norm`` measure the pointwise modulus of a complex
-field like that of a two-component real field.
+complex field is a ``spectral.Field`` whose axis -3 is the pair of real
+fields (re, im), each carried as its half spectrum like every real field:
+``make_acoustic`` returns the (3, 2, n, n/2 + 1) stack (Gamma_x, Gamma_y,
+Upsilon) x (re, im). The propagator rotates every pair of a stack at once,
+re' = cos(theta) re + sin(theta) im, im' = cos(theta) im - sin(theta) re
+with theta = t |k| / eps on the half table, its cos and sin evaluated once
+per distinct |k| and gathered onto the table (``spectral.kmag_cos_sin``).
+No full spectrum is ever formed, and ``spectral.lp_norm``/``l2_norm``
+measure the pointwise modulus of a complex field like that of a
+two-component real field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .spectral import FlowState, Grid, SpectralVectorField
+from .spectral import Field, FlowState
 
 
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex scalar field as the (2, n, n/2 + 1) stack of the half spectra of
-    its pointwise real part (plane 0) and imaginary part (plane 1)."""
-
-    grid: Grid
-    modes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.modes.shape != (2,) + self.grid.modes_shape:
-            raise ValueError("mode array shape does not match grid")
-
-
-@dataclass(frozen=True)
-class AcousticPair:
-    """The two filtered quantities of one flow state."""
-
-    gamma_x: ComplexField
-    gamma_y: ComplexField
-    upsilon: ComplexField
-    eps: float
-
-
-def make_acoustic(state: FlowState) -> AcousticPair:
-    """Build Gamma and Upsilon from a flow state.
+def make_acoustic(state: FlowState) -> Field:
+    """Build Gamma and Upsilon from a flow state, as the (3, 2, n, n/2 + 1)
+    stack (Gamma_x, Gamma_y, Upsilon) x (re, im).
 
     The 1/|D| factors use the mean-free gauge: the spatial means of c and of
     the velocity potential are projected away here, deliberately and
     silently, since the zero mode carries no acoustic content. Every
-    ingredient is a real field, so each complex field is the stack of its
-    real and imaginary parts: Gamma = (Qv, -grad |D|^-1 c) per component and
-    Upsilon = (|D|^-1 div v, c).
+    ingredient is a real field: Gamma = (Qv, -grad |D|^-1 c) per component
+    and Upsilon = (|D|^-1 div v, c).
     """
     g = state.grid
     c = state.modes[2].copy()
@@ -71,45 +49,47 @@ def make_acoustic(state: FlowState) -> AcousticPair:
     phi = -g.inv_k2 * div_modes  # velocity potential, mean-free
     q = 1j * g.kvec * phi
     grad_c = 1j * g.kvec * g.inv_kmag * c  # grad |D|^-1 c in mode space: (i k / |k|) c
-    return AcousticPair(gamma_x=ComplexField(g, np.stack([q[0], -grad_c[0]])),
-                        gamma_y=ComplexField(g, np.stack([q[1], -grad_c[1]])),
-                        upsilon=ComplexField(g, np.stack([g.inv_kmag * div_modes, c])),
-                        eps=state.eps)
+    re = np.concatenate([q, [g.inv_kmag * div_modes]])
+    im = np.concatenate([-grad_c, [c]])
+    return Field(g, np.stack([re, im], axis=1))
 
 
-def acoustic_to_state(pair: AcousticPair, solenoidal: SpectralVectorField,
+def acoustic_to_state(waves: Field, solenoidal: Field, eps: float,
                       gamma_bar: float) -> FlowState:
-    """Reassemble a flow state from filtered quantities plus the untouched
-    divergence-free velocity part.
+    """Reassemble a flow state from the ``make_acoustic`` stack plus the
+    untouched divergence-free velocity part.
 
-    Qv is the pointwise real part of Gamma (plane 0) and c the pointwise
-    imaginary part of Upsilon (plane 1).
+    Qv is the pointwise real part of Gamma and c the pointwise imaginary part
+    of Upsilon.
     """
-    q = np.stack([pair.gamma_x.modes[0], pair.gamma_y.modes[0]])
-    return FlowState(solenoidal.grid, np.concatenate([solenoidal.modes + q, pair.upsilon.modes[1:]]),
-                     pair.eps, gamma_bar)
+    return FlowState(solenoidal.grid,
+                     np.concatenate([solenoidal.modes + waves.modes[:2, 0], waves.modes[2:, 1]]),
+                     eps, gamma_bar)
 
 
-def _rotate(f: ComplexField, t: float, eps: float, trig: np.ndarray, out: np.ndarray,
+def _rotate(f: Field, t: float, eps: float, trig: np.ndarray, out: np.ndarray,
             tmp: np.ndarray) -> np.ndarray:
-    """Write the modes of f after a time t of free evolution into ``out``
-    (2, n, n/2 + 1); ``trig`` (2, n, n/2 + 1) real and ``tmp`` (n, n/2 + 1)
-    are work space. The cos and sin of theta = t |k| / eps are evaluated once
-    per distinct |k| by ``spectral.kmag_cos_sin``."""
+    """Write the modes of f after a time t of free evolution into ``out``,
+    shaped like ``f.modes``; ``trig`` (2, n, n/2 + 1) real and ``tmp``, shaped
+    like one (re, im) plane of f, are work space. The cos and sin of
+    theta = t |k| / eps are evaluated once per distinct |k| by
+    ``spectral.kmag_cos_sin``."""
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
     cos_t, sin_t = spectral.kmag_cos_sin(f.grid, t / eps, out=trig)
-    re, im = f.modes
-    np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
-    np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])
+    re, im = np.moveaxis(f.modes, -3, 0)
+    out_re, out_im = np.moveaxis(out, -3, 0)
+    np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
+    np.subtract(np.multiply(cos_t, im, out=out_im), np.multiply(sin_t, re, out=tmp), out=out_im)
     return out
 
 
-def free_propagate(f: ComplexField, t: float, eps: float) -> ComplexField:
+def free_propagate(f: Field, t: float, eps: float) -> Field:
     """Source-free evolution: multiply mode k by exp(-i t |k| / eps), which
-    rotates the (re, im) half spectra by theta = t |k| / eps."""
+    rotates every (re, im) pair (axis -3) of f by theta = t |k| / eps."""
     trig = np.empty((2,) + f.grid.modes_shape)
-    return ComplexField(f.grid, _rotate(f, t, eps, trig, np.empty_like(f.modes), np.empty_like(f.modes[0])))
+    tmp = np.empty(f.modes.shape[:-3] + f.grid.modes_shape, dtype=f.modes.dtype)
+    return Field(f.grid, _rotate(f, t, eps, trig, np.empty_like(f.modes), tmp))
 
 
 def strichartz_exponents(p: float) -> tuple[float, float]:
@@ -137,7 +117,7 @@ def wraparound_window(box_length: float, eps: float) -> float:
     return 0.45 * box_length * eps
 
 
-def measure_strichartz(initial: ComplexField, eps: float, t_final: float, p: float) -> float:
+def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> float:
     """Mixed time-space norm of the free evolution, sampled at uniform times.
 
     Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial

@@ -3,8 +3,10 @@
     machlab <experiment> --config <path> [--out <dir>] [--threads N]
 
 Exit codes: 0 all summary assertions passed, 1 at least one failed,
-2 configuration problem, 3 runtime failure. A blowup outside the
-lifespan-table experiment (where blowup is data) is a runtime failure; it
+2 configuration problem (an experiment's unmet precondition included: too
+few eps for its trend fits, or a grid too coarse for the first dyadic ring),
+3 runtime failure. A blowup outside the lifespan-table experiment (where
+blowup is data) is a runtime failure; it
 first writes config.resolved, the partial ledgers, and a summary whose FAIL
 line names the time, the step, and the column that tripped. A step that
 cannot advance time is a runtime failure too, reported on one stderr line

@@ -13,7 +13,8 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .initial_data import KNOWN_DATA
-from .littlewood_paley import named_profile
+from .littlewood_paley import FIRST_RING, named_profile
+from .spectral import dealias_cutoff
 
 EXPERIMENTS = (
     "selftest",
@@ -48,7 +49,7 @@ class ExperimentConfig:
     snapshots: int = 11
     out: str = "machlab-out"
     threads: int = 1
-    p_space: float = math.inf
+    p: float = math.inf
     c0: float = 1.0
     t_cap: float = 4.0
     blowup_factor: float = 8.0
@@ -58,10 +59,13 @@ class ExperimentConfig:
         return 0.5 * (self.gamma - 1.0)
 
 
-# config-file key -> ExperimentConfig field; both the parser and the
-# canonical dump use this one table, so a dump always parses back
-_KEY_TO_FIELD = {("p" if f.name == "p_space" else f.name): f.name for f in fields(ExperimentConfig)}
-_FIELD_TO_KEY = {name: key for key, name in _KEY_TO_FIELD.items()}
+# config-file keys are the ExperimentConfig field names, so a dump always parses back
+_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+# each experiment's own preconditions: the decay-trend fits need three eps, the
+# limit contraction two, and every experiment but strichartz-sweep measures
+# block norms, which need the first dyadic ring below the dealias cutoff
+_MIN_EPS = {"selftest": 3, "acoustic-decay": 3, "incompressible-limit": 2}
 
 _FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamma", "c0",
                   "blowup_factor")
@@ -112,9 +116,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ConfigError(
-                f"unknown key {key!r}; known keys: {', '.join(sorted(_KEY_TO_FIELD))}", lineno
+                f"unknown key {key!r}; known keys: {', '.join(sorted(_KEYS))}", lineno
             )
         if key in raw:
             raise ConfigError(f"duplicate key {key!r} (first set on line {raw[key][1]})", lineno)
@@ -123,8 +127,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[key] = (value, lineno)
 
     kwargs = {}
-    for key, (value, lineno) in raw.items():
-        name = _KEY_TO_FIELD[key]
+    for name, (value, lineno) in raw.items():
         try:
             if name in ("n", "seed", "snapshots", "threads"):
                 kwargs[name] = int(value)
@@ -133,12 +136,12 @@ def parse_config(text: str) -> ExperimentConfig:
             elif name == "eps":
                 kwargs[name] = tuple(float(tok) for tok in value.split(",") if tok.strip())
             elif name in ("t_final", "gamma", "amplitude", "cfl", "max_dt", "c0",
-                          "t_cap", "blowup_factor", "p_space"):
+                          "t_cap", "blowup_factor", "p"):
                 kwargs[name] = _parse_float(value)
             else:
                 kwargs[name] = value
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
+            raise ConfigError(f"bad value for {name!r}: {exc}", lineno) from None
     config = ExperimentConfig(**kwargs)
     # the experiment usually arrives from the command line, not the file
     validate_config(config, require_experiment="experiment" in kwargs)
@@ -153,7 +156,7 @@ def validate_config(config: ExperimentConfig, require_experiment: bool = True) -
     for name in _FINITE_FIELDS:
         value = getattr(config, name)
         if not math.isfinite(value):
-            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be finite, got {value}")
+            raise ConfigError(f"{name} must be finite, got {value}")
     n = config.n
     if n < 8 or (n & (n - 1)) != 0:
         raise ConfigError(f"n must be a power of two >= 8, got {n}")
@@ -195,14 +198,25 @@ def validate_config(config: ExperimentConfig, require_experiment: bool = True) -
         raise ConfigError(f"snapshots must be at least 2, got {config.snapshots}")
     if config.threads < 1:
         raise ConfigError(f"threads must be at least 1, got {config.threads}")
-    if not (config.p_space >= 2.0):
-        raise ConfigError(f"p must lie in [2, inf], got {config.p_space}")
+    if not (config.p >= 2.0):
+        raise ConfigError(f"p must lie in [2, inf], got {config.p}")
     if not (config.c0 > 0.0):
         raise ConfigError(f"c0 must be positive, got {config.c0}")
     if not (config.t_cap > 0.0):
         raise ConfigError(f"t_cap must be positive, got {config.t_cap}")
     if not (config.blowup_factor > 1.0):
         raise ConfigError(f"blowup_factor must exceed 1, got {config.blowup_factor}")
+    need = _MIN_EPS.get(config.experiment, 1)
+    if len(config.eps) < need:
+        raise ConfigError(f"eps needs at least {need} values for {config.experiment}, "
+                          f"got {len(config.eps)}")
+    cutoff = dealias_cutoff(n, config.box_length)
+    if config.experiment in EXPERIMENTS and config.experiment != "strichartz-sweep" \
+            and cutoff < FIRST_RING:
+        raise ConfigError(
+            f"n = {n} and box_length = {config.box_length:.6g} put the dealias cutoff at "
+            f"{cutoff:.4g}, below the first dyadic ring at {FIRST_RING:g}; "
+            f"raise n or shrink box_length")
 
 
 # execution details that do not change what is computed; two runs of the
@@ -221,7 +235,7 @@ def canonical_dump(config: ExperimentConfig) -> str:
             v = ",".join(f"{x:.17g}" for x in v)
         elif isinstance(v, float):
             v = f"{v:.17g}"
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {v}")
+        lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
 

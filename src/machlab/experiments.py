@@ -33,7 +33,7 @@ from .config import ExperimentConfig, canonical_dump, config_hash
 from .fitting import nondecreasing
 from .initial_data import make_initial_data, periodized_bump
 from .ledger import RunLedger
-from .spectral import FlowState, Grid
+from .spectral import Field, FlowState, Grid
 
 
 def _eps_tag(eps: float) -> str:
@@ -138,15 +138,15 @@ def lifespan_rules(lifespans: dict[float, tuple[float, bool]]) -> tuple[list[flo
     return t_nums, nondecreasing(t_nums, tol=1e-12), not lifespans[eps_desc[0]][1]
 
 
-def gaussian_bump_complex(grid: Grid) -> acoustic.ComplexField:
-    """Localized real bump of width L/20 as a complex field, mean-free and
-    normalized to unit L^2 norm; the standard probe for free-propagation decay."""
+def gaussian_bump_complex(grid: Grid) -> Field:
+    """Localized real bump of width L/20 as a complex (re, im) field, mean-free
+    and normalized to unit L^2 norm; the standard probe for free-propagation
+    decay."""
     L = grid.box_length
     bump = periodized_bump(grid, (0.5 * L, 0.5 * L), L / 20.0)
     f = spectral.dealias(spectral.fft_forward(grid, bump))
     f.modes[0, 0] = 0.0
-    return acoustic.ComplexField(grid, np.stack([f.modes, np.zeros_like(f.modes)])
-                                 / spectral.l2_norm(f))
+    return Field(grid, np.stack([f.modes, np.zeros_like(f.modes)]) / spectral.l2_norm(f))
 
 
 def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
@@ -220,7 +220,7 @@ def transport_catalog(box_length: float):
     return cal, holdouts
 
 
-def transport_initial_density(grid: Grid, seed: int = 0) -> spectral.SpectralScalarField:
+def transport_initial_density(grid: Grid, seed: int = 0) -> Field:
     """A smooth positive localized density with O(1) block-sum norm."""
     rng = np.random.default_rng(seed)
     L = grid.box_length
@@ -317,7 +317,7 @@ class TransportRun:
     range_growth: Optional[float]
 
 
-def evaluate_transport_velocity(f0: spectral.SpectralScalarField,
+def evaluate_transport_velocity(f0: Field,
                                 vel: transport.SyntheticVelocity, t_final: float,
                                 cfl: float, max_dt: float) -> TransportRun:
     fT, led = transport.solve_transport_spectral(f0, vel, t_final, cfl=cfl, max_dt=max_dt)
@@ -455,7 +455,7 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
 def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str]]:
     study = SweepStudy(config, snapshot_times(config))
     report, l2s = evaluate_incompressible_limit(study)
-    times, sweep, grid = study.times, study.sweep, study.grid
+    times, sweep = study.times, study.sweep
     _, ref_ledger, ref_snaps = study.reference
     summary = _Summary()
     summary.check("incompressible_limit.l2_monotone", report.l2_decreasing,
@@ -482,14 +482,10 @@ def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str
                 report.eps, report.sup_l2)
     t_last = times[-1]
     for e in report.eps:
-        st = sweep[e][1][t_last]
-        spectral.write_snapshot(
-            os.path.join(out, f"snap_eps_{_eps_tag(e)}_final.mlf"), grid,
-            [st.v.ux, st.v.uy, st.c],
-        )
-    vref = incompressible.velocity_from_vorticity(ref_snaps[t_last])
-    spectral.write_snapshot(os.path.join(out, "snap_reference_final.mlf"), grid,
-                            [vref.ux, vref.uy])
+        spectral.write_snapshot(os.path.join(out, f"snap_eps_{_eps_tag(e)}_final.mlf"),
+                                sweep[e][1][t_last])
+    spectral.write_snapshot(os.path.join(out, "snap_reference_final.mlf"),
+                            incompressible.velocity_from_vorticity(ref_snaps[t_last]))
     _write_summary(out, config, summary)
     return summary.passed, summary.lines
 
@@ -545,21 +541,21 @@ def drive_transport_log(config: ExperimentConfig) -> tuple[bool, list[str]]:
 
 def drive_strichartz_sweep(config: ExperimentConfig) -> tuple[bool, list[str]]:
     grid = Grid(config.n, config.box_length)
-    window, free = free_wave_normalized(grid, config.eps, p=config.p_space)
-    r, decay = acoustic.strichartz_exponents(config.p_space)
+    window, free = free_wave_normalized(grid, config.eps, p=config.p)
+    r, decay = acoustic.strichartz_exponents(config.p)
     summary = _Summary()
     summary.note("free half-wave propagator on the inhomogeneous torus; "
                  "decay exponents quoted from the homogeneous-space scaling")
     spread = free_wave_spread(free)
     summary.check("strichartz.free_wave_scaling", spread <= 2.0,
-                  f"p={config.p_space:g}, r={r:g}: normalized spread x{_fmt(spread)}")
+                  f"p={config.p:g}, r={r:g}: normalized spread x{_fmt(spread)}")
     out = config.out
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "strichartz.csv"), "w") as fh:
         fh.write("eps,p,r,decay_exponent,window,value,normalized,window_ok\n")
         for e in sorted(free, reverse=True):
             val, norm, ok = free[e]
-            fh.write(f"{e:.17g},{config.p_space:g},{r:g},{decay:.17g},"
+            fh.write(f"{e:.17g},{config.p:g},{r:g},{decay:.17g},"
                      f"{window:.17g},{val:.17g},{norm:.17g},{int(ok)}\n")
     eps_desc = sorted(free, reverse=True)
     _write_plot(os.path.join(out, "plot_mixed_norm_vs_eps.csv"), "eps", "mixed_norm",

@@ -5,7 +5,7 @@ The scalar vorticity is advected by its own Biot-Savart velocity:
     d omega / dt + v . grad omega = 0,    v = perp_grad inv_laplacian omega.
 
 The state is the vorticity field itself: the step, the CFL size and the
-run take and return a ``SpectralScalarField``, and ``spectral.integrate``
+run take and return a scalar ``spectral.Field``, and ``spectral.integrate``
 keeps the clock. Classical RK4 (``spectral.rk4``) in time with 2/3-rule
 dealiasing of the advection product. Kinetic energy and every L^p norm of
 omega are conserved by the continuous flow, which makes long-run drift a
@@ -21,12 +21,12 @@ import numpy as np
 
 from . import spectral
 from .ledger import INCOMPRESSIBLE_COLUMNS, RunLedger
-from .spectral import Grid, SpectralScalarField, SpectralVectorField
+from .spectral import Field, Grid
 
 _CFL_FLOOR = 1e-12
 
 
-def velocity_from_vorticity(omega: SpectralScalarField) -> SpectralVectorField:
+def velocity_from_vorticity(omega: Field) -> Field:
     """Biot-Savart law on the torus: v = perp_grad inv_laplacian omega.
 
     The vorticity zero mode is ignored (it has no periodic stream function);
@@ -38,37 +38,37 @@ def velocity_from_vorticity(omega: SpectralScalarField) -> SpectralVectorField:
 def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     """-(v . grad omega), dealiased, into ``out``, from one batched inverse of
     v and grad omega."""
-    v = velocity_from_vorticity(SpectralScalarField(grid, w)).modes
+    v = velocity_from_vorticity(Field(grid, w)).modes
     vx, vy, wx, wy = spectral.to_samples(np.concatenate([v, 1j * grid.kvec * w]))
     np.negative(spectral.to_modes(vx * wx + vy * wy, out=out), out=out)
     np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
-def step_incompressible(omega: SpectralScalarField, dt: float) -> SpectralScalarField:
+def step_incompressible(omega: Field, dt: float) -> Field:
     g = omega.grid
     # the advection tendency does not depend on time, so the stage times are never read
     modes = spectral.rk4(lambda w, t, out: _advection_tendency(w, g, out), omega.modes, 0.0, dt)
-    return spectral.dealias(SpectralScalarField(g, modes))
+    return spectral.dealias(Field(g, modes))
 
 
-def cfl_dt_incompressible(omega: SpectralScalarField, cfl: float, max_dt: float) -> float:
+def cfl_dt_incompressible(omega: Field, cfl: float, max_dt: float) -> float:
     v = velocity_from_vorticity(omega)
     speed = spectral.lp_norm(v, math.inf) + _CFL_FLOOR
     return min(max_dt, cfl * omega.grid.spacing / speed)
 
 
-def run_incompressible(omega0: SpectralScalarField, t_final: float, cfl: float = 0.4,
+def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
                        max_dt: float = 0.05,
                        snapshot_times: Optional[list[float]] = None,
                        run_id: str = "", config_hash: str = "",
-                       ) -> tuple[SpectralScalarField, RunLedger, dict[float, SpectralScalarField]]:
+                       ) -> tuple[Field, RunLedger, dict[float, Field]]:
     """Integrate the vorticity from t = 0 to t_final with per-step norm
     logging and exact snapshot times."""
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     ledger = RunLedger(INCOMPRESSIBLE_COLUMNS, run_id=run_id, config_hash=config_hash)
 
-    def record(omega: SpectralScalarField, t: float) -> None:
+    def record(omega: Field, t: float) -> None:
         v = velocity_from_vorticity(omega)
         ledger.append(t, grad_v_linf=spectral.jacobian_sup(v),
                       omega_linf=spectral.lp_norm(omega, math.inf), v_l2=spectral.l2_norm(v))

@@ -29,7 +29,7 @@ import numpy as np
 from . import littlewood_paley as lp
 from . import spectral
 from .incompressible import velocity_from_vorticity
-from .spectral import FlowState, Grid, SpectralScalarField, SpectralVectorField
+from .spectral import Field, FlowState, Grid
 
 KNOWN_DATA = ("taylor-green-ill", "vortex-pair-ill", "random-band", "well-prepared-contrast")
 
@@ -44,13 +44,13 @@ def periodized_bump(grid: Grid, center: tuple[float, float], sigma: float) -> np
     return np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
 
 
-def _mean_free(f: SpectralScalarField) -> SpectralScalarField:
+def _mean_free(f: Field) -> Field:
     modes = f.modes.copy()
     modes[0, 0] = 0.0
-    return SpectralScalarField(f.grid, modes)
+    return Field(f.grid, modes)
 
 
-def _scaled(f: SpectralScalarField, target_sup: float, measure) -> SpectralScalarField:
+def _scaled(f: Field, target_sup: float, measure) -> Field:
     cur = measure(f)
     if cur <= 0.0:
         raise ValueError("cannot normalize a vanishing field")
@@ -116,8 +116,8 @@ def _vortex_pair(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     s = acoustic_scale * amplitude / div_sup
     c = _scaled(c, 1.0, lambda f: spectral.lp_norm(spectral.grad(f), math.inf))
     c = spectral.scale(c, acoustic_scale * amplitude)
-    v = SpectralVectorField(grid, v_rot.modes + s * grad_phi.modes)
-    return FlowState.from_fields(v, c, eps, gamma_bar)
+    return FlowState(grid, np.concatenate([v_rot.modes + s * grad_phi.modes, c.modes[None]]),
+                     eps, gamma_bar)
 
 
 def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, seed: int,
@@ -140,7 +140,7 @@ def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
         else:
             mask = ((4.0 / 3.0) * 2.0**q <= kmag) & (kmag <= 1.5 * 2.0**q)
         pieces = np.where(mask, whites, 0.0)
-        joint = spectral.l2_norm([SpectralScalarField(grid, p) for p in pieces])
+        joint = spectral.l2_norm(Field(grid, pieces))
         if joint <= 0.0:
             continue  # ring empty on this lattice (can happen at the cutoff)
         weight = 1.0 if q < 0 else 2.0 ** (-(2.0 + rate) * q)

@@ -24,13 +24,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import spectral
-from .spectral import Grid, SpectralScalarField
+from .spectral import Field, Grid
 
 # Values of the plateau profile below this are snapped to exact zero so that
 # support disjointness (|p - q| >= 2) holds in exact arithmetic.
 _SUPPORT_SNAP = 1e-300
 
 _PARTITION_CACHE: dict[tuple[int, float], "DyadicPartition"] = {}
+
+FIRST_RING = 0.75  # inner support edge 3/4 * 2**q of the ring q = 0
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -94,11 +96,11 @@ def build_partition(grid: Grid) -> DyadicPartition:
     if cached is not None:
         return cached
     kmax = grid.kmax_dealias
-    if kmax < 0.75:
+    if kmax < FIRST_RING:
         raise ValueError(
             f"dealias cutoff {kmax:.4g} is below the first ring; refine the grid or shrink the box"
         )
-    q_max = int(math.floor(math.log2(kmax / 0.75)))
+    q_max = int(math.floor(math.log2(kmax / FIRST_RING)))
     kmag = grid.kmag
     stack = np.stack([_chi_profile(kmag)] + [_ring_profile(kmag, q) for q in range(q_max + 1)])
     part = DyadicPartition(grid=grid, stack=stack)
@@ -106,7 +108,7 @@ def build_partition(grid: Grid) -> DyadicPartition:
     return part
 
 
-def delta_q(f: SpectralScalarField, q: int) -> SpectralScalarField:
+def delta_q(f: Field, q: int) -> Field:
     """Frequency block q of a field (q = -1 is the low block)."""
     return replace(f, modes=f.modes * build_partition(f.grid).multiplier(q))
 
@@ -119,13 +121,14 @@ def block_samples(grid: Grid, modes: np.ndarray) -> np.ndarray:
 
 
 def block_norms(f, p: float) -> np.ndarray:
-    """||Delta_q f||_p for q = -1 .. q_max; multi-component inputs jointly.
+    """||Delta_q f||_p for q = -1 .. q_max; the components of a stack jointly.
 
     For p = 2 the norms are evaluated in mode space via Parseval, which keeps
     per-step diagnostics cheap; other p go through real space, all blocks in
     one batched inverse.
     """
-    grid, modes = spectral.gather(f)
+    grid = f.grid
+    modes = f.modes.reshape((-1,) + grid.modes_shape)
     if p == 2.0:
         power = grid.parseval_weight * np.sum(np.abs(modes) ** 2, axis=0)
         stack = build_partition(grid).stack
@@ -292,8 +295,7 @@ def find_profile(f, s: float, p: float) -> BesovProfile:
     members = [f] if hasattr(f, "modes") else list(f)  # one field or a family
     if not members:
         raise ValueError("need at least one field")
-    grid = spectral.gather(members[0])[0]
-    part = build_partition(grid)
+    part = build_partition(members[0].grid)
     qs = np.arange(-1, part.q_max + 1, dtype=np.float64)
     a = np.zeros(qs.size)
     for m in members:

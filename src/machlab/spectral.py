@@ -10,6 +10,12 @@ the complex conjugate and is never stored. Sums over the full spectrum
 become sums over the half with the Parseval column weights: 1 on columns 0
 and n/2, which are their own conjugate partners, and 2 on every other column.
 
+Every field is one ``Field``: a grid and a stack of half spectra of shape
+(*components, n, n/2 + 1), whether it holds a scalar, a vector, or the
+(Gamma_x, Gamma_y, Upsilon) x (re, im) stack of the acoustic variables; norms
+take the pointwise magnitude over all its components. ``FlowState`` is the
+(vx, vy, c) stack with the constants eps and gamma_bar.
+
 Every transform goes through ``to_modes``/``to_samples``, which act on the
 last two axes, so stacks of fields transform in one batched call. Hot paths
 pass ``out=`` arrays from ``scratch``, the per-thread work buffers.
@@ -97,6 +103,11 @@ def scratch(n: int) -> Scratch:
     return buf
 
 
+def dealias_cutoff(n: int, box_length: float) -> float:
+    """The radial 2/3-rule cutoff (2/3) (n/2) (2 pi / box_length) of an n-point grid."""
+    return (2.0 / 3.0) * (n / 2.0) * (2.0 * math.pi / box_length)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with precomputed half-spectrum wavenumber tables.
@@ -137,7 +148,7 @@ class Grid:
         ky = dk * np.arange(n // 2 + 1, dtype=np.float64)[None, :]
         k2 = kx * kx + ky * ky
         kmag = np.sqrt(k2)
-        kmax = (2.0 / 3.0) * (n / 2.0) * dk
+        kmax = dealias_cutoff(n, self.box_length)
         nz = k2 > 0.0
         inv_k2 = np.zeros_like(k2)
         inv_k2[nz] = 1.0 / k2[nz]
@@ -194,71 +205,35 @@ def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _check_shape(grid: Grid, modes: np.ndarray, lead: tuple[int, ...]) -> None:
-    if modes.shape != lead + grid.modes_shape:
-        raise ValueError(
-            f"mode array shape {modes.shape} does not match grid n={grid.n} "
-            f"(expected {lead + grid.modes_shape})"
-        )
-
-
 @dataclass(frozen=True)
-class SpectralScalarField:
-    """Real scalar field stored as its (n, n/2 + 1) half spectrum."""
+class Field:
+    """A stack of real fields on one grid, each stored as its half spectrum.
+
+    ``modes`` has shape (*components, n, n/2 + 1): one plane for a scalar,
+    (2, ...) for a vector, (3, 2, ...) for the acoustic stack of
+    ``acoustic.make_acoustic``. Norms treat every leading axis as components
+    of one pointwise magnitude.
+    """
 
     grid: Grid
     modes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_shape(self.grid, self.modes, ())
+        if self.modes.shape[-2:] != self.grid.modes_shape:
+            raise ValueError(f"mode array shape {self.modes.shape} does not match grid "
+                             f"n={self.grid.n} (expected trailing axes {self.grid.modes_shape})")
 
     def values(self) -> np.ndarray:
-        """Real-space samples on the grid."""
+        """Real-space samples on the grid, one plane per component."""
         return to_samples(self.modes)
 
-    @property
-    def mean(self) -> float:
-        return float(np.real(self.modes[0, 0]))
+
+def _planes(f) -> np.ndarray:
+    """The modes of a field or flow state as a (components, n, n/2 + 1) stack."""
+    return f.modes.reshape((-1,) + f.grid.modes_shape)
 
 
-@dataclass(frozen=True)
-class SpectralVectorField:
-    """Two-component real vector field stored as one (2, n, n/2 + 1) array."""
-
-    grid: Grid
-    modes: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_shape(self.grid, self.modes, (2,))
-
-    @property
-    def ux(self) -> SpectralScalarField:
-        return SpectralScalarField(self.grid, self.modes[0])
-
-    @property
-    def uy(self) -> SpectralScalarField:
-        return SpectralScalarField(self.grid, self.modes[1])
-
-
-def gather(f) -> tuple[Grid, np.ndarray]:
-    """Grid and stacked (components, n, n/2 + 1) modes of a field.
-
-    Accepts anything with ``grid`` and ``modes`` (scalar and vector fields,
-    flow states) or a sequence of such objects, whose components are
-    concatenated in order.
-    """
-    if hasattr(f, "modes"):
-        return f.grid, f.modes[None] if f.modes.ndim == 2 else f.modes
-    parts = [gather(x) for x in f]
-    if not parts:
-        raise ValueError("need at least one field")
-    grid = parts[0][0]
-    if any(g != grid for g, _ in parts):
-        raise ValueError("all fields must share one grid")
-    return grid, np.concatenate([m for _, m in parts])
-
-
-def fft_forward(grid: Grid, samples: np.ndarray) -> SpectralScalarField:
+def fft_forward(grid: Grid, samples: np.ndarray) -> Field:
     """Transform real samples to a half-spectrum field.
 
     Rejects sample arrays whose shape does not match the grid.
@@ -266,25 +241,19 @@ def fft_forward(grid: Grid, samples: np.ndarray) -> SpectralScalarField:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (grid.n, grid.n):
         raise ValueError(f"sample array shape {samples.shape} does not match grid n={grid.n}")
-    return SpectralScalarField(grid, to_modes(samples))
+    return Field(grid, to_modes(samples))
 
 
-def from_function(grid: Grid, fn) -> SpectralScalarField:
+def from_function(grid: Grid, fn) -> Field:
     x, y = grid.coordinates()
     return fft_forward(grid, np.broadcast_to(fn(x, y), (grid.n, grid.n)))
-
-
-def vector(ux: SpectralScalarField, uy: SpectralScalarField) -> SpectralVectorField:
-    if ux.grid != uy.grid:
-        raise ValueError("vector components must share one grid")
-    return SpectralVectorField(ux.grid, np.stack([ux.modes, uy.modes]))
 
 
 def dealias(f):
     """Zero every mode with |k| above the radial 2/3 cutoff.
 
-    Works on any object with ``grid`` and ``modes``: scalar and vector
-    fields and flow states alike.
+    Works on any object with ``grid`` and ``modes``: fields and flow states
+    alike.
     """
     return replace(f, modes=np.where(f.grid.dealias_mask, f.modes, 0.0))
 
@@ -293,47 +262,47 @@ def _mul(f, multiplier: np.ndarray):
     return replace(f, modes=f.modes * multiplier)
 
 
-def grad(f: SpectralScalarField) -> SpectralVectorField:
+def grad(f: Field) -> Field:
     g = f.grid
-    return SpectralVectorField(g, 1j * g.kvec * f.modes)
+    return Field(g, 1j * g.kvec * f.modes)
 
 
-def div(v: SpectralVectorField) -> SpectralScalarField:
+def div(v: Field) -> Field:
     g = v.grid
-    return SpectralScalarField(g, 1j * g.kx * v.modes[0] + 1j * g.ky * v.modes[1])
+    return Field(g, 1j * g.kx * v.modes[0] + 1j * g.ky * v.modes[1])
 
 
-def curl2d(v: SpectralVectorField) -> SpectralScalarField:
+def curl2d(v: Field) -> Field:
     """Scalar vorticity d(uy)/dx - d(ux)/dy."""
     g = v.grid
-    return SpectralScalarField(g, 1j * g.kx * v.modes[1] - 1j * g.ky * v.modes[0])
+    return Field(g, 1j * g.kx * v.modes[1] - 1j * g.ky * v.modes[0])
 
 
-def laplacian(f: SpectralScalarField) -> SpectralScalarField:
+def laplacian(f: Field) -> Field:
     return _mul(f, -f.grid.k2)
 
 
-def inv_laplacian(f: SpectralScalarField) -> SpectralScalarField:
+def inv_laplacian(f: Field) -> Field:
     """Inverse Laplacian in the mean-free gauge: the zero mode maps to zero."""
     return _mul(f, -f.grid.inv_k2)
 
 
-def leray_q(v: SpectralVectorField) -> SpectralVectorField:
+def leray_q(v: Field) -> Field:
     """Gradient (curl-free) part: Q = grad inv_laplacian div."""
     g = v.grid
     phi = -g.inv_k2 * div(v).modes
-    return SpectralVectorField(g, 1j * g.kvec * phi)
+    return Field(g, 1j * g.kvec * phi)
 
 
-def leray_p(v: SpectralVectorField) -> SpectralVectorField:
+def leray_p(v: Field) -> Field:
     """Divergence-free part: P = I - Q. The zero mode stays in P."""
-    return SpectralVectorField(v.grid, v.modes - leray_q(v).modes)
+    return Field(v.grid, v.modes - leray_q(v).modes)
 
 
-def perp_grad(psi: SpectralScalarField) -> SpectralVectorField:
+def perp_grad(psi: Field) -> Field:
     """Rotated gradient (-d/dy, d/dx); gives the velocity of a stream function."""
     g = psi.grid
-    return SpectralVectorField(g, np.stack([-1j * g.ky * psi.modes, 1j * g.kx * psi.modes]))
+    return Field(g, np.stack([-1j * g.ky * psi.modes, 1j * g.kx * psi.modes]))
 
 
 def sub(f, g):
@@ -361,25 +330,23 @@ def plane_norms(samples: np.ndarray, p: float, cell_area: float) -> np.ndarray:
 def lp_norm(f, p: float) -> float:
     """Spatial L^p quadrature norm, p in [1, inf].
 
-    Accepts a scalar field, a vector field, or a sequence of fields;
-    multi-component inputs use the pointwise Euclidean magnitude. A constant
-    field of height a has L^p norm a * box_length**(2/p).
+    Multi-component fields use the pointwise Euclidean magnitude over all
+    their planes. A constant field of height a has L^p norm
+    a * box_length**(2/p).
     """
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1, got {p}")
-    grid, modes = gather(f)
-    return float(plane_norms(magnitude(to_samples(modes)), p, grid.cell_area))
+    return float(plane_norms(magnitude(to_samples(_planes(f))), p, f.grid.cell_area))
 
 
 def l2_norm(f) -> float:
     """L^2 norm via Parseval: ||u||_2^2 = box_length^2 * sum_full |coeff|^2,
     summed over the half spectrum with the column weights."""
-    grid, modes = gather(f)
-    total = float(np.sum(grid.parseval_weight * np.abs(modes) ** 2))
-    return grid.box_length * math.sqrt(total)
+    total = float(np.sum(f.grid.parseval_weight * np.abs(_planes(f)) ** 2))
+    return f.grid.box_length * math.sqrt(total)
 
 
-def jacobian_sup(v: SpectralVectorField) -> float:
+def jacobian_sup(v: Field) -> float:
     """Largest sup norm over the four entries of grad v, from one batched inverse."""
     g = v.grid
     return float(np.max(np.abs(to_samples(1j * g.kvec[:, None] * v.modes[None]))))
@@ -454,7 +421,7 @@ def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_time
     return u, snapshots
 
 
-def _trig_point(f: "SpectralScalarField", x: float, y: float):
+def _trig_point(f: Field, x: float, y: float):
     """Value, gradient, Hessian of the trigonometric interpolant at (x, y)."""
     kx = f.grid.kx.ravel()
     ky = f.grid.ky.ravel()
@@ -471,7 +438,7 @@ def _trig_point(f: "SpectralScalarField", x: float, y: float):
     return val, g, h
 
 
-def refined_extrema(f: "SpectralScalarField") -> tuple[float, float]:
+def refined_extrema(f: Field) -> tuple[float, float]:
     """(min, max) of the trigonometric interpolant, not of the grid samples.
 
     The grid sup of a band-limited field understates the true extremum by
@@ -552,44 +519,36 @@ class FlowState:
     gamma_bar: float = 0.2
 
     def __post_init__(self) -> None:
-        _check_shape(self.grid, self.modes, (3,))
+        if self.modes.shape != (3,) + self.grid.modes_shape:
+            raise ValueError(f"flow state modes of shape {self.modes.shape} do not match grid "
+                             f"n={self.grid.n} (expected {(3,) + self.grid.modes_shape})")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         if not (self.gamma_bar > 0.0):
             raise ValueError(f"gamma_bar must be positive, got {self.gamma_bar}")
 
-    @classmethod
-    def from_fields(cls, v: SpectralVectorField, c: SpectralScalarField, eps: float,
-                    gamma_bar: float = 0.2) -> "FlowState":
-        if v.grid != c.grid:
-            raise ValueError("velocity and sound speed must share one grid")
-        return cls(v.grid, np.concatenate([v.modes, c.modes[None]]), eps, gamma_bar)
+    @property
+    def v(self) -> Field:
+        return Field(self.grid, self.modes[:2])
 
     @property
-    def v(self) -> SpectralVectorField:
-        return SpectralVectorField(self.grid, self.modes[:2])
-
-    @property
-    def c(self) -> SpectralScalarField:
-        return SpectralScalarField(self.grid, self.modes[2])
+    def c(self) -> Field:
+        return Field(self.grid, self.modes[2])
 
 
-def write_snapshot(path, grid: Grid, fields) -> None:
-    """Write real-space samples in the MLF1 container.
+def write_snapshot(path, field) -> None:
+    """Write the real-space samples of every component of a field (or flow
+    state) in the MLF1 container.
 
     Layout: magic ``MLF1``, u32 n, f64 box_length, u32 field count, then one
-    n*n row-major little-endian f64 block per field. Round trips bit-exactly.
+    n*n row-major little-endian f64 block per component, inverted one at a
+    time. Round trips bit-exactly.
     """
-    blocks = []
-    for f in fields:
-        samples = f.values() if isinstance(f, SpectralScalarField) else np.asarray(f, dtype=np.float64)
-        if samples.shape != (grid.n, grid.n):
-            raise ValueError("snapshot field shape does not match grid")
-        blocks.append(np.ascontiguousarray(samples, dtype="<f8"))
+    grid, planes = field.grid, _planes(field)
     with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, grid.n, grid.box_length, len(blocks)))
-        for b in blocks:
-            fh.write(b.tobytes())
+        fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, grid.n, grid.box_length, len(planes)))
+        for plane in planes:
+            fh.write(to_samples(plane).astype("<f8", copy=False).tobytes())
 
 
 def read_snapshot(path) -> tuple[int, float, list[np.ndarray]]:

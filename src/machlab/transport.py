@@ -25,7 +25,7 @@ from . import littlewood_paley as lp
 from . import spectral
 from .fitting import smallest_passing
 from .ledger import TRANSPORT_COLUMNS, RunLedger
-from .spectral import Grid, SpectralScalarField
+from .spectral import Field, Grid
 
 Arrays = tuple[np.ndarray, np.ndarray]
 
@@ -147,7 +147,7 @@ def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: SyntheticVelocity,
     np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
-def transport_monitor_row(f: SpectralScalarField, vel: SyntheticVelocity, t: float) -> dict:
+def transport_monitor_row(f: Field, vel: SyntheticVelocity, t: float) -> dict:
     """Ledger columns for one time; the blocks of f and of div v come from
     one batched inverse."""
     grid = f.grid
@@ -159,19 +159,19 @@ def transport_monitor_row(f: SpectralScalarField, vel: SyntheticVelocity, t: flo
     div_modes = spectral.to_modes(div_samples)
     blocks = lp.block_samples(grid, np.stack([f.modes, div_modes]))
     return {
-        "f_mass": f.mean * grid.box_length**2,
+        "f_mass": float(np.real(f.modes[0, 0])) * grid.box_length**2,
         "f_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 0], math.inf, area), 0.0),
         "grad_v_linf": grad_sup,
         "div_v_linf": float(np.max(np.abs(div_samples))),
         "div_v_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 1], math.inf, area), 0.0),
         "div_v_b12": lp.besov_sum(spectral.plane_norms(blocks[:, 1], 4.0, area), 0.5),
-        "div_v_b1": lp.besov_norm(SpectralScalarField(grid, div_modes), 1.0, 2.0),
+        "div_v_b1": lp.besov_norm(Field(grid, div_modes), 1.0, 2.0),
     }
 
 
-def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_final: float,
+def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
                              cfl: float = 0.4, max_dt: float = 0.05, run_id: str = "",
-                             config_hash: str = "") -> tuple[SpectralScalarField, RunLedger]:
+                             config_hash: str = "") -> tuple[Field, RunLedger]:
     """RK4 integration of the continuity-form transport equation.
 
     The velocity is sampled analytically at every stage time; the mean of f
@@ -184,8 +184,8 @@ def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_
     ledger = RunLedger(TRANSPORT_COLUMNS, run_id=run_id, config_hash=config_hash)
     dt_base = min(max_dt, cfl * grid.spacing / (vel.speed_bound + 1e-12))
 
-    def advance(f: SpectralScalarField, t: float, dt: float) -> SpectralScalarField:
-        return SpectralScalarField(grid, spectral.rk4(
+    def advance(f: Field, t: float, dt: float) -> Field:
+        return Field(grid, spectral.rk4(
             lambda m, s, out: _transport_tendency(m, grid, vel, s, out), f.modes, t, dt))
 
     f, _ = spectral.integrate(
@@ -194,7 +194,7 @@ def solve_transport_spectral(f0: SpectralScalarField, vel: SyntheticVelocity, t_
     return f, ledger
 
 
-def solve_transport_oracle(f0: SpectralScalarField, vel: SyntheticVelocity, t_final: float,
+def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,
                            substeps: int) -> np.ndarray:
     """Backward-characteristics reference solution on the grid nodes.
 

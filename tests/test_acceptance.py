@@ -82,6 +82,14 @@ def test_acceptance_scale_at_the_defaults():
     assert (acceptance.SUBSTRATE_FIELDS, acceptance.PARTITION_FIELDS) == (100, 50)
 
 
+def test_splitting_order_builds_its_own_state_outside_the_sweep():
+    # eps = 0.1 is not in this sweep, and a one-eps selftest config is not a valid run:
+    # the check must build that one state without validating such a config
+    config = ExperimentConfig(experiment="selftest", n=32, eps=(0.4, 0.2, 0.05))
+    result = acceptance.check_splitting_order(acceptance.Workbench(config))
+    assert result.passed, result.detail
+
+
 def _flat_ledger() -> RunLedger:
     led = RunLedger(TRANSPORT_COLUMNS)
     row = {c: 1.0 for c in TRANSPORT_COLUMNS if not c.startswith("int_")}

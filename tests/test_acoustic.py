@@ -16,30 +16,29 @@ def state64(grid64):
 
 
 def test_make_acoustic_drops_the_mean(state64):
-    pair = acoustic.make_acoustic(state64)
-    for f in (pair.gamma_x, pair.gamma_y, pair.upsilon):
-        assert f.modes.shape == (2, 64, 33)
-        assert np.all(f.modes[:, 0, 0] == 0.0)  # real and imaginary parts alike
+    waves = acoustic.make_acoustic(state64)
+    assert waves.modes.shape == (3, 2, 64, 33)  # (Gamma_x, Gamma_y, Upsilon) x (re, im)
+    assert np.all(waves.modes[:, :, 0, 0] == 0.0)  # real and imaginary parts alike
 
 
 def test_state_roundtrip_through_wave_variables(state64):
     """state -> (Gamma, Upsilon) + solenoidal part -> state is the identity
     whenever c is mean-free."""
-    pair = acoustic.make_acoustic(state64)
+    waves = acoustic.make_acoustic(state64)
     sol = spectral.leray_p(state64.v)
-    back = acoustic.acoustic_to_state(pair, sol, state64.gamma_bar)
-    scale = spectral.l2_norm([state64.v.ux, state64.v.uy, state64.c])
-    err = spectral.l2_norm([
-        spectral.sub(back.v.ux, state64.v.ux),
-        spectral.sub(back.v.uy, state64.v.uy),
-        spectral.sub(back.c, state64.c),
-    ])
-    assert err <= 1e-12 * scale
+    back = acoustic.acoustic_to_state(waves, sol, state64.eps, state64.gamma_bar)
+    err = spectral.l2_norm(spectral.sub(back, state64))
+    assert err <= 1e-12 * spectral.l2_norm(state64)
+    assert (back.eps, back.gamma_bar) == (state64.eps, state64.gamma_bar)
+
+
+def pairs(waves):
+    """The three (re, im) fields of a ``make_acoustic`` stack, one by one."""
+    return [spectral.Field(waves.grid, m) for m in waves.modes]
 
 
 def test_free_propagate_is_unitary_and_reversible(state64):
-    pair = acoustic.make_acoustic(state64)
-    for f in (pair.gamma_x, pair.upsilon):
+    for f in pairs(acoustic.make_acoustic(state64)):
         n0 = spectral.l2_norm(f)
         fwd = acoustic.free_propagate(f, 0.37, state64.eps)
         assert abs(spectral.l2_norm(fwd) - n0) <= 1e-13 * n0
@@ -47,9 +46,19 @@ def test_free_propagate_is_unitary_and_reversible(state64):
         assert np.max(np.abs(back.modes - f.modes)) <= 1e-13 * np.max(np.abs(f.modes))
 
 
+def test_free_propagate_rotates_a_whole_stack_as_each_pair_alone(state64):
+    waves = acoustic.make_acoustic(state64)
+    for t in (0.37, -1.48):
+        moved = acoustic.free_propagate(waves, t, state64.eps)
+        assert moved.modes.shape == waves.modes.shape
+        for i, f in enumerate(pairs(waves)):
+            alone = acoustic.free_propagate(f, t, state64.eps)
+            assert moved.modes[i].tobytes() == alone.modes.tobytes(), (t, i)
+
+
 def complex_field(grid, z):
-    """The ComplexField of complex samples z."""
-    return acoustic.ComplexField(grid, spectral.to_modes(np.stack([z.real, z.imag])))
+    """The (re, im) field of complex samples z."""
+    return spectral.Field(grid, spectral.to_modes(np.stack([z.real, z.imag])))
 
 
 def test_free_propagate_single_mode_phase(grid64):
@@ -150,8 +159,7 @@ def full_table_rotate(f, t, eps, trig, out, tmp):
 
 
 def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
-    pair = acoustic.make_acoustic(state64)
-    for f in (pair.gamma_x, pair.upsilon):
+    for f in pairs(acoustic.make_acoustic(state64)):
         for t in (0.37, -1.48):
             want = full_table_rotate(f, t, state64.eps, np.empty(f.modes.shape, float),
                                      np.empty_like(f.modes), np.empty_like(f.modes[0]))
@@ -160,7 +168,7 @@ def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
 
 @pytest.mark.parametrize("p", [math.inf, 4.0])
 def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64, monkeypatch, p):
-    f = acoustic.make_acoustic(state64).upsilon
+    f = pairs(acoustic.make_acoustic(state64))[2]  # Upsilon
     window = acoustic.wraparound_window(state64.grid.box_length, state64.eps)
     got = acoustic.measure_strichartz(f, state64.eps, window, p)
     monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)

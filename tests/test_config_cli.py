@@ -1,12 +1,16 @@
 """Config parsing, validation, hashing, and the CLI exit-code contract."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from machlab import cli
+from machlab import littlewood_paley as lp
 from machlab.config import (
     EXPERIMENTS,
     ConfigError,
@@ -18,7 +22,18 @@ from machlab.config import (
     with_overrides,
 )
 from machlab.ledger import RunLedger
-from machlab.spectral import StalledStep
+from machlab.spectral import Grid, StalledStep
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 GOOD = """\
 # demo sweep
@@ -39,7 +54,7 @@ class TestParsing:
         assert cfg.n == 64
         assert cfg.box_length == pytest.approx(16.0 * math.pi, rel=1e-15)
         assert cfg.eps == (0.2, 0.1, 0.05)
-        assert cfg.p_space == math.inf
+        assert cfg.p == math.inf
         assert cfg.data == "random-band:2"
         assert cfg.gamma_bar == pytest.approx(0.2, rel=1e-12)
 
@@ -86,7 +101,7 @@ class TestValidation:
         {"max_dt": 0.0},
         {"snapshots": 1},
         {"threads": 0},
-        {"p_space": 1.5},
+        {"p": 1.5},
         {"c0": 0.0},
         {"t_cap": 0.0},
         {"blowup_factor": 1.0},
@@ -111,6 +126,48 @@ class TestValidation:
         for value in ("inf", "nan"):
             with pytest.raises(ConfigError, match=key):
                 parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("experiment, overrides, fragments", [
+        ("acoustic-decay", {"eps": (0.2, 0.1)}, ["eps needs at least 3 values"]),
+        ("selftest", {"eps": (0.2, 0.1)}, ["eps needs at least 3 values"]),
+        ("incompressible-limit", {"eps": (0.2,)}, ["eps needs at least 2 values"]),
+        ("acoustic-decay", {"n": 8}, ["n = 8", "box_length", "first dyadic ring"]),
+        ("transport-log", {"n": 16}, ["n = 16", "box_length", "first dyadic ring"]),
+        ("lifespan-table", {"n": 32, "box_length": 200.0}, ["n = 32", "box_length = 200"]),
+    ])
+    def test_experiment_preconditions_name_their_key(self, experiment, overrides, fragments):
+        with pytest.raises(ConfigError) as err:
+            with_overrides(ExperimentConfig(), experiment=experiment, **overrides)
+        for text in fragments:
+            assert text in str(err.value)
+
+    def test_defaults_and_the_benchmark_workloads_are_accepted(self):
+        for experiment in EXPERIMENTS:
+            with_overrides(ExperimentConfig(), experiment=experiment)
+        # no dyadic block is measured by the free-wave sweep: any grid, any eps count
+        with_overrides(ExperimentConfig(), experiment="strichartz-sweep", n=8, eps=(0.1,))
+        workloads = _load_benchmark_workloads()
+        for w in workloads.WORKLOADS.values():
+            cfg = parse_config(workloads.config_text(w.spec(seed=1, nproc=2)))
+            validate_config(with_overrides(cfg, experiment=w.experiment))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_dealias_rule_accepts_exactly_the_grids_the_partition_builds_on(self, n):
+        edge = 2.0 * math.pi * n / (3.0 * 0.75)  # box_length that puts the cutoff at 0.75
+        for box in (16.0 * math.pi, 8.0 * math.pi, edge, math.nextafter(edge, 0.0),
+                    math.nextafter(edge, math.inf)):
+            try:
+                lp.build_partition(Grid(n, box))
+                builds = True
+            except ValueError:
+                builds = False
+            try:
+                with_overrides(ExperimentConfig(), experiment="transport-log", n=n,
+                               box_length=box)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == builds, (n, box)
 
     def test_grid_beyond_physical_memory_is_rejected(self):
         # parsed only: n = 2^20 would need petabytes of working set
@@ -160,7 +217,7 @@ _configs = st.builds(
     cfl=st.floats(1e-3, 1.0, **_finite),
     max_dt=st.floats(1e-6, 1.0, **_finite),
     snapshots=st.integers(2, 50),
-    p_space=st.one_of(st.just(math.inf), st.floats(2.0, 1e3, **_finite)),
+    p=st.one_of(st.just(math.inf), st.floats(2.0, 1e3, **_finite)),
     c0=st.floats(1e-3, 1e3, **_finite),
     t_cap=st.floats(1e-3, 1e3, **_finite),
     blowup_factor=st.floats(1.0, 1e3, exclude_min=True, **_finite),
@@ -170,9 +227,13 @@ _configs = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(cfg=_configs)
 def test_resolved_config_replays(cfg):
-    """config.resolved parses back to the same config and the same hash;
-    only the volatile output path and thread count fall back to defaults."""
-    validate_config(cfg)
+    """Every accepted config.resolved parses back to the same config and the
+    same hash; only the volatile output path and thread count fall back to
+    defaults."""
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        assume(False)  # an experiment's precondition rejects it: nothing to replay
     back = parse_config(canonical_dump(cfg))
     assert back == replace(cfg, out=ExperimentConfig.out, threads=ExperimentConfig.threads)
     assert config_hash(back) == config_hash(cfg)
@@ -213,20 +274,30 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert cli.main(["selftest", "--config", str(tmp_path / "missing.cfg")]) == 2
 
-    def test_runtime_failure_exits_three(self, tmp_path, capsys):
+    def test_unmet_experiment_precondition_exits_two(self, tmp_path, capsys):
         # a two-member sweep cannot support the decay-trend fit
         cfg = _write_cfg(tmp_path, "n = 32\neps = 0.2, 0.1\nt_final = 0.1\nmax_dt = 0.05\n")
         code = cli.main(["acoustic-decay", "--config", cfg,
                          "--out", str(tmp_path / "out")])
-        assert code == 3
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("machlab: config error: eps needs at least 3 values")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        # a grid too coarse for the first dyadic ring
+        cfg = _write_cfg(tmp_path, "n = 8\n")
+        assert cli.main(["acoustic-decay", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "n = 8 and box_length = 50.2655" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_blowup_exits_three_after_writing_partial_artifacts(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, "n = 64\neps = 0.5\namplitude = 8\nt_final = 4\n")
+        # members run independently, so eps = 0.5 trips where it does alone
+        cfg = _write_cfg(tmp_path, "n = 64\neps = 0.5, 0.25, 0.125\namplitude = 8\nt_final = 4\n")
         out = tmp_path / "out"
         assert cli.main(["acoustic-decay", "--config", cfg, "--out", str(out)]) == 3
         assert "eps=0.5: blowup at t=2.04787" in capsys.readouterr().err
         resolved = parse_config((out / "config.resolved").read_text())
-        assert resolved.amplitude == 8.0 and resolved.eps == (0.5,)
+        assert resolved.amplitude == 8.0 and resolved.eps == (0.5, 0.25, 0.125)
         summary = (out / "summary.txt").read_text().splitlines()
         assert summary[0] == f"machlab summary v1 config={config_hash(resolved)}"
         fail = summary[1]

@@ -15,6 +15,10 @@ def random_field(grid, rng):
     return spectral.fft_forward(grid, rng.standard_normal((grid.n, grid.n)))
 
 
+def random_vector(grid, rng):
+    return spectral.Field(grid, spectral.to_modes(rng.standard_normal((2, grid.n, grid.n))))
+
+
 def test_roundtrip(grid64, rng):
     samples = rng.standard_normal((64, 64))
     back = spectral.fft_forward(grid64, samples).values()
@@ -32,7 +36,7 @@ def test_parseval(grid64, rng):
 def test_derivatives_exact_on_modes(grid64):
     k = 2.0 * math.pi / grid64.box_length * 3
     f = spectral.from_function(grid64, lambda x, y: np.sin(k * x) * np.cos(2 * k * y))
-    gx = spectral.grad(f).ux.values()
+    gx = spectral.grad(f).values()[0]
     x, y = grid64.coordinates()
     exact = k * np.cos(k * x) * np.cos(2 * k * y)
     assert np.max(np.abs(gx - exact)) <= 1e-12 * k
@@ -57,32 +61,29 @@ class TestLeray:
     def test_annihilates_gradients(self, grid64, rng):
         g = spectral.grad(random_field(grid64, rng))
         p = spectral.leray_p(g)
-        scale = max(spectral.l2_norm(g.ux), spectral.l2_norm(g.uy))
-        assert spectral.l2_norm([p.ux, p.uy]) <= 1e-12 * scale
+        scale = max(spectral.l2_norm(spectral.Field(grid64, m)) for m in g.modes)
+        assert spectral.l2_norm(p) <= 1e-12 * scale
 
     def test_idempotent(self, grid64, rng):
-        v = spectral.vector(random_field(grid64, rng), random_field(grid64, rng))
-        once = spectral.leray_p(v)
+        once = spectral.leray_p(random_vector(grid64, rng))
         twice = spectral.leray_p(once)
-        assert np.max(np.abs(twice.ux.modes - once.ux.modes)) <= 1e-13
-        assert np.max(np.abs(twice.uy.modes - once.uy.modes)) <= 1e-13
+        assert np.max(np.abs(twice.modes - once.modes)) <= 1e-13
 
     def test_divergence_free(self, grid64, rng):
-        v = spectral.vector(random_field(grid64, rng), random_field(grid64, rng))
+        v = random_vector(grid64, rng)
         p = spectral.leray_p(v)
-        assert spectral.l2_norm(spectral.div(p)) <= 1e-12 * spectral.l2_norm([v.ux, v.uy])
+        assert spectral.l2_norm(spectral.div(p)) <= 1e-12 * spectral.l2_norm(v)
 
     def test_p_plus_q_is_identity(self, grid64, rng):
-        v = spectral.vector(random_field(grid64, rng), random_field(grid64, rng))
+        v = random_vector(grid64, rng)
         p, q = spectral.leray_p(v), spectral.leray_q(v)
-        assert np.max(np.abs(p.ux.modes + q.ux.modes - v.ux.modes)) <= 1e-13
-        assert np.max(np.abs(p.uy.modes + q.uy.modes - v.uy.modes)) <= 1e-13
+        assert np.max(np.abs(p.modes + q.modes - v.modes)) <= 1e-13
 
 
 def test_perp_grad_is_divergence_free_and_curls_back(grid64, rng):
     psi = random_field(grid64, rng)
     v = spectral.perp_grad(psi)
-    assert spectral.l2_norm(spectral.div(v)) <= 1e-12 * spectral.l2_norm([v.ux, v.uy])
+    assert spectral.l2_norm(spectral.div(v)) <= 1e-12 * spectral.l2_norm(v)
     omega = spectral.curl2d(v)
     lap = spectral.laplacian(psi)
     assert np.max(np.abs(omega.modes - lap.modes)) <= 1e-12 * np.max(np.abs(lap.modes))
@@ -108,11 +109,11 @@ def test_dealiased_product_is_alias_free(grid64, rng):
     def lift(h):  # zero-pad the half spectrum; the dealiased Nyquist modes are zero
         big = np.zeros(fine.modes_shape, dtype=np.complex128)
         big[ix, :33] = h.modes
-        return spectral.SpectralScalarField(fine, big)
+        return spectral.Field(fine, big)
     prod_fine = spectral.fft_forward(fine, lift(f).values() * lift(g).values())
     restricted = prod_fine.modes[ix, :33]
     kept = spectral.dealias(coarse).modes
-    ref = spectral.dealias(spectral.SpectralScalarField(grid64, restricted)).modes
+    ref = spectral.dealias(spectral.Field(grid64, restricted)).modes
     assert np.max(np.abs(kept - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -266,14 +267,37 @@ def test_mixed_time_norm():
 
 
 def test_snapshot_roundtrip(tmp_path, grid32, rng):
-    f = random_field(grid32, rng)
-    g = random_field(grid32, rng)
+    v = random_vector(grid32, rng)
     path = tmp_path / "state.mlf"
-    spectral.write_snapshot(path, grid32, [f, g])
+    spectral.write_snapshot(path, v)
     n, box, arrays = spectral.read_snapshot(path)
     assert n == 32 and abs(box - grid32.box_length) == 0.0
-    assert np.array_equal(arrays[0], f.values())
-    assert np.array_equal(arrays[1], g.values())
+    assert len(arrays) == 2
+    assert np.array_equal(arrays[0], spectral.to_samples(v.modes[0]))
+    assert np.array_equal(arrays[1], spectral.to_samples(v.modes[1]))
+
+
+def test_snapshot_of_a_flow_state_holds_its_three_components(tmp_path, grid32):
+    from machlab.initial_data import make_initial_data
+
+    state = make_initial_data("vortex-pair-ill", grid32, eps=0.1, seed=1)
+    path = tmp_path / "state.mlf"
+    spectral.write_snapshot(path, state)
+    _, _, arrays = spectral.read_snapshot(path)
+    assert len(arrays) == 3
+    for plane, modes in zip(arrays, state.modes):
+        assert plane.tobytes() == spectral.to_samples(modes).tobytes()
+
+
+def test_field_takes_any_stack_on_its_grid_and_nothing_else(grid32):
+    half = grid32.modes_shape
+    for lead in ((), (2,), (3, 2)):
+        assert spectral.Field(grid32, np.zeros(lead + half, complex)).modes.shape == lead + half
+    for shape in ((32, 32), (2, 16, 17), (3, 2, 32, 16), (17,)):
+        with pytest.raises(ValueError, match="does not match grid n=32"):
+            spectral.Field(grid32, np.zeros(shape, complex))
+    with pytest.raises(ValueError, match="flow state"):
+        spectral.FlowState(grid32, np.zeros((2,) + half, complex), eps=0.1)
 
 
 def test_read_snapshot_rejects_garbage(tmp_path):

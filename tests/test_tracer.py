@@ -1,0 +1,47 @@
+"""The benchmark's span tracer still binds to the package.
+
+``perfbench/tracer.py`` finds what it wraps by reflection: every public
+function of each ``machlab`` module, and ``transport.SyntheticVelocity``. A
+rename in the package does not fail an import there; it silently drops
+spans and counters from the traced benchmark round. This test runs one small
+traced experiment in a fresh interpreter, as the benchmark does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.instrument_fft()  # before machlab is imported
+tracer.instrument_machlab()
+from machlab import cli
+
+code = cli.main(["transport-log", "--config", sys.argv[3], "--out", sys.argv[4]])
+print(json.dumps({"code": code, "counters": tracer.counters,
+                  "spans": sorted({span[2] for span in tracer.spans})}))
+"""
+
+
+def test_traced_transport_round_records_spans_and_velocity_evals(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 32\nt_final = 0.05\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    assert report["counters"]["transport.velocity_evals"] > 0
+    assert {"spectral.rk4", "transport.solve_transport_oracle"} <= set(report["spans"])

@@ -19,10 +19,7 @@ def test_catalog_divergence_matches_sampled_field(grid64):
     t = 0.37
     x, y = grid64.coordinates()
     vx, vy = vel.velocity(t, x, y)
-    v = spectral.vector(
-        spectral.fft_forward(grid64, np.broadcast_to(vx, (64, 64)).copy()),
-        spectral.fft_forward(grid64, np.broadcast_to(vy, (64, 64)).copy()),
-    )
+    v = spectral.Field(grid64, spectral.to_modes(np.stack(np.broadcast_arrays(vx, vy))))
     div_spectral = spectral.div(v).values()
     div_analytic = np.broadcast_to(vel.divergence(t, x, y), (64, 64))
     assert np.max(np.abs(div_spectral - div_analytic)) <= 1e-10
