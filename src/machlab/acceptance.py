@@ -194,7 +194,7 @@ def check_linear_acoustics(bench: Workbench) -> CheckResult:
     worst_drift = 0.0
     for e, st in bench.initial_states.items():
         st0 = spectral.dealias(st)
-        stT, _, _ = compressible.run(st0, LINEAR_T, cfg)
+        stT, _, _ = compressible.run(st0, LINEAR_T, cfg, blowup_only=True)
         moved = acoustic.free_propagate(acoustic.make_acoustic(st0), LINEAR_T, e)
         exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), e,
                                            bench.config.gamma_bar)
@@ -218,7 +218,7 @@ def check_splitting_order(bench: Workbench) -> CheckResult:
     finals = []
     for dt in ORDER_DTS:
         cfg = compressible.StepperConfig(cfl=0.95, max_dt=dt)
-        stT, _, _ = compressible.run(st0, ORDER_T, cfg)
+        stT, _, _ = compressible.run(st0, ORDER_T, cfg, blowup_only=True)
         finals.append(stT)
     e1 = _rel_state_diff(finals[0], finals[1])
     e2 = _rel_state_diff(finals[1], finals[2])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import littlewood_paley as lp
 from . import spectral
-from .ledger import COMPRESSIBLE_COLUMNS, RunLedger
+from .ledger import BLOWUP_COLUMNS, COMPRESSIBLE_COLUMNS, RunLedger
 from .spectral import FlowState
 
 _CFL_FLOOR = 1e-12
@@ -218,6 +218,21 @@ def monitor_row(state: FlowState) -> dict[str, float]:
     return row
 
 
+def blowup_row(state: FlowState) -> dict[str, float]:
+    """The two columns the blowup thresholds read, each computed as in
+    ``monitor_row``: one 4-plane inverse of the velocity Jacobian and a
+    Parseval block sum.
+
+    A non-finite mode of any component makes ``vc_b2`` non-finite (a zero
+    partition weight times inf is NaN), so a state that trips a full monitor
+    row trips this one too, at the same step.
+    """
+    return {
+        "grad_v_linf": spectral.jacobian_sup(state.v),
+        "vc_b2": lp.besov_sum(lp.block_norms(state, 2.0), 2.0),
+    }
+
+
 def _check_blowup(t: float, row: dict[str, float], config: StepperConfig,
                   ledger: RunLedger) -> None:
     step_no = len(ledger) - 1
@@ -231,19 +246,24 @@ def _check_blowup(t: float, row: dict[str, float], config: StepperConfig,
 
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
-        run_id: str = "", config_hash: str = "") -> tuple[FlowState, RunLedger, dict[float, FlowState]]:
+        run_id: str = "", config_hash: str = "",
+        blowup_only: bool = False) -> tuple[FlowState, RunLedger, dict[float, FlowState]]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
     ``snapshot_times`` are hit exactly (dt is clipped); the returned dict maps
     each requested time to the state there. On blowup the partial ledger is
-    attached to the raised exception.
+    attached to the raised exception. With ``blowup_only`` each row is
+    ``blowup_row`` and the ledger holds ``BLOWUP_COLUMNS``: the run trips at
+    the same step and time as with full monitor rows, though the column it
+    names may differ.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
-    ledger = RunLedger(COMPRESSIBLE_COLUMNS, run_id=run_id, config_hash=config_hash)
+    columns = BLOWUP_COLUMNS if blowup_only else COMPRESSIBLE_COLUMNS
+    ledger = RunLedger(columns, run_id=run_id, config_hash=config_hash)
 
     def record(state: FlowState, t: float) -> None:
-        row = monitor_row(state)
+        row = blowup_row(state) if blowup_only else monitor_row(state)
         ledger.append(t, **row)
         _check_blowup(t, row, config, ledger)
 

@@ -113,6 +113,9 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     ``config.blowup_factor`` times its initial Jacobian sup (floored at 1e-12,
     so a state with no gradient does not trip at step 0). Returns eps ->
     (t_num, censored): the blowup time, or the cap when no blowup came.
+    Nothing here reads a ledger column, so each run records only the two
+    blowup columns (``compressible.blowup_row``), which trip at the same
+    step as full monitor rows.
     """
     out = {}
     for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
@@ -122,7 +125,8 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
         )
         try:
-            compressible.run(state, config.t_cap, stepper, run_id=f"lifespan eps={e:g}")
+            compressible.run(state, config.t_cap, stepper, run_id=f"lifespan eps={e:g}",
+                             blowup_only=True)
             out[e] = (config.t_cap, True)
         except compressible.Blowup as blow:
             out[e] = (blow.time, False)

@@ -128,6 +128,9 @@ COMPRESSIBLE_COLUMNS = [
     "grad_sum", "int_grad_sum", "int_div_v_linf",
 ]
 
+# the two blowup-threshold columns: all that a lifespan run reads
+BLOWUP_COLUMNS = ["grad_v_linf", "vc_b2"]
+
 # omega_linf and v_l2: the vorticity and energy drift checks; grad_v_linf and
 # int_grad_v_linf: the benchmark's ledger-integral check.
 INCOMPRESSIBLE_COLUMNS = [

@@ -4,6 +4,9 @@ Advances d f/dt + v . grad f + f div v = 0 for synthetic velocities with
 closed-form derivatives, two independent ways:
 
 * a pseudo-spectral RK4 integrator (products dealiased, derivatives exact),
+  which samples the velocity's spatial factors on the grid once per solve
+  (``SyntheticVelocity.on_grid``) and only scales them by their time factor
+  at each stage and ledger row,
 * a semi-Lagrangian oracle that traces characteristics backward with the
   same RK4 step (``spectral.rk4``), evaluates f0 at the foot by periodic
   bicubic interpolation, and multiplies by exp of minus the divergence
@@ -15,9 +18,10 @@ growth estimate for the block-sum norm of f under compressible transport.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +34,15 @@ from .spectral import Field, Grid
 Arrays = tuple[np.ndarray, np.ndarray]
 
 
+class GridVelocity(NamedTuple):
+    """A velocity's callables at fixed nodes: each takes only t and scales
+    spatial factors sampled once (``SyntheticVelocity.on_grid``)."""
+
+    velocity: Callable[[float], Arrays]
+    jacobian: Callable[[float], tuple[np.ndarray, ...]]
+    divergence: Callable[[float], np.ndarray]
+
+
 @dataclass(frozen=True)
 class SyntheticVelocity:
     """Velocity with closed-form Jacobian and divergence.
@@ -37,6 +50,8 @@ class SyntheticVelocity:
     ``velocity(t, x, y)`` returns (vx, vy); ``jacobian`` returns the four
     entries (dx_vx, dy_vx, dx_vy, dy_vy); all callables broadcast over
     coordinate arrays. ``speed_bound`` dominates |v| for CFL purposes.
+    ``on_grid(x, y)`` samples the spatial factors at fixed nodes once and
+    returns the ``GridVelocity`` there, bit for bit the callables at (x, y).
     """
 
     name: str
@@ -44,6 +59,11 @@ class SyntheticVelocity:
     jacobian: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
     divergence: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     speed_bound: float
+    on_grid: Callable[[np.ndarray, np.ndarray], GridVelocity]
+
+
+def _zeros(x, y) -> np.ndarray:
+    return np.zeros(np.broadcast(x, y).shape)
 
 
 def shear_velocity(amplitude: float, m: int, omega: float,
@@ -51,23 +71,28 @@ def shear_velocity(amplitude: float, m: int, omega: float,
     """Divergence-free horizontal shear: vx = A cos(omega t) sin(k y)."""
     k = 2.0 * math.pi * m / box_length
 
-    def vel(t, x, y):
-        amp = amplitude * math.cos(omega * t)
-        vx = amp * np.sin(k * y)
+    def amp(t):
+        return amplitude * math.cos(omega * t)
+
+    def vel(a, sin_ky, x):
+        vx = a * sin_ky
         return vx, np.zeros_like(vx + x * 0.0)
 
-    def jac(t, x, y):
-        amp = amplitude * math.cos(omega * t)
-        z = np.zeros(np.broadcast(x, y).shape)
-        return z, amp * k * np.cos(k * y) + z, z.copy(), z.copy()
+    def jac(a, cos_ky, z):
+        return z, a * k * cos_ky + z, z.copy(), z.copy()
 
-    def dvg(t, x, y):
-        return np.zeros(np.broadcast(x, y).shape)
+    def on_grid(x, y):
+        sin_ky, cos_ky = np.sin(k * y), np.cos(k * y)
+        return GridVelocity(lambda t: vel(amp(t), sin_ky, x),
+                            lambda t: jac(amp(t), cos_ky, _zeros(x, y)),
+                            lambda t: _zeros(x, y))
 
     return SyntheticVelocity(
         name=f"shear(A={amplitude},m={m},w={omega})",
-        velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=abs(amplitude),
+        velocity=lambda t, x, y: vel(amp(t), np.sin(k * y), x),
+        jacobian=lambda t, x, y: jac(amp(t), np.cos(k * y), _zeros(x, y)),
+        divergence=lambda t, x, y: _zeros(x, y),
+        speed_bound=abs(amplitude), on_grid=on_grid,
     )
 
 
@@ -82,25 +107,45 @@ def compressible_mode(amplitude: float, m: tuple[int, int], omega: float,
         raise ValueError("mode index must be nonzero")
     ex, ey = kx / kmag, ky / kmag
 
-    def vel(t, x, y):
-        amp = amplitude * math.sin(omega * t + phase)
-        carrier = np.cos(kx * x + ky * y)
-        return amp * carrier * ex, amp * carrier * ey
+    def amp(t):
+        return amplitude * math.sin(omega * t + phase)
 
-    def jac(t, x, y):
-        amp = amplitude * math.sin(omega * t + phase)
-        s = -amp * np.sin(kx * x + ky * y)
+    def vel(a, carrier):
+        return a * carrier * ex, a * carrier * ey
+
+    def jac(a, sine):
+        s = -a * sine
         return s * kx * ex, s * ky * ex, s * kx * ey, s * ky * ey
 
-    def dvg(t, x, y):
-        amp = amplitude * math.sin(omega * t + phase)
-        return -amp * np.sin(kx * x + ky * y) * kmag
+    def dvg(a, sine):
+        return -a * sine * kmag
+
+    def on_grid(x, y):
+        arg = kx * x + ky * y
+        carrier, sine = np.cos(arg), np.sin(arg)
+        return GridVelocity(lambda t: vel(amp(t), carrier),
+                            lambda t: jac(amp(t), sine),
+                            lambda t: dvg(amp(t), sine))
 
     return SyntheticVelocity(
         name=f"mode(A={amplitude},m={m},w={omega})",
-        velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=abs(amplitude),
+        velocity=lambda t, x, y: vel(amp(t), np.cos(kx * x + ky * y)),
+        jacobian=lambda t, x, y: jac(amp(t), np.sin(kx * x + ky * y)),
+        divergence=lambda t, x, y: dvg(amp(t), np.sin(kx * x + ky * y)),
+        speed_bound=abs(amplitude), on_grid=on_grid,
     )
+
+
+def _add(a, b):
+    """a + b for two arrays, componentwise for two tuples of arrays."""
+    if isinstance(a, tuple):
+        return tuple(p + q for p, q in zip(a, b))
+    return a + b
+
+
+def _sum(terms):
+    """The terms added in order: ((t0 + t1) + t2) + ..."""
+    return functools.reduce(_add, terms)
 
 
 def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
@@ -108,54 +153,39 @@ def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
     if not members:
         raise ValueError("need at least one member")
 
-    def vel(t, x, y):
-        vx, vy = members[0].velocity(t, x, y)
-        vx, vy = np.array(vx, dtype=np.float64), np.array(vy, dtype=np.float64)
-        for mem in members[1:]:
-            ax, ay = mem.velocity(t, x, y)
-            vx = vx + ax
-            vy = vy + ay
-        return vx, vy
-
-    def jac(t, x, y):
-        parts = [np.array(a, dtype=np.float64) for a in members[0].jacobian(t, x, y)]
-        for mem in members[1:]:
-            for i, a in enumerate(mem.jacobian(t, x, y)):
-                parts[i] = parts[i] + a
-        return tuple(parts)
-
-    def dvg(t, x, y):
-        d = np.array(members[0].divergence(t, x, y), dtype=np.float64)
-        for mem in members[1:]:
-            d = d + mem.divergence(t, x, y)
-        return d
+    def on_grid(x, y):
+        parts = [m.on_grid(x, y) for m in members]
+        return GridVelocity(lambda t: _sum(p.velocity(t) for p in parts),
+                            lambda t: _sum(p.jacobian(t) for p in parts),
+                            lambda t: _sum(p.divergence(t) for p in parts))
 
     return SyntheticVelocity(
         name="superpose(" + "+".join(m.name for m in members) + ")",
-        velocity=vel, jacobian=jac, divergence=dvg,
-        speed_bound=sum(m.speed_bound for m in members),
+        velocity=lambda t, x, y: _sum(m.velocity(t, x, y) for m in members),
+        jacobian=lambda t, x, y: _sum(m.jacobian(t, x, y) for m in members),
+        divergence=lambda t, x, y: _sum(m.divergence(t, x, y) for m in members),
+        speed_bound=sum(m.speed_bound for m in members), on_grid=on_grid,
     )
 
 
-def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: SyntheticVelocity,
+def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: GridVelocity,
                         t: float, out: np.ndarray) -> None:
-    x, y = grid.coordinates()
-    vx, vy = vel.velocity(t, x, y)
-    dvg = vel.divergence(t, x, y)
+    vx, vy = vel.velocity(t)
+    dvg = vel.divergence(t)
     f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
     spectral.to_modes(-(vx * fx + vy * fy) - f * dvg, out=out)
     np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
-def transport_monitor_row(f: Field, vel: SyntheticVelocity, t: float) -> dict:
-    """Ledger columns for one time; the blocks of f and of div v come from
-    one batched inverse."""
+def transport_monitor_row(f: Field, vel: GridVelocity, t: float) -> dict:
+    """Ledger columns for one time, ``vel`` sampled on the grid of f; the
+    blocks of f and of div v come from one batched inverse."""
     grid = f.grid
     area = grid.cell_area
-    x, y = grid.coordinates()
-    j = vel.jacobian(t, x, y)
-    grad_sup = max(float(np.max(np.abs(np.broadcast_to(a, (grid.n, grid.n))))) for a in j)
-    div_samples = np.broadcast_to(vel.divergence(t, x, y), (grid.n, grid.n))
+    # the Jacobian's planes are freed before the block stack below, the row's peak
+    grad_sup = max(float(np.max(np.abs(np.broadcast_to(a, (grid.n, grid.n)))))
+                   for a in vel.jacobian(t))
+    div_samples = np.broadcast_to(vel.divergence(t), (grid.n, grid.n))
     div_modes = spectral.to_modes(div_samples)
     blocks = lp.block_samples(grid, np.stack([f.modes, div_modes]))
     return {
@@ -174,23 +204,25 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
                              config_hash: str = "") -> tuple[Field, RunLedger]:
     """RK4 integration of the continuity-form transport equation.
 
-    The velocity is sampled analytically at every stage time; the mean of f
-    (total mass) is conserved to rounding because the tendency is an exact
-    divergence of a resolvable product.
+    The velocity's spatial factors are sampled on the grid once per solve
+    (``vel.on_grid``) and scaled by their time factor at every stage and
+    ledger row; the mean of f (total mass) is conserved to rounding because
+    the tendency is an exact divergence of a resolvable product.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     grid = f0.grid
     ledger = RunLedger(TRANSPORT_COLUMNS, run_id=run_id, config_hash=config_hash)
     dt_base = min(max_dt, cfl * grid.spacing / (vel.speed_bound + 1e-12))
+    sampled = vel.on_grid(*grid.coordinates())
 
     def advance(f: Field, t: float, dt: float) -> Field:
         return Field(grid, spectral.rk4(
-            lambda m, s, out: _transport_tendency(m, grid, vel, s, out), f.modes, t, dt))
+            lambda m, s, out: _transport_tendency(m, grid, sampled, s, out), f.modes, t, dt))
 
     f, _ = spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt_base, advance,
-        lambda f, t: ledger.append(t, **transport_monitor_row(f, vel, t)))
+        lambda f, t: ledger.append(t, **transport_monitor_row(f, sampled, t)))
     return f, ledger
 
 

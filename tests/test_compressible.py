@@ -153,6 +153,41 @@ def test_blowup_time_and_step_are_the_ledgers_last_row(grid32):
     assert blow.time == blow.ledger.times[-1] > 0.0
 
 
+def test_blowup_row_trips_a_nan_in_the_c_modes_at_the_same_step(grid32, monkeypatch):
+    """A NaN in the sound speed alone leaves grad v finite; the block sum
+    vc_b2 still goes NaN, so the blowup row trips at the step the full
+    monitor row trips at, naming another column."""
+    state = small_state(grid32, amplitude=2.0)
+    real_step = compressible.step
+    calls = []
+
+    def planting_step(s, config, dt):
+        out = real_step(s, config, dt)
+        calls.append(dt)
+        if len(calls) == 3:
+            out.modes[2, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(compressible, "step", planting_step)
+    trips = {}
+    for blowup_only in (False, True):
+        calls.clear()
+        with pytest.raises(Blowup) as info:
+            compressible.run(state, 1.0, StepperConfig(), blowup_only=blowup_only)
+        trips[blowup_only] = info.value
+    full, blowup = trips[False], trips[True]
+    assert full.step == blowup.step == 3
+    assert full.time == blowup.time == full.ledger.times[-1] > 0.0
+    assert (full.column, blowup.column) == ("grad_c_linf", "vc_b2")
+    assert blowup.ledger.columns == ["grad_v_linf", "vc_b2"]
+
+
+def test_blowup_row_equals_the_monitor_rows_columns(grid64):
+    state = small_state(grid64, amplitude=2.0)
+    full = compressible.monitor_row(state)
+    assert compressible.blowup_row(state) == {k: full[k] for k in ("grad_v_linf", "vc_b2")}
+
+
 def test_monitor_row_covers_ledger_columns(grid64):
     from machlab.ledger import COMPRESSIBLE_COLUMNS
     state = small_state(grid64)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from machlab import spectral
+from machlab import compressible, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -16,6 +16,7 @@ from machlab.experiments import (
     free_wave_normalized,
     gaussian_bump_complex,
     initial_states,
+    measure_lifespans,
     run_experiment,
     run_sweep,
     transport_catalog,
@@ -150,3 +151,27 @@ def test_transport_log_driver_smoke(tmp_path):
 def test_run_experiment_rejects_unknown_driver():
     with pytest.raises(ValueError, match="no driver"):
         run_experiment(ExperimentConfig(experiment="bogus"))
+
+
+def test_lifespans_need_no_monitor_row(monkeypatch):
+    """Lifespan runs record only the blowup row, and end as full-row runs do:
+    one eps blows up here and two reach the cap."""
+    config = ExperimentConfig(experiment="lifespan-table", n=32, eps=(1.0, 0.5, 0.25),
+                              amplitude=8.0, t_cap=2.0, blowup_factor=2.0)
+    full = {}
+    for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
+        g0 = spectral.jacobian_sup(state.v)
+        stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt,
+                                             blowup_grad_linf=config.blowup_factor * g0)
+        try:
+            compressible.run(state, config.t_cap, stepper)
+            full[e] = (config.t_cap, True)
+        except compressible.Blowup as blow:
+            full[e] = (blow.time, False)
+    assert sorted(censored for _, censored in full.values()) == [False, True, True]
+
+    def no_monitor_row(state):
+        raise AssertionError("a lifespan run computed a full monitor row")
+
+    monkeypatch.setattr(compressible, "monitor_row", no_monitor_row)
+    assert measure_lifespans(config) == full

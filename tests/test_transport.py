@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from machlab import spectral, transport
+from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
 from machlab.experiments import transport_catalog, transport_initial_density
 
 
@@ -124,6 +125,52 @@ def test_oracle_matches_the_hand_written_characteristic_rk4(grid32):
     for vel in [cal] + holdouts:
         got = transport.solve_transport_oracle(f0, vel, 0.5, substeps=12)
         assert got.tobytes() == hand_written_oracle(f0, vel, 0.5, 12).tobytes(), vel.name
+
+
+def parent_tendency(f_modes, grid, vel, t, out):
+    """The spectral solve's tendency with the velocity evaluated at the grid
+    nodes at every stage; the solve must reproduce it bit for bit."""
+    x, y = grid.coordinates()
+    vx, vy = vel.velocity(t, x, y)
+    dvg = vel.divergence(t, x, y)
+    f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
+    spectral.to_modes(-(vx * fx + vy * fy) - f * dvg, out=out)
+    np.copyto(out, 0.0, where=~grid.dealias_mask)
+
+
+def point_sampled_solve(f0, vel, t_final, max_dt):
+    """``solve_transport_spectral`` with ``parent_tendency`` and ledger rows
+    whose Jacobian and divergence are evaluated at the nodes at every row."""
+    grid = f0.grid
+    x, y = grid.coordinates()
+    at_nodes = transport.GridVelocity(lambda t: vel.velocity(t, x, y),
+                                      lambda t: vel.jacobian(t, x, y),
+                                      lambda t: vel.divergence(t, x, y))
+    ledger = RunLedger(TRANSPORT_COLUMNS)
+    dt = min(max_dt, 0.4 * grid.spacing / (vel.speed_bound + 1e-12))
+
+    def advance(f, t, h):
+        return spectral.Field(grid, spectral.rk4(
+            lambda m, s, out: parent_tendency(m, grid, vel, s, out), f.modes, t, h))
+
+    f, _ = spectral.integrate(
+        spectral.dealias(f0), 0.0, t_final, lambda f: dt, advance,
+        lambda f, t: ledger.append(t, **transport.transport_monitor_row(f, at_nodes, t)))
+    return f, ledger
+
+
+def test_grid_sampled_solve_matches_point_evaluation_bit_for_bit(grid32):
+    f0 = transport_initial_density(grid32, seed=3)
+    cal, holdouts = transport_catalog(BOX)
+    for vel in [cal] + holdouts:
+        got_f, got = transport.solve_transport_spectral(f0, vel, 0.3, max_dt=0.05)
+        want_f, want = point_sampled_solve(f0, vel, 0.3, 0.05)
+        assert len(got) == len(want) == 7, vel.name
+        assert got_f.modes.tobytes() == want_f.modes.tobytes(), vel.name
+        assert got.times == want.times, vel.name
+        for column in TRANSPORT_COLUMNS:
+            assert got.column(column).tobytes() == want.column(column).tobytes(), \
+                (vel.name, column)
 
 
 def test_solver_rejects_bad_time():
