@@ -231,7 +231,9 @@ def check_splitting_order(bench: Workbench) -> CheckResult:
 
 def check_transport_lab(bench: Workbench) -> CheckResult:
     cfg, n, n_hi = bench.config, bench.config.n, bench.n_hi
-    tol_by_n = {n: 1e-3, n_hi: 2.5e-4} if n_hi > n else {n: 1e-3}
+    tol_by_n = {n: experiments.ORACLE_GAP_TOL}
+    if n_hi > n:
+        tol_by_n[n_hi] = 2.5e-4
     cal, holdouts = experiments.transport_catalog(cfg.box_length)
     worst_oracle = {}
     worst_mass = 0.0
@@ -246,19 +248,19 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
         growths += [r.range_growth for r in runs if r.range_growth is not None]
         if res == n:
             c_fit = transport.fit_log_constant(runs[0].ledger)
-            log_ratios = [transport.evaluate_log_estimate(r.ledger, c_fit).max_ratio
-                          for r in runs[1:]]
+            logs = [transport.evaluate_log_estimate(r.ledger, c_fit) for r in runs[1:]]
     worst_maxprin = max(growths, default=0.0)
     oracle_ok = all(worst_oracle[res] <= tol for res, tol in tol_by_n.items())
-    log_ok = len(log_ratios) >= 3 and all(r <= 1.0 + 1e-12 for r in log_ratios)
-    passed = (oracle_ok and worst_mass <= 1e-8 and bool(growths)
-              and worst_maxprin <= 1e-6 and log_ok)
+    log_ok = len(logs) >= 3 and all(rep.passed for rep in logs)
+    passed = (oracle_ok and worst_mass <= experiments.MASS_DRIFT_TOL and bool(growths)
+              and worst_maxprin <= experiments.MAX_PRINCIPLE_TOL and log_ok)
     hi = (f"{worst_oracle[n_hi]:.2e}@n={n_hi} (tol 2.5e-4)" if n_hi > n
           else f"no pass at n_hi={n_hi}, which is not above n")
     detail = (f"oracle gap {worst_oracle[n]:.2e}@n={n} (tol 1e-3), {hi}; "
               f"mass drift {worst_mass:.2e} (tol 1e-8); "
               f"max-principle drift {worst_maxprin:.2e} (tol 1e-6); "
-              f"growth-bound ratios max {max(log_ratios):.3f} over {len(log_ratios)} holdouts")
+              f"growth-bound ratios max {max(rep.max_ratio for rep in logs):.3f} "
+              f"over {len(logs)} holdouts")
     return CheckResult("transport-lab", passed, detail)
 
 
@@ -266,23 +268,25 @@ def check_acoustic_decay_trend(bench: Workbench) -> CheckResult:
     rep, free = experiments.evaluate_acoustic_decay(bench)
     free_spread = experiments.free_wave_spread(free)
     passed = (rep.a1_decreasing and rep.a4_decreasing
-              and free_spread <= 2.0 and rep.a4_normalized_spread <= 4.0)
+              and free_spread <= experiments.FREE_WAVE_SPREAD_TOL
+              and rep.a4_normalized_spread <= experiments.L4_SPREAD_TOL)
     detail = (f"L1 budget {'decreasing' if rep.a1_decreasing else 'NOT decreasing'} "
               f"{tuple(round(v, 4) for v in rep.a1)}, "
               f"L4 budget {'decreasing' if rep.a4_decreasing else 'NOT decreasing'} "
               f"{tuple(round(v, 4) for v in rep.a4)}; "
-              f"eps^(1/4)-normalized spread: free x{free_spread:.2f} (tol x2), "
-              f"nonlinear x{rep.a4_normalized_spread:.2f} (tol x4)")
+              f"eps^(1/4)-normalized spread: free x{free_spread:.2f} "
+              f"(tol x{experiments.FREE_WAVE_SPREAD_TOL:g}), "
+              f"nonlinear x{rep.a4_normalized_spread:.2f} (tol x{experiments.L4_SPREAD_TOL:g})")
     return CheckResult("acoustic-decay-trend", passed, detail)
 
 
 def check_incompressible_limit_trend(bench: Workbench) -> CheckResult:
     rep, _ = experiments.evaluate_incompressible_limit(bench)
     ratio = rep.smallest_over_largest
-    passed = rep.l2_decreasing and ratio <= 0.25 and rep.rate_bound_holds
+    passed = rep.l2_decreasing and ratio <= experiments.CONTRACTION_TOL and rep.rate_bound_holds
     detail = (f"sup-L2 gaps {tuple(round(v, 5) for v in rep.sup_l2)} "
               f"{'decreasing' if rep.l2_decreasing else 'NOT decreasing'}; "
-              f"smallest/largest {ratio:.3f} (tol 0.25); "
+              f"smallest/largest {ratio:.3f} (tol {experiments.CONTRACTION_TOL:g}); "
               f"rate bound {'holds' if rep.rate_bound_holds else 'FAILS'} "
               f"with C0={rep.c0_rate:.3g}")
     return CheckResult("incompressible-limit-trend", passed, detail)
@@ -384,13 +388,6 @@ _CHECKS = (
 
 
 def run_all(config: ExperimentConfig = ExperimentConfig(experiment="selftest"),
-            out_dir: str | None = None) -> list[CheckResult]:
+            ) -> list[CheckResult]:
     bench = Workbench(config)
-    results = [fn(bench) for fn in _CHECKS]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "acceptance.csv"), "w") as fh:
-            fh.write("check,passed,detail\n")
-            for r in results:
-                fh.write(f"{r.name},{int(r.passed)},\"{r.detail}\"\n")
-    return results
+    return [fn(bench) for fn in _CHECKS]

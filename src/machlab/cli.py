@@ -5,18 +5,17 @@
 Exit codes: 0 all summary assertions passed, 1 at least one failed,
 2 configuration problem (an experiment's unmet precondition included: too
 few eps for its trend fits, or a grid too coarse for the first dyadic ring),
-3 runtime failure. A blowup outside the lifespan-table experiment (where
-blowup is data) is a runtime failure; it
-first writes config.resolved, the partial ledgers, and a summary whose FAIL
-line names the time, the step, and the column that tripped. A step that
-cannot advance time is a runtime failure too, reported on one stderr line
-that names the time and the step.
+3 runtime failure. Exits 0, 1 and 3 all leave config.resolved. A blowup
+outside the lifespan-table experiment (where blowup is data) is a runtime
+failure that also writes the partial ledgers and a summary whose FAIL line
+names the time, the step, and the column that tripped. A step that cannot
+advance time is a runtime failure with no summary, reported on one stderr
+line that names the time and the step.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides the config file)")
     parser.add_argument("--threads", type=int, metavar="N",
                         help="worker threads for sweep members "
-                             "(fallback: MACHLAB_THREADS, then 1)")
+                             "(overrides the config file)")
     return parser
 
 
@@ -58,16 +57,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict = {"experiment": args.experiment}
     if args.out is not None:
         overrides["out"] = args.out
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("MACHLAB_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"MACHLAB_THREADS must be an integer, got {env!r}") from None
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     return with_overrides(cfg, **overrides)  # validates, the experiment included
 
 

@@ -246,7 +246,6 @@ def _check_blowup(t: float, row: dict[str, float], config: StepperConfig,
 
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
-        run_id: str = "", config_hash: str = "",
         blowup_only: bool = False) -> tuple[FlowState, RunLedger, dict[float, FlowState]]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
@@ -260,7 +259,7 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     columns = BLOWUP_COLUMNS if blowup_only else COMPRESSIBLE_COLUMNS
-    ledger = RunLedger(columns, run_id=run_id, config_hash=config_hash)
+    ledger = RunLedger(columns)
 
     def record(state: FlowState, t: float) -> None:
         row = blowup_row(state) if blowup_only else monitor_row(state)

@@ -1,19 +1,17 @@
 """Experiment drivers: turn one config into runs, checks, and artifacts.
 
-Each driver writes, under the output directory:
+``run_experiment`` writes ``config.resolved`` (the canonical dump of the
+effective configuration) before the driver runs and ``summary.txt`` (one
+PASS/FAIL line per check, naming the operation and any fitted constant)
+after it, also after a sweep blowup, with every member's partial ledger.
+The driver adds its summary lines and writes its own artifacts: ledgers,
+CSV tables through one writer, and MLF1 snapshots.
 
-* ``config.resolved``    canonical dump of the effective configuration
-* ``summary.txt``        one PASS/FAIL line per check, naming the operation
-                         and any fitted constant
-* per-run ledgers as CSV, plus experiment-specific CSV tables and MLF1
-  snapshots
-
-and returns (passed, lines). A driver that ``acceptance`` also checks is an
-evaluator (``evaluate_*``), which returns numbers, and a writer, which turns
-them into summary lines and artifacts; the acceptance checks call the same
-evaluators. Runs across an eps sweep may execute on a thread pool; results
-are keyed by eps and written in sorted order, so output bytes do not depend
-on the thread count.
+A driver that ``acceptance`` also checks is an evaluator (``evaluate_*``),
+which returns numbers, and a writer; the acceptance checks call the same
+evaluators and read the same pass rules. Runs across an eps sweep may
+execute on a thread pool; results are keyed by eps and written in sorted
+order, so output bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -81,14 +79,11 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
     Every member runs to its end; if any blew up, raises ``SweepBlowup``.
     """
     stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt)
-    chash = config_hash(config)
 
     def one(eps: float):
         try:
-            _, ledger, snaps = compressible.run(
-                states[eps], config.t_final, stepper, snapshot_times=snapshot_times,
-                run_id=f"eps={eps:g}", config_hash=chash,
-            )
+            _, ledger, snaps = compressible.run(states[eps], config.t_final, stepper,
+                                                snapshot_times=snapshot_times)
         except compressible.Blowup as blow:
             return blow
         return ledger, snaps
@@ -125,8 +120,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
         )
         try:
-            compressible.run(state, config.t_cap, stepper, run_id=f"lifespan eps={e:g}",
-                             blowup_only=True)
+            compressible.run(state, config.t_cap, stepper, blowup_only=True)
             out[e] = (config.t_cap, True)
         except compressible.Blowup as blow:
             out[e] = (blow.time, False)
@@ -180,10 +174,8 @@ def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowS
     so one reference, from the largest eps's state, serves the whole sweep."""
     v0 = spectral.leray_p(states[max(states)].v)
     omega0 = spectral.curl2d(v0)
-    return incompressible.run_incompressible(
-        omega0, t_final, cfl=config.cfl, max_dt=config.max_dt,
-        snapshot_times=snapshot_times, run_id="reference", config_hash=config_hash(config),
-    )
+    return incompressible.run_incompressible(omega0, t_final, cfl=config.cfl,
+                                             max_dt=config.max_dt, snapshot_times=snapshot_times)
 
 
 def limit_error_series(sweep, ref_snapshots, times):
@@ -238,6 +230,14 @@ def transport_initial_density(grid: Grid, seed: int = 0) -> Field:
 
 # ---------------------------------------------------------------------------
 # evaluators
+
+# Pass rules that a driver and an ``acceptance`` check share.
+FREE_WAVE_SPREAD_TOL = 2.0   # max/min of the eps^(1/4)-normalized free-wave values
+L4_SPREAD_TOL = 4.0          # max/min of the eps^(1/4)-normalized L4-in-time budgets
+CONTRACTION_TOL = 0.25       # smallest/largest sup-L2 gap to the incompressible limit
+ORACLE_GAP_TOL = 1e-3        # max |spectral - oracle| of a transport solve at n
+MASS_DRIFT_TOL = 1e-8        # relative mass drift of a transport solve
+MAX_PRINCIPLE_TOL = 1e-6     # interpolant range growth over the initial range, div v = 0
 
 
 def snapshot_times(config: ExperimentConfig) -> list[float]:
@@ -344,71 +344,48 @@ def evaluate_transport_velocity(f0: Field,
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# drivers: each adds its summary lines and writes its own tables and snapshots
 
 
 class _Summary:
     def __init__(self):
         self.lines: list[str] = []
-        self.failed = 0
+        self.passed = True
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        tag = "PASS" if ok else "FAIL"
-        self.lines.append(f"{tag} {name}" + (f": {detail}" if detail else ""))
-        if not ok:
-            self.failed += 1
+        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
+        self.passed = self.passed and bool(ok)
 
     def note(self, text: str) -> None:
         self.lines.append(f"note {text}")
 
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
+
+def _cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return str(int(x))
+    return x if isinstance(x, str) else f"{x:.17g}"
 
 
-def _write_summary(out_dir: str, config: ExperimentConfig, summary: _Summary) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
-        fh.write(canonical_dump(config))
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"machlab summary v1 config={config_hash(config)}\n")
-        for line in summary.lines:
-            fh.write(line + "\n")
-        fh.write(f"RESULT {'PASS' if summary.passed else 'FAIL'}\n")
-
-
-def _write_ledgers(out_dir: str, ledgers: dict[float, RunLedger]) -> None:
-    for e in sorted(ledgers, reverse=True):
-        ledgers[e].to_csv(os.path.join(out_dir, f"ledger_eps_{_eps_tag(e)}.csv"))
-
-
-def _write_blowup(config: ExperimentConfig, blow: SweepBlowup) -> None:
-    """The artifacts of a sweep that blew up: every member's ledger, partial
-    or not, and a summary with one FAIL line per blown-up member."""
-    summary = _Summary()
-    for e in sorted(blow.blowups, reverse=True):
-        b = blow.blowups[e]
-        summary.check(f"run.no_blowup[eps={e:g}]", False,
-                      f"blew up at t={_fmt(b.time)}, step {b.step}, column {b.column}: "
-                      f"{b.reason}")
-    os.makedirs(config.out, exist_ok=True)
-    _write_ledgers(config.out, blow.ledgers)
-    _write_summary(config.out, config, summary)
-
-
-def _write_plot(path: str, x_name: str, y_name: str, xs, ys) -> None:
-    """Two-column CSV, one curve per file, ready for any plotting tool."""
+def _write_csv(path: str, header: str, rows) -> None:
+    """One CSV table: numbers at 17 significant digits, so reruns are
+    byte-identical (an int prints as an integer), bools as 0/1, strings verbatim."""
     with open(path, "w") as fh:
-        fh.write(f"{x_name},{y_name}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g},{y:.17g}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(x) for x in row) + "\n")
 
 
-def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def _write_ledgers(config: ExperimentConfig, ledgers: dict[float, RunLedger]) -> None:
+    chash = config_hash(config)
+    for e in sorted(ledgers, reverse=True):
+        ledgers[e].to_csv(os.path.join(config.out, f"ledger_eps_{_eps_tag(e)}.csv"),
+                          f"eps={e:g}", chash)
+
+
+def drive_acoustic_decay(config: ExperimentConfig, summary: _Summary) -> None:
     study = SweepStudy(config)
     report, free = evaluate_acoustic_decay(study)
     spread, ledgers = free_wave_spread(free), study.ledgers
-    summary = _Summary()
     summary.note(
         "block norms are inhomogeneous (low block included); decay measured on "
         f"window [0, {_fmt(report.window)}] before torus wraparound"
@@ -427,41 +404,36 @@ def drive_acoustic_decay(config: ExperimentConfig) -> tuple[bool, list[str]]:
                  f"C0={_fmt(report.c0_a4)} fitted at eps={report.eps[0]:g}")
     summary.note(f"fitted decay exponent against the weight: eta={_fmt(report.eta_fit)}")
     summary.check("acoustic_decay.l4_scaling_spread",
-                  report.a4_normalized_spread <= 4.0,
+                  report.a4_normalized_spread <= L4_SPREAD_TOL,
                   f"L4 values normalized by eps^(1/4) spread by "
-                  f"x{_fmt(report.a4_normalized_spread)} (tolerance x4)")
-    summary.check("strichartz.free_wave_scaling", spread <= 2.0,
-                  f"normalized values spread by x{_fmt(spread)} (tolerance x2)")
+                  f"x{_fmt(report.a4_normalized_spread)} (tolerance x{L4_SPREAD_TOL:g})")
+    summary.check("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
+                  f"normalized values spread by x{_fmt(spread)} "
+                  f"(tolerance x{FREE_WAVE_SPREAD_TOL:g})")
     for e in sorted(ledgers, reverse=True):
         rep = asymptotics.check_energy_growth(ledgers[e])
         summary.check(f"energy.l2_growth[eps={e:g}]", rep.l2_ok,
                       f"fitted C={_fmt(rep.c_l2)} (must be <= 2)")
     out = config.out
-    os.makedirs(out, exist_ok=True)
-    _write_ledgers(out, ledgers)
-    with open(os.path.join(out, "acoustic_decay.csv"), "w") as fh:
-        fh.write("eps,a1_window,a4_window,blocksum_window,phi,free_wave,free_wave_normalized\n")
-        for i, e in enumerate(report.eps):
-            fh.write(f"{e:.17g},{report.a1[i]:.17g},{report.a4[i]:.17g},"
-                     f"{report.b1[i]:.17g},{report.phi[i]:.17g},"
-                     f"{free[e][0]:.17g},{free[e][1]:.17g}\n")
-    _write_plot(os.path.join(out, "plot_l1_budget_vs_eps.csv"), "eps", "l1_budget",
-                report.eps, report.a1)
-    _write_plot(os.path.join(out, "plot_l4_budget_vs_eps.csv"), "eps", "l4_budget",
-                report.eps, report.a4)
-    _write_plot(os.path.join(out, "plot_blocksum_vs_phi.csv"), "phi", "blocksum_budget",
-                report.phi, report.b1)
+    _write_ledgers(config, ledgers)
+    _write_csv(os.path.join(out, "acoustic_decay.csv"),
+               "eps,a1_window,a4_window,blocksum_window,phi,free_wave,free_wave_normalized",
+               [(e, report.a1[i], report.a4[i], report.b1[i], report.phi[i], *free[e][:2])
+                for i, e in enumerate(report.eps)])
+    _write_csv(os.path.join(out, "plot_l1_budget_vs_eps.csv"), "eps,l1_budget",
+               zip(report.eps, report.a1))
+    _write_csv(os.path.join(out, "plot_l4_budget_vs_eps.csv"), "eps,l4_budget",
+               zip(report.eps, report.a4))
+    _write_csv(os.path.join(out, "plot_blocksum_vs_phi.csv"), "phi,blocksum_budget",
+               zip(report.phi, report.b1))
     study.profile.serialize(os.path.join(out, "profile.txt"))
-    _write_summary(out, config, summary)
-    return summary.passed, summary.lines
 
 
-def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def drive_incompressible_limit(config: ExperimentConfig, summary: _Summary) -> None:
     study = SweepStudy(config, snapshot_times(config))
     report, l2s = evaluate_incompressible_limit(study)
     times, sweep = study.times, study.sweep
     _, ref_ledger, ref_snaps = study.reference
-    summary = _Summary()
     summary.check("incompressible_limit.l2_monotone", report.l2_decreasing,
                   "sup_t ||P v_eps - v||_L2 per eps: "
                   + ", ".join(_fmt(v) for v in report.sup_l2))
@@ -469,59 +441,54 @@ def drive_incompressible_limit(config: ExperimentConfig) -> tuple[bool, list[str
                   "sup_t ||P v_eps - v||_B2 per eps: "
                   + ", ".join(_fmt(v) for v in report.sup_b2))
     summary.check("incompressible_limit.contraction",
-                  report.smallest_over_largest <= 0.25,
-                  f"smallest/largest = {_fmt(report.smallest_over_largest)} (tolerance 0.25)")
+                  report.smallest_over_largest <= CONTRACTION_TOL,
+                  f"smallest/largest = {_fmt(report.smallest_over_largest)} "
+                  f"(tolerance {CONTRACTION_TOL:g})")
     summary.check("incompressible_limit.rate_bound", report.rate_bound_holds,
                   f"double-exponential rate bound with C0={_fmt(report.c0_rate)} "
                   f"fitted at eps={report.eps[0]:g}")
     out = config.out
-    os.makedirs(out, exist_ok=True)
-    _write_ledgers(out, study.ledgers)
-    ref_ledger.to_csv(os.path.join(out, "ledger_reference.csv"))
-    with open(os.path.join(out, "incompressible_limit.csv"), "w") as fh:
-        fh.write("eps," + ",".join(f"l2_t{_fmt(t)}" for t in times) + "\n")
-        for e in report.eps:
-            fh.write(f"{e:.17g}," + ",".join(f"{v:.17g}" for v in l2s[e]) + "\n")
-    _write_plot(os.path.join(out, "plot_sup_gap_vs_eps.csv"), "eps", "sup_l2_gap",
-                report.eps, report.sup_l2)
+    _write_ledgers(config, study.ledgers)
+    ref_ledger.to_csv(os.path.join(out, "ledger_reference.csv"), "reference",
+                      config_hash(config))
+    _write_csv(os.path.join(out, "incompressible_limit.csv"),
+               "eps," + ",".join(f"l2_t{_fmt(t)}" for t in times),
+               [(e, *l2s[e]) for e in report.eps])
+    _write_csv(os.path.join(out, "plot_sup_gap_vs_eps.csv"), "eps,sup_l2_gap",
+               zip(report.eps, report.sup_l2))
     t_last = times[-1]
     for e in report.eps:
         spectral.write_snapshot(os.path.join(out, f"snap_eps_{_eps_tag(e)}_final.mlf"),
                                 sweep[e][1][t_last])
     spectral.write_snapshot(os.path.join(out, "snap_reference_final.mlf"),
                             incompressible.velocity_from_vorticity(ref_snaps[t_last]))
-    _write_summary(out, config, summary)
-    return summary.passed, summary.lines
 
 
-def drive_transport_log(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def drive_transport_log(config: ExperimentConfig, summary: _Summary) -> None:
     grid = Grid(config.n, config.box_length)
     f0 = transport_initial_density(grid, config.seed)
     cal_vel, holdouts = transport_catalog(grid.box_length)
-    t_final = config.t_final
-    summary = _Summary()
-    _, cal_ledger = transport.solve_transport_spectral(
-        f0, cal_vel, t_final, cfl=config.cfl, max_dt=config.max_dt,
-        run_id="calibration", config_hash=config_hash(config))
+    _, cal_ledger = transport.solve_transport_spectral(f0, cal_vel, config.t_final,
+                                                       cfl=config.cfl, max_dt=config.max_dt)
     c_fit = transport.fit_log_constant(cal_ledger)
     summary.note(f"growth-bound constant fitted on {cal_vel.name}: C={_fmt(c_fit)} "
                  "(smallest passing, x2 headroom)")
     interp_cal = asymptotics.interpolation_ratio(cal_ledger)
     results = []
-    scale = max(1.0, float(np.max(np.abs(f0.values()))))
     for i, vel in enumerate(holdouts):
-        run = evaluate_transport_velocity(f0, vel, t_final, config.cfl, config.max_dt)
+        run = evaluate_transport_velocity(f0, vel, config.t_final, config.cfl, config.max_dt)
         rep = transport.evaluate_log_estimate(run.ledger, c_fit)
         results.append((vel.name, rep, run))
         extra = " (divergence-free reduction)" if rep.div_free else ""
         summary.check(f"transport.log_estimate[{i}]", rep.passed,
                       f"max LHS/RHS = {_fmt(rep.max_ratio)} on {vel.name}{extra}")
-        summary.check(f"transport.oracle_agreement[{i}]", run.oracle_gap / scale <= 1e-3,
+        summary.check(f"transport.oracle_agreement[{i}]", run.oracle_gap <= ORACLE_GAP_TOL,
                       f"max |spectral - oracle| = {_fmt(run.oracle_gap)} on {vel.name}")
-        summary.check(f"transport.mass_conservation[{i}]", run.mass_drift <= 1e-8,
+        summary.check(f"transport.mass_conservation[{i}]", run.mass_drift <= MASS_DRIFT_TOL,
                       f"relative mass drift {run.mass_drift:.3e}")
         if run.range_growth is not None:
-            summary.check(f"transport.max_principle[{i}]", run.range_growth <= 1e-6,
+            summary.check(f"transport.max_principle[{i}]",
+                          run.range_growth <= MAX_PRINCIPLE_TOL,
                           f"interpolant range grew by {run.range_growth:.3e} of the "
                           f"initial range on {vel.name}")
         ratio = asymptotics.interpolation_ratio(run.ledger)
@@ -529,46 +496,35 @@ def drive_transport_log(config: ExperimentConfig) -> tuple[bool, list[str]]:
             summary.check(f"transport.interpolation[{i}]", ratio <= 2.0 * max(interp_cal, 1e-12),
                           f"interpolation ratio {_fmt(ratio)} vs calibration {_fmt(interp_cal)}")
     out = config.out
-    os.makedirs(out, exist_ok=True)
-    cal_ledger.to_csv(os.path.join(out, "ledger_transport_calibration.csv"))
-    with open(os.path.join(out, "transport_compare.csv"), "w") as fh:
-        fh.write("velocity,log_ratio,oracle_diff,mass_drift\n")
-        for name, rep, run in results:
-            fh.write(f"\"{name}\",{rep.max_ratio:.17g},{run.oracle_gap:.17g},"
-                     f"{run.mass_drift:.17g}\n")
+    cal_ledger.to_csv(os.path.join(out, "ledger_transport_calibration.csv"), "calibration",
+                      config_hash(config))
+    _write_csv(os.path.join(out, "transport_compare.csv"),
+               "velocity,log_ratio,oracle_diff,mass_drift",
+               [(f'"{name}"', rep.max_ratio, run.oracle_gap, run.mass_drift)
+                for name, rep, run in results])
     for i, (_, rep, _) in enumerate(results):
-        _write_plot(os.path.join(out, f"plot_growth_ratio_holdout{i}.csv"),
-                    "t", "lhs_over_bound", rep.times, rep.ratios)
-    _write_summary(out, config, summary)
-    return summary.passed, summary.lines
+        _write_csv(os.path.join(out, f"plot_growth_ratio_holdout{i}.csv"), "t,lhs_over_bound",
+                   zip(rep.times, rep.ratios))
 
 
-def drive_strichartz_sweep(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def drive_strichartz_sweep(config: ExperimentConfig, summary: _Summary) -> None:
     grid = Grid(config.n, config.box_length)
     window, free = free_wave_normalized(grid, config.eps, p=config.p)
     r, decay = acoustic.strichartz_exponents(config.p)
-    summary = _Summary()
     summary.note("free half-wave propagator on the inhomogeneous torus; "
                  "decay exponents quoted from the homogeneous-space scaling")
     spread = free_wave_spread(free)
-    summary.check("strichartz.free_wave_scaling", spread <= 2.0,
+    summary.check("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
                   f"p={config.p:g}, r={r:g}: normalized spread x{_fmt(spread)}")
-    out = config.out
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "strichartz.csv"), "w") as fh:
-        fh.write("eps,p,r,decay_exponent,window,value,normalized,window_ok\n")
-        for e in sorted(free, reverse=True):
-            val, norm, ok = free[e]
-            fh.write(f"{e:.17g},{config.p:g},{r:g},{decay:.17g},"
-                     f"{window:.17g},{val:.17g},{norm:.17g},{int(ok)}\n")
     eps_desc = sorted(free, reverse=True)
-    _write_plot(os.path.join(out, "plot_mixed_norm_vs_eps.csv"), "eps", "mixed_norm",
-                eps_desc, [free[e][0] for e in eps_desc])
-    _write_summary(out, config, summary)
-    return summary.passed, summary.lines
+    _write_csv(os.path.join(config.out, "strichartz.csv"),
+               "eps,p,r,decay_exponent,window,value,normalized,window_ok",
+               [(e, f"{config.p:g}", f"{r:g}", decay, window, *free[e]) for e in eps_desc])
+    _write_csv(os.path.join(config.out, "plot_mixed_norm_vs_eps.csv"), "eps,mixed_norm",
+               [(e, free[e][0]) for e in eps_desc])
 
 
-def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def drive_lifespan_table(config: ExperimentConfig, summary: _Summary) -> None:
     eps_desc = sorted(config.eps, reverse=True)
     lifespans = measure_lifespans(config)
     t_nums, t_num_ok, blew_up = lifespan_rules(lifespans)
@@ -576,7 +532,6 @@ def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
     for tag in ("exp:1", "power:2"):
         model = asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
         preds[tag] = [asymptotics.lifespan_prediction(model, e) for e in eps_desc]
-    summary = _Summary()
     summary.check("lifespan.t_num_nondecreasing", t_num_ok,
                   "measured lifespan proxies per eps (descending): "
                   + ", ".join(_fmt(t) for t in t_nums))
@@ -591,27 +546,22 @@ def drive_lifespan_table(config: ExperimentConfig) -> tuple[bool, list[str]]:
         t_psi = [p.t_psi for p in est]
         summary.check(f"lifespan.model_monotone[{tag}]", nondecreasing(t_psi, tol=1e-12),
                       "predicted T(eps): " + ", ".join(_fmt(p) for p in t_psi))
-    out = config.out
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "lifespan.csv"), "w") as fh:
-        fh.write("eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2\n")
-        for e, t, p1, p2 in zip(eps_desc, t_nums, preds["exp:1"], preds["power:2"]):
-            fh.write(f"{e:.17g},{t:.17g},{int(lifespans[e][1])},{p1.t_psi:.17g},"
-                     f"{p1.t_phi:.17g},{p2.t_psi:.17g},{p2.t_phi:.17g}\n")
-    _write_plot(os.path.join(out, "plot_lifespan_vs_eps.csv"), "eps", "t_num", eps_desc, t_nums)
-    _write_summary(out, config, summary)
-    return summary.passed, summary.lines
+    _write_csv(os.path.join(config.out, "lifespan.csv"),
+               "eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2",
+               [(e, t, lifespans[e][1], p1.t_psi, p1.t_phi, p2.t_psi, p2.t_phi)
+                for e, t, p1, p2 in zip(eps_desc, t_nums, preds["exp:1"], preds["power:2"])])
+    _write_csv(os.path.join(config.out, "plot_lifespan_vs_eps.csv"), "eps,t_num",
+               zip(eps_desc, t_nums))
 
 
-def drive_selftest(config: ExperimentConfig) -> tuple[bool, list[str]]:
+def drive_selftest(config: ExperimentConfig, summary: _Summary) -> None:
     from . import acceptance
 
-    results = acceptance.run_all(config, out_dir=config.out)
-    summary = _Summary()
+    results = acceptance.run_all(config)
     for res in results:
         summary.check(res.name, res.passed, res.detail)
-    _write_summary(config.out, config, summary)
-    return summary.passed, summary.lines
+    _write_csv(os.path.join(config.out, "acceptance.csv"), "check,passed,detail",
+               [(res.name, res.passed, f'"{res.detail}"') for res in results])
 
 
 _DRIVERS = {
@@ -624,14 +574,40 @@ _DRIVERS = {
 }
 
 
+def _write_summary(config: ExperimentConfig, summary: _Summary) -> None:
+    with open(os.path.join(config.out, "summary.txt"), "w") as fh:
+        fh.write(f"machlab summary v1 config={config_hash(config)}\n")
+        for line in summary.lines:
+            fh.write(line + "\n")
+        fh.write(f"RESULT {'PASS' if summary.passed else 'FAIL'}\n")
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
-    """Run one driver. A sweep blowup first leaves its partial artifacts in
-    ``config.out``, then propagates."""
+    """Run one driver in ``config.out`` and return (passed, summary lines).
+
+    ``config.resolved`` is written before the driver runs, so every exit
+    leaves a config that replays; ``summary.txt`` is written after it. A
+    sweep blowup adds one FAIL line per blown-up member, writes every
+    member's ledger, partial ones included, and the summary, then
+    propagates. Any other exception leaves no summary.
+    """
     driver = _DRIVERS.get(config.experiment)
     if driver is None:
         raise ValueError(f"no driver for experiment {config.experiment!r}")
+    os.makedirs(config.out, exist_ok=True)
+    with open(os.path.join(config.out, "config.resolved"), "w") as fh:
+        fh.write(canonical_dump(config))
+    summary = _Summary()
     try:
-        return driver(config)
+        driver(config, summary)
     except SweepBlowup as blow:
-        _write_blowup(config, blow)
+        for e in sorted(blow.blowups, reverse=True):
+            b = blow.blowups[e]
+            summary.check(f"run.no_blowup[eps={e:g}]", False,
+                          f"blew up at t={_fmt(b.time)}, step {b.step}, column {b.column}: "
+                          f"{b.reason}")
+        _write_ledgers(config, blow.ledgers)
+        _write_summary(config, summary)
         raise
+    _write_summary(config, summary)
+    return summary.passed, summary.lines

@@ -58,15 +58,13 @@ def cfl_dt_incompressible(omega: Field, cfl: float, max_dt: float) -> float:
 
 
 def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
-                       max_dt: float = 0.05,
-                       snapshot_times: Optional[list[float]] = None,
-                       run_id: str = "", config_hash: str = "",
+                       max_dt: float = 0.05, snapshot_times: Optional[list[float]] = None,
                        ) -> tuple[Field, RunLedger, dict[float, Field]]:
     """Integrate the vorticity from t = 0 to t_final with per-step norm
     logging and exact snapshot times."""
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
-    ledger = RunLedger(INCOMPRESSIBLE_COLUMNS, run_id=run_id, config_hash=config_hash)
+    ledger = RunLedger(INCOMPRESSIBLE_COLUMNS)
 
     def record(omega: Field, t: float) -> None:
         v = velocity_from_vorticity(omega)

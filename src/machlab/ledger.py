@@ -18,9 +18,7 @@ _FLOAT_FMT = "{:.17g}"
 
 
 class RunLedger:
-    def __init__(self, columns: Iterable[str], run_id: str = "", config_hash: str = ""):
-        self.run_id = run_id
-        self.config_hash = config_hash
+    def __init__(self, columns: Iterable[str]):
         self._columns = list(columns)
         if "t" in self._columns:
             raise ValueError("the time column is implicit; do not list it")
@@ -83,9 +81,11 @@ class RunLedger:
     def window_l1(self, name: str, t_max: float) -> float:
         return self.window_mixed_norm(name, 1.0, t_max)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, run_id: str, config_hash: str) -> None:
+        """Write the ledger under a header line naming the run and the hash of
+        the config it ran under."""
         with open(path, "w") as fh:
-            fh.write(f"# machlab ledger v1 run={self.run_id} config={self.config_hash}\n")
+            fh.write(f"# machlab ledger v1 run={run_id} config={config_hash}\n")
             fh.write(",".join(["t"] + self._columns) + "\n")
             for i, t in enumerate(self.times):
                 cells = [_FLOAT_FMT.format(t)]
@@ -98,11 +98,10 @@ class RunLedger:
             header = fh.readline().strip()
             if not header.startswith("# machlab ledger v1"):
                 raise ValueError(f"not a machlab ledger: {header!r}")
-            meta = dict(tok.split("=", 1) for tok in header.split()[4:] if "=" in tok)
             names = fh.readline().strip().split(",")
             if names[0] != "t":
                 raise ValueError("ledger must start with the time column")
-            led = cls(names[1:], run_id=meta.get("run", ""), config_hash=meta.get("config", ""))
+            led = cls(names[1:])
             for line in fh:
                 line = line.strip()
                 if not line:

@@ -200,8 +200,7 @@ def transport_monitor_row(f: Field, vel: GridVelocity, t: float) -> dict:
 
 
 def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
-                             cfl: float = 0.4, max_dt: float = 0.05, run_id: str = "",
-                             config_hash: str = "") -> tuple[Field, RunLedger]:
+                             cfl: float = 0.4, max_dt: float = 0.05) -> tuple[Field, RunLedger]:
     """RK4 integration of the continuity-form transport equation.
 
     The velocity's spatial factors are sampled on the grid once per solve
@@ -212,7 +211,7 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     grid = f0.grid
-    ledger = RunLedger(TRANSPORT_COLUMNS, run_id=run_id, config_hash=config_hash)
+    ledger = RunLedger(TRANSPORT_COLUMNS)
     dt_base = min(max_dt, cfl * grid.spacing / (vel.speed_bound + 1e-12))
     sampled = vel.on_grid(*grid.coordinates())
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from machlab import cli
+from machlab import cli, experiments
 from machlab import littlewood_paley as lp
 from machlab.config import (
     EXPERIMENTS,
@@ -320,11 +320,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "machlab: step 7 does not advance time from t=0.25 (dt=0.0)\n"
 
-    def test_threads_fall_back_to_the_environment(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MACHLAB_THREADS", "not-a-number")
-        cfg = _write_cfg(tmp_path, "n = 32\n")
-        assert cli.main(["selftest", "--config", cfg]) == 2
-        assert "MACHLAB_THREADS" in capsys.readouterr().err
+    def test_stalled_driver_exits_three_leaving_a_replayable_config(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        def stalled(config, summary):
+            summary.check("never.written", True)
+            raise StalledStep(0.25, 7, 0.0)
+
+        monkeypatch.setitem(experiments._DRIVERS, "strichartz-sweep", stalled)
+        text = "n = 32\neps = 0.2, 0.1\namplitude = 3\n"
+        out = tmp_path / "out"
+        code = cli.main(["strichartz-sweep", "--config", _write_cfg(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("machlab: step 7 does not advance time")
+        resolved = parse_config((out / "config.resolved").read_text())
+        want = with_overrides(parse_config(text), experiment="strichartz-sweep")
+        assert config_hash(resolved) == config_hash(want)
+        assert not (out / "summary.txt").exists()
 
     def test_unknown_experiment_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

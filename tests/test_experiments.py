@@ -10,9 +10,6 @@ from machlab import compressible, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
-    drive_incompressible_limit,
-    drive_strichartz_sweep,
-    drive_transport_log,
     free_wave_normalized,
     gaussian_bump_complex,
     initial_states,
@@ -85,15 +82,15 @@ def test_run_sweep_output_does_not_depend_on_thread_count(tmp_path):
     for e in base.eps:
         a, b = serial[e][0], pooled[e][0]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.to_csv(pa)
-        b.to_csv(pb)
+        a.to_csv(pa, f"eps={e:g}", "h")
+        b.to_csv(pb, f"eps={e:g}", "h")
         assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_strichartz_driver_artifacts(tmp_path):
     cfg = ExperimentConfig(experiment="strichartz-sweep", n=32, eps=(0.2, 0.1, 0.05),
                            out=str(tmp_path / "out"))
-    passed, lines = drive_strichartz_sweep(cfg)
+    passed, lines = run_experiment(cfg)
     assert passed
     assert any(line.startswith("PASS strichartz.free_wave_scaling") for line in lines)
     out = tmp_path / "out"
@@ -112,7 +109,7 @@ def test_incompressible_limit_driver_smoke(tmp_path):
     cfg = ExperimentConfig(experiment="incompressible-limit", n=32,
                            eps=(0.4, 0.2, 0.05), t_final=0.2, max_dt=0.02,
                            snapshots=5, out=str(tmp_path / "out"))
-    passed, lines = drive_incompressible_limit(cfg)
+    passed, lines = run_experiment(cfg)
     assert passed, "\n".join(lines)
     out = tmp_path / "out"
     for name in ("ledger_reference.csv", "incompressible_limit.csv",
@@ -129,7 +126,7 @@ def test_transport_log_driver_smoke(tmp_path):
     # initial range by t = 0.1, past the 1e-6 tolerance; 0.05 keeps it at 5e-7
     cfg = ExperimentConfig(experiment="transport-log", n=32, t_final=0.05,
                            out=str(tmp_path / "out"))
-    passed, lines = drive_transport_log(cfg)
+    passed, lines = run_experiment(cfg)
     assert passed, "\n".join(lines)
     out = tmp_path / "out"
     assert sorted(os.listdir(out)) == sorted(
@@ -146,6 +143,49 @@ def test_transport_log_driver_smoke(tmp_path):
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary[-1] == "RESULT PASS"
     assert (out / "config.resolved").read_text() == canonical_dump(cfg)
+
+
+# The exact tables of three runs at n = 32, for the cells that are not floats:
+# strichartz.csv writes p and r in :g form and window_ok as 0/1, lifespan.csv
+# writes censored as 0/1, and transport_compare.csv quotes the velocity names.
+_TABLES = {
+    "strichartz.csv": (
+        "strichartz-sweep", dict(eps=(0.2, 0.1, 0.05), p=2.7), [
+            "eps,p,r,decay_exponent,window,value,normalized,window_ok",
+            "0.20000000000000001,2.7,15.4286,0.064814814814814825,1.1196636217394023,"
+            "0.56988071311180999,0.63253938278461763,1",
+            "0.10000000000000001,2.7,15.4286,0.064814814814814825,1.1196636217394023,"
+            "0.54575336321806978,0.63359426206223635,1",
+            "0.050000000000000003,2.7,15.4286,0.064814814814814825,1.1196636217394023,"
+            "0.52200834721434464,0.63387476991409597,1",
+        ]),
+    "lifespan.csv": (
+        "lifespan-table", dict(eps=(1.0, 0.5, 0.25), amplitude=8.0, t_cap=2.0,
+                               blowup_factor=2.0), [
+            "eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2",
+            "1,1.819216452950972,0,0,0,0.32663425997828094,0",
+            "0.5,2,1,0,0,0.68381422908990686,0",
+            "0.25,2,1,0.32663425997828094,0,0.8917817984669012,0",
+        ]),
+    "transport_compare.csv": (
+        "transport-log", dict(t_final=0.05), [
+            "velocity,log_ratio,oracle_diff,mass_drift",
+            '"mode(A=1.0,m=(2, 2),w=1.5)",0.5,0.00013496485340902531,0',
+            '"superpose(shear(A=1.2,m=3,w=0.7)+mode(A=0.5,m=(1, 4),w=2.5))",0.5,'
+            "0.00010645443119966513,0",
+            '"mode(A=0.6,m=(5, 2),w=3.0)",0.5,0.00010256262487917667,0',
+            '"shear(A=1.0,m=1,w=0.9)",0.5,5.2368816337633461e-05,0',
+        ]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_tables_write_non_float_cells_as_before(tmp_path, table):
+    experiment, keys, lines = _TABLES[table]
+    cfg = with_overrides(ExperimentConfig(), experiment=experiment, n=32,
+                         out=str(tmp_path / "out"), **keys)
+    run_experiment(cfg)
+    assert (tmp_path / "out" / table).read_text().splitlines() == lines
 
 
 def test_run_experiment_rejects_unknown_driver():

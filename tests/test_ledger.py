@@ -76,23 +76,23 @@ def test_window_norms_closed_forms():
 
 
 def test_csv_round_trip_is_bit_identical(tmp_path):
-    led = RunLedger(["f", "int_f"], run_id="demo", config_hash="abc123")
+    led = RunLedger(["f", "int_f"])
     rng = np.random.default_rng(0)
     t = 0.0
     for _ in range(7):
         led.append(t, f=rng.uniform())
         t += rng.uniform()
     path = tmp_path / "run.csv"
-    led.to_csv(path)
+    led.to_csv(path, "demo", "abc123")
+    assert path.read_text().splitlines()[0] == "# machlab ledger v1 run=demo config=abc123"
     back = RunLedger.from_csv(path)
-    assert back.run_id == "demo" and back.config_hash == "abc123"
     assert back.columns == led.columns
     assert back.times == led.times
     for c in led.columns:
         assert np.array_equal(back.column(c), led.column(c))
     # a rewrite of the parsed ledger reproduces the file byte for byte
     path2 = tmp_path / "run2.csv"
-    back.to_csv(path2)
+    back.to_csv(path2, "demo", "abc123")
     assert path.read_bytes() == path2.read_bytes()
 
 
