@@ -34,7 +34,6 @@ from .littlewood_paley import (
     BesovProfile,
     besov_norm,
     block_norms,
-    build_partition,
     delta_q,
     find_profile,
     load_profile,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BesovProfile", "Blowup", "ConfigError", "ExperimentConfig", "Field", "FlowState",
     "Grid", "LifespanModel", "RunLedger", "StepperConfig", "SyntheticVelocity",
-    "acoustic_to_state", "besov_norm", "block_norms", "build_partition", "compressible_mode",
+    "acoustic_to_state", "besov_norm", "block_norms", "compressible_mode",
     "curl2d", "dealias", "delta_q", "div", "evaluate_log_estimate", "fft_forward",
     "find_profile", "fit_log_constant", "free_propagate", "from_function", "grad", "l2_norm",
     "leray_p", "leray_q", "lifespan_prediction", "load_profile", "lp_norm", "make_acoustic",

@@ -199,9 +199,9 @@ def monitor_row(state: FlowState) -> dict[str, float]:
     qv_linf = float(np.max(spectral.magnitude(samples[6:8])))
     c_linf = float(np.max(np.abs(samples[8])))
     # the block inverse of div v overwrites the samples
-    part = lp.build_partition(g).stack
-    div_blocks = spectral.to_samples(np.multiply(part, div_m, out=buf.modes(len(part))),
-                                     out=buf.samples(len(part)))
+    blocks = g.blocks
+    div_blocks = spectral.to_samples(np.multiply(blocks, div_m, out=buf.modes(len(blocks))),
+                                     out=buf.samples(len(blocks)))
     b2 = lp.block_norms(state, 2.0)
     row = {
         "grad_v_linf": grad_v_linf,

@@ -13,8 +13,8 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .initial_data import KNOWN_DATA
-from .littlewood_paley import FIRST_RING, named_profile
-from .spectral import dealias_cutoff
+from .littlewood_paley import named_profile
+from .spectral import FIRST_RING, dealias_cutoff
 
 EXPERIMENTS = (
     "selftest",

@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from . import littlewood_paley as lp
 from . import spectral
 from .incompressible import velocity_from_vorticity
 from .spectral import Field, FlowState, Grid
@@ -129,12 +128,11 @@ def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     exactly rather than up to neighbor leakage.
     """
     rng = np.random.default_rng(seed)
-    part = lp.build_partition(grid)
     white = rng.standard_normal((3, grid.n, grid.n))
     whites = np.where(grid.dealias_mask, spectral.to_modes(white), 0.0)
     kmag = grid.kmag
     acc = np.zeros_like(whites)
-    for q in range(-1, part.q_max + 1):
+    for q in range(-1, len(grid.blocks) - 1):
         if q < 0:
             mask = (kmag <= 0.75) & (kmag > 0.0)
         else:

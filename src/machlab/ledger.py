@@ -102,11 +102,14 @@ class RunLedger:
             if names[0] != "t":
                 raise ValueError("ledger must start with the time column")
             led = cls(names[1:])
-            for line in fh:
+            for lineno, line in enumerate(fh, start=3):
                 line = line.strip()
                 if not line:
                     continue
                 vals = [float(x) for x in line.split(",")]
+                if len(vals) != len(names):
+                    raise ValueError(f"line {lineno}: {len(vals)} cells under a header of "
+                                     f"{len(names)} columns")
                 led.times.append(vals[0])
                 for name, v in zip(names[1:], vals[1:]):
                     led.data[name].append(v)

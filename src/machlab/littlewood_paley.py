@@ -1,11 +1,8 @@
-"""Littlewood-Paley decomposition and (weighted) Besov norms on the torus.
+"""Littlewood-Paley block operators and (weighted) Besov norms on the torus.
 
-The dyadic partition follows the standard construction: a radial plateau
-function chi equal to 1 on |xi| <= 3/4 and supported in |xi| <= 4/3, and
-ring functions phi_q(xi) = chi(xi / 2**(q+1)) - chi(xi / 2**q) supported in
-3/4 * 2**q <= |xi| <= 8/3 * 2**q. Frequencies are measured in physical
-wavenumber units, so block q isolates |k| near 2**q and first derivatives of
-a block scale like 2**q with grid-independent constants.
+The blocks are the dyadic partition ``grid.blocks`` of ``spectral.Grid``:
+the low block (q = -1) first, then the rings q = 0 .. q_max, so block q is
+``grid.blocks[q + 1]`` and q_max is ``len(grid.blocks) - 2``.
 
 Every Besov space here has third index 1, so a norm is the plain sum over
 blocks. Weighted ("heterogeneous") norms, ``besov_norm(f, s, p, profile=)``,
@@ -26,98 +23,19 @@ import numpy as np
 from . import spectral
 from .spectral import Field, Grid
 
-# Values of the plateau profile below this are snapped to exact zero so that
-# support disjointness (|p - q| >= 2) holds in exact arithmetic.
-_SUPPORT_SNAP = 1e-300
-
-_PARTITION_CACHE: dict[tuple[int, float], "DyadicPartition"] = {}
-
-FIRST_RING = 0.75  # inner support edge 3/4 * 2**q of the ring q = 0
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, strictly increasing between."""
-    t = np.asarray(t, dtype=np.float64)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out = np.zeros_like(t)
-    out[hi] = 1.0
-    tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    out[out < _SUPPORT_SNAP] = 0.0
-    return out
-
-
-def _chi_profile(r: np.ndarray) -> np.ndarray:
-    """Radial plateau: 1 on r <= 3/4, 0 on r >= 4/3, smooth monotone between."""
-    return _smooth_step((4.0 / 3.0 - np.asarray(r, dtype=np.float64)) / (4.0 / 3.0 - 3.0 / 4.0))
-
-
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Dyadic frequency partition bound to one grid.
-
-    ``stack`` holds the half-spectrum block multipliers in order: the low
-    block chi (index q = -1), then the rings phi_q for q = 0 .. q_max, where
-    q_max is the largest ring whose lower support edge 3/4 * 2**q lies at or
-    below the dealiasing cutoff. With that choice the multipliers sum to
-    exactly 1 on every retained mode.
-    """
-
-    grid: Grid
-    stack: np.ndarray
-
-    @property
-    def q_max(self) -> int:
-        return len(self.stack) - 2
-
-    def multiplier(self, q: int) -> np.ndarray:
-        if -1 <= q <= self.q_max:
-            return self.stack[q + 1]
-        raise ValueError(f"block index {q} outside [-1, {self.q_max}]")
-
-
-def _ring_profile(r: np.ndarray, q: int) -> np.ndarray:
-    s = float(2**q)
-    return _chi_profile(r / (2.0 * s)) - _chi_profile(r / s)
-
-
-def build_partition(grid: Grid) -> DyadicPartition:
-    """Build (or fetch from cache) the dyadic partition for a grid.
-
-    Raises if the grid is too coarse to host even the q = 0 ring below the
-    dealiasing cutoff.
-    """
-    key = (grid.n, grid.box_length)
-    cached = _PARTITION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    kmax = grid.kmax_dealias
-    if kmax < FIRST_RING:
-        raise ValueError(
-            f"dealias cutoff {kmax:.4g} is below the first ring; refine the grid or shrink the box"
-        )
-    q_max = int(math.floor(math.log2(kmax / FIRST_RING)))
-    kmag = grid.kmag
-    stack = np.stack([_chi_profile(kmag)] + [_ring_profile(kmag, q) for q in range(q_max + 1)])
-    part = DyadicPartition(grid=grid, stack=stack)
-    _PARTITION_CACHE[key] = part
-    return part
-
 
 def delta_q(f: Field, q: int) -> Field:
     """Frequency block q of a field (q = -1 is the low block)."""
-    return replace(f, modes=f.modes * build_partition(f.grid).multiplier(q))
+    blocks = f.grid.blocks
+    if not -1 <= q <= len(blocks) - 2:
+        raise ValueError(f"block index {q} outside [-1, {len(blocks) - 2}]")
+    return replace(f, modes=f.modes * blocks[q + 1])
 
 
 def block_samples(grid: Grid, modes: np.ndarray) -> np.ndarray:
     """Real samples of every block of every plane, from one batched inverse:
     shape (q_max + 2, *planes, n, n) for ``modes`` of shape (*planes, n, n/2 + 1)."""
-    stack = build_partition(grid).stack
-    return spectral.to_samples(stack[(slice(None),) + (None,) * (modes.ndim - 2)] * modes)
+    return spectral.to_samples(grid.blocks[(slice(None),) + (None,) * (modes.ndim - 2)] * modes)
 
 
 def block_norms(f, p: float) -> np.ndarray:
@@ -131,8 +49,7 @@ def block_norms(f, p: float) -> np.ndarray:
     modes = f.modes.reshape((-1,) + grid.modes_shape)
     if p == 2.0:
         power = grid.parseval_weight * np.sum(np.abs(modes) ** 2, axis=0)
-        stack = build_partition(grid).stack
-        return grid.box_length * np.sqrt(np.sum(stack**2 * power, axis=(1, 2)))
+        return grid.box_length * np.sqrt(np.sum(grid.blocks**2 * power, axis=(1, 2)))
     blocks = spectral.magnitude(block_samples(grid, modes))
     return spectral.plane_norms(blocks, p, grid.cell_area)
 
@@ -295,8 +212,7 @@ def find_profile(f, s: float, p: float) -> BesovProfile:
     members = [f] if hasattr(f, "modes") else list(f)  # one field or a family
     if not members:
         raise ValueError("need at least one field")
-    part = build_partition(members[0].grid)
-    qs = np.arange(-1, part.q_max + 1, dtype=np.float64)
+    qs = np.arange(-1, len(members[0].grid.blocks) - 1, dtype=np.float64)
     a = np.zeros(qs.size)
     for m in members:
         a = np.maximum(a, 2.0 ** (qs * s) * block_norms(m, p))

@@ -21,6 +21,8 @@ last two axes, so stacks of fields transform in one batched call. Hot paths
 pass ``out=`` arrays from ``scratch``, the per-thread work buffers.
 Derivatives, inverse operators, and the Leray projectors are exact Fourier
 multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
+The dyadic partition of the Littlewood-Paley blocks is a table of the grid,
+``Grid.blocks``, built on first read.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +111,30 @@ def dealias_cutoff(n: int, box_length: float) -> float:
     return (2.0 / 3.0) * (n / 2.0) * (2.0 * math.pi / box_length)
 
 
+FIRST_RING = 0.75  # inner support edge 3/4 * 2**q of the ring q = 0
+
+# Values of the plateau profile below this are snapped to exact zero so that
+# support disjointness (|p - q| >= 2) holds in exact arithmetic.
+_SUPPORT_SNAP = 1e-300
+
+
+def _smooth_step(t: np.ndarray) -> np.ndarray:
+    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1, strictly increasing between."""
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    a = np.exp(-1.0 / tm)
+    b = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = a / (a + b)
+    out[out < _SUPPORT_SNAP] = 0.0
+    return out
+
+
+def _chi_profile(r: np.ndarray) -> np.ndarray:
+    """Radial plateau: 1 on r <= 3/4, 0 on r >= 4/3, smooth monotone between."""
+    return _smooth_step((4.0 / 3.0 - np.asarray(r, dtype=np.float64)) / (4.0 / 3.0 - 3.0 / 4.0))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid with precomputed half-spectrum wavenumber tables.
@@ -185,6 +212,31 @@ class Grid:
         """Nodes as broadcastable (n,1) and (1,n) arrays; samples[i,j] = u(x_i, y_j)."""
         x = np.arange(self.n) * self.spacing
         return x[:, None], x[None, :]
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The dyadic partition: a (q_max + 2, n, n/2 + 1) stack of
+        half-spectrum multipliers, built on first read.
+
+        ``blocks[0]`` is the low block, a radial plateau chi equal to 1 on
+        |k| <= 3/4 and supported in |k| <= 4/3; ``blocks[q + 1]`` is the ring
+        phi_q(k) = chi(k / 2**(q+1)) - chi(k / 2**q), supported in
+        3/4 * 2**q <= |k| <= 8/3 * 2**q. Frequencies are physical wavenumbers,
+        so ring q isolates |k| near 2**q and first derivatives of a block
+        scale like 2**q with grid-independent constants. q_max is the largest
+        ring whose inner edge lies at or below the dealias cutoff, so the
+        multipliers sum to exactly 1 on every retained mode. Raises if the
+        grid is too coarse to host even the q = 0 ring below the cutoff.
+        """
+        kmax = self.kmax_dealias
+        if kmax < FIRST_RING:
+            raise ValueError(f"dealias cutoff {kmax:.4g} is below the first ring; "
+                             "refine the grid or shrink the box")
+        q_max = int(math.floor(math.log2(kmax / FIRST_RING)))
+        kmag = self.kmag
+        scales = [float(2**q) for q in range(q_max + 1)]
+        return np.stack([_chi_profile(kmag)]
+                        + [_chi_profile(kmag / (2.0 * s)) - _chi_profile(kmag / s) for s in scales])
 
 
 def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -3,9 +3,12 @@
 Everything runs at the default ``selftest`` config (n = 256, high-resolution
 cross-checks at 512), so this file is the slow end of the suite; the shared
 Workbench caches the eps sweep and the reference run across tests. The checks
-call the experiment drivers' evaluators; two fast tests pin the scale the
-checks resolve from the config and the resolutions the transport lab visits.
+call the experiment drivers' evaluators; fast tests pin the scale the checks
+resolve from the config, and the resolutions the transport lab visits and the
+tolerances its detail prints.
 """
+
+import re
 
 import pytest
 
@@ -104,17 +107,31 @@ def _flat_ledger() -> RunLedger:
     (1024, [1024] * 5, True, ["@n=1024 (tol 1e-3)", "no pass at n_hi=512"]),
 ])
 def test_transport_cross_check_runs_only_above_n(monkeypatch, n, visited, passed, tolerances):
+    result, seen = _transport_lab_on_flat_runs(monkeypatch, n)
+    assert seen == visited
+    assert result.passed is passed, result.detail
+    for text in tolerances:
+        assert text in result.detail
+
+
+def test_transport_detail_prints_the_tolerances_its_rule_reads(monkeypatch):
+    result, _ = _transport_lab_on_flat_runs(monkeypatch, 256)
+    printed = [float(x) for x in re.findall(r"\(tol ([^)]*)\)", result.detail)]
+    assert printed == [experiments.ORACLE_GAP_TOL, acceptance.HI_ORACLE_GAP_TOL,
+                       experiments.MASS_DRIFT_TOL, experiments.MAX_PRINCIPLE_TOL]
+
+
+def _transport_lab_on_flat_runs(monkeypatch, n):
+    """``check_transport_lab`` at n with every solve replaced by a flat ledger
+    and an oracle gap of 5e-4, between the two oracle tolerances, so only a
+    pass at n_hi can fail it; returns the result and the resolutions visited."""
     seen = []
 
     def evaluate(f0, vel, t_final, cfl, max_dt):
         seen.append(f0.grid.n)
-        # a gap between the two tolerances: only a pass at n_hi can fail it
         return experiments.TransportRun(_flat_ledger(), 5e-4, 0.0, 0.0)
 
     monkeypatch.setattr(experiments, "evaluate_transport_velocity", evaluate)
     result = acceptance.check_transport_lab(
         acceptance.Workbench(ExperimentConfig(experiment="selftest", n=n)))
-    assert seen == visited
-    assert result.passed is passed, result.detail
-    for text in tolerances:
-        assert text in result.detail
+    return result, seen

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from machlab import cli, experiments
-from machlab import littlewood_paley as lp
 from machlab.config import (
     EXPERIMENTS,
     ConfigError,
@@ -157,7 +156,7 @@ class TestValidation:
         for box in (16.0 * math.pi, 8.0 * math.pi, edge, math.nextafter(edge, 0.0),
                     math.nextafter(edge, math.inf)):
             try:
-                lp.build_partition(Grid(n, box))
+                Grid(n, box).blocks
                 builds = True
             except ValueError:
                 builds = False

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from machlab import compressible, spectral
+from machlab import compressible, experiments, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -19,6 +19,7 @@ from machlab.experiments import (
     transport_catalog,
     transport_initial_density,
 )
+from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
 from machlab.spectral import Grid
 
 
@@ -105,6 +106,16 @@ def test_strichartz_driver_artifacts(tmp_path):
     assert (out / "config.resolved").read_text() == canonical_dump(cfg)
 
 
+def test_strichartz_sweep_never_builds_the_partition(tmp_path, monkeypatch):
+    def unread(grid):
+        raise AssertionError("the free-wave sweep read grid.blocks")
+
+    monkeypatch.setattr(Grid, "blocks", property(unread))
+    cfg = ExperimentConfig(experiment="strichartz-sweep", n=32, eps=(0.2, 0.1, 0.05),
+                           out=str(tmp_path / "out"))
+    assert run_experiment(cfg)[0]
+
+
 def test_incompressible_limit_driver_smoke(tmp_path):
     cfg = ExperimentConfig(experiment="incompressible-limit", n=32,
                            eps=(0.4, 0.2, 0.05), t_final=0.2, max_dt=0.02,
@@ -143,6 +154,32 @@ def test_transport_log_driver_smoke(tmp_path):
     summary = (out / "summary.txt").read_text().splitlines()
     assert summary[-1] == "RESULT PASS"
     assert (out / "config.resolved").read_text() == canonical_dump(cfg)
+
+
+@pytest.mark.parametrize("gap, drift, growth, verdict", [
+    (2e-3, 1e-7, 1e-5, "FAIL"),
+    (1e-3, 1e-8, 1e-6, "PASS"),  # each rule is <=: a value at its tolerance passes
+])
+def test_transport_log_rules_fail_past_their_tolerances(tmp_path, monkeypatch, gap, drift,
+                                                        growth, verdict):
+    def flat_run(f0, vel, t_final, cfl, max_dt):
+        led = RunLedger(TRANSPORT_COLUMNS)
+        row = {c: 1.0 for c in TRANSPORT_COLUMNS if not c.startswith("int_")}
+        for t in (0.0, 0.025, 0.05):
+            led.append(t, **row)
+        return experiments.TransportRun(led, gap, drift, growth)
+
+    monkeypatch.setattr(experiments, "evaluate_transport_velocity", flat_run)
+    cfg = ExperimentConfig(experiment="transport-log", n=32, t_final=0.05,
+                           out=str(tmp_path / "out"))
+    passed, lines = run_experiment(cfg)
+    verdicts = {line.split(":")[0] for line in lines}
+    for i in range(4):
+        for check in ("oracle_agreement", "mass_conservation", "max_principle"):
+            assert f"{verdict} transport.{check}[{i}]" in verdicts, "\n".join(lines)
+    if verdict == "FAIL":
+        assert not passed
+        assert (tmp_path / "out" / "summary.txt").read_text().splitlines()[-1] == "RESULT FAIL"
 
 
 # The exact tables of three runs at n = 32, for the cells that are not floats:

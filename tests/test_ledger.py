@@ -107,6 +107,21 @@ def test_from_csv_rejects_foreign_files(tmp_path):
         RunLedger.from_csv(worse)
 
 
+@pytest.mark.parametrize("edit, cells", [(lambda row: row.rpartition(",")[0], 3),
+                                         (lambda row: row + ",7", 5)])
+def test_from_csv_rejects_rows_of_the_wrong_width(tmp_path, edit, cells):
+    led = RunLedger(["a", "b", "int_a"])
+    for t in (0.0, 0.5, 1.0):
+        led.append(t, a=1.0 + t, b=2.0)
+    path = tmp_path / "run.csv"
+    led.to_csv(path, "demo", "abc123")
+    lines = path.read_text().splitlines()
+    lines[3] = edit(lines[3])  # the second data row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 4: {cells} cells under a header of 4 columns"):
+        RunLedger.from_csv(path)
+
+
 def test_shared_column_sets_are_self_consistent():
     for cols in (COMPRESSIBLE_COLUMNS, INCOMPRESSIBLE_COLUMNS, TRANSPORT_COLUMNS):
         led = RunLedger(cols)  # accumulator sources all present

@@ -1,4 +1,4 @@
-"""Dyadic partition, block operators, Besov norms, weight profiles."""
+"""The grid's dyadic partition, block operators, Besov norms, weight profiles."""
 
 import math
 
@@ -14,36 +14,56 @@ def random_field(grid, rng):
 
 
 def test_partition_telescopes_below_cutoff(grid64):
-    part = lp.build_partition(grid64)
-    total = part.multiplier(-1).copy()
-    for q in range(part.q_max + 1):
-        total = total + part.multiplier(q)
+    total = grid64.blocks[0].copy()
+    for block in grid64.blocks[1:]:
+        total = total + block
     residual = np.abs(total - 1.0)[grid64.dealias_mask]
     assert np.max(residual) <= 1e-12
 
 
+def test_partition_is_a_grid_table_built_once(grid64):
+    blocks = grid64.blocks
+    assert blocks is grid64.blocks
+    assert blocks.shape == (len(blocks),) + grid64.modes_shape
+    # q_max is the largest ring whose inner edge 3/4 * 2**q lies below the cutoff
+    q_max = len(blocks) - 2
+    assert 0.75 * 2**q_max <= grid64.kmax_dealias < 0.75 * 2 ** (q_max + 1)
+
+
+def test_partition_needs_the_first_ring_below_the_cutoff():
+    grid = spectral.Grid(8, 32.0 * math.pi)  # cutoff 1/6, below the ring q = 0
+    with pytest.raises(ValueError, match="dealias cutoff 0.1667 is below the first ring"):
+        grid.blocks
+
+
+def test_delta_q_rejects_indices_outside_the_partition(grid64, rng):
+    f = random_field(grid64, rng)
+    q_max = len(grid64.blocks) - 2
+    for q in (-2, q_max + 1):
+        with pytest.raises(ValueError, match=f"block index {q} outside \\[-1, {q_max}\\]"):
+            lp.delta_q(f, q)
+
+
 def test_blocks_reconstruct(grid64, rng):
     f = random_field(grid64, rng)
-    part = lp.build_partition(grid64)
     acc = np.zeros_like(f.modes)
-    for q in range(-1, part.q_max + 1):
+    for q in range(-1, len(grid64.blocks) - 1):
         acc += lp.delta_q(f, q).modes
     assert np.max(np.abs(acc - f.modes)) <= 1e-12 * np.max(np.abs(f.modes))
 
 
 def test_distant_blocks_are_exactly_disjoint(grid64, rng):
     f = random_field(grid64, rng)
-    part = lp.build_partition(grid64)
-    for q in range(-1, part.q_max + 1):
-        for p in range(q + 2, part.q_max + 1):
+    q_max = len(grid64.blocks) - 2
+    for q in range(-1, q_max + 1):
+        for p in range(q + 2, q_max + 1):
             comp = lp.delta_q(lp.delta_q(f, q), p)
             assert np.max(np.abs(comp.modes)) == 0.0
 
 
 def test_bernstein_ratio_on_shells(grid64, rng):
     f = random_field(grid64, rng)
-    part = lp.build_partition(grid64)
-    for q in range(0, part.q_max + 1):
+    for q in range(0, len(grid64.blocks) - 1):
         blk = lp.delta_q(f, q)
         nb = spectral.l2_norm(blk)
         if nb <= 1e-8 * spectral.l2_norm(f):
@@ -55,10 +75,9 @@ def test_bernstein_ratio_on_shells(grid64, rng):
 
 def test_block_norms_match_delta_q(grid64, rng):
     f = random_field(grid64, rng)
-    part = lp.build_partition(grid64)
     norms = lp.block_norms(f, 2.0)
-    assert len(norms) == part.q_max + 2
-    for i, q in enumerate(range(-1, part.q_max + 1)):
+    assert len(norms) == len(grid64.blocks)
+    for i, q in enumerate(range(-1, len(grid64.blocks) - 1)):
         assert abs(norms[i] - spectral.l2_norm(lp.delta_q(f, q))) <= 1e-12
 
 
@@ -85,9 +104,8 @@ class TestProfiles:
         """Psi(q) = 2**(alpha q) turns the weighted s-norm into the plain
         (s + alpha)-norm, exactly."""
         f = random_field(grid64, rng)
-        part = lp.build_partition(grid64)
         for alpha in (0.5, 1.0):
-            values = [2.0 ** (alpha * q) for q in range(-1, part.q_max + 1)]
+            values = [2.0 ** (alpha * q) for q in range(-1, len(grid64.blocks) - 1)]
             prof = lp.validate_profile(values, extension=lambda x, a=alpha: 2.0 ** (a * x))
             got = lp.besov_norm(f, 1.0, 2.0, profile=prof)
             want = lp.besov_norm(f, 1.0 + alpha, 2.0)
