@@ -134,9 +134,10 @@ def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     acc = np.zeros_like(whites)
     for q in range(-1, len(grid.blocks) - 1):
         if q < 0:
-            mask = (kmag <= 0.75) & (kmag > 0.0)
+            mask = (kmag <= spectral.CHI_PLATEAU) & (kmag > 0.0)
         else:
-            mask = ((4.0 / 3.0) * 2.0**q <= kmag) & (kmag <= 1.5 * 2.0**q)
+            mask = ((spectral.CHI_SUPPORT * 2.0**q <= kmag)
+                    & (kmag <= spectral.CHI_PLATEAU * 2.0 ** (q + 1)))
         pieces = np.where(mask, whites, 0.0)
         joint = spectral.l2_norm(Field(grid, pieces))
         if joint <= 0.0:

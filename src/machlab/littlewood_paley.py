@@ -32,26 +32,27 @@ def delta_q(f: Field, q: int) -> Field:
     return replace(f, modes=f.modes * blocks[q + 1])
 
 
-def block_samples(grid: Grid, modes: np.ndarray) -> np.ndarray:
-    """Real samples of every block of every plane, from one batched inverse:
-    shape (q_max + 2, *planes, n, n) for ``modes`` of shape (*planes, n, n/2 + 1)."""
-    return spectral.to_samples(grid.blocks[(slice(None),) + (None,) * (modes.ndim - 2)] * modes)
+def per_block(grid: Grid, modes: np.ndarray, reduce: Callable[[np.ndarray], object]) -> np.ndarray:
+    """``reduce`` of the real samples of each block of ``modes`` (shape
+    (*planes, n, n/2 + 1)), for q = -1 .. q_max: one block inverted at a time,
+    so only one block's planes are ever held."""
+    return np.array([reduce(spectral.to_samples(block * modes)) for block in grid.blocks])
 
 
 def block_norms(f, p: float) -> np.ndarray:
     """||Delta_q f||_p for q = -1 .. q_max; the components of a stack jointly.
 
     For p = 2 the norms are evaluated in mode space via Parseval, which keeps
-    per-step diagnostics cheap; other p go through real space, all blocks in
-    one batched inverse.
+    per-step diagnostics cheap; other p go through real space, one block at a
+    time (``per_block``).
     """
     grid = f.grid
     modes = f.modes.reshape((-1,) + grid.modes_shape)
     if p == 2.0:
         power = grid.parseval_weight * np.sum(np.abs(modes) ** 2, axis=0)
         return grid.box_length * np.sqrt(np.sum(grid.blocks**2 * power, axis=(1, 2)))
-    blocks = spectral.magnitude(block_samples(grid, modes))
-    return spectral.plane_norms(blocks, p, grid.cell_area)
+    return per_block(grid, modes,
+                     lambda s: spectral.plane_norms(spectral.magnitude(s), p, grid.cell_area))
 
 
 def besov_sum(norms: np.ndarray, s: float, profile: Optional["BesovProfile"] = None) -> float:

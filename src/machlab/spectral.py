@@ -111,7 +111,12 @@ def dealias_cutoff(n: int, box_length: float) -> float:
     return (2.0 / 3.0) * (n / 2.0) * (2.0 * math.pi / box_length)
 
 
-FIRST_RING = 0.75  # inner support edge 3/4 * 2**q of the ring q = 0
+# chi, the profile of the low block, is 1 on r <= CHI_PLATEAU and 0 on
+# r >= CHI_SUPPORT; the ring phi_q is therefore 1 on
+# CHI_SUPPORT * 2**q <= |k| <= CHI_PLATEAU * 2**(q+1)
+CHI_PLATEAU = 0.75
+CHI_SUPPORT = 4.0 / 3.0
+FIRST_RING = CHI_PLATEAU  # inner support edge 3/4 * 2**q of the ring q = 0
 
 # Values of the plateau profile below this are snapped to exact zero so that
 # support disjointness (|p - q| >= 2) holds in exact arithmetic.
@@ -132,7 +137,8 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 def _chi_profile(r: np.ndarray) -> np.ndarray:
     """Radial plateau: 1 on r <= 3/4, 0 on r >= 4/3, smooth monotone between."""
-    return _smooth_step((4.0 / 3.0 - np.asarray(r, dtype=np.float64)) / (4.0 / 3.0 - 3.0 / 4.0))
+    r = np.asarray(r, dtype=np.float64)
+    return _smooth_step((CHI_SUPPORT - r) / (CHI_SUPPORT - CHI_PLATEAU))
 
 
 @dataclass(frozen=True)
@@ -473,21 +479,89 @@ def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_time
     return u, snapshots
 
 
+def cubic_spline_at(f: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The periodic cubic B-spline interpolant of the samples of a scalar
+    field, at the points (x, y) in box units, which may lie any number of
+    periods outside the box.
+
+    The spline's coefficients have the spectrum of f divided by the spline's
+    symbol ((2 + cos(k0 h)) / 3) ((2 + cos(k1 h)) / 3), h the grid spacing,
+    and take one inverse transform. Each point then sums the 4 x 4 nodes
+    around it, read from a wrap-padded table of the coefficients.
+    """
+    grid = f.grid
+    n = grid.n
+    symbol = ((2.0 + np.cos(grid.kx * grid.spacing)) / 3.0
+              * ((2.0 + np.cos(grid.ky * grid.spacing)) / 3.0))
+    table = np.pad(to_samples(f.modes / symbol), (1, 2), mode="wrap").ravel()
+
+    def node_and_weights(u):
+        """The node i at or below u (grid units) mod n, and the weights of
+        the nodes i - 1 .. i + 2."""
+        node = np.floor(u)
+        s = u - node
+        r = 1.0 - s
+        return node.astype(np.intp) % n, (
+            r * r * r / 6.0, (3.0 * s * s * s - 6.0 * s * s + 4.0) / 6.0,
+            (3.0 * r * r * r - 6.0 * r * r + 4.0) / 6.0, s * s * s / 6.0)
+
+    ix, wx = node_and_weights(x / grid.spacing)
+    iy, wy = node_and_weights(y / grid.spacing)
+    corner = ix * (n + 3) + iy  # node (i - 1, j - 1) of the padded table
+    out = np.zeros(corner.shape)
+    for a in range(4):
+        for b in range(4):
+            out += wx[a] * wy[b] * np.take(table, corner + (a * (n + 3) + b))
+    return out
+
+
 def _trig_point(f: Field, x: float, y: float):
-    """Value, gradient, Hessian of the trigonometric interpolant at (x, y)."""
+    """Value, gradient, Hessian of the trigonometric interpolant at (x, y).
+
+    The sums run through ``np.einsum`` without BLAS: a matrix-vector product
+    this small costs far more in a multi-threaded BLAS's start-up than in
+    arithmetic.
+    """
+    def dot(a, b):
+        return np.einsum("...j,j->...", a, b, optimize=False)
+
     kx = f.grid.kx.ravel()
     ky = f.grid.ky.ravel()
     ex = np.exp(1j * kx * x)
     ey = f.grid.parseval_weight * np.exp(1j * ky * y)  # the conjugate half, folded in
-    cy = f.modes @ ey
-    cy1 = f.modes @ (1j * ky * ey)
-    cy2 = f.modes @ (-(ky**2) * ey)
-    val = float(np.real(ex @ cy))
-    g = (float(np.real((1j * kx * ex) @ cy)), float(np.real(ex @ cy1)))
-    h = (float(np.real((-(kx**2) * ex) @ cy)),
-         float(np.real((1j * kx * ex) @ cy1)),
-         float(np.real(ex @ cy2)))
+    cy = dot(f.modes, ey)
+    cy1 = dot(f.modes, 1j * ky * ey)
+    cy2 = dot(f.modes, -(ky**2) * ey)
+    val = float(np.real(dot(ex, cy)))
+    g = (float(np.real(dot(1j * kx * ex, cy))), float(np.real(dot(ex, cy1))))
+    h = (float(np.real(dot(-(kx**2) * ex, cy))),
+         float(np.real(dot(1j * kx * ex, cy1))),
+         float(np.real(dot(ex, cy2))))
     return val, g, h
+
+
+def _upsampled_seeds(f: Field, m: int) -> list[tuple[int, int, float]]:
+    """(row, column, value) of the first minimum and the first maximum, in
+    row-major order, of f's samples on the m-by-m grid (m a multiple of n).
+
+    The axis-0 inverse runs on the n/2 + 1 columns the zero padding leaves
+    nonzero, and the axis-1 inverse on n rows at a time, so no m-by-m array
+    is ever held; each transform is the one ``to_samples`` would take of the
+    padded spectrum, so the samples are its bit for bit.
+    """
+    n = f.grid.n
+    padded = np.zeros((m, n // 2 + 1), dtype=np.complex128)
+    padded[np.fft.fftfreq(n, d=1.0 / n).astype(int)] = f.modes
+    padded[:, n // 2] *= 0.5  # the Nyquist column is interior on the fine grid
+    columns = np.fft.ifft(padded, axis=0, norm="forward")
+    found: dict = {np.argmin: [], np.argmax: []}
+    for r0 in range(0, m, n):
+        rows = np.fft.irfft(columns[r0:r0 + n], m, axis=1, norm="forward")
+        for pick, seeds in found.items():
+            j = int(pick(rows))
+            seeds.append((r0 + j // m, j % m, float(rows.flat[j])))
+    # the first chunk holding the extreme value (or a NaN) holds the first occurrence
+    return [seeds[int(pick([v for _, _, v in seeds]))] for pick, seeds in found.items()]
 
 
 def refined_extrema(f: Field) -> tuple[float, float]:
@@ -500,17 +574,10 @@ def refined_extrema(f: Field) -> tuple[float, float]:
     come from the grid 4 times finer, and each gets up to 4 Newton steps.
     """
     grid = f.grid
-    n = grid.n
-    m = 4 * n
-    big = np.zeros((m, m // 2 + 1), dtype=np.complex128)
-    ix = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    big[ix, : n // 2 + 1] = f.modes
-    big[:, n // 2] *= 0.5  # the Nyquist column is interior on the fine grid
-    fine = to_samples(big)
+    m = 4 * grid.n
     h_fine = grid.box_length / m
     out = []
-    for pick in (np.argmin, np.argmax):
-        jx, jy = np.unravel_index(pick(fine), fine.shape)
+    for jx, jy, seed in _upsampled_seeds(f, m):
         x, y = jx * h_fine, jy * h_fine
         val, g, hess = _trig_point(f, x, y)
         for _ in range(4):
@@ -527,10 +594,9 @@ def refined_extrema(f: Field) -> tuple[float, float]:
             x += dx
             y += dy
             val, g, hess = _trig_point(f, x, y)
-        out.append(val)
-    lo = min(out[0], float(np.min(fine)))
-    hi = max(out[1], float(np.max(fine)))
-    return lo, hi
+        out.append((val, seed))
+    (lo, lo_seed), (hi, hi_seed) = out
+    return min(lo, lo_seed), max(hi, hi_seed)
 
 
 def mixed_time_norm(times, values, r: float) -> float:

@@ -8,9 +8,9 @@ closed-form derivatives, two independent ways:
   (``SyntheticVelocity.on_grid``) and only scales them by their time factor
   at each stage and ledger row,
 * a semi-Lagrangian oracle that traces characteristics backward with the
-  same RK4 step (``spectral.rk4``), evaluates f0 at the foot by periodic
-  bicubic interpolation, and multiplies by exp of minus the divergence
-  accumulated along the path.
+  same RK4 step (``spectral.rk4``), evaluates f0 at the foot by its periodic
+  cubic B-spline (``spectral.cubic_spline_at``), and multiplies by exp of
+  minus the divergence accumulated along the path.
 
 Agreement between the two validates both; the ledger feeds the logarithmic
 growth estimate for the block-sum norm of f under compressible transport.
@@ -179,22 +179,24 @@ def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: GridVelocity,
 
 def transport_monitor_row(f: Field, vel: GridVelocity, t: float) -> dict:
     """Ledger columns for one time, ``vel`` sampled on the grid of f; the
-    blocks of f and of div v come from one batched inverse."""
+    blocks of f and of div v are inverted together, one block at a time."""
     grid = f.grid
     area = grid.cell_area
-    # the Jacobian's planes are freed before the block stack below, the row's peak
+    # the Jacobian's planes are freed before the blocks below
     grad_sup = max(float(np.max(np.abs(np.broadcast_to(a, (grid.n, grid.n)))))
                    for a in vel.jacobian(t))
     div_samples = np.broadcast_to(vel.divergence(t), (grid.n, grid.n))
     div_modes = spectral.to_modes(div_samples)
-    blocks = lp.block_samples(grid, np.stack([f.modes, div_modes]))
+    # per block: sup of f, sup of div v, L^4 of div v
+    norms = lp.per_block(grid, np.stack([f.modes, div_modes]), lambda s: (
+        *spectral.plane_norms(s, math.inf, area), spectral.plane_norms(s[1], 4.0, area)))
     return {
         "f_mass": float(np.real(f.modes[0, 0])) * grid.box_length**2,
-        "f_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 0], math.inf, area), 0.0),
+        "f_b0": lp.besov_sum(norms[:, 0], 0.0),
         "grad_v_linf": grad_sup,
         "div_v_linf": float(np.max(np.abs(div_samples))),
-        "div_v_b0": lp.besov_sum(spectral.plane_norms(blocks[:, 1], math.inf, area), 0.0),
-        "div_v_b12": lp.besov_sum(spectral.plane_norms(blocks[:, 1], 4.0, area), 0.5),
+        "div_v_b0": lp.besov_sum(norms[:, 1], 0.0),
+        "div_v_b12": lp.besov_sum(norms[:, 2], 0.5),
         "div_v_b1": lp.besov_norm(Field(grid, div_modes), 1.0, 2.0),
     }
 
@@ -232,12 +234,11 @@ def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,
     Traces dX/dtau = v(tau, X) from t_final back to 0 with ``substeps`` steps
     of ``spectral.rk4`` on the stack (X, Y, S), where S accumulates the
     divergence along the path with the same stages, then returns
-    f0(foot) * exp(-integral of div v) as real samples.
+    f0(foot) * exp(-integral of div v) as real samples, f0(foot) from the
+    periodic cubic B-spline of f0's samples.
     """
     if substeps < 1:
         raise ValueError("need at least one substep")
-    from scipy import ndimage  # imported here: the oracle is its only user
-
     grid = f0.grid
     x, y = grid.coordinates()
     path = np.zeros((3, grid.n, grid.n))
@@ -252,11 +253,7 @@ def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,
     for _ in range(substeps):
         path = spectral.rk4(tendency, path, t, h)
         t += h
-    f0_samples = f0.values()
-    coords = path[:2] / grid.spacing
-    feet = ndimage.map_coordinates(f0_samples, coords.reshape(2, -1), order=3,
-                                   mode="grid-wrap").reshape(grid.n, grid.n)
-    return feet * np.exp(path[2])
+    return spectral.cubic_spline_at(f0, path[0], path[1]) * np.exp(path[2])
 
 
 @dataclass(frozen=True)

@@ -207,11 +207,11 @@ _TABLES = {
     "transport_compare.csv": (
         "transport-log", dict(t_final=0.05), [
             "velocity,log_ratio,oracle_diff,mass_drift",
-            '"mode(A=1.0,m=(2, 2),w=1.5)",0.5,0.00013496485340902531,0',
+            '"mode(A=1.0,m=(2, 2),w=1.5)",0.5,0.00013496485340908082,0',
             '"superpose(shear(A=1.2,m=3,w=0.7)+mode(A=0.5,m=(1, 4),w=2.5))",0.5,'
-            "0.00010645443119966513,0",
-            '"mode(A=0.6,m=(5, 2),w=3.0)",0.5,0.00010256262487917667,0',
-            '"shear(A=1.0,m=1,w=0.9)",0.5,5.2368816337633461e-05,0',
+            "0.00010645443119988718,0",
+            '"mode(A=0.6,m=(5, 2),w=3.0)",0.5,0.00010256262487873258,0',
+            '"shear(A=1.0,m=1,w=0.9)",0.5,5.2368816337855506e-05,0',
         ]),
 }
 

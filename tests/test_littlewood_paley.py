@@ -81,6 +81,16 @@ def test_block_norms_match_delta_q(grid64, rng):
         assert abs(norms[i] - spectral.l2_norm(lp.delta_q(f, q))) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0, 4.0, math.inf])
+def test_block_norms_one_block_at_a_time_equal_the_batched_inverse_bit_for_bit(grid64, rng, p):
+    """Real-space block norms of a vector field, against every block of every
+    component inverted at once."""
+    v = spectral.Field(grid64, spectral.to_modes(rng.standard_normal((2, 64, 64))))
+    batched = spectral.to_samples(grid64.blocks[:, None] * v.modes)
+    want = spectral.plane_norms(spectral.magnitude(batched), p, grid64.cell_area)
+    assert lp.block_norms(v, p).tobytes() == want.tobytes()
+
+
 def test_besov_norm_is_homogeneous(grid64, rng):
     f = random_field(grid64, rng)
     a = lp.besov_norm(f, 2.0, 2.0)

@@ -314,3 +314,74 @@ def test_l2_norm_homogeneous(seed, scale):
     f = spectral.fft_forward(grid, np.random.default_rng(seed).standard_normal((32, 32)))
     a = spectral.l2_norm(spectral.scale(f, scale))
     assert abs(a - scale * spectral.l2_norm(f)) <= 1e-12 * a
+
+
+def test_cubic_spline_matches_scipy_grid_wrap_interpolation(rng):
+    """The numpy periodic cubic B-spline equals scipy's
+    map_coordinates(order=3, mode="grid-wrap") up to rounding, on nodes and
+    on feet many periods outside the box."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    grid = Grid(64, 16.0 * math.pi)
+    f = random_field(grid, rng)
+    L = grid.box_length
+    x = rng.uniform(-40.0 * L, 40.0 * L, (64, 64))
+    y = rng.uniform(-3.0 * L, 5.0 * L, (64, 64))
+    x[0], y[0] = np.arange(64) * grid.spacing, 0.0  # nodes: the samples themselves
+    got = spectral.cubic_spline_at(f, x, y)
+    coords = np.stack([x, y]) / grid.spacing
+    want = ndimage.map_coordinates(f.values(), coords.reshape(2, -1), order=3,
+                                   mode="grid-wrap").reshape(64, 64)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got[0] - f.values()[:, 0])) <= 1e-13 * np.max(np.abs(want))
+
+
+def whole_grid_seeds(f, m):
+    """The upsampled seeds as the whole m-by-m inverse gives them: the first
+    (row, column, value) of the minimum and of the maximum."""
+    n = f.grid.n
+    big = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    big[np.fft.fftfreq(n, d=1.0 / n).astype(int), : n // 2 + 1] = f.modes
+    big[:, n // 2] *= 0.5
+    fine = spectral.to_samples(big)
+    seeds = []
+    for pick in (np.argmin, np.argmax):
+        jx, jy = np.unravel_index(pick(fine), fine.shape)
+        seeds.append((int(jx), int(jy), float(fine[jx, jy])))
+    return seeds
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_chunked_upsampled_seeds_equal_the_whole_grid_inverse_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    grid = Grid(n, 16.0 * math.pi)
+    f = spectral.dealias(random_field(grid, rng))
+    got = spectral._upsampled_seeds(f, 4 * n)
+    want = whole_grid_seeds(f, 4 * n)
+    assert [(r, c, np.float64(v).tobytes()) for r, c, v in got] == \
+        [(r, c, np.float64(v).tobytes()) for r, c, v in want]
+
+
+def test_upsampled_seeds_keep_the_first_occurrence_across_chunks(grid32):
+    """A constant field ties at every fine point: the seeds are the first one."""
+    f = spectral.from_function(grid32, lambda x, y: 2.0 + 0.0 * x * y)
+    assert spectral._upsampled_seeds(f, 128) == whole_grid_seeds(f, 128)
+    assert [s[:2] for s in spectral._upsampled_seeds(f, 128)] == [(0, 0), (0, 0)]
+
+
+def test_trig_point_matches_the_matrix_products(rng):
+    """The einsum sums of the trigonometric interpolant agree with the
+    ``@`` products they replace to rounding."""
+    grid = Grid(64, 16.0 * math.pi)
+    f = random_field(grid, rng)
+    kx, ky = grid.kx.ravel(), grid.ky.ravel()
+    for x, y in [(0.3, 1.7), (grid.box_length - 0.01, 22.2)]:
+        ex = np.exp(1j * kx * x)
+        ey = grid.parseval_weight * np.exp(1j * ky * y)
+        cy, cy1, cy2 = f.modes @ ey, f.modes @ (1j * ky * ey), f.modes @ (-(ky**2) * ey)
+        want = [np.real(ex @ cy), np.real((1j * kx * ex) @ cy), np.real(ex @ cy1),
+                np.real((-(kx**2) * ex) @ cy), np.real((1j * kx * ex) @ cy1),
+                np.real(ex @ cy2)]
+        val, g, h = spectral._trig_point(f, x, y)
+        scale = np.max(np.abs(f.modes)) * kx.size * ky.size
+        for got, ref, order in zip((val, *g, *h), want, (0, 1, 1, 2, 2, 2)):
+            assert abs(got - ref) <= 1e-13 * scale * np.max(np.abs(kx)) ** order

@@ -1,10 +1,14 @@
 """Transport laboratory: spectral solver, characteristics oracle, growth bound."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from machlab import littlewood_paley as lp
 from machlab import spectral, transport
 from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
 from machlab.experiments import transport_catalog, transport_initial_density
@@ -90,9 +94,8 @@ def test_oracle_is_exact_for_uniform_translation(grid64):
 
 def hand_written_oracle(f0, vel, t_final, substeps):
     """Characteristics traced by a hand-written RK4 over the feet X, Y and
-    the divergence integral S; the oracle must reproduce it bit for bit."""
-    from scipy import ndimage
-
+    the divergence integral S, with f0 read at the feet by its cubic B-spline;
+    the oracle must reproduce it bit for bit."""
     grid = f0.grid
     x, y = grid.coordinates()
     X = np.broadcast_to(x, (grid.n, grid.n)).astype(np.float64).copy()
@@ -113,10 +116,7 @@ def hand_written_oracle(f0, vel, t_final, substeps):
         Y = Y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         S = S + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
         t += h
-    coords = np.stack([X / grid.spacing, Y / grid.spacing])
-    feet = ndimage.map_coordinates(f0.values(), coords.reshape(2, -1), order=3,
-                                   mode="grid-wrap").reshape(grid.n, grid.n)
-    return feet * np.exp(S)
+    return spectral.cubic_spline_at(f0, X, Y) * np.exp(S)
 
 
 def test_oracle_matches_the_hand_written_characteristic_rk4(grid32):
@@ -171,6 +171,53 @@ def test_grid_sampled_solve_matches_point_evaluation_bit_for_bit(grid32):
         for column in TRANSPORT_COLUMNS:
             assert got.column(column).tobytes() == want.column(column).tobytes(), \
                 (vel.name, column)
+
+
+def batched_monitor_norms(f, div_modes):
+    """The monitor row's block norms from one inverse of every block of f and
+    of div v at once: sup of f, sup of div v, L^4 of div v, per block."""
+    grid = f.grid
+    blocks = spectral.to_samples(grid.blocks[:, None] * np.stack([f.modes, div_modes]))
+    area = grid.cell_area
+    return (spectral.plane_norms(blocks[:, 0], math.inf, area),
+            spectral.plane_norms(blocks[:, 1], math.inf, area),
+            spectral.plane_norms(blocks[:, 1], 4.0, area))
+
+
+def test_monitor_row_blocks_one_at_a_time_equal_the_batched_inverse_bit_for_bit(grid64):
+    f0 = transport_initial_density(grid64, seed=5)
+    vel = transport.superpose([transport.shear_velocity(0.8, 2, 1.0, BOX),
+                               transport.compressible_mode(0.8, (3, 1), 2.0, BOX)])
+    f, _ = transport.solve_transport_spectral(f0, vel, 0.1, max_dt=0.05)
+    sampled = vel.on_grid(*grid64.coordinates())
+    row = transport.transport_monitor_row(f, sampled, 0.1)
+    div_modes = spectral.to_modes(np.broadcast_to(sampled.divergence(0.1), (64, 64)))
+    f_inf, div_inf, div_4 = batched_monitor_norms(f, div_modes)
+    want = {"f_b0": lp.besov_sum(f_inf, 0.0), "div_v_b0": lp.besov_sum(div_inf, 0.0),
+            "div_v_b12": lp.besov_sum(div_4, 0.5)}
+    assert {k: row[k] for k in want} == want
+    assert all(v > 0.0 for v in want.values())
+
+
+NUMPY_ONLY_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from machlab import cli
+
+code = cli.main(["transport-log", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_transport_log_never_imports_scipy(tmp_path):
+    """The CLI transport lab, oracle included, runs on numpy alone."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 32\nt_final = 0.05\n")
+    src = Path(transport.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(src), str(cfg),
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout
 
 
 def test_solver_rejects_bad_time():
