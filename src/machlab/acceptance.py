@@ -64,7 +64,7 @@ def _rel_state_diff(a: FlowState, b: FlowState) -> float:
 def _mode_energy(state: FlowState) -> np.ndarray:
     """Per-mode linear acoustic energy |khat . v|^2 + |c|^2."""
     g = state.grid
-    a = g.kx * g.inv_kmag * state.modes[0] + g.ky * g.inv_kmag * state.modes[1]
+    a = g.khat[0] * state.modes[0] + g.khat[1] * state.modes[1]
     return np.abs(a) ** 2 + np.abs(state.modes[2]) ** 2
 
 

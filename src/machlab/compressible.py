@@ -26,9 +26,8 @@ import numpy as np
 from . import littlewood_paley as lp
 from . import spectral
 from .ledger import BLOWUP_COLUMNS, COMPRESSIBLE_COLUMNS, RunLedger
-from .spectral import FlowState
+from .spectral import Field, FlowState
 
-_CFL_FLOOR = 1e-12
 BLOWUP_BESOV = 1e8  # threshold of the vc_b2 column
 
 
@@ -151,8 +150,8 @@ def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     samples = spectral.to_samples(state.modes, out=spectral.scratch(state.grid.n).samples(3))
     v_max = float(np.max(spectral.magnitude(samples[:2])))
     c_max = float(np.max(np.abs(samples[2])))
-    speed = v_max + state.gamma_bar * c_max + _CFL_FLOOR
-    return min(config.max_dt, config.cfl * state.grid.spacing / speed)
+    return spectral.advective_dt(state.grid, v_max + state.gamma_bar * c_max,
+                                 config.cfl, config.max_dt)
 
 
 def _nonlinear_rk4(state: FlowState, dt: float) -> FlowState:
@@ -177,8 +176,8 @@ def monitor_row(state: FlowState) -> dict[str, float]:
     """All ledger columns for one state (accumulators excluded).
 
     The sample-space columns come from one batched inverse of the velocity
-    Jacobian, grad c, Qv and c, and the block-sum column from the block
-    inverse of the divergence; both run in this thread's scratch.
+    Jacobian, grad c, Qv and c in this thread's scratch; the block-sum column
+    of div v is ``lp.besov_norm``, which inverts one block at a time.
     """
     g = state.grid
     u = state.modes
@@ -198,10 +197,6 @@ def monitor_row(state: FlowState) -> dict[str, float]:
     omega_linf = float(np.max(np.abs(dx_vy - dy_vx)))
     qv_linf = float(np.max(spectral.magnitude(samples[6:8])))
     c_linf = float(np.max(np.abs(samples[8])))
-    # the block inverse of div v overwrites the samples
-    blocks = g.blocks
-    div_blocks = spectral.to_samples(np.multiply(blocks, div_m, out=buf.modes(len(blocks))),
-                                     out=buf.samples(len(blocks)))
     b2 = lp.block_norms(state, 2.0)
     row = {
         "grad_v_linf": grad_v_linf,
@@ -210,7 +205,7 @@ def monitor_row(state: FlowState) -> dict[str, float]:
         "omega_linf": omega_linf,
         "vc_l2": spectral.l2_norm(state),
         "vc_b2": lp.besov_sum(b2, 2.0),
-        "div_v_b0": lp.besov_sum(spectral.plane_norms(div_blocks, math.inf, g.cell_area), 0.0),
+        "div_v_b0": lp.besov_norm(Field(g, div_m), 0.0, math.inf),
         "qv_linf": qv_linf,
         "c_linf": c_linf,
     }

@@ -23,8 +23,6 @@ from . import spectral
 from .ledger import INCOMPRESSIBLE_COLUMNS, RunLedger
 from .spectral import Field, Grid
 
-_CFL_FLOOR = 1e-12
-
 
 def velocity_from_vorticity(omega: Field) -> Field:
     """Biot-Savart law on the torus: v = perp_grad inv_laplacian omega.
@@ -52,9 +50,8 @@ def step_incompressible(omega: Field, dt: float) -> Field:
 
 
 def cfl_dt_incompressible(omega: Field, cfl: float, max_dt: float) -> float:
-    v = velocity_from_vorticity(omega)
-    speed = spectral.lp_norm(v, math.inf) + _CFL_FLOOR
-    return min(max_dt, cfl * omega.grid.spacing / speed)
+    speed = spectral.lp_norm(velocity_from_vorticity(omega), math.inf)
+    return spectral.advective_dt(omega.grid, speed, cfl, max_dt)
 
 
 def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,

@@ -434,6 +434,13 @@ def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     return u + np.multiply(dt / 6.0, acc, out=acc)
 
 
+def advective_dt(grid: Grid, speed: float, cfl: float, max_dt: float) -> float:
+    """The advective step of every solver: ``cfl`` grid spacings per ``speed``,
+    at most ``max_dt``. The speed gets a floor of 1e-12, added last, so a
+    field at rest still gets a finite step."""
+    return min(max_dt, cfl * grid.spacing / (speed + 1e-12))
+
+
 class StalledStep(RuntimeError):
     """Raised by ``integrate`` when a step would not advance time: its dt is
     not finite, not positive, or too small to change t. ``step`` is the

@@ -8,12 +8,15 @@ closed-form derivatives, two independent ways:
   (``SyntheticVelocity.on_grid``) and only scales them by their time factor
   at each stage and ledger row,
 * a semi-Lagrangian oracle that traces characteristics backward with the
-  same RK4 step (``spectral.rk4``), evaluates f0 at the foot by its periodic
-  cubic B-spline (``spectral.cubic_spline_at``), and multiplies by exp of
-  minus the divergence accumulated along the path.
+  same RK4 step (``spectral.rk4``), reads the velocity and its divergence at
+  the feet with the point methods (``SyntheticVelocity.velocity``,
+  ``divergence``), evaluates f0 at the foot by its periodic cubic B-spline
+  (``spectral.cubic_spline_at``), and multiplies by exp of minus the
+  divergence accumulated along the path.
 
-Agreement between the two validates both; the ledger feeds the logarithmic
-growth estimate for the block-sum norm of f under compressible transport.
+Each velocity is written once, as ``on_grid``. Agreement between the two
+validates both; the ledger feeds the logarithmic growth estimate for the
+block-sum norm of f under compressible transport.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ Arrays = tuple[np.ndarray, np.ndarray]
 
 class GridVelocity(NamedTuple):
     """A velocity's callables at fixed nodes: each takes only t and scales
-    spatial factors sampled once (``SyntheticVelocity.on_grid``)."""
+    spatial factors sampled at the nodes on first read and kept, so a
+    callable that is never called samples nothing."""
 
     velocity: Callable[[float], Arrays]
     jacobian: Callable[[float], tuple[np.ndarray, ...]]
@@ -45,21 +49,28 @@ class GridVelocity(NamedTuple):
 
 @dataclass(frozen=True)
 class SyntheticVelocity:
-    """Velocity with closed-form Jacobian and divergence.
+    """Velocity with closed-form Jacobian and divergence, defined once by
+    ``on_grid``.
 
-    ``velocity(t, x, y)`` returns (vx, vy); ``jacobian`` returns the four
-    entries (dx_vx, dy_vx, dx_vy, dy_vy); all callables broadcast over
-    coordinate arrays. ``speed_bound`` dominates |v| for CFL purposes.
-    ``on_grid(x, y)`` samples the spatial factors at fixed nodes once and
-    returns the ``GridVelocity`` there, bit for bit the callables at (x, y).
+    ``on_grid(x, y)`` returns the ``GridVelocity`` at the nodes (x, y);
+    ``speed_bound`` dominates |v| for CFL purposes. The point methods take
+    (t, x, y) and read ``on_grid(x, y)`` at t: ``velocity`` returns
+    (vx, vy), ``jacobian`` the four entries (dx_vx, dy_vx, dx_vy, dy_vy) and
+    ``divergence`` div v, all broadcast over the coordinate arrays.
     """
 
     name: str
-    velocity: Callable[[float, np.ndarray, np.ndarray], Arrays]
-    jacobian: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
-    divergence: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     speed_bound: float
     on_grid: Callable[[np.ndarray, np.ndarray], GridVelocity]
+
+    def velocity(self, t: float, x: np.ndarray, y: np.ndarray) -> Arrays:
+        return self.on_grid(x, y).velocity(t)
+
+    def jacobian(self, t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self.on_grid(x, y).jacobian(t)
+
+    def divergence(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.on_grid(x, y).divergence(t)
 
 
 def _zeros(x, y) -> np.ndarray:
@@ -74,26 +85,21 @@ def shear_velocity(amplitude: float, m: int, omega: float,
     def amp(t):
         return amplitude * math.cos(omega * t)
 
-    def vel(a, sin_ky, x):
-        vx = a * sin_ky
-        return vx, np.zeros_like(vx + x * 0.0)
-
-    def jac(a, cos_ky, z):
-        return z, a * k * cos_ky + z, z.copy(), z.copy()
-
     def on_grid(x, y):
-        sin_ky, cos_ky = np.sin(k * y), np.cos(k * y)
-        return GridVelocity(lambda t: vel(amp(t), sin_ky, x),
-                            lambda t: jac(amp(t), cos_ky, _zeros(x, y)),
-                            lambda t: _zeros(x, y))
+        sin_ky = functools.cache(lambda: np.sin(k * y))
+        cos_ky = functools.cache(lambda: np.cos(k * y))
 
-    return SyntheticVelocity(
-        name=f"shear(A={amplitude},m={m},w={omega})",
-        velocity=lambda t, x, y: vel(amp(t), np.sin(k * y), x),
-        jacobian=lambda t, x, y: jac(amp(t), np.cos(k * y), _zeros(x, y)),
-        divergence=lambda t, x, y: _zeros(x, y),
-        speed_bound=abs(amplitude), on_grid=on_grid,
-    )
+        def velocity(t):
+            vx = amp(t) * sin_ky()
+            return vx, np.zeros_like(vx + x * 0.0)
+
+        def jacobian(t):
+            z = _zeros(x, y)
+            return z, amp(t) * k * cos_ky() + z, z.copy(), z.copy()
+
+        return GridVelocity(velocity, jacobian, lambda t: _zeros(x, y))
+
+    return SyntheticVelocity(f"shear(A={amplitude},m={m},w={omega})", abs(amplitude), on_grid)
 
 
 def compressible_mode(amplitude: float, m: tuple[int, int], omega: float,
@@ -110,30 +116,23 @@ def compressible_mode(amplitude: float, m: tuple[int, int], omega: float,
     def amp(t):
         return amplitude * math.sin(omega * t + phase)
 
-    def vel(a, carrier):
-        return a * carrier * ex, a * carrier * ey
-
-    def jac(a, sine):
-        s = -a * sine
-        return s * kx * ex, s * ky * ex, s * kx * ey, s * ky * ey
-
-    def dvg(a, sine):
-        return -a * sine * kmag
-
     def on_grid(x, y):
-        arg = kx * x + ky * y
-        carrier, sine = np.cos(arg), np.sin(arg)
-        return GridVelocity(lambda t: vel(amp(t), carrier),
-                            lambda t: jac(amp(t), sine),
-                            lambda t: dvg(amp(t), sine))
+        # each factor forms its own phase: a point call reads one factor, so a
+        # shared cached phase would only add work there
+        carrier = functools.cache(lambda: np.cos(kx * x + ky * y))
+        sine = functools.cache(lambda: np.sin(kx * x + ky * y))
 
-    return SyntheticVelocity(
-        name=f"mode(A={amplitude},m={m},w={omega})",
-        velocity=lambda t, x, y: vel(amp(t), np.cos(kx * x + ky * y)),
-        jacobian=lambda t, x, y: jac(amp(t), np.sin(kx * x + ky * y)),
-        divergence=lambda t, x, y: dvg(amp(t), np.sin(kx * x + ky * y)),
-        speed_bound=abs(amplitude), on_grid=on_grid,
-    )
+        def velocity(t):
+            v = amp(t) * carrier()
+            return v * ex, v * ey
+
+        def jacobian(t):
+            s = -amp(t) * sine()
+            return s * kx * ex, s * ky * ex, s * kx * ey, s * ky * ey
+
+        return GridVelocity(velocity, jacobian, lambda t: -amp(t) * sine() * kmag)
+
+    return SyntheticVelocity(f"mode(A={amplitude},m={m},w={omega})", abs(amplitude), on_grid)
 
 
 def _add(a, b):
@@ -149,6 +148,7 @@ def _sum(terms):
 
 
 def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
+    """The sum of ``members``, added in order at every node and time."""
     members = list(members)
     if not members:
         raise ValueError("need at least one member")
@@ -159,13 +159,8 @@ def superpose(members: Sequence[SyntheticVelocity]) -> SyntheticVelocity:
                             lambda t: _sum(p.jacobian(t) for p in parts),
                             lambda t: _sum(p.divergence(t) for p in parts))
 
-    return SyntheticVelocity(
-        name="superpose(" + "+".join(m.name for m in members) + ")",
-        velocity=lambda t, x, y: _sum(m.velocity(t, x, y) for m in members),
-        jacobian=lambda t, x, y: _sum(m.jacobian(t, x, y) for m in members),
-        divergence=lambda t, x, y: _sum(m.divergence(t, x, y) for m in members),
-        speed_bound=sum(m.speed_bound for m in members), on_grid=on_grid,
-    )
+    return SyntheticVelocity("superpose(" + "+".join(m.name for m in members) + ")",
+                             sum(m.speed_bound for m in members), on_grid)
 
 
 def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: GridVelocity,
@@ -214,7 +209,7 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
         raise ValueError("t_final must be positive")
     grid = f0.grid
     ledger = RunLedger(TRANSPORT_COLUMNS)
-    dt_base = min(max_dt, cfl * grid.spacing / (vel.speed_bound + 1e-12))
+    dt_base = spectral.advective_dt(grid, vel.speed_bound, cfl, max_dt)
     sampled = vel.on_grid(*grid.coordinates())
 
     def advance(f: Field, t: float, dt: float) -> Field:

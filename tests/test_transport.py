@@ -199,6 +199,78 @@ def test_monitor_row_blocks_one_at_a_time_equal_the_batched_inverse_bit_for_bit(
     assert all(v > 0.0 for v in want.values())
 
 
+def constant_velocity(cx, cy):
+    """A uniform translation, defined by ``on_grid`` alone."""
+    def on_grid(x, y):
+        shape = np.broadcast(x, y).shape
+        return transport.GridVelocity(lambda t: (np.full(shape, cx), np.full(shape, cy)),
+                                      lambda t: tuple(np.zeros(shape) for _ in range(4)),
+                                      lambda t: np.zeros(shape))
+
+    return transport.SyntheticVelocity(name=f"constant({cx},{cy})",
+                                       speed_bound=math.hypot(cx, cy), on_grid=on_grid)
+
+
+def test_a_velocity_defined_by_on_grid_alone_runs_both_solvers(grid64):
+    vel = constant_velocity(0.7, -0.4)
+    x, y = grid64.coordinates()
+    X, Y = x + 0.3 * y + 0.1, y - 0.2 * x  # off the nodes
+    at = vel.on_grid(X, Y)
+    for got, want in ((vel.velocity(0.37, X, Y), at.velocity(0.37)),
+                      (vel.jacobian(0.37, X, Y), at.jacobian(0.37)),
+                      (vel.divergence(0.37, X, Y), at.divergence(0.37))):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    f0 = transport_initial_density(grid64, seed=5)
+    fT, ledger = transport.solve_transport_spectral(f0, vel, 0.5, max_dt=0.02)
+    oracle = transport.solve_transport_oracle(f0, vel, 0.5, substeps=8)
+    # the exact solution is f0 shifted by (0.7, -0.4) t, a phase per mode
+    shift = np.exp(-0.5j * (0.7 * grid64.kx - 0.4 * grid64.ky))
+    exact = spectral.Field(grid64, spectral.dealias(f0).modes * shift).values()
+    assert np.max(np.abs(fT.values() - exact)) <= 1e-10
+    assert np.max(np.abs(oracle - exact)) <= 1e-4
+    assert np.max(ledger.column("div_v_linf")) == 0.0
+    assert np.max(ledger.column("grad_v_linf")) == 0.0
+
+
+class CountingNumpy:
+    """numpy, with the calls of ``sin`` and ``cos`` counted."""
+
+    def __init__(self):
+        self.calls = {"sin": 0, "cos": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+SHEAR = transport.shear_velocity(1.0, 2, 0.9, BOX)
+MODE = transport.compressible_mode(0.8, (3, 1), 2.0, BOX)
+
+
+@pytest.mark.parametrize("vel, method, calls", [
+    (SHEAR, "velocity", {"sin": 1, "cos": 0}),
+    (SHEAR, "divergence", {"sin": 0, "cos": 0}),
+    (MODE, "velocity", {"sin": 0, "cos": 1}),
+    (MODE, "divergence", {"sin": 1, "cos": 0}),
+])
+def test_point_calls_sample_only_the_factors_they_read(grid32, monkeypatch, vel, method, calls):
+    """The oracle calls ``velocity`` and ``divergence`` at new feet every
+    stage: each call samples only the spatial factor it reads."""
+    x, y = grid32.coordinates()
+    X, Y = np.broadcast_arrays(x + 0.1 * y, y)
+    numpy = CountingNumpy()
+    monkeypatch.setattr(transport, "np", numpy)
+    getattr(vel, method)(0.3, X, Y)
+    assert numpy.calls == calls
+
+
 NUMPY_ONLY_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
