@@ -67,17 +67,18 @@ def acoustic_to_state(waves: Field, solenoidal: Field, eps: float,
                      eps, gamma_bar)
 
 
-def _rotate(f: Field, t: float, eps: float, trig: np.ndarray, out: np.ndarray,
-            tmp: np.ndarray) -> np.ndarray:
-    """Write the modes of f after a time t of free evolution into ``out``,
-    shaped like ``f.modes``; ``trig`` (2, n, n/2 + 1) real and ``tmp``, shaped
-    like one (re, im) plane of f, are work space. The cos and sin of
+def _rotate(grid: spectral.Grid, modes: np.ndarray, t: float, eps: float, trig: np.ndarray,
+            out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Write ``modes``, the first c half-spectrum columns of a stack of
+    (re, im) pairs on axis -3, after a time t of free evolution into ``out``,
+    shaped alike; ``trig`` (2, n, c) real and ``tmp``, shaped like one
+    (re, im) plane of ``out``, are work space. The cos and sin of
     theta = t |k| / eps are evaluated once per distinct |k| by
     ``spectral.kmag_cos_sin``."""
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    cos_t, sin_t = spectral.kmag_cos_sin(f.grid, t / eps, out=trig)
-    re, im = np.moveaxis(f.modes, -3, 0)
+    cos_t, sin_t = spectral.kmag_cos_sin(grid, t / eps, out=trig)
+    re, im = np.moveaxis(modes, -3, 0)
     out_re, out_im = np.moveaxis(out, -3, 0)
     np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
     np.subtract(np.multiply(cos_t, im, out=out_im), np.multiply(sin_t, re, out=tmp), out=out_im)
@@ -89,7 +90,7 @@ def free_propagate(f: Field, t: float, eps: float) -> Field:
     rotates every (re, im) pair (axis -3) of f by theta = t |k| / eps."""
     trig = np.empty((2,) + f.grid.modes_shape)
     tmp = np.empty(f.modes.shape[:-3] + f.grid.modes_shape, dtype=f.modes.dtype)
-    return Field(f.grid, _rotate(f, t, eps, trig, np.empty_like(f.modes), tmp))
+    return Field(f.grid, _rotate(f.grid, f.modes, t, eps, trig, np.empty_like(f.modes), tmp))
 
 
 def strichartz_exponents(p: float) -> tuple[float, float]:
@@ -123,19 +124,26 @@ def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> 
     Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
     L^p norm over [0, t_final] from 64 uniform sample times. Callers should keep
     t_final inside ``wraparound_window``; the measurement itself does not
-    enforce it. Each sample time rotates, inverts and reduces in this
-    thread's scratch, so the loop allocates no n-by-n array.
+    enforce it. The rotation keeps every zero mode zero, so the cos and sin
+    are gathered, and the pairs rotated and inverted, on the c leading
+    half-spectrum columns that hold the nonzero modes of ``initial`` only (a
+    cut spectrum, see ``spectral.to_samples``); c is counted once per call.
+    Each sample time rotates, inverts and reduces in this thread's scratch,
+    so the loop allocates no n-by-n array.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     r, _ = strichartz_exponents(p)
     g = initial.grid
+    nonzero = np.flatnonzero(np.any(initial.modes != 0.0, axis=(0, 1)))
+    c = int(nonzero[-1]) + 1 if nonzero.size else 1
+    modes = np.ascontiguousarray(initial.modes[..., :c])
     buf = spectral.scratch(g.n)
-    trig, rotated, samples = buf.multipliers(2), buf.modes(3), buf.samples(2)
+    trig, rotated, samples = buf.multipliers(2, c), buf.modes(3, c), buf.samples(2)
     times = np.linspace(0.0, t_final, 64)
     vals = np.empty(64)
     for i, t in enumerate(times):
-        _rotate(initial, float(t), eps, trig, rotated[:2], rotated[2])
+        _rotate(g, modes, float(t), eps, trig, rotated[:2], rotated[2])
         re, im = spectral.to_samples(rotated[:2], out=samples)
         mag2 = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
         if math.isinf(p):

@@ -4,7 +4,8 @@
 
 Exit codes: 0 all summary assertions passed, 1 at least one failed,
 2 configuration problem (an experiment's unmet precondition included: too
-few eps for its trend fits, or a grid too coarse for the first dyadic ring),
+few eps for its trend fits, a grid too coarse for the first dyadic ring, or
+a horizon that max_dt cannot reach within ``config.MAX_STEPS`` steps),
 3 runtime failure. Exits 0, 1 and 3 all leave config.resolved. A blowup
 outside the lifespan-table experiment (where blowup is data) is a runtime
 failure that also writes the partial ledgers and a summary whose FAIL line

@@ -76,19 +76,20 @@ def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndar
     f = -(v.grad) v - gamma_bar c grad c
     g = -(v.grad) c - gamma_bar c div v
 
-    Written into ``out`` when it is given, else into a new array; the
-    transforms run in this thread's scratch.
+    Written into ``out`` when it is given, else into a new array. The state
+    must be dealiased: the inverse reads its first ``grid.band`` columns
+    only. The transforms run in this thread's scratch.
     """
     g = state.grid
-    u = state.modes
+    u = state.modes[..., :g.band]  # the state is dealiased
     if out is None:
-        out = np.empty_like(u)
+        out = np.empty_like(state.modes)
     buf = spectral.scratch(g.n)
     # one inverse of 9 planes: (vx, vy, c), their x derivatives, their y derivatives
-    stack = buf.modes(9)
+    stack = buf.modes(9, g.band)
     stack[:3] = u
     np.multiply(1j * g.kx, u, out=stack[3:6])
-    np.multiply(1j * g.ky, u, out=stack[6:9])
+    np.multiply(1j * g.ky[:, :g.band], u, out=stack[6:9])
     samples = buf.samples(10)
     spectral.to_samples(stack, out=samples[:9])
     vx, vy, gc = samples[:3]
@@ -102,9 +103,7 @@ def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndar
         np.add(dx[i], np.multiply(vy, dy[i], out=dy[i]), out=dx[i])
         np.negative(dx[i], out=dx[i])
         np.subtract(dx[i], np.multiply(gc, coupling, out=dy[i]), out=dx[i])
-    spectral.to_modes(dx, out=out)
-    np.copyto(out, 0.0, where=~g.dealias_mask)
-    return out
+    return spectral.to_dealiased_modes(g, dx, out=out)
 
 
 def _rotation(grid: spectral.Grid, dt: float, eps: float) -> tuple[np.ndarray, ...]:
@@ -147,7 +146,8 @@ def acoustic_exact_step(state: FlowState, dt: float, rotation=None) -> FlowState
 def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     """Advective step size: the fast linear part is integrated exactly, so
     only |v| and the quadratic sound speed coupling constrain dt."""
-    samples = spectral.to_samples(state.modes, out=spectral.scratch(state.grid.n).samples(3))
+    g = state.grid  # the state is dealiased
+    samples = spectral.to_samples(state.modes[..., :g.band], out=spectral.scratch(g.n).samples(3))
     v_max = float(np.max(spectral.magnitude(samples[:2])))
     c_max = float(np.max(np.abs(samples[2])))
     return spectral.advective_dt(state.grid, v_max + state.gamma_bar * c_max,
@@ -176,18 +176,22 @@ def monitor_row(state: FlowState) -> dict[str, float]:
     """All ledger columns for one state (accumulators excluded).
 
     The sample-space columns come from one batched inverse of the velocity
-    Jacobian, grad c, Qv and c in this thread's scratch; the block-sum column
-    of div v is ``lp.besov_norm``, which inverts one block at a time.
+    Jacobian, grad c, Qv and c in this thread's scratch, on the columns of
+    the dealias band; the block-sum column of div v is ``lp.besov_norm``,
+    which inverts one block at a time.
     """
     g = state.grid
-    u = state.modes
+    band = g.band  # the state is dealiased
+    u = state.modes[..., :band]
+    kvec = g.kvec[..., :band]
     buf = spectral.scratch(g.n)
-    stack = buf.modes(9)
-    jac = stack[:4].reshape((2, 2) + g.modes_shape)  # jac[i, j] = d_i v_j
-    np.multiply(1j * g.kvec[:, None], u[None, :2], out=jac)
-    div_m = jac[0, 0] + jac[1, 1]
-    np.multiply(1j * g.kvec, u[2], out=stack[4:6])
-    stack[6:8] = spectral.leray_q(state.v).modes
+    stack = buf.modes(9, band)
+    jac = stack[:4].reshape((2, 2, g.n, band))  # jac[i, j] = d_i v_j
+    np.multiply(1j * kvec[:, None], u[None, :2], out=jac)
+    div_m = np.zeros(g.modes_shape, dtype=np.complex128)
+    np.add(jac[0, 0], jac[1, 1], out=div_m[:, :band])
+    np.multiply(1j * kvec, u[2], out=stack[4:6])
+    stack[6:8] = spectral.leray_q(state.v).modes[..., :band]
     stack[8] = u[2]
     samples = spectral.to_samples(stack, out=buf.samples(9))
     dx_vx, dx_vy, dy_vx, dy_vy = samples[:4]

@@ -77,6 +77,32 @@ _FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamm
 _PLANES_PER_RUN = 80
 
 
+# The most time steps a run may be made to take. A horizon over max_dt is
+# the fewest steps that reach it, whatever dt the CFL rule picks. One Strang
+# step with its monitor row took 0.9 ms at n = 8, the smallest grid, and
+# 51 ms at n = 256 on a 2-core x86 host, so a million steps run for a
+# quarter of an hour at n = 8 and for some 14 hours at n = 256. The shipped
+# configs need at most 200 (t_cap = 4 at max_dt = 0.02). A config past the
+# ceiling cannot end in a desk-scale time, and is rejected.
+MAX_STEPS = 10**6
+
+# the horizons each experiment steps over at max_dt; strichartz-sweep takes no
+# time steps, and selftest also runs the acceptance checks' fixed horizons,
+# the longest of them acceptance.TRANSPORT_T
+_HORIZON_KEYS = {"acoustic-decay": ("t_final",), "incompressible-limit": ("t_final",),
+                 "transport-log": ("t_final",), "lifespan-table": ("t_cap",),
+                 "selftest": ("t_final", "t_cap")}
+SELFTEST_FIXED_HORIZON = 1.0
+
+
+def _horizons(config: "ExperimentConfig") -> dict[str, float]:
+    """The horizons the experiment of ``config`` steps over at max_dt, by name."""
+    spans = {key: getattr(config, key) for key in _HORIZON_KEYS.get(config.experiment, ())}
+    if config.experiment == "selftest":
+        spans["the acceptance horizon"] = SELFTEST_FIXED_HORIZON
+    return spans
+
+
 def _working_set_bytes(config: "ExperimentConfig") -> int:
     planes = _PLANES_PER_RUN * max(1, config.threads) + 3 * len(config.eps) * config.snapshots
     return planes * 8 * config.n * config.n
@@ -206,6 +232,12 @@ def validate_config(config: ExperimentConfig, require_experiment: bool = True) -
         raise ConfigError(f"t_cap must be positive, got {config.t_cap}")
     if not (config.blowup_factor > 1.0):
         raise ConfigError(f"blowup_factor must exceed 1, got {config.blowup_factor}")
+    for key, span in _horizons(config).items():
+        if span / config.max_dt > MAX_STEPS:
+            raise ConfigError(
+                f"max_dt = {config.max_dt:g} needs at least {span / config.max_dt:.3g} steps "
+                f"to reach {key} = {span:g} in {config.experiment}, more than the ceiling "
+                f"of {MAX_STEPS:g} steps")
     need = _MIN_EPS.get(config.experiment, 1)
     if len(config.eps) < need:
         raise ConfigError(f"eps needs at least {need} values for {config.experiment}, "

@@ -35,11 +35,12 @@ def velocity_from_vorticity(omega: Field) -> Field:
 
 def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     """-(v . grad omega), dealiased, into ``out``, from one batched inverse of
-    v and grad omega."""
-    v = velocity_from_vorticity(Field(grid, w)).modes
-    vx, vy, wx, wy = spectral.to_samples(np.concatenate([v, 1j * grid.kvec * w]))
-    np.negative(spectral.to_modes(vx * wx + vy * wy, out=out), out=out)
-    np.copyto(out, 0.0, where=~grid.dealias_mask)
+    v and grad omega on the dealias band (w is dealiased)."""
+    band = grid.band
+    v = velocity_from_vorticity(Field(grid, w)).modes[..., :band]
+    w = w[..., :band]
+    vx, vy, wx, wy = spectral.to_samples(np.concatenate([v, 1j * grid.kvec[..., :band] * w]))
+    np.negative(spectral.to_dealiased_modes(grid, vx * wx + vy * wy, out=out), out=out)
 
 
 def step_incompressible(omega: Field, dt: float) -> Field:

@@ -99,7 +99,7 @@ def _taylor_green(grid: Grid, amplitude: float, gamma_bar: float, eps: float) ->
     vy = -amplitude * np.cos(kappa * x) * np.sin(kappa * y)
     c = (amplitude / kappa) * np.sin(kappa * x) * np.sin(kappa * y)
     samples = np.stack(np.broadcast_arrays(vx, vy, c))
-    modes = np.where(grid.dealias_mask, spectral.to_modes(samples), 0.0)
+    modes = spectral.to_dealiased_modes(grid, samples)
     return FlowState(grid, modes, eps, gamma_bar)
 
 
@@ -129,7 +129,7 @@ def _random_band(grid: Grid, amplitude: float, gamma_bar: float, eps: float, see
     """
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, grid.n, grid.n))
-    whites = np.where(grid.dealias_mask, spectral.to_modes(white), 0.0)
+    whites = spectral.to_dealiased_modes(grid, white)
     kmag = grid.kmag
     acc = np.zeros_like(whites)
     for q in range(-1, len(grid.blocks) - 1):

@@ -35,8 +35,10 @@ def delta_q(f: Field, q: int) -> Field:
 def per_block(grid: Grid, modes: np.ndarray, reduce: Callable[[np.ndarray], object]) -> np.ndarray:
     """``reduce`` of the real samples of each block of ``modes`` (shape
     (*planes, n, n/2 + 1)), for q = -1 .. q_max: one block inverted at a time,
-    so only one block's planes are ever held."""
-    return np.array([reduce(spectral.to_samples(block * modes)) for block in grid.blocks])
+    so only one block's planes are ever held. Each block is multiplied and
+    inverted on the columns of its support (``grid.block_columns``) only."""
+    return np.array([reduce(spectral.to_samples(block[:, :c] * modes[..., :c]))
+                     for block, c in zip(grid.blocks, grid.block_columns)])
 
 
 def block_norms(f, p: float) -> np.ndarray:

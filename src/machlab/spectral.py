@@ -19,10 +19,21 @@ take the pointwise magnitude over all its components. ``FlowState`` is the
 Every transform goes through ``to_modes``/``to_samples``, which act on the
 last two axes, so stacks of fields transform in one batched call. Hot paths
 pass ``out=`` arrays from ``scratch``, the per-thread work buffers.
+
+The solvers keep their fields inside the dealias disk, whose modes lie in
+the first ``Grid.band`` = n//3 + 1 of the n/2 + 1 columns. ``to_samples``
+takes a half spectrum cut to its first c columns, the missing columns
+meaning zero, and runs its column pass on those c columns only; callers
+whose input is dealiased by construction pass ``modes[..., :grid.band]``.
+``to_dealiased_modes`` is the forward transform followed by the dealias
+mask, with its column pass on the band only. Both give the full-width
+results bit for bit. All transforms call numpy's N-D entry points
+(``rfftn``, ``irfftn``, ``fftn``, ``ifftn``) with ``axes=``.
 Derivatives, inverse operators, and the Leray projectors are exact Fourier
 multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
 The dyadic partition of the Littlewood-Paley blocks is a table of the grid,
-``Grid.blocks``, built on first read.
+``Grid.blocks``, built on first read, with the column count of each block's
+support in ``Grid.block_columns``.
 """
 
 from __future__ import annotations
@@ -51,10 +62,37 @@ def to_samples(modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of half spectra, batched over every leading axis; written
     into ``out`` when it is given.
 
-    This calls ``irfftn``: ``irfft2`` passes ``out=None`` on to it, so an
-    ``out`` given to ``irfft2`` is left untouched and a new array returned.
+    ``modes`` may be cut to its first c <= n/2 + 1 columns, the missing
+    columns being zero. The column pass (``ifftn`` over axis -2) runs on those
+    c columns into a full-width array whose other columns are zeroed, and the
+    row pass (``irfftn`` over axis -1) inverts that, so the samples equal
+    those of the full-width spectrum bit for bit. These are the two passes
+    ``irfftn`` over both axes takes. (Handing ``irfftn`` the c columns to pad
+    itself gives the same samples, but its row pass then runs slower than at
+    full width.)
     """
-    return np.fft.irfftn(modes, axes=(-2, -1), norm="forward", out=out)
+    n, c = modes.shape[-2:]
+    columns = np.empty(modes.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    columns[..., c:] = 0.0
+    np.fft.ifftn(modes, axes=(-2,), norm="forward", out=columns[..., :c])
+    return np.fft.irfftn(columns, s=(n,), axes=(-1,), norm="forward", out=out)
+
+
+def to_dealiased_modes(grid: "Grid", samples: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """``to_modes`` of ``samples`` with every mode outside the dealias disk
+    zeroed, bit for bit; written into ``out`` when it is given.
+
+    The row pass (``rfftn`` over axis -1) fills every column, and the column
+    pass (``fftn`` over axis -2) runs on the first ``grid.band`` columns only,
+    in place; the columns past the band are zeroed.
+    """
+    out = np.fft.rfftn(samples, axes=(-1,), norm="forward", out=out)
+    band = out[..., :grid.band]
+    np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
+    out[..., grid.band:] = 0.0
+    np.copyto(band, 0.0, where=~grid.dealias_mask[:, :grid.band])
+    return out
 
 
 class Scratch:
@@ -69,25 +107,31 @@ class Scratch:
         self._arrays: dict = {}
 
     def _take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A contiguous array of ``shape`` on the front of the buffer ``key``,
+        which grows to the largest size asked of it."""
+        size = math.prod(shape)
         arr = self._arrays.get(key)
-        if arr is None or len(arr) < shape[0] or arr.shape[1:] != shape[1:] or arr.dtype != dtype:
-            arr = self._arrays[key] = np.empty(shape, dtype)
-        return arr[: shape[0]]
+        if arr is None or arr.size < size or arr.dtype != dtype:
+            arr = self._arrays[key] = np.empty(size, dtype)
+        return arr[:size].reshape(shape)
 
-    def modes(self, planes: int) -> np.ndarray:
-        """A (planes, n, n/2 + 1) complex stack."""
-        return self._take("modes", (planes, self.n, self.n // 2 + 1), np.complex128)
+    def modes(self, planes: int, columns: int | None = None) -> np.ndarray:
+        """A (planes, n, columns) complex stack; the columns default to n/2 + 1."""
+        return self._take("modes", (planes, self.n, columns or self.n // 2 + 1), np.complex128)
 
-    def multipliers(self, planes: int) -> np.ndarray:
-        """A (planes, n, n/2 + 1) real stack, for multipliers on the half table."""
-        return self._take("multipliers", (planes, self.n, self.n // 2 + 1), np.float64)
+    def multipliers(self, planes: int, columns: int | None = None) -> np.ndarray:
+        """A (planes, n, columns) real stack, for multipliers on the half table;
+        the columns default to n/2 + 1."""
+        return self._take("multipliers", (planes, self.n, columns or self.n // 2 + 1),
+                          np.float64)
 
     def samples(self, planes: int) -> np.ndarray:
         """A (planes, n, n) real stack."""
         return self._take("samples", (planes, self.n, self.n), np.float64)
 
     def rk4_work(self, u: np.ndarray) -> np.ndarray:
-        """The RK4 work arrays (acc, k, stage) shaped like ``u``; only the last shape's are kept."""
+        """The RK4 work arrays (acc, k, stage) shaped like ``u``; only the last
+        dtype's are kept."""
         return self._take("rk4", (3,) + u.shape, u.dtype)
 
 
@@ -143,7 +187,7 @@ def _chi_profile(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with precomputed half-spectrum wavenumber tables.
+    """Uniform periodic grid with its half-spectrum wavenumber tables.
 
     Parameters
     ----------
@@ -153,18 +197,24 @@ class Grid:
         Physical side length of the periodic box.
 
     ``kx`` (n, 1) and ``ky`` (1, n/2 + 1) broadcast to the half-spectrum
-    shape, ``kvec`` stacks them to (2, n, n/2 + 1), ``khat`` is the unit
-    wavevector ``kvec * inv_kmag`` (zero at k = 0), and ``parseval_weight``
-    is the column weight row of the half-spectrum sums. ``kmag_levels`` holds
-    the sorted distinct values of ``kmag`` and the intp table ``kmag_index``
-    places them, ``kmag_levels[kmag_index] == kmag`` exactly, so a function
-    of |k| is evaluated once per distinct value (``kmag_cos_sin``).
+    shape, ``kmag`` is |k| on it and ``parseval_weight`` is the column weight
+    row of the half-spectrum sums. ``kmag_levels`` holds the sorted distinct
+    values of ``kmag`` and the intp table ``kmag_index`` places them,
+    ``kmag_levels[kmag_index] == kmag`` exactly, so a function of |k| is
+    evaluated once per distinct value (``kmag_cos_sin``). These are built
+    with the grid. The tables that only some runs read are built on first
+    read: ``kvec`` stacks kx and ky to (2, n, n/2 + 1), ``khat`` is the unit
+    wavevector ``kvec * inv_kmag`` (zero at k = 0), ``k2`` is |k|^2,
+    ``inv_k2`` and ``inv_kmag`` are 1/|k|^2 and 1/|k| (zero at k = 0), and
+    ``blocks`` and ``block_columns`` hold the dyadic partition.
 
     The 2/3-rule dealiasing cutoff is radial:
     ``kmax_dealias = (2/3) * (n/2) * (2*pi/box_length)``. Because n is a
     power of two the cutoff circle never passes exactly through a lattice
     mode, so the retained set is unambiguous and quadratic products of
-    masked fields are alias-free on the retained modes.
+    masked fields are alias-free on the retained modes. The cutoff is n/3
+    grid wavenumbers whatever the box, so the retained modes lie in the
+    first ``band`` = n//3 + 1 columns of the half spectrum.
     """
 
     n: int
@@ -179,28 +229,53 @@ class Grid:
         dk = 2.0 * math.pi / self.box_length
         kx = dk * np.fft.fftfreq(n, d=1.0 / n)[:, None]  # signed rows
         ky = dk * np.arange(n // 2 + 1, dtype=np.float64)[None, :]
-        k2 = kx * kx + ky * ky
-        kmag = np.sqrt(k2)
+        kmag = np.sqrt(kx * kx + ky * ky)
         kmax = dealias_cutoff(n, self.box_length)
-        nz = k2 > 0.0
-        inv_k2 = np.zeros_like(k2)
-        inv_k2[nz] = 1.0 / k2[nz]
-        inv_kmag = np.zeros_like(kmag)
-        inv_kmag[nz] = 1.0 / kmag[nz]
         weight = np.full(n // 2 + 1, 2.0)
         weight[0] = weight[-1] = 1.0
-        kvec = np.stack(np.broadcast_arrays(kx, ky))
         # sort, mask and searchsorted: np.unique(return_inverse=True) keeps more memory
         flat = np.sort(kmag, axis=None)
         levels = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
         tables = {
-            "kx": kx, "ky": ky, "kvec": kvec, "khat": kvec * inv_kmag,
-            "k2": k2, "kmag": kmag, "inv_k2": inv_k2, "inv_kmag": inv_kmag,
+            "kx": kx, "ky": ky, "kmag": kmag,
             "kmag_levels": levels, "kmag_index": np.searchsorted(levels, kmag),
             "kmax_dealias": kmax, "dealias_mask": kmag <= kmax, "parseval_weight": weight,
         }
         for name, value in tables.items():
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def kvec(self) -> np.ndarray:
+        return np.stack(np.broadcast_arrays(self.kx, self.ky))
+
+    @cached_property
+    def khat(self) -> np.ndarray:
+        return self.kvec * self.inv_kmag
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        return self.kx * self.kx + self.ky * self.ky
+
+    @cached_property
+    def inv_k2(self) -> np.ndarray:
+        k2 = self.k2
+        out = np.zeros_like(k2)
+        nz = k2 > 0.0
+        out[nz] = 1.0 / k2[nz]
+        return out
+
+    @cached_property
+    def inv_kmag(self) -> np.ndarray:
+        out = np.zeros_like(self.kmag)
+        nz = self.kmag > 0.0
+        out[nz] = 1.0 / self.kmag[nz]
+        return out
+
+    @property
+    def band(self) -> int:
+        """The number of leading half-spectrum columns that hold the dealias
+        disk: its radius is n/3 grid wavenumbers, and n/3 is never whole."""
+        return self.n // 3 + 1
 
     @property
     def spacing(self) -> float:
@@ -244,10 +319,19 @@ class Grid:
         return np.stack([_chi_profile(kmag)]
                         + [_chi_profile(kmag / (2.0 * s)) - _chi_profile(kmag / s) for s in scales])
 
+    @cached_property
+    def block_columns(self) -> tuple[int, ...]:
+        """For each block of ``blocks``, the number of leading half-spectrum
+        columns that hold its support; every later column of the block is
+        exactly zero."""
+        occupied = np.any(self.blocks != 0.0, axis=1)
+        return tuple(int(np.flatnonzero(row)[-1]) + 1 for row in occupied)
+
 
 def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The (2, n, n/2 + 1) stack (cos, sin) of theta = |k| * scale on the half
-    table, written into ``out`` when it is given.
+    """The (2, n, c) stack (cos, sin) of theta = |k| * scale on the first c
+    columns of the half table, written into ``out`` when it is given; c is
+    the column count of ``out``, n/2 + 1 without it.
 
     Many modes share one |k|, so the cos and sin are evaluated once per
     distinct |k| (``grid.kmag_levels``) and gathered by ``grid.kmag_index``;
@@ -257,9 +341,10 @@ def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.
     if out is None:
         out = np.empty((2,) + grid.modes_shape)
     theta = grid.kmag_levels * scale
+    index = grid.kmag_index[:, :out.shape[-1]]
     # the index is in range by construction; mode="clip" spares np.take a copy of out
-    np.take(np.cos(theta), grid.kmag_index, out=out[0], mode="clip")
-    np.take(np.sin(theta), grid.kmag_index, out=out[1], mode="clip")
+    np.take(np.cos(theta), index, out=out[0], mode="clip")
+    np.take(np.sin(theta), index, out=out[1], mode="clip")
     return out
 
 
@@ -551,19 +636,20 @@ def _upsampled_seeds(f: Field, m: int) -> list[tuple[int, int, float]]:
     """(row, column, value) of the first minimum and the first maximum, in
     row-major order, of f's samples on the m-by-m grid (m a multiple of n).
 
-    The axis-0 inverse runs on the n/2 + 1 columns the zero padding leaves
-    nonzero, and the axis-1 inverse on n rows at a time, so no m-by-m array
-    is ever held; each transform is the one ``to_samples`` would take of the
-    padded spectrum, so the samples are its bit for bit.
+    The padded spectrum is cut to the n/2 + 1 columns the zero padding
+    leaves nonzero, and inverted as ``to_samples`` inverts a cut spectrum:
+    the column pass over all m rows, then the row pass n rows at a time, so
+    no m-by-m array is ever held and the samples are ``to_samples``'s bit
+    for bit.
     """
     n = f.grid.n
     padded = np.zeros((m, n // 2 + 1), dtype=np.complex128)
     padded[np.fft.fftfreq(n, d=1.0 / n).astype(int)] = f.modes
     padded[:, n // 2] *= 0.5  # the Nyquist column is interior on the fine grid
-    columns = np.fft.ifft(padded, axis=0, norm="forward")
+    columns = np.fft.ifftn(padded, axes=(0,), norm="forward")
     found: dict = {np.argmin: [], np.argmax: []}
     for r0 in range(0, m, n):
-        rows = np.fft.irfft(columns[r0:r0 + n], m, axis=1, norm="forward")
+        rows = np.fft.irfftn(columns[r0:r0 + n], s=(m,), axes=(1,), norm="forward")
         for pick, seeds in found.items():
             j = int(pick(rows))
             seeds.append((r0 + j // m, j % m, float(rows.flat[j])))

@@ -167,9 +167,10 @@ def _transport_tendency(f_modes: np.ndarray, grid: Grid, vel: GridVelocity,
                         t: float, out: np.ndarray) -> None:
     vx, vy = vel.velocity(t)
     dvg = vel.divergence(t)
-    f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
-    spectral.to_modes(-(vx * fx + vy * fy) - f * dvg, out=out)
-    np.copyto(out, 0.0, where=~grid.dealias_mask)
+    f_modes = f_modes[..., :grid.band]  # f is dealiased
+    f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None],
+                                                    1j * grid.kvec[..., :grid.band] * f_modes]))
+    spectral.to_dealiased_modes(grid, -(vx * fx + vy * fy) - f * dvg, out=out)
 
 
 def transport_monitor_row(f: Field, vel: GridVelocity, t: float) -> dict:

@@ -145,14 +145,58 @@ def test_measure_strichartz_matches_the_full_spectrum_evolution(grid64, p):
         assert abs(got - expect) <= 1e-12 * expect
 
 
-def full_table_rotate(f, t, eps, trig, out, tmp):
-    """The rotation with cos and sin evaluated over the whole half table of
-    theta = t |k| / eps; the once-per-|k| rotation must reproduce it bit for bit."""
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+def test_measure_strichartz_of_an_input_that_is_not_dealiased_matches_the_full_spectrum(
+        grid64, p):
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    f = complex_field(grid64, z)
+    assert np.all(np.any(f.modes != 0.0, axis=(0, 1)))  # every column, n/2 included
+    eps = 0.05
+    window = 0.99 * acoustic.wraparound_window(grid64.box_length, eps)
+    got = acoustic.measure_strichartz(f, eps, window, p)
+    expect = full_spectrum_strichartz(grid64, z, eps, window, p)
+    assert abs(got - expect) <= 1e-12 * expect
+
+
+def full_width_strichartz(f, eps, t_final, p):
+    """measure_strichartz with every sample time rotated and inverted on all
+    n/2 + 1 columns of the half spectrum."""
+    times = np.linspace(0.0, t_final, 64)
+    vals = []
+    for t in times:
+        re, im = np.fft.irfftn(acoustic.free_propagate(f, float(t), eps).modes,
+                               axes=(-2, -1), norm="forward")
+        mag2 = re * re + im * im
+        if math.isinf(p):
+            vals.append(math.sqrt(np.max(mag2)))
+        else:
+            vals.append((np.sum(mag2 ** (0.5 * p)) * f.grid.cell_area) ** (1.0 / p))
+    r, _ = acoustic.strichartz_exponents(p)
+    return spectral.mixed_time_norm(times, np.asarray(vals), r)
+
+
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+def test_measure_strichartz_on_the_occupied_columns_equals_the_full_width_bit_for_bit(
+        grid64, p):
+    from machlab.experiments import gaussian_bump_complex
+    probe = gaussian_bump_complex(grid64)
+    assert not np.any(probe.modes[..., grid64.band:])  # a dealiased probe: a cut spectrum
+    window = 0.99 * acoustic.wraparound_window(grid64.box_length, 0.05)
+    got = acoustic.measure_strichartz(probe, 0.05, window, p)
+    want = full_width_strichartz(probe, 0.05, window, p)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def full_table_rotate(grid, modes, t, eps, trig, out, tmp):
+    """The rotation with cos and sin evaluated over the whole table of
+    theta = t |k| / eps on the columns of ``modes``; the once-per-|k|
+    rotation must reproduce it bit for bit."""
     cos_t, sin_t = trig
-    np.multiply(f.grid.kmag, t / eps, out=cos_t)
+    np.multiply(grid.kmag[:, :modes.shape[-1]], t / eps, out=cos_t)
     np.sin(cos_t, out=sin_t)
     np.cos(cos_t, out=cos_t)
-    re, im = f.modes
+    re, im = modes
     np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
     np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])
     return out
@@ -161,7 +205,8 @@ def full_table_rotate(f, t, eps, trig, out, tmp):
 def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
     for f in pairs(acoustic.make_acoustic(state64)):
         for t in (0.37, -1.48):
-            want = full_table_rotate(f, t, state64.eps, np.empty(f.modes.shape, float),
+            want = full_table_rotate(f.grid, f.modes, t, state64.eps,
+                                     np.empty(f.modes.shape, float),
                                      np.empty_like(f.modes), np.empty_like(f.modes[0]))
             assert acoustic.free_propagate(f, t, state64.eps).modes.tobytes() == want.tobytes()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from machlab import cli, experiments
+from machlab import acceptance, cli, config, experiments
 from machlab.config import (
     EXPERIMENTS,
     ConfigError,
@@ -168,6 +168,36 @@ class TestValidation:
                 accepted = False
             assert accepted == builds, (n, box)
 
+    @pytest.mark.parametrize("experiment, overrides, fragments", [
+        ("acoustic-decay", {"max_dt": 1e-300}, ["max_dt = 1e-300", "t_final = 1"]),
+        ("transport-log", {"t_final": 1e300}, ["max_dt = 0.02", "t_final = 1e+300"]),
+        ("lifespan-table", {"t_cap": 1e300}, ["max_dt = 0.02", "t_cap = 1e+300"]),
+        ("selftest", {"max_dt": 1e-300}, ["max_dt = 1e-300", "t_final = 1"]),
+        ("selftest", {"t_final": 1e300}, ["max_dt = 0.02", "t_final = 1e+300"]),
+        ("selftest", {"t_cap": 1e300}, ["max_dt = 0.02", "t_cap = 1e+300"]),
+        # the acceptance checks step their own horizon at max_dt, whatever t_final and t_cap
+        ("selftest", {"max_dt": 1e-7, "t_final": 0.01, "t_cap": 0.01},
+         ["max_dt = 1e-07", "the acceptance horizon = 1"]),
+    ])
+    def test_configs_that_cannot_finish_are_rejected_by_key(self, experiment, overrides,
+                                                            fragments):
+        with pytest.raises(ConfigError, match="ceiling") as err:
+            with_overrides(ExperimentConfig(), experiment=experiment, **overrides)
+        for text in fragments:
+            assert text in str(err.value)
+
+    def test_the_step_ceiling_reads_only_the_horizons_an_experiment_steps(self):
+        # strichartz-sweep takes no time steps; the other experiments read one horizon
+        for overrides in ({"max_dt": 1e-300}, {"t_final": 1e300}, {"t_cap": 1e300}):
+            with_overrides(ExperimentConfig(), experiment="strichartz-sweep", **overrides)
+        with_overrides(ExperimentConfig(), experiment="lifespan-table", t_final=1e300)
+        with_overrides(ExperimentConfig(), experiment="acoustic-decay", t_cap=1e300)
+        # the shipped defaults sit far below the ceiling: at most 200 steps
+        d = ExperimentConfig()
+        assert max(d.t_final, d.t_cap, config.SELFTEST_FIXED_HORIZON) / d.max_dt <= 200
+        assert 200 * 1000 <= config.MAX_STEPS
+        assert config.SELFTEST_FIXED_HORIZON >= max(acceptance.LINEAR_T, acceptance.TRANSPORT_T)
+
     def test_grid_beyond_physical_memory_is_rejected(self):
         # parsed only: n = 2^20 would need petabytes of working set
         with pytest.raises(ConfigError, match="n = 1048576"):
@@ -287,6 +317,15 @@ class TestCli:
         cfg = _write_cfg(tmp_path, "n = 8\n")
         assert cli.main(["acoustic-decay", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "n = 8 and box_length = 50.2655" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_cannot_finish_exits_two(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "max_dt = 1e-300\n")
+        code = cli.main(["lifespan-table", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("machlab: config error: max_dt = 1e-300")
+        assert "t_cap = 4" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_blowup_exits_three_after_writing_partial_artifacts(self, tmp_path, capsys):

@@ -130,6 +130,93 @@ def test_transforms_write_into_out_bit_for_bit(rng):
     assert modes.tobytes() == np.fft.rfft2(want, norm="forward").tobytes()
 
 
+def dealiased_stack(grid, planes, rng):
+    """The half spectra of random samples, every mode outside the dealias disk zero."""
+    modes = spectral.to_modes(rng.standard_normal((planes, grid.n, grid.n)))
+    return np.where(grid.dealias_mask, modes, 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 512])
+def test_to_samples_of_a_cut_spectrum_equals_the_full_width_inverse_bit_for_bit(n):
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    for planes in (1, int(rng.integers(2, 9)), 9):
+        modes = dealiased_stack(grid, planes, rng)
+        want = np.fft.irfftn(modes, axes=(-2, -1), norm="forward").tobytes()
+        assert spectral.to_samples(modes).tobytes() == want
+        assert spectral.to_samples(modes[..., :grid.band]).tobytes() == want
+        out = np.full((planes, n, n), np.nan)
+        assert spectral.to_samples(np.ascontiguousarray(modes[..., :grid.band]), out=out) is out
+        assert out.tobytes() == want
+        # any cut that keeps every nonzero column
+        cut = int(rng.integers(grid.band, n // 2 + 2))
+        assert spectral.to_samples(modes[..., :cut]).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 512])
+def test_to_dealiased_modes_equals_to_modes_and_the_mask_bit_for_bit(n):
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (3, n, n)):
+        samples = rng.standard_normal(shape)
+        want = spectral.to_modes(samples)
+        np.copyto(want, 0.0, where=~grid.dealias_mask)
+        assert spectral.to_dealiased_modes(grid, samples).tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan, dtype=np.complex128)
+        assert spectral.to_dealiased_modes(grid, samples, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, band", [(8, 3), (32, 11), (128, 43), (256, 86), (512, 171)])
+def test_band_holds_exactly_the_columns_of_the_dealias_disk(n, band):
+    for box in (16.0 * math.pi, 2.0 * math.pi, 3.0):
+        grid = Grid(n, box)
+        assert grid.band == band
+        columns = np.flatnonzero(np.any(grid.dealias_mask, axis=0))
+        assert columns.tolist() == list(range(band)), box
+
+
+@pytest.mark.parametrize("n, columns", [(32, (11, 17)), (128, (11, 22, 43, 65)),
+                                        (512, (11, 22, 43, 86, 171, 257))])
+def test_block_columns_hold_exactly_the_support_of_each_block(n, columns):
+    """The outer edge 8/3 * 2**q of ring q is 2**q * 64/3 columns out at this
+    box, the low block's 4/3 is 32/3, and no block reaches past column n/2."""
+    grid = Grid(n)
+    assert grid.block_columns == columns
+    assert len(grid.block_columns) == len(grid.blocks)
+    for block, c in zip(grid.blocks, grid.block_columns):
+        assert np.all(block[:, c:] == 0.0) and np.any(block[:, c - 1] != 0.0)
+
+
+def test_wavenumber_tables_are_built_on_first_read_and_equal_their_formulas():
+    grid = Grid(64)
+    lazy = ("kvec", "khat", "k2", "inv_k2", "inv_kmag")
+    assert not set(lazy) & set(vars(grid))
+    kx, ky = grid.kx, grid.ky
+    k2 = kx * kx + ky * ky
+    assert grid.k2.tobytes() == k2.tobytes()
+    assert grid.kmag.tobytes() == np.sqrt(k2).tobytes()
+    nz = k2 > 0.0
+    inv_k2, inv_kmag = np.zeros_like(k2), np.zeros_like(k2)
+    inv_k2[nz] = 1.0 / k2[nz]
+    inv_kmag[nz] = 1.0 / np.sqrt(k2)[nz]
+    assert grid.inv_k2.tobytes() == inv_k2.tobytes()
+    assert grid.inv_kmag.tobytes() == inv_kmag.tobytes()
+    kvec = np.stack(np.broadcast_arrays(kx, ky))
+    assert grid.kvec.tobytes() == kvec.tobytes()
+    assert grid.khat.tobytes() == (kvec * inv_kmag).tobytes()
+    assert all(getattr(grid, name) is vars(grid)[name] for name in lazy)
+
+
+def test_scratch_arrays_of_any_column_count_share_one_buffer():
+    buf = spectral.Scratch(32)
+    full = buf.modes(9)
+    cut = buf.modes(9, 11)
+    assert cut.shape == (9, 32, 11) and cut.flags.c_contiguous
+    assert np.shares_memory(cut, full)
+    assert buf.multipliers(2, 11).shape == (2, 32, 11)
+
+
 @pytest.mark.parametrize("n", [8, 64, 256, 512])
 def test_kmag_cos_sin_equals_the_full_table_trig_bit_for_bit(n):
     grid = Grid(n)
@@ -139,6 +226,9 @@ def test_kmag_cos_sin_equals_the_full_table_trig_bit_for_bit(n):
         assert sin_t.tobytes() == np.sin(grid.kmag * s).tobytes(), s
     out = np.empty((2,) + grid.modes_shape)
     assert spectral.kmag_cos_sin(grid, 22.0, out=out) is out
+    cut = np.empty((2, n, grid.band))
+    assert spectral.kmag_cos_sin(grid, 22.0, out=cut) is cut
+    assert cut.tobytes() == np.ascontiguousarray(out[..., :grid.band]).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
@@ -359,6 +449,20 @@ def test_chunked_upsampled_seeds_equal_the_whole_grid_inverse_bit_for_bit(n):
     want = whole_grid_seeds(f, 4 * n)
     assert [(r, c, np.float64(v).tobytes()) for r, c, v in got] == \
         [(r, c, np.float64(v).tobytes()) for r, c, v in want]
+
+
+def test_refined_extrema_calls_only_the_nd_transforms(grid32, rng, monkeypatch):
+    """The benchmark's tracer counts the 2-D/N-D entry points of numpy.fft
+    only, so a 1-D call would take transforms out of its counts."""
+    f = spectral.dealias(random_field(grid32, rng))
+    want = spectral.refined_extrema(f)
+
+    def one_dimensional(*args, **kwargs):
+        raise AssertionError("a 1-D numpy.fft entry point was called")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, one_dimensional)
+    assert spectral.refined_extrema(f) == want
 
 
 def test_upsampled_seeds_keep_the_first_occurrence_across_chunks(grid32):
