@@ -5,13 +5,15 @@
 Exit codes: 0 all summary assertions passed, 1 at least one failed,
 2 configuration problem (an experiment's unmet precondition included: too
 few eps for its trend fits, a grid too coarse for the first dyadic ring, or
-a horizon that max_dt cannot reach within ``config.MAX_STEPS`` steps),
+a horizon that max_dt cannot reach within ``spectral.MAX_STEPS`` steps),
 3 runtime failure. Exits 0, 1 and 3 all leave config.resolved. A blowup
 outside the lifespan-table experiment (where blowup is data) is a runtime
 failure that also writes the partial ledgers and a summary whose FAIL line
 names the time, the step, and the column that tripped. A step that cannot
-advance time is a runtime failure with no summary, reported on one stderr
-line that names the time and the step.
+advance time, or a run whose CFL steps would need more than
+``spectral.MAX_STEPS`` of them, is a runtime failure reported on one stderr
+line that names the time and the step; its summary ends on a FAIL line
+that says the same.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, with_overrides
 from .experiments import SweepBlowup, run_experiment
-from .spectral import StalledStep
+from .spectral import StalledStep, StepBudgetSpent
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -78,7 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SweepBlowup as exc:
         print(f"machlab: {exc}; partial artifacts in {cfg.out}", file=sys.stderr)
         return EXIT_RUNTIME
-    except StalledStep as exc:
+    except (StalledStep, StepBudgetSpent) as exc:
         print(f"machlab: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

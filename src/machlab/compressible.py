@@ -226,8 +226,9 @@ def blowup_row(state: FlowState) -> dict[str, float]:
     partition weight times inf is NaN), so a state that trips a full monitor
     row trips this one too, at the same step.
     """
+    g = state.grid  # the state is dealiased
     return {
-        "grad_v_linf": spectral.jacobian_sup(state.v),
+        "grad_v_linf": spectral.jacobian_sup(g, state.modes[:2, :, :g.band]),
         "vc_b2": lp.besov_sum(lp.block_norms(state, 2.0), 2.0),
     }
 
@@ -245,12 +246,14 @@ def _check_blowup(t: float, row: dict[str, float], config: StepperConfig,
 
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
-        blowup_only: bool = False) -> tuple[FlowState, RunLedger, dict[float, FlowState]]:
+        blowup_only: bool = False, capture=spectral.keep_state,
+        ) -> tuple[FlowState, RunLedger, dict]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
     ``snapshot_times`` are hit exactly (dt is clipped); the returned dict maps
-    each requested time to the state there. On blowup the partial ledger is
-    attached to the raised exception. With ``blowup_only`` each row is
+    each requested time t to ``capture(state, t)`` of the state there, the
+    state itself by default (see ``spectral.integrate``). On blowup the
+    partial ledger is attached to the raised exception. With ``blowup_only`` each row is
     ``blowup_row`` and the ledger holds ``BLOWUP_COLUMNS``: the run trips at
     the same step and time as with full monitor rows, though the column it
     names may differ.
@@ -267,5 +270,5 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
 
     state, snapshots = spectral.integrate(
         spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
-        lambda s, t, dt: step(s, config, dt), record, snapshot_times or ())
+        lambda s, t, dt: step(s, config, dt), record, snapshot_times or (), capture)
     return state, ledger, snapshots

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 from .initial_data import KNOWN_DATA
 from .littlewood_paley import named_profile
-from .spectral import FIRST_RING, dealias_cutoff
+from .spectral import FIRST_RING, MAX_STEPS, dealias_cutoff
 
 EXPERIMENTS = (
     "selftest",
@@ -73,22 +73,21 @@ _FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamm
 # Peak working set in float64 n-by-n planes, from peak-RSS measurements of
 # compressible runs at n = 256 .. 1024: about 80 per running solver (state,
 # RK4 stages, batched transforms, block stacks and numpy temporaries), and
-# sweep members run ``threads`` at a time. Each stored state snapshot adds 3.
+# sweep members run ``threads`` at a time.
 _PLANES_PER_RUN = 80
-
-
-# The most time steps a run may be made to take. A horizon over max_dt is
-# the fewest steps that reach it, whatever dt the CFL rule picks. One Strang
-# step with its monitor row took 0.9 ms at n = 8, the smallest grid, and
-# 51 ms at n = 256 on a 2-core x86 host, so a million steps run for a
-# quarter of an hour at n = 8 and for some 14 hours at n = 256. The shipped
-# configs need at most 200 (t_cap = 4 at max_dt = 0.02). A config past the
-# ceiling cannot end in a desk-scale time, and is rejected.
-MAX_STEPS = 10**6
+# What a sweep keeps past its running members: each member's state at t_final
+# (3 planes), for the final snapshot. A member reduces its state at every
+# earlier snapshot time to two gaps as the run passes it, so its snapshots
+# cost nothing more. The incompressible reference keeps its vorticity, one
+# plane, at each snapshot time, which every member reads.
+_FINAL_STATE_PLANES = 3
+_REFERENCE_SNAPSHOT_PLANES = 1
 
 # the horizons each experiment steps over at max_dt; strichartz-sweep takes no
 # time steps, and selftest also runs the acceptance checks' fixed horizons,
-# the longest of them acceptance.TRANSPORT_T
+# the longest of them acceptance.TRANSPORT_T. A config whose horizon needs
+# more than ``spectral.MAX_STEPS`` steps at max_dt cannot end in a desk-scale
+# time, and is rejected.
 _HORIZON_KEYS = {"acoustic-decay": ("t_final",), "incompressible-limit": ("t_final",),
                  "transport-log": ("t_final",), "lifespan-table": ("t_cap",),
                  "selftest": ("t_final", "t_cap")}
@@ -104,7 +103,8 @@ def _horizons(config: "ExperimentConfig") -> dict[str, float]:
 
 
 def _working_set_bytes(config: "ExperimentConfig") -> int:
-    planes = _PLANES_PER_RUN * max(1, config.threads) + 3 * len(config.eps) * config.snapshots
+    planes = (_PLANES_PER_RUN * max(1, config.threads) + _FINAL_STATE_PLANES * len(config.eps)
+              + _REFERENCE_SNAPSHOT_PLANES * config.snapshots)
     return planes * 8 * config.n * config.n
 
 
@@ -190,8 +190,9 @@ def validate_config(config: ExperimentConfig, require_experiment: bool = True) -
     if memory is not None and _working_set_bytes(config) > memory:
         raise ConfigError(
             f"n = {n} needs an estimated {_working_set_bytes(config) / 2**30:.3g} GiB working "
-            f"set (threads = {config.threads}, {len(config.eps)} eps x {config.snapshots} "
-            f"snapshots), more than the {memory / 2**30:.3g} GiB of physical memory"
+            f"set (threads = {config.threads}, {len(config.eps)} final states, "
+            f"{config.snapshots} reference snapshots), more than the {memory / 2**30:.3g} GiB "
+            f"of physical memory"
         )
     if not (config.box_length > 0.0):
         raise ConfigError(f"box_length must be positive, got {config.box_length}")

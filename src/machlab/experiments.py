@@ -3,7 +3,8 @@
 ``run_experiment`` writes ``config.resolved`` (the canonical dump of the
 effective configuration) before the driver runs and ``summary.txt`` (one
 PASS/FAIL line per check, naming the operation and any fitted constant)
-after it, also after a sweep blowup, with every member's partial ledger.
+after it, also after a sweep blowup, with every member's partial ledger,
+and after a run that stops short of its end.
 The driver adds its summary lines and writes its own artifacts: ledgers,
 CSV tables through one writer, and MLF1 snapshots.
 
@@ -21,7 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,22 +72,37 @@ class SweepBlowup(RuntimeError):
         self.blowups = blowups
 
 
-def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
-              snapshot_times: Optional[list[float]] = None,
-              ) -> dict[float, tuple[RunLedger, dict[float, FlowState]]]:
-    """One compressible run per eps from ``states``, shared stepper.
+class SweepRun(NamedTuple):
+    """One sweep member's run: its ledger, its state at t_final when snapshot
+    times were asked for (else None), and its snapshots, each reduced as the
+    run passed it (``capture`` of ``run_sweep``)."""
 
-    Every member runs to its end; if any blew up, raises ``SweepBlowup``.
+    ledger: RunLedger
+    final: Optional[FlowState]
+    snapshots: dict
+
+
+def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
+              snapshot_times: Sequence[float] = (), capture=spectral.keep_state,
+              ) -> dict[float, SweepRun]:
+    """One compressible run per eps from ``states``, shared stepper, on up to
+    ``config.threads`` pool threads, keyed by eps in descending order.
+
+    Each member applies ``capture(state, t)`` at each of ``snapshot_times``
+    as its run passes it, in its own thread, and keeps only what that
+    returns, and its state at t_final (see ``SweepRun``). Every member runs
+    to its end; if any blew up, raises ``SweepBlowup``.
     """
     stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt)
 
     def one(eps: float):
         try:
-            _, ledger, snaps = compressible.run(states[eps], config.t_final, stepper,
-                                                snapshot_times=snapshot_times)
+            final, ledger, snaps = compressible.run(states[eps], config.t_final, stepper,
+                                                    snapshot_times=snapshot_times,
+                                                    capture=capture)
         except compressible.Blowup as blow:
             return blow
-        return ledger, snaps
+        return SweepRun(ledger, final if snapshot_times else None, snaps)
 
     eps_list = sorted(config.eps, reverse=True)
     if config.threads > 1:
@@ -96,8 +112,7 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
         results = {e: one(e) for e in eps_list}
     blowups = {e: r for e, r in results.items() if isinstance(r, compressible.Blowup)}
     if blowups:
-        raise SweepBlowup({e: r.ledger if e in blowups else r[0] for e, r in results.items()},
-                          blowups)
+        raise SweepBlowup({e: r.ledger for e, r in results.items()}, blowups)
     return results
 
 
@@ -114,7 +129,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     """
     out = {}
     for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
-        g0 = spectral.jacobian_sup(state.v)
+        g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # not yet dealiased
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
@@ -178,21 +193,21 @@ def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowS
                                              max_dt=config.max_dt, snapshot_times=snapshot_times)
 
 
-def limit_error_series(sweep, ref_snapshots, times):
-    """Per-eps series of || P v_eps(t) - v_ref(t) || in L^2 and B^2."""
-    l2_series: dict[float, np.ndarray] = {}
-    b2_series: dict[float, np.ndarray] = {}
-    init_gap: dict[float, float] = {}
-    for e, (_, snaps) in sweep.items():
-        l2_vals, b2_vals = [], []
-        for t in times:
-            pv = spectral.leray_p(snaps[t].v)
-            diff = spectral.sub(pv, incompressible.velocity_from_vorticity(ref_snapshots[t]))
-            l2_vals.append(spectral.l2_norm(diff))
-            b2_vals.append(lp.besov_norm(diff, 2.0, 2.0))
-        l2_series[e] = np.asarray(l2_vals)
-        b2_series[e] = np.asarray(b2_vals)
-        init_gap[e] = float(l2_vals[0])
+def limit_gap(state: FlowState, ref_omega: Field) -> tuple[float, float]:
+    """|| P v_eps - v_ref || in L^2 and B^2 at one time, from the compressible
+    state and the reference vorticity there."""
+    pv = spectral.leray_p(state.v)
+    diff = spectral.sub(pv, incompressible.velocity_from_vorticity(ref_omega))
+    return spectral.l2_norm(diff), lp.besov_norm(diff, 2.0, 2.0)
+
+
+def limit_error_series(sweep: dict[float, SweepRun], times):
+    """Per-eps series of || P v_eps(t) - v_ref(t) || in L^2 and B^2 over
+    ``times``, from the ``limit_gap`` pairs each member captured there, and
+    each member's L^2 gap at the first time."""
+    l2_series = {e: np.asarray([run.snapshots[t][0] for t in times]) for e, run in sweep.items()}
+    b2_series = {e: np.asarray([run.snapshots[t][1] for t in times]) for e, run in sweep.items()}
+    init_gap = {e: run.snapshots[times[0]][0] for e, run in sweep.items()}
     return l2_series, b2_series, init_gap
 
 
@@ -248,8 +263,15 @@ def snapshot_times(config: ExperimentConfig) -> list[float]:
 class SweepStudy:
     """What the checks on one eps sweep share, each part computed on first
     use: the initial states, the weight profile and its lifespan model, the
-    compressible sweep and the incompressible reference, both stored at
-    ``times``."""
+    incompressible reference, stored at ``times``, and the compressible
+    sweep.
+
+    A study with no times runs the sweep alone. A study at ``times`` runs the
+    reference first, on the calling thread; each sweep member then reduces
+    its state at each of ``times`` to its ``limit_gap`` pair against the
+    reference as its run passes it, and keeps only its state at t_final, so
+    the sweep holds no earlier state.
+    """
 
     def __init__(self, config: ExperimentConfig, times: Sequence[float] = ()):
         self.config = config
@@ -272,17 +294,21 @@ class SweepStudy:
         return asymptotics.LifespanModel(self.profile, c0=self.config.c0)
 
     @cached_property
-    def sweep(self) -> dict[float, tuple[RunLedger, dict[float, FlowState]]]:
-        return run_sweep(self.config, self.initial_states, self.times)
-
-    @cached_property
-    def ledgers(self) -> dict[float, RunLedger]:
-        return {e: self.sweep[e][0] for e in self.sweep}
-
-    @cached_property
     def reference(self):
         return reference_incompressible(self.config, self.initial_states, self.config.t_final,
                                         self.times)
+
+    @cached_property
+    def sweep(self) -> dict[float, SweepRun]:
+        if not self.times:
+            return run_sweep(self.config, self.initial_states)
+        ref_snapshots = self.reference[2]
+        return run_sweep(self.config, self.initial_states, self.times,
+                         lambda state, t: limit_gap(state, ref_snapshots[t]))
+
+    @cached_property
+    def ledgers(self) -> dict[float, RunLedger]:
+        return {e: run.ledger for e, run in self.sweep.items()}
 
 
 def free_wave_spread(free: dict[float, tuple[float, float, bool]]) -> float:
@@ -302,9 +328,10 @@ def evaluate_acoustic_decay(study: SweepStudy) -> tuple[asymptotics.AcousticDeca
 def evaluate_incompressible_limit(study: SweepStudy) -> tuple[
         asymptotics.IncompressibleLimitReport, dict[float, np.ndarray]]:
     """The limit report over the study's times, and its per-eps L^2 gap series."""
-    # the sweep runs first: its pool threads' scratch is freed before the
-    # reference, on this thread, allocates this thread's scratch
-    l2s, b2s, gaps = limit_error_series(study.sweep, study.reference[2], study.times)
+    # the sweep's members read the reference as they run, so it runs first, on
+    # this thread; its tendency works in this thread's scratch, not in fresh
+    # arrays, which would fault in new pages at every stage
+    l2s, b2s, gaps = limit_error_series(study.sweep, study.times)
     return (asymptotics.check_incompressible_limit(study.times, l2s, b2s, gaps, study.model),
             l2s)
 
@@ -456,12 +483,11 @@ def drive_incompressible_limit(config: ExperimentConfig, summary: _Summary) -> N
                [(e, *l2s[e]) for e in report.eps])
     _write_csv(os.path.join(out, "plot_sup_gap_vs_eps.csv"), "eps,sup_l2_gap",
                zip(report.eps, report.sup_l2))
-    t_last = times[-1]
     for e in report.eps:
         spectral.write_snapshot(os.path.join(out, f"snap_eps_{_eps_tag(e)}_final.mlf"),
-                                sweep[e][1][t_last])
+                                sweep[e].final)
     spectral.write_snapshot(os.path.join(out, "snap_reference_final.mlf"),
-                            incompressible.velocity_from_vorticity(ref_snaps[t_last]))
+                            incompressible.velocity_from_vorticity(ref_snaps[times[-1]]))
 
 
 def drive_transport_log(config: ExperimentConfig, summary: _Summary) -> None:
@@ -589,7 +615,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
     leaves a config that replays; ``summary.txt`` is written after it. A
     sweep blowup adds one FAIL line per blown-up member, writes every
     member's ledger, partial ones included, and the summary, then
-    propagates. Any other exception leaves no summary.
+    propagates. A run that stops short of its end (``spectral.StalledStep``
+    or ``spectral.StepBudgetSpent``) adds one FAIL line naming the time and
+    the step, writes the summary, and propagates. Any other exception leaves
+    no summary.
     """
     driver = _DRIVERS.get(config.experiment)
     if driver is None:
@@ -607,6 +636,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
                           f"blew up at t={_fmt(b.time)}, step {b.step}, column {b.column}: "
                           f"{b.reason}")
         _write_ledgers(config, blow.ledgers)
+        _write_summary(config, summary)
+        raise
+    except (spectral.StalledStep, spectral.StepBudgetSpent) as stop:
+        summary.check("run.reaches_end", False, f"{type(stop).__name__}: {stop}")
         _write_summary(config, summary)
         raise
     _write_summary(config, summary)

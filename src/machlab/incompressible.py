@@ -35,12 +35,22 @@ def velocity_from_vorticity(omega: Field) -> Field:
 
 def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     """-(v . grad omega), dealiased, into ``out``, from one batched inverse of
-    v and grad omega on the dealias band (w is dealiased)."""
+    v and grad omega on the dealias band (w is dealiased). The operations are
+    those of ``velocity_from_vorticity`` and the gradient multiplier, in their
+    order, on the band only; the stacks live in this thread's scratch."""
     band = grid.band
-    v = velocity_from_vorticity(Field(grid, w)).modes[..., :band]
     w = w[..., :band]
-    vx, vy, wx, wy = spectral.to_samples(np.concatenate([v, 1j * grid.kvec[..., :band] * w]))
-    np.negative(spectral.to_dealiased_modes(grid, vx * wx + vy * wy, out=out), out=out)
+    buf = spectral.scratch(grid.n)
+    stack = buf.modes(5, band)
+    psi = stack[4]  # the stream function, inv_laplacian of omega
+    np.multiply(w, np.negative(grid.inv_k2[:, :band], out=buf.multipliers(1, band)[0]), out=psi)
+    np.multiply(-1j * grid.ky[:, :band], psi, out=stack[0])  # v = perp_grad psi
+    np.multiply(1j * grid.kx, psi, out=stack[1])
+    np.multiply(1j * grid.kx, w, out=stack[2])  # grad omega
+    np.multiply(1j * grid.ky[:, :band], w, out=stack[3])
+    vx, vy, wx, wy = spectral.to_samples(stack[:4], out=buf.samples(4))
+    np.add(np.multiply(vx, wx, out=vx), np.multiply(vy, wy, out=vy), out=vx)
+    np.negative(spectral.to_dealiased_modes(grid, vx, out=out), out=out)
 
 
 def step_incompressible(omega: Field, dt: float) -> Field:
@@ -66,7 +76,8 @@ def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
 
     def record(omega: Field, t: float) -> None:
         v = velocity_from_vorticity(omega)
-        ledger.append(t, grad_v_linf=spectral.jacobian_sup(v),
+        # omega is dealiased, and so is its velocity
+        ledger.append(t, grad_v_linf=spectral.jacobian_sup(v.grid, v.modes[..., :v.grid.band]),
                       omega_linf=spectral.lp_norm(omega, math.inf), v_l2=spectral.l2_norm(v))
 
     omega, snapshots = spectral.integrate(

@@ -489,10 +489,15 @@ def l2_norm(f) -> float:
     return f.grid.box_length * math.sqrt(total)
 
 
-def jacobian_sup(v: Field) -> float:
-    """Largest sup norm over the four entries of grad v, from one batched inverse."""
-    g = v.grid
-    return float(np.max(np.abs(to_samples(1j * g.kvec[:, None] * v.modes[None]))))
+def jacobian_sup(grid: Grid, v: np.ndarray) -> float:
+    """Largest sup norm over the four entries of grad v, from one batched inverse.
+
+    ``v`` is the (2, n, c) half spectrum of the velocity, cut to its first c
+    columns as ``to_samples`` allows: a caller whose velocity is dealiased
+    passes ``modes[..., :grid.band]``, any other the full width.
+    """
+    c = v.shape[-1]
+    return float(np.max(np.abs(to_samples(1j * grid.kvec[:, None, :, :c] * v[None]))))
 
 
 def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -538,7 +543,36 @@ class StalledStep(RuntimeError):
         self.step = step
 
 
-def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_times=()):
+# The most time steps a run may take. A horizon over max_dt is the fewest
+# steps that reach it, whatever dt the CFL rule picks, and ``config`` rejects
+# a config past this ceiling; ``integrate`` stops a run whose CFL steps
+# shrink so far that it would take more. One Strang step with its monitor row
+# took 0.9 ms at n = 8, the smallest grid, and 51 ms at n = 256 on a 2-core
+# x86 host, so a million steps run for a quarter of an hour at n = 8 and for
+# some 14 hours at n = 256. The shipped configs need at most 200 (t_cap = 4
+# at max_dt = 0.02).
+MAX_STEPS = 10**6
+
+
+class StepBudgetSpent(RuntimeError):
+    """Raised by ``integrate`` when a run has taken ``MAX_STEPS`` steps and
+    not reached its end: ``time`` is where the budget ran out and ``step``
+    the number of steps taken; the rows recorded so far stay."""
+
+    def __init__(self, time: float, step: int, t_final: float):
+        super().__init__(f"step budget spent: {step} steps reach only t={time!r} "
+                         f"of t_final={t_final!r}")
+        self.time = time
+        self.step = step
+
+
+def keep_state(u, t: float):
+    """The default capture of ``integrate``: the state itself."""
+    return u
+
+
+def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_times=(),
+              capture=keep_state):
     """The time loop shared by every solver: step u from time t to t_final.
 
     ``dt_of(u)`` proposes a step size, which is clipped to t_final and to the
@@ -547,16 +581,22 @@ def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_time
     every accepted step, and whatever it raises propagates with the earlier
     rows already recorded. Time advances as t + dt, step by step.
 
-    Returns (u, snapshots); ``snapshots`` maps each requested time to the
-    state there, hit exactly, and every time at or before the start to the
-    initial state. A step whose clipped dt would not advance t raises
-    ``StalledStep`` instead of looping or ending at t = NaN.
+    Returns (u, snapshots); ``snapshots`` maps each requested time s to
+    ``capture(u, s)`` of the state there, hit exactly, and every time at or
+    before the start to that of the initial state. ``capture`` keeps the
+    state itself by default; a caller that reads only some reduction of a
+    snapshot passes that reduction, so the states pass through and are
+    never held. A step whose clipped dt would not advance t raises
+    ``StalledStep`` instead of looping or ending at t = NaN, and a run that
+    would take more than ``MAX_STEPS`` steps raises ``StepBudgetSpent``.
     """
     pending = sorted({s for s in snapshot_times if s > t})  # a repeated time would stall
-    snapshots = {s: u for s in snapshot_times if s <= t}
     record(u, t)
+    snapshots = {s: capture(u, s) for s in snapshot_times if s <= t}
     steps = 0
     while t < t_final - 1e-12:
+        if steps == MAX_STEPS:
+            raise StepBudgetSpent(t, steps, t_final)
         dt = min(dt_of(u), t_final - t)
         if pending:
             dt = min(dt, pending[0] - t)
@@ -567,7 +607,8 @@ def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_time
         t = t + dt
         record(u, t)
         if pending and t >= pending[0] - 1e-12:
-            snapshots[pending.pop(0)] = u
+            s = pending.pop(0)
+            snapshots[s] = capture(u, s)
     return u, snapshots
 
 

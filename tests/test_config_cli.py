@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from machlab import acceptance, cli, config, experiments
+from machlab import acceptance, cli, config, experiments, spectral
 from machlab.config import (
     EXPERIMENTS,
     ConfigError,
@@ -198,6 +198,21 @@ class TestValidation:
         assert 200 * 1000 <= config.MAX_STEPS
         assert config.SELFTEST_FIXED_HORIZON >= max(acceptance.LINEAR_T, acceptance.TRANSPORT_T)
 
+    def test_working_set_charges_final_states_not_one_state_per_snapshot(self):
+        # a sweep member keeps its state at t_final only; the reference keeps
+        # one vorticity plane per snapshot time, whatever the eps count
+        plane = 8 * 256 * 256
+
+        def estimate(eps, snapshots):
+            return config._working_set_bytes(ExperimentConfig(
+                experiment="incompressible-limit", eps=eps, snapshots=snapshots))
+
+        two, four = (0.2, 0.1), (0.2, 0.1, 0.05, 0.025)
+        for eps in (two, four):
+            assert estimate(eps, 21) - estimate(eps, 6) == 15 * plane
+        assert estimate(four, 6) - estimate(two, 6) == 2 * 3 * plane
+        assert estimate(four, 6) == (80 + 4 * 3 + 6) * plane
+
     def test_grid_beyond_physical_memory_is_rejected(self):
         # parsed only: n = 2^20 would need petabytes of working set
         with pytest.raises(ConfigError, match="n = 1048576"):
@@ -361,7 +376,7 @@ class TestCli:
     def test_stalled_driver_exits_three_leaving_a_replayable_config(self, tmp_path,
                                                                     monkeypatch, capsys):
         def stalled(config, summary):
-            summary.check("never.written", True)
+            summary.check("before.the.stall", True)
             raise StalledStep(0.25, 7, 0.0)
 
         monkeypatch.setitem(experiments._DRIVERS, "strichartz-sweep", stalled)
@@ -374,7 +389,32 @@ class TestCli:
         resolved = parse_config((out / "config.resolved").read_text())
         want = with_overrides(parse_config(text), experiment="strichartz-sweep")
         assert config_hash(resolved) == config_hash(want)
-        assert not (out / "summary.txt").exists()
+        assert (out / "summary.txt").read_text().splitlines() == [
+            f"machlab summary v1 config={config_hash(want)}",
+            "PASS before.the.stall",
+            "FAIL run.reaches_end: StalledStep: step 7 does not advance time from t=0.25 "
+            "(dt=0.0)",
+            "RESULT FAIL",
+        ]
+
+    def test_spent_step_budget_exits_three_with_a_summary_fail_line(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # five steps of max_dt reach t_final; a budget of three stops every member
+        monkeypatch.setattr(spectral, "MAX_STEPS", 3)
+        cfg = _write_cfg(tmp_path, "n = 32\neps = 0.2, 0.1, 0.05\nt_final = 0.1\n"
+                                   "max_dt = 0.02\n")
+        out = tmp_path / "out"
+        assert cli.main(["acoustic-decay", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("machlab: step budget spent: 3 steps reach only t=0.06")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        summary = (out / "summary.txt").read_text().splitlines()
+        resolved = parse_config((out / "config.resolved").read_text())
+        assert summary[0] == f"machlab summary v1 config={config_hash(resolved)}"
+        assert summary[1].startswith("FAIL run.reaches_end: StepBudgetSpent: step budget "
+                                     "spent: 3 steps reach only t=0.06")
+        assert summary[1].endswith(" of t_final=0.1")
+        assert summary[2:] == ["RESULT FAIL"]
 
     def test_unknown_experiment_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from machlab import compressible, experiments, spectral
+from machlab import compressible, experiments, incompressible, littlewood_paley, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -132,6 +132,83 @@ def test_incompressible_limit_driver_smoke(tmp_path):
     assert len(ref_fields) == 2
 
 
+def _limit_study(n):
+    cfg = ExperimentConfig(experiment="incompressible-limit", n=n, eps=(0.4, 0.2, 0.05),
+                           t_final=0.1, max_dt=0.02, snapshots=4)
+    return experiments.SweepStudy(cfg, experiments.snapshot_times(cfg))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_streamed_gap_series_equals_the_series_of_stored_states(n):
+    study = _limit_study(n)
+    l2s, b2s, init = experiments.limit_error_series(study.sweep, study.times)
+    # the states themselves, kept at every time, and the gaps formed afterwards
+    stored = run_sweep(study.config, study.initial_states, study.times)
+    ref = study.reference[2]
+    for e, run in stored.items():
+        l2_vals, b2_vals = [], []
+        for t in study.times:
+            pv = spectral.leray_p(run.snapshots[t].v)
+            diff = spectral.sub(pv, incompressible.velocity_from_vorticity(ref[t]))
+            l2_vals.append(spectral.l2_norm(diff))
+            b2_vals.append(littlewood_paley.besov_norm(diff, 2.0, 2.0))
+        assert np.array_equal(l2s[e], np.asarray(l2_vals))
+        assert np.array_equal(b2s[e], np.asarray(b2_vals))
+        assert init[e] == l2_vals[0]
+        assert np.array_equal(study.sweep[e].final.modes, run.snapshots[study.times[-1]].modes)
+
+
+def test_the_sweep_holds_no_state_before_t_final():
+    study = _limit_study(32)
+    found = []
+
+    def walk(obj):
+        if isinstance(obj, spectral.FlowState):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(key)
+                walk(value)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+
+    walk(study.sweep)
+    finals = [run.final for run in study.sweep.values()]
+    assert len(found) == len(finals) == 3
+    assert all(any(f is g for g in finals) for f in found)
+    for run in study.sweep.values():
+        assert run.ledger.times[-1] == pytest.approx(study.config.t_final, abs=1e-12)
+        assert list(run.snapshots) == study.times
+        assert all(type(gap) is tuple and len(gap) == 2 and all(type(x) is float for x in gap)
+                   for gap in run.snapshots.values())
+
+
+def test_incompressible_limit_artifacts_do_not_depend_on_thread_count(tmp_path):
+    base = ExperimentConfig(experiment="incompressible-limit", n=32, eps=(0.4, 0.2, 0.05),
+                            t_final=0.1, max_dt=0.02, snapshots=4)
+    dirs = [tmp_path / f"threads{k}" for k in (1, 2)]
+    for k, out in zip((1, 2), dirs):
+        run_experiment(with_overrides(base, threads=k, out=str(out)))
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1])) and "snap_eps_0p05_final.mlf" in names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_acoustic_decay_never_builds_the_reference(tmp_path, monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("acoustic-decay ran the incompressible reference")
+
+    monkeypatch.setattr(experiments, "reference_incompressible", no_reference)
+    cfg = ExperimentConfig(experiment="acoustic-decay", n=32, eps=(0.2, 0.1, 0.05),
+                           t_final=0.1, max_dt=0.05, out=str(tmp_path / "out"))
+    run_experiment(cfg)
+    assert (tmp_path / "out" / "ledger_eps_0p05.csv").exists()
+    assert all(run.final is None and run.snapshots == {}
+               for run in run_sweep(cfg, initial_states(cfg, Grid(32, cfg.box_length))).values())
+
+
 def test_transport_log_driver_smoke(tmp_path):
     # at n = 32 the shear holdout's interpolant range grows by 1.1e-6 of the
     # initial range by t = 0.1, past the 1e-6 tolerance; 0.05 keeps it at 5e-7
@@ -237,7 +314,7 @@ def test_lifespans_need_no_monitor_row(monkeypatch):
                               amplitude=8.0, t_cap=2.0, blowup_factor=2.0)
     full = {}
     for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
-        g0 = spectral.jacobian_sup(state.v)
+        g0 = spectral.jacobian_sup(state.grid, state.modes[:2])
         stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt,
                                              blowup_grad_linf=config.blowup_factor * g0)
         try:

@@ -316,6 +316,52 @@ def test_integrate_raises_on_a_step_that_does_not_advance_time(bad):
     assert steps == [0.25, 0.25]
 
 
+def test_integrate_keeps_only_what_capture_returns_at_each_snapshot():
+    seen = []
+
+    def capture(u, s):
+        seen.append((u, s))
+        return -u
+
+    u, snaps = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, lambda u, t, dt: u + dt,
+                                  lambda u, t: None, (0.5, 0.0, 0.25), capture)
+    assert snaps == {0.0: -0.0, 0.25: -0.25, 0.5: -0.5}
+    assert seen == [(0.0, 0.0), (0.25, 0.25), (0.5, 0.5)]  # once per time, as the run passes it
+    assert u == 1.0
+
+
+def test_integrate_stops_a_run_that_spends_its_step_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_STEPS", 3)
+    rows, steps = [], []
+
+    def advance(u, t, dt):
+        steps.append(dt)
+        return u + dt
+
+    with pytest.raises(spectral.StepBudgetSpent,
+                       match=r"3 steps reach only t=0\.75 of t_final=1\.0") as err:
+        spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, advance, lambda u, t: rows.append(t))
+    assert (err.value.time, err.value.step) == (0.75, 3)
+    assert rows == [0.0, 0.25, 0.5, 0.75]  # the rows before the budget ran out are kept
+    assert steps == [0.25] * 3
+    # a run that needs exactly the budget ends at t_final
+    monkeypatch.setattr(spectral, "MAX_STEPS", 4)
+    u, _ = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, lambda u, t, dt: u + dt,
+                              lambda u, t: None)
+    assert u == 1.0
+
+
+def test_jacobian_sup_of_a_cut_velocity_equals_the_full_width_one(rng):
+    for n in (8, 32, 128):
+        grid = Grid(n)
+        v = np.where(grid.dealias_mask,
+                     spectral.to_modes(rng.standard_normal((2, n, n))), 0.0)
+        full = spectral.jacobian_sup(grid, v)
+        assert spectral.jacobian_sup(grid, v[..., :grid.band]) == full
+        assert full == float(np.max(np.abs(spectral.to_samples(
+            1j * grid.kvec[:, None] * v[None]))))
+
+
 def test_scratch_is_per_thread_and_keeps_one_grid_size():
     buf = spectral.scratch(32)
     assert spectral.scratch(32) is buf
