@@ -24,7 +24,7 @@ import numpy as np
 
 from . import acoustic, asymptotics, compressible, experiments, spectral, transport
 from . import littlewood_paley as lp
-from .config import ExperimentConfig, with_overrides
+from .config import ExperimentConfig, selftest_n_hi, with_overrides
 from .fitting import nondecreasing
 from .spectral import Field, FlowState, Grid
 
@@ -77,8 +77,7 @@ class Workbench(experiments.SweepStudy):
 
     @property
     def n_hi(self) -> int:
-        """Resolution of the transport cross-check; it runs only above n."""
-        return min(2 * self.config.n, 512)
+        return selftest_n_hi(self.config.n)
 
     @cached_property
     def lifespan_config(self) -> ExperimentConfig:
@@ -190,18 +189,18 @@ def check_weighted_norms(bench: Workbench) -> CheckResult:
 def check_linear_acoustics(bench: Workbench) -> CheckResult:
     cfg = compressible.StepperConfig(cfl=bench.config.cfl, max_dt=bench.config.max_dt,
                                      disable_nonlinear=True)
-    worst_err = 0.0
-    worst_drift = 0.0
-    for e, st in bench.initial_states.items():
-        st0 = spectral.dealias(st)
+
+    def one(e: float) -> tuple[float, float]:
+        st0 = spectral.dealias(bench.initial_states[e])
         stT, _, _ = compressible.run(st0, LINEAR_T, cfg, blowup_only=True)
         moved = acoustic.free_propagate(acoustic.make_acoustic(st0), LINEAR_T, e)
         exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), e,
                                            bench.config.gamma_bar)
-        worst_err = max(worst_err, _rel_state_diff(stT, exact))
-        e0 = _mode_energy(st0)
-        eT = _mode_energy(stT)
-        worst_drift = max(worst_drift, float(np.max(np.abs(eT - e0)) / np.max(e0)))
+        e0, eT = _mode_energy(st0), _mode_energy(stT)
+        return _rel_state_diff(stT, exact), float(np.max(np.abs(eT - e0)) / np.max(e0))
+
+    errs, drifts = zip(*experiments.map_solves(bench.config.threads, one, bench.initial_states))
+    worst_err, worst_drift = max(errs), max(drifts)
     passed = worst_err <= 1e-12 and worst_drift <= 1e-13
     detail = (f"propagator mismatch {worst_err:.2e} (tol 1e-12), "
               f"per-mode energy drift {worst_drift:.2e} (tol 1e-13)")
@@ -215,11 +214,9 @@ def check_splitting_order(bench: Workbench) -> CheckResult:
         states = experiments.initial_states(replace(bench.config, eps=(ORDER_EPS,)),
                                             bench.grid)
     st0 = spectral.dealias(states[ORDER_EPS])
-    finals = []
-    for dt in ORDER_DTS:
-        cfg = compressible.StepperConfig(cfl=0.95, max_dt=dt)
-        stT, _, _ = compressible.run(st0, ORDER_T, cfg, blowup_only=True)
-        finals.append(stT)
+    finals = experiments.map_solves(bench.config.threads, lambda dt: compressible.run(
+        st0, ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt), blowup_only=True)[0],
+        ORDER_DTS)
     e1 = _rel_state_diff(finals[0], finals[1])
     e2 = _rel_state_diff(finals[1], finals[2])
     order = math.log2(e1 / e2)
@@ -240,9 +237,9 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
     growths = []
     for res in tol_by_n:
         f0 = experiments.transport_initial_density(Grid(res, cfg.box_length), cfg.seed)
-        runs = [experiments.evaluate_transport_velocity(f0, vel, TRANSPORT_T, cfg.cfl,
-                                                        cfg.max_dt)
-                for vel in [cal] + holdouts]
+        runs = experiments.map_solves(
+            cfg.threads, lambda vel: experiments.evaluate_transport_velocity(
+                f0, vel, TRANSPORT_T, cfg.cfl, cfg.max_dt), [cal] + holdouts)
         worst_oracle[res] = max(r.oracle_gap for r in runs)
         worst_mass = max([worst_mass] + [r.mass_drift for r in runs])
         growths += [r.range_growth for r in runs if r.range_growth is not None]

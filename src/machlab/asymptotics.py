@@ -177,11 +177,10 @@ class IncompressibleLimitReport:
 
 def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
                                b2_series: dict[float, np.ndarray],
-                               init_gap: dict[float, float],
                                model: LifespanModel) -> IncompressibleLimitReport:
     """Convergence of the filtered velocity to the incompressible solution.
 
-    ``l2_series[eps][j]`` is ||P v_eps(t_j) - v(t_j)||_{L^2}; the rate bound
+    ``l2_series[eps][j]`` is ||P v_eps(t_j) - v(t_j)||_{L^2}, from t_0 = 0; the rate bound
 
         ||w(t)|| <= C0 exp(exp(C0 t)) (||P v0_eps - v0|| + Phi(eps)**(1/4))
 
@@ -189,6 +188,8 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
     asserted on the others.
     """
     times = np.asarray(times, dtype=np.float64)
+    if times[0] != 0.0:
+        raise ValueError(f"the series must start at t = 0, not {times[0]:g}")
     eps_sorted = tuple(sorted(l2_series, reverse=True))
     if len(eps_sorted) < 2:
         raise ValueError("need at least two eps values")
@@ -196,7 +197,7 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
     sup_b2 = tuple(float(np.max(b2_series[e])) for e in eps_sorted)
 
     def bound_holds(eps: float, c0: float) -> bool:
-        base = init_gap[eps] + phi_of_eps(model, eps) ** 0.25
+        base = l2_series[eps][0] + phi_of_eps(model, eps) ** 0.25
         # probing large c0 may overflow the double exponential to inf, in
         # which case the bound holds trivially
         with np.errstate(over="ignore"):

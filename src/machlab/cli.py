@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="DIR",
                         help="output directory (overrides the config file)")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for sweep members "
-                             "(overrides the config file)")
+                        help="worker threads for independent solves: sweep members, lifespan "
+                             "runs, free-wave probes, transport holdouts, selftest's "
+                             "acoustics, splitting and transport runs (overrides the config file)")
     return parser
 
 

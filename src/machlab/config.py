@@ -11,6 +11,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .initial_data import KNOWN_DATA
 from .littlewood_paley import named_profile
@@ -59,9 +60,6 @@ class ExperimentConfig:
         return 0.5 * (self.gamma - 1.0)
 
 
-# config-file keys are the ExperimentConfig field names, so a dump always parses back
-_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-
 # each experiment's own preconditions: the decay-trend fits need three eps, the
 # limit contraction two, and every experiment but strichartz-sweep measures
 # block norms, which need the first dyadic ring below the dealias cutoff
@@ -73,7 +71,8 @@ _FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamm
 # Peak working set in float64 n-by-n planes, from peak-RSS measurements of
 # compressible runs at n = 256 .. 1024: about 80 per running solver (state,
 # RK4 stages, batched transforms, block stacks and numpy temporaries), and
-# sweep members run ``threads`` at a time.
+# independent solves run ``threads`` at a time. selftest's transport
+# cross-check runs its solvers at n_hi, in n_hi-by-n_hi planes.
 _PLANES_PER_RUN = 80
 # What a sweep keeps past its running members: each member's state at t_final
 # (3 planes), for the final snapshot. A member reduces its state at every
@@ -102,10 +101,15 @@ def _horizons(config: "ExperimentConfig") -> dict[str, float]:
     return spans
 
 
+def selftest_n_hi(n: int) -> int:
+    """The resolution of selftest's transport cross-check; it runs only above n."""
+    return min(2 * n, 512)
+
+
 def _working_set_bytes(config: "ExperimentConfig") -> int:
-    planes = (_PLANES_PER_RUN * max(1, config.threads) + _FINAL_STATE_PLANES * len(config.eps)
-              + _REFERENCE_SNAPSHOT_PLANES * config.snapshots)
-    return planes * 8 * config.n * config.n
+    run_n = max(config.n, selftest_n_hi(config.n)) if config.experiment == "selftest" else config.n
+    kept = _FINAL_STATE_PLANES * len(config.eps) + _REFERENCE_SNAPSHOT_PLANES * config.snapshots
+    return 8 * (_PLANES_PER_RUN * max(1, config.threads) * run_n**2 + kept * config.n**2)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -124,11 +128,13 @@ def _parse_length(text: str) -> float:
     return float(t)
 
 
-def _parse_float(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
-    return float(t)
+# config-file keys are the ExperimentConfig field names, so a dump always parses
+# back; each key's parser follows its field's type (``float`` reads inf), and
+# box_length also takes a ``pi`` suffix. A field of another type fails at import.
+_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]:
+                  lambda text: tuple(map(float, filter(str.strip, text.split(","))))}
+_PARSERS = {name: _parse_length if name == "box_length" else _PARSE_BY_TYPE[kind]
+            for name, kind in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -142,9 +148,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ConfigError(
-                f"unknown key {key!r}; known keys: {', '.join(sorted(_KEYS))}", lineno
+                f"unknown key {key!r}; known keys: {', '.join(sorted(_PARSERS))}", lineno
             )
         if key in raw:
             raise ConfigError(f"duplicate key {key!r} (first set on line {raw[key][1]})", lineno)
@@ -155,17 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kwargs = {}
     for name, (value, lineno) in raw.items():
         try:
-            if name in ("n", "seed", "snapshots", "threads"):
-                kwargs[name] = int(value)
-            elif name == "box_length":
-                kwargs[name] = _parse_length(value)
-            elif name == "eps":
-                kwargs[name] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-            elif name in ("t_final", "gamma", "amplitude", "cfl", "max_dt", "c0",
-                          "t_cap", "blowup_factor", "p"):
-                kwargs[name] = _parse_float(value)
-            else:
-                kwargs[name] = value
+            kwargs[name] = _PARSERS[name](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {name!r}: {exc}", lineno) from None
     config = ExperimentConfig(**kwargs)

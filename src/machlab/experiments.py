@@ -10,9 +10,11 @@ CSV tables through one writer, and MLF1 snapshots.
 
 A driver that ``acceptance`` also checks is an evaluator (``evaluate_*``),
 which returns numbers, and a writer; the acceptance checks call the same
-evaluators and read the same pass rules. Runs across an eps sweep may
-execute on a thread pool; results are keyed by eps and written in sorted
-order, so output bytes do not depend on the thread count.
+evaluators and read the same pass rules. Each list of independent solves
+(sweep members, lifespan runs, free-wave probes, transport holdouts, and
+acceptance's linear-acoustics, splitting-order and transport-catalog runs)
+runs through ``map_solves`` on ``config.threads`` threads. Results come back
+in input order, so output bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ def build_profile(config: ExperimentConfig, states: dict[float, FlowState]) -> l
     if config.profile != "from-data":
         return lp.named_profile(config.profile)
     return lp.find_profile(list(states.values()), 2.0, 2.0)
+
+
+def map_solves(threads: int, solve, items) -> list:
+    """``solve`` of each of ``items``, in input order: on the calling thread
+    when ``threads`` is 1, else on a pool of ``threads`` threads. The solves
+    must not depend on each other; each thread works in its own
+    ``spectral.scratch``."""
+    if threads == 1:
+        return [solve(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(solve, items))
 
 
 class SweepBlowup(RuntimeError):
@@ -105,11 +118,7 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
         return SweepRun(ledger, final if snapshot_times else None, snaps)
 
     eps_list = sorted(config.eps, reverse=True)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = dict(zip(eps_list, pool.map(one, eps_list)))
-    else:
-        results = {e: one(e) for e in eps_list}
+    results = dict(zip(eps_list, map_solves(config.threads, one, eps_list)))
     blowups = {e: r for e, r in results.items() if isinstance(r, compressible.Blowup)}
     if blowups:
         raise SweepBlowup({e: r.ledger for e, r in results.items()}, blowups)
@@ -127,8 +136,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     blowup columns (``compressible.blowup_row``), which trip at the same
     step as full monitor rows.
     """
-    out = {}
-    for e, state in initial_states(config, Grid(config.n, config.box_length)).items():
+    def one(state: FlowState) -> tuple[float, bool]:
         g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # not yet dealiased
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
@@ -136,10 +144,12 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
         )
         try:
             compressible.run(state, config.t_cap, stepper, blowup_only=True)
-            out[e] = (config.t_cap, True)
         except compressible.Blowup as blow:
-            out[e] = (blow.time, False)
-    return out
+            return blow.time, False
+        return config.t_cap, True
+
+    states = initial_states(config, Grid(config.n, config.box_length))
+    return dict(zip(states, map_solves(config.threads, one, states.values())))
 
 
 def lifespan_rules(lifespans: dict[float, tuple[float, bool]]) -> tuple[list[float], bool, bool]:
@@ -162,7 +172,7 @@ def gaussian_bump_complex(grid: Grid) -> Field:
     return Field(grid, np.stack([f.modes, np.zeros_like(f.modes)]) / spectral.l2_norm(f))
 
 
-def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
+def free_wave_normalized(grid: Grid, eps_list, threads: int, p: float = math.inf,
                          ) -> tuple[float, dict[float, tuple[float, float, bool]]]:
     """measure_strichartz over an eps sweep on the shared Gaussian probe.
 
@@ -174,12 +184,13 @@ def free_wave_normalized(grid: Grid, eps_list, p: float = math.inf,
     window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps_list))
     probe = gaussian_bump_complex(grid)
     _, decay = acoustic.strichartz_exponents(p)
-    out = {}
-    for e in eps_list:
+
+    def one(e: float) -> tuple[float, float, bool]:
         val = acoustic.measure_strichartz(probe, e, window, p)
         ok = window < acoustic.wraparound_window(grid.box_length, e)
-        out[e] = (val, val / e**decay if decay > 0 else val, ok)
-    return window, out
+        return val, val / e**decay if decay > 0 else val, ok
+
+    return window, dict(zip(eps_list, map_solves(threads, one, eps_list)))
 
 
 def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowState],
@@ -203,12 +214,10 @@ def limit_gap(state: FlowState, ref_omega: Field) -> tuple[float, float]:
 
 def limit_error_series(sweep: dict[float, SweepRun], times):
     """Per-eps series of || P v_eps(t) - v_ref(t) || in L^2 and B^2 over
-    ``times``, from the ``limit_gap`` pairs each member captured there, and
-    each member's L^2 gap at the first time."""
+    ``times``, from the ``limit_gap`` pairs each member captured there."""
     l2_series = {e: np.asarray([run.snapshots[t][0] for t in times]) for e, run in sweep.items()}
     b2_series = {e: np.asarray([run.snapshots[t][1] for t in times]) for e, run in sweep.items()}
-    init_gap = {e: run.snapshots[times[0]][0] for e, run in sweep.items()}
-    return l2_series, b2_series, init_gap
+    return l2_series, b2_series
 
 
 def transport_catalog(box_length: float):
@@ -267,10 +276,11 @@ class SweepStudy:
     sweep.
 
     A study with no times runs the sweep alone. A study at ``times`` runs the
-    reference first, on the calling thread; each sweep member then reduces
-    its state at each of ``times`` to its ``limit_gap`` pair against the
-    reference as its run passes it, and keeps only its state at t_final, so
-    the sweep holds no earlier state.
+    reference first, on the calling thread, whose scratch its tendency reuses
+    instead of faulting in fresh pages at every stage; each sweep member then
+    reduces its state at each of ``times`` to its ``limit_gap`` pair against
+    the reference as its run passes it, and keeps only its state at t_final,
+    so the sweep holds no earlier state.
     """
 
     def __init__(self, config: ExperimentConfig, times: Sequence[float] = ()):
@@ -322,18 +332,14 @@ def evaluate_acoustic_decay(study: SweepStudy) -> tuple[asymptotics.AcousticDeca
     """The sweep's windowed decay report, and the free-wave probe at p = inf
     over the same eps."""
     return (asymptotics.check_acoustic_decay(study.ledgers, study.model, study.grid.box_length),
-            free_wave_normalized(study.grid, study.config.eps)[1])
+            free_wave_normalized(study.grid, study.config.eps, study.config.threads)[1])
 
 
 def evaluate_incompressible_limit(study: SweepStudy) -> tuple[
         asymptotics.IncompressibleLimitReport, dict[float, np.ndarray]]:
     """The limit report over the study's times, and its per-eps L^2 gap series."""
-    # the sweep's members read the reference as they run, so it runs first, on
-    # this thread; its tendency works in this thread's scratch, not in fresh
-    # arrays, which would fault in new pages at every stage
-    l2s, b2s, gaps = limit_error_series(study.sweep, study.times)
-    return (asymptotics.check_incompressible_limit(study.times, l2s, b2s, gaps, study.model),
-            l2s)
+    l2s, b2s = limit_error_series(study.sweep, study.times)
+    return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.model), l2s
 
 
 @dataclass(frozen=True)
@@ -500,11 +506,10 @@ def drive_transport_log(config: ExperimentConfig, summary: _Summary) -> None:
     summary.note(f"growth-bound constant fitted on {cal_vel.name}: C={_fmt(c_fit)} "
                  "(smallest passing, x2 headroom)")
     interp_cal = asymptotics.interpolation_ratio(cal_ledger)
-    results = []
-    for i, vel in enumerate(holdouts):
-        run = evaluate_transport_velocity(f0, vel, config.t_final, config.cfl, config.max_dt)
-        rep = transport.evaluate_log_estimate(run.ledger, c_fit)
-        results.append((vel.name, rep, run))
+    runs = map_solves(config.threads, lambda vel: evaluate_transport_velocity(
+        f0, vel, config.t_final, config.cfl, config.max_dt), holdouts)
+    reps = [transport.evaluate_log_estimate(run.ledger, c_fit) for run in runs]
+    for i, (vel, rep, run) in enumerate(zip(holdouts, reps, runs)):
         extra = " (divergence-free reduction)" if rep.div_free else ""
         summary.check(f"transport.log_estimate[{i}]", rep.passed,
                       f"max LHS/RHS = {_fmt(rep.max_ratio)} on {vel.name}{extra}")
@@ -526,16 +531,16 @@ def drive_transport_log(config: ExperimentConfig, summary: _Summary) -> None:
                       config_hash(config))
     _write_csv(os.path.join(out, "transport_compare.csv"),
                "velocity,log_ratio,oracle_diff,mass_drift",
-               [(f'"{name}"', rep.max_ratio, run.oracle_gap, run.mass_drift)
-                for name, rep, run in results])
-    for i, (_, rep, _) in enumerate(results):
+               [(f'"{vel.name}"', rep.max_ratio, run.oracle_gap, run.mass_drift)
+                for vel, rep, run in zip(holdouts, reps, runs)])
+    for i, rep in enumerate(reps):
         _write_csv(os.path.join(out, f"plot_growth_ratio_holdout{i}.csv"), "t,lhs_over_bound",
                    zip(rep.times, rep.ratios))
 
 
 def drive_strichartz_sweep(config: ExperimentConfig, summary: _Summary) -> None:
     grid = Grid(config.n, config.box_length)
-    window, free = free_wave_normalized(grid, config.eps, p=config.p)
+    window, free = free_wave_normalized(grid, config.eps, config.threads, p=config.p)
     r, decay = acoustic.strichartz_exponents(config.p)
     summary.note("free half-wave propagator on the inhomogeneous torus; "
                  "decay exponents quoted from the homogeneous-space scaling")

@@ -1,11 +1,12 @@
 """Desk-scale acceptance battery: one test and one PASS/FAIL line per check.
 
 Everything runs at the default ``selftest`` config (n = 256, high-resolution
-cross-checks at 512), so this file is the slow end of the suite; the shared
-Workbench caches the eps sweep and the reference run across tests. The checks
-call the experiment drivers' evaluators; fast tests pin the scale the checks
-resolve from the config, and the resolutions the transport lab visits and the
-tolerances its detail prints.
+cross-checks at 512), so this file is the slow end of the suite; its
+independent solves run on two threads, and the shared Workbench caches the
+eps sweep and the reference run across tests. The checks call the experiment
+drivers' evaluators; fast tests pin the scale the checks resolve from the
+config, and the resolutions the transport lab visits and the tolerances its
+detail prints.
 """
 
 import re
@@ -16,7 +17,7 @@ from machlab import acceptance, experiments
 from machlab.config import ExperimentConfig
 from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
 
-SELFTEST = ExperimentConfig(experiment="selftest")
+SELFTEST = ExperimentConfig(experiment="selftest", threads=2)
 
 
 @pytest.fixture(scope="module")

@@ -161,8 +161,7 @@ class TestIncompressibleLimitCheck:
         model = LifespanModel(lp.named_profile("exp:1"))
         l2 = {e: e * (1.0 + times) for e in (0.4, 0.2, 0.1)}
         b2 = {e: 2.0 * e * (1.0 + times) for e in (0.4, 0.2, 0.1)}
-        gaps = {e: 0.0 for e in (0.4, 0.2, 0.1)}
-        report = check_incompressible_limit(times, l2, b2, gaps, model)
+        report = check_incompressible_limit(times, l2, b2, model)
         assert report.eps == (0.4, 0.2, 0.1)
         assert report.l2_decreasing and report.b2_decreasing
         assert report.smallest_over_largest == pytest.approx(0.25, rel=1e-12)
@@ -173,9 +172,15 @@ class TestIncompressibleLimitCheck:
         model = LifespanModel(lp.named_profile("exp:1"))
         l2 = {e: np.full_like(times, 1.0) for e in (0.4, 0.2, 0.1)}
         b2 = {e: e * np.ones_like(times) for e in (0.4, 0.2, 0.1)}
-        gaps = {e: 0.0 for e in (0.4, 0.2, 0.1)}
-        report = check_incompressible_limit(times, l2, b2, gaps, model)
+        report = check_incompressible_limit(times, l2, b2, model)
         assert not report.l2_decreasing
+
+    def test_series_must_start_at_time_zero(self):
+        # the initial gap of the rate bound is read from the series at t = 0
+        times = np.linspace(0.1, 1.0, 9)
+        l2 = {e: e * (1.0 + times) for e in (0.4, 0.2)}
+        with pytest.raises(ValueError, match="t = 0"):
+            check_incompressible_limit(times, l2, l2, LifespanModel(lp.named_profile("exp:1")))
 
 
 def _energy_ledger(times, vc, div=1.0):
