@@ -9,14 +9,17 @@ fluctuation:
 
 Both satisfy (d/dt + (i/eps)|D|) psi = source, so the source-free evolution
 multiplies each Fourier mode by exp(-i t |k| / eps), a unitary map mode by
-mode. Real and imaginary parts are taken pointwise in physical space, so a
-complex field is a ``spectral.Field`` whose axis -3 is the pair of real
-fields (re, im), each carried as its half spectrum like every real field:
-``make_acoustic`` returns the (3, 2, n, n/2 + 1) stack (Gamma_x, Gamma_y,
-Upsilon) x (re, im). The propagator rotates every pair of a stack at once,
+mode that depends on t and eps only through the phase scale s = t / eps:
+the rotation and ``free_wave_norms`` take s, so an eps sweep evaluates a
+phase its members share once. Real and imaginary parts are taken
+pointwise in physical space, so a complex field is a ``spectral.Field``
+whose axis -3 is the pair of real fields (re, im), each carried as its half
+spectrum like every real field: ``make_acoustic`` returns the
+(3, 2, n, n/2 + 1) stack (Gamma_x, Gamma_y, Upsilon) x (re, im). The
+propagator rotates every pair of a stack at once,
 re' = cos(theta) re + sin(theta) im, im' = cos(theta) im - sin(theta) re
-with theta = t |k| / eps on the half table, its cos and sin evaluated once
-per distinct |k| and gathered onto the table (``spectral.kmag_cos_sin``).
+with theta = |k| s on the half table, its cos and sin evaluated once per
+distinct |k| and gathered onto the table (``spectral.kmag_cos_sin``).
 No full spectrum is ever formed, and ``spectral.lp_norm``/``l2_norm``
 measure the pointwise modulus of a complex field like that of a
 two-component real field.
@@ -67,17 +70,15 @@ def acoustic_to_state(waves: Field, solenoidal: Field, eps: float,
                      eps, gamma_bar)
 
 
-def _rotate(grid: spectral.Grid, modes: np.ndarray, t: float, eps: float, trig: np.ndarray,
+def _rotate(grid: spectral.Grid, modes: np.ndarray, scale: float, trig: np.ndarray,
             out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Write ``modes``, the first c half-spectrum columns of a stack of
-    (re, im) pairs on axis -3, after a time t of free evolution into ``out``,
-    shaped alike; ``trig`` (2, n, c) real and ``tmp``, shaped like one
-    (re, im) plane of ``out``, are work space. The cos and sin of
-    theta = t |k| / eps are evaluated once per distinct |k| by
-    ``spectral.kmag_cos_sin``."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    cos_t, sin_t = spectral.kmag_cos_sin(grid, t / eps, out=trig)
+    (re, im) pairs on axis -3, after free evolution to the phase scale
+    ``scale`` = t / eps into ``out``, shaped alike; ``trig`` (2, n, c) real
+    and ``tmp``, shaped like one (re, im) plane of ``out``, are work space.
+    The cos and sin of theta = |k| * scale are evaluated once per distinct
+    |k| by ``spectral.kmag_cos_sin``."""
+    cos_t, sin_t = spectral.kmag_cos_sin(grid, scale, out=trig)
     re, im = np.moveaxis(modes, -3, 0)
     out_re, out_im = np.moveaxis(out, -3, 0)
     np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
@@ -85,12 +86,18 @@ def _rotate(grid: spectral.Grid, modes: np.ndarray, t: float, eps: float, trig: 
     return out
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0.0):
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
 def free_propagate(f: Field, t: float, eps: float) -> Field:
     """Source-free evolution: multiply mode k by exp(-i t |k| / eps), which
     rotates every (re, im) pair (axis -3) of f by theta = t |k| / eps."""
+    _check_eps(eps)
     trig = np.empty((2,) + f.grid.modes_shape)
     tmp = np.empty(f.modes.shape[:-3] + f.grid.modes_shape, dtype=f.modes.dtype)
-    return Field(f.grid, _rotate(f.grid, f.modes, t, eps, trig, np.empty_like(f.modes), tmp))
+    return Field(f.grid, _rotate(f.grid, f.modes, t / eps, trig, np.empty_like(f.modes), tmp))
 
 
 def strichartz_exponents(p: float) -> tuple[float, float]:
@@ -118,36 +125,52 @@ def wraparound_window(box_length: float, eps: float) -> float:
     return 0.45 * box_length * eps
 
 
-def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> float:
-    """Mixed time-space norm of the free evolution, sampled at uniform times.
+def sample_times(t_final: float) -> np.ndarray:
+    """The 64 uniform sample times of a mixed-norm measurement over [0, t_final]."""
+    return np.linspace(0.0, t_final, 64)
 
-    Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
-    L^p norm over [0, t_final] from 64 uniform sample times. Callers should keep
-    t_final inside ``wraparound_window``; the measurement itself does not
-    enforce it. The rotation keeps every zero mode zero, so the cos and sin
-    are gathered, and the pairs rotated and inverted, on the c leading
+
+def free_wave_norms(initial: Field, scales, p: float) -> np.ndarray:
+    """Spatial L^p norm of the free evolution of ``initial`` at each phase
+    scale s = t / eps of ``scales``.
+
+    The rotation keeps every zero mode zero, so the cos and sin are
+    gathered, and the pairs rotated and inverted, on the c leading
     half-spectrum columns that hold the nonzero modes of ``initial`` only (a
     cut spectrum, see ``spectral.to_samples``); c is counted once per call.
-    Each sample time rotates, inverts and reduces in this thread's scratch,
-    so the loop allocates no n-by-n array.
+    Each scale rotates, inverts and reduces in this thread's scratch, so the
+    loop allocates no n-by-n array.
     """
-    if not (t_final > 0.0):
-        raise ValueError("t_final must be positive")
-    r, _ = strichartz_exponents(p)
     g = initial.grid
     nonzero = np.flatnonzero(np.any(initial.modes != 0.0, axis=(0, 1)))
     c = int(nonzero[-1]) + 1 if nonzero.size else 1
     modes = np.ascontiguousarray(initial.modes[..., :c])
     buf = spectral.scratch(g.n)
     trig, rotated, samples = buf.multipliers(2, c), buf.modes(3, c), buf.samples(2)
-    times = np.linspace(0.0, t_final, 64)
-    vals = np.empty(64)
-    for i, t in enumerate(times):
-        _rotate(g, modes, float(t), eps, trig, rotated[:2], rotated[2])
+    vals = np.empty(len(scales))
+    for i, s in enumerate(scales):
+        _rotate(g, modes, float(s), trig, rotated[:2], rotated[2])
         re, im = spectral.to_samples(rotated[:2], out=samples)
         mag2 = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
         if math.isinf(p):
             vals[i] = math.sqrt(np.max(mag2))
         else:
             vals[i] = (np.sum(np.power(mag2, 0.5 * p, out=mag2)) * g.cell_area) ** (1.0 / p)
-    return spectral.mixed_time_norm(times, vals, r)
+    return vals
+
+
+def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> float:
+    """Mixed time-space norm of the free evolution, sampled at uniform times.
+
+    Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
+    L^p norm over [0, t_final] at the ``sample_times``, each evaluated by
+    ``free_wave_norms`` at its phase scale t / eps. Callers should keep
+    t_final inside ``wraparound_window``; the measurement itself does not
+    enforce it.
+    """
+    if not (t_final > 0.0):
+        raise ValueError("t_final must be positive")
+    _check_eps(eps)
+    r, _ = strichartz_exponents(p)
+    times = sample_times(t_final)
+    return spectral.mixed_time_norm(times, free_wave_norms(initial, times / eps, p), r)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, with_overrides
 from .experiments import SweepBlowup, run_experiment
-from .spectral import StalledStep, StepBudgetSpent
+from .spectral import StoppedShort
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides the config file)")
     parser.add_argument("--threads", type=int, metavar="N",
                         help="worker threads for independent solves: sweep members, lifespan "
-                             "runs, free-wave probes, transport holdouts, selftest's "
+                             "runs, free-wave phases, transport holdouts, selftest's "
                              "acoustics, splitting and transport runs (overrides the config file)")
     return parser
 
@@ -81,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SweepBlowup as exc:
         print(f"machlab: {exc}; partial artifacts in {cfg.out}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (StalledStep, StepBudgetSpent) as exc:
+    except StoppedShort as exc:
         print(f"machlab: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

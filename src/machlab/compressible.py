@@ -252,8 +252,9 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
 
     ``snapshot_times`` are hit exactly (dt is clipped); the returned dict maps
     each requested time t to ``capture(state, t)`` of the state there, the
-    state itself by default (see ``spectral.integrate``). On blowup the
-    partial ledger is attached to the raised exception. With ``blowup_only`` each row is
+    state itself by default (see ``spectral.integrate``). On blowup, and on a
+    stop short of t_final (``spectral.StoppedShort``), the partial ledger is
+    attached to the raised exception. With ``blowup_only`` each row is
     ``blowup_row`` and the ledger holds ``BLOWUP_COLUMNS``: the run trips at
     the same step and time as with full monitor rows, though the column it
     names may differ.
@@ -268,7 +269,11 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
         ledger.append(t, **row)
         _check_blowup(t, row, config, ledger)
 
-    state, snapshots = spectral.integrate(
-        spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
-        lambda s, t, dt: step(s, config, dt), record, snapshot_times or (), capture)
+    try:
+        state, snapshots = spectral.integrate(
+            spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
+            lambda s, t, dt: step(s, config, dt), record, snapshot_times or (), capture)
+    except spectral.StoppedShort as stop:
+        stop.ledger = ledger
+        raise
     return state, ledger, snapshots

@@ -3,15 +3,15 @@
 ``run_experiment`` writes ``config.resolved`` (the canonical dump of the
 effective configuration) before the driver runs and ``summary.txt`` (one
 PASS/FAIL line per check, naming the operation and any fitted constant)
-after it, also after a sweep blowup, with every member's partial ledger,
-and after a run that stops short of its end.
+after it, also after a sweep blowup or a run that stops short of its end,
+with every sweep member's ledger, partial ones included.
 The driver adds its summary lines and writes its own artifacts: ledgers,
 CSV tables through one writer, and MLF1 snapshots.
 
 A driver that ``acceptance`` also checks is an evaluator (``evaluate_*``),
 which returns numbers, and a writer; the acceptance checks call the same
 evaluators and read the same pass rules. Each list of independent solves
-(sweep members, lifespan runs, free-wave probes, transport holdouts, and
+(sweep members, lifespan runs, free-wave phases, transport holdouts, and
 acceptance's linear-acoustics, splitting-order and transport-catalog runs)
 runs through ``map_solves`` on ``config.threads`` threads. Results come back
 in input order, so output bytes do not depend on the thread count.
@@ -104,7 +104,9 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
     Each member applies ``capture(state, t)`` at each of ``snapshot_times``
     as its run passes it, in its own thread, and keeps only what that
     returns, and its state at t_final (see ``SweepRun``). Every member runs
-    to its end; if any blew up, raises ``SweepBlowup``.
+    to its end or its stop. If any stopped short (``spectral.StoppedShort``),
+    re-raises the stop of the largest such eps with every member's ledger
+    attached (``ledgers``); else, if any blew up, raises ``SweepBlowup``.
     """
     stepper = compressible.StepperConfig(cfl=config.cfl, max_dt=config.max_dt)
 
@@ -113,15 +115,20 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
             final, ledger, snaps = compressible.run(states[eps], config.t_final, stepper,
                                                     snapshot_times=snapshot_times,
                                                     capture=capture)
-        except compressible.Blowup as blow:
-            return blow
+        except (compressible.Blowup, spectral.StoppedShort) as end:
+            return end
         return SweepRun(ledger, final if snapshot_times else None, snaps)
 
     eps_list = sorted(config.eps, reverse=True)
     results = dict(zip(eps_list, map_solves(config.threads, one, eps_list)))
+    ledgers = {e: r.ledger for e, r in results.items()}
+    stops = [r for r in results.values() if isinstance(r, spectral.StoppedShort)]
+    if stops:
+        stops[0].ledgers = ledgers
+        raise stops[0]
     blowups = {e: r for e, r in results.items() if isinstance(r, compressible.Blowup)}
     if blowups:
-        raise SweepBlowup({e: r.ledger for e, r in results.items()}, blowups)
+        raise SweepBlowup(ledgers, blowups)
     return results
 
 
@@ -178,19 +185,31 @@ def free_wave_normalized(grid: Grid, eps_list, threads: int, p: float = math.inf
 
     Returns (window, eps -> (value, value / eps**decay, window_ok)); all
     measurements use the common wraparound window of the smallest eps so
-    values are comparable.
+    values are comparable. The free evolution reads t and eps only through
+    the phase scale t / eps, and the eps of a dyadic sweep share many of
+    them, so each distinct scale over the sweep is evaluated once, the
+    sorted scales split into ``threads`` contiguous parts, and every eps
+    reads its series from that table: the values are those of
+    ``measure_strichartz`` bit for bit.
     """
     eps_list = sorted(eps_list, reverse=True)
     window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps_list))
     probe = gaussian_bump_complex(grid)
-    _, decay = acoustic.strichartz_exponents(p)
-
-    def one(e: float) -> tuple[float, float, bool]:
-        val = acoustic.measure_strichartz(probe, e, window, p)
+    r, decay = acoustic.strichartz_exponents(p)
+    times = acoustic.sample_times(window)
+    phases = {e: times / e for e in eps_list}
+    # sort and mask as the grid's |k| levels; the first np.unique imports numpy.ma (+1 MB RSS)
+    flat = np.sort(np.concatenate(list(phases.values())))
+    scales = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    parts = np.array_split(scales, threads)
+    norms = np.concatenate(map_solves(threads, lambda s: acoustic.free_wave_norms(probe, s, p),
+                                      parts))
+    free = {}
+    for e in eps_list:
+        val = spectral.mixed_time_norm(times, norms[np.searchsorted(scales, phases[e])], r)
         ok = window < acoustic.wraparound_window(grid.box_length, e)
-        return val, val / e**decay if decay > 0 else val, ok
-
-    return window, dict(zip(eps_list, map_solves(threads, one, eps_list)))
+        free[e] = val, val / e**decay if decay > 0 else val, ok
+    return window, free
 
 
 def reference_incompressible(config: ExperimentConfig, states: dict[float, FlowState],
@@ -620,10 +639,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
     leaves a config that replays; ``summary.txt`` is written after it. A
     sweep blowup adds one FAIL line per blown-up member, writes every
     member's ledger, partial ones included, and the summary, then
-    propagates. A run that stops short of its end (``spectral.StalledStep``
-    or ``spectral.StepBudgetSpent``) adds one FAIL line naming the time and
-    the step, writes the summary, and propagates. Any other exception leaves
-    no summary.
+    propagates. A run that stops short of its end (``spectral.StoppedShort``:
+    ``StalledStep`` or ``StepBudgetSpent``) adds one FAIL line naming the
+    time and the step, writes every sweep member's ledger when a sweep
+    stopped, then the summary, and propagates. Any other exception leaves no
+    summary.
     """
     driver = _DRIVERS.get(config.experiment)
     if driver is None:
@@ -643,8 +663,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
         _write_ledgers(config, blow.ledgers)
         _write_summary(config, summary)
         raise
-    except (spectral.StalledStep, spectral.StepBudgetSpent) as stop:
+    except spectral.StoppedShort as stop:
         summary.check("run.reaches_end", False, f"{type(stop).__name__}: {stop}")
+        if stop.ledgers:
+            _write_ledgers(config, stop.ledgers)
         _write_summary(config, summary)
         raise
     _write_summary(config, summary)

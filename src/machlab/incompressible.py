@@ -33,19 +33,27 @@ def velocity_from_vorticity(omega: Field) -> Field:
     return spectral.perp_grad(spectral.inv_laplacian(omega))
 
 
+def _band_velocity(grid: Grid, w: np.ndarray, buf: spectral.Scratch, psi: np.ndarray,
+                   out: np.ndarray) -> None:
+    """v = perp_grad inv_laplacian w on the dealias band, into ``out`` (2, n,
+    band), with the stream function in ``psi``, from the band columns ``w``
+    of a dealiased vorticity: the operations of ``velocity_from_vorticity``,
+    in their order, so v equals its band columns bit for bit."""
+    band = grid.band
+    np.multiply(w, np.negative(grid.inv_k2[:, :band], out=buf.multipliers(1, band)[0]), out=psi)
+    np.multiply(-1j * grid.ky[:, :band], psi, out=out[0])
+    np.multiply(1j * grid.kx, psi, out=out[1])
+
+
 def _advection_tendency(w: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     """-(v . grad omega), dealiased, into ``out``, from one batched inverse of
-    v and grad omega on the dealias band (w is dealiased). The operations are
-    those of ``velocity_from_vorticity`` and the gradient multiplier, in their
-    order, on the band only; the stacks live in this thread's scratch."""
+    v and grad omega on the dealias band (w is dealiased); the stacks live
+    in this thread's scratch."""
     band = grid.band
     w = w[..., :band]
     buf = spectral.scratch(grid.n)
     stack = buf.modes(5, band)
-    psi = stack[4]  # the stream function, inv_laplacian of omega
-    np.multiply(w, np.negative(grid.inv_k2[:, :band], out=buf.multipliers(1, band)[0]), out=psi)
-    np.multiply(-1j * grid.ky[:, :band], psi, out=stack[0])  # v = perp_grad psi
-    np.multiply(1j * grid.kx, psi, out=stack[1])
+    _band_velocity(grid, w, buf, stack[4], stack[:2])
     np.multiply(1j * grid.kx, w, out=stack[2])  # grad omega
     np.multiply(1j * grid.ky[:, :band], w, out=stack[3])
     vx, vy, wx, wy = spectral.to_samples(stack[:4], out=buf.samples(4))
@@ -60,9 +68,23 @@ def step_incompressible(omega: Field, dt: float) -> Field:
     return Field(g, modes)
 
 
+def _sup(samples: np.ndarray) -> float:
+    """Largest |sample|, taken in place."""
+    return float(np.max(np.abs(samples, out=samples)))
+
+
 def cfl_dt_incompressible(omega: Field, cfl: float, max_dt: float) -> float:
-    speed = spectral.lp_norm(velocity_from_vorticity(omega), math.inf)
-    return spectral.advective_dt(omega.grid, speed, cfl, max_dt)
+    """The advective step at the sup of |v|, with v inverted on the dealias
+    band in this thread's scratch (omega is dealiased)."""
+    g = omega.grid
+    buf = spectral.scratch(g.n)
+    stack = buf.modes(3, g.band)
+    _band_velocity(g, omega.modes[:, :g.band], buf, stack[2], stack[:2])
+    vx, vy = spectral.to_samples(stack[:2], out=buf.samples(2))
+    # the sup of sqrt(vx^2 + vy^2) is the square root of the sup of the sum
+    speed = math.sqrt(np.max(np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy),
+                                    out=vx)))
+    return spectral.advective_dt(g, speed, cfl, max_dt)
 
 
 def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
@@ -75,10 +97,20 @@ def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
     ledger = RunLedger(INCOMPRESSIBLE_COLUMNS)
 
     def record(omega: Field, t: float) -> None:
+        # omega is dealiased, and so is its velocity: the sups invert the band
+        # columns in this thread's scratch, and the Parseval sum reads v at full width
+        g = omega.grid
+        band = g.band
         v = velocity_from_vorticity(omega)
-        # omega is dealiased, and so is its velocity
-        ledger.append(t, grad_v_linf=spectral.jacobian_sup(v.grid, v.modes[..., :v.grid.band]),
-                      omega_linf=spectral.lp_norm(omega, math.inf), v_l2=spectral.l2_norm(v))
+        buf = spectral.scratch(g.n)
+        stack = buf.modes(4, band)
+        jac = stack.reshape((2, 2, g.n, band))  # jac[i, j] = d_i v_j
+        np.multiply(1j * g.kx, v.modes[..., :band], out=jac[0])
+        np.multiply(1j * g.ky[:, :band], v.modes[..., :band], out=jac[1])
+        grad_v_linf = _sup(spectral.to_samples(stack, out=buf.samples(4)))
+        omega_linf = _sup(spectral.to_samples(omega.modes[None, :, :band], out=buf.samples(1)))
+        ledger.append(t, grad_v_linf=grad_v_linf, omega_linf=omega_linf,
+                      v_l2=spectral.l2_norm(v))
 
     omega, snapshots = spectral.integrate(
         spectral.dealias(omega0), 0.0, t_final, lambda w: cfl_dt_incompressible(w, cfl, max_dt),

@@ -531,16 +531,31 @@ def advective_dt(grid: Grid, speed: float, cfl: float, max_dt: float) -> float:
     return min(max_dt, cfl * grid.spacing / (speed + 1e-12))
 
 
-class StalledStep(RuntimeError):
+class StoppedShort(RuntimeError):
+    """A run that ``integrate`` stopped before its end: ``time`` is where it
+    stopped and ``step`` the step count there. ``ledger`` holds the rows
+    recorded so far where the solver that records them attaches them
+    (``compressible.run``), and ``ledgers`` every member's ledger where a
+    sweep attaches them (``experiments.run_sweep``); each is None otherwise.
+    """
+
+    def __init__(self, message: str, time: float, step: int):
+        super().__init__(message)
+        self.time = time
+        self.step = step
+        self.ledger = None
+        self.ledgers = None
+
+
+class StalledStep(StoppedShort):
     """Raised by ``integrate`` when a step would not advance time: its dt is
     not finite, not positive, or too small to change t. ``step`` is the
     number of that step (1 is the first); the rows recorded before it stay.
     """
 
     def __init__(self, time: float, step: int, dt: float):
-        super().__init__(f"step {step} does not advance time from t={time!r} (dt={dt!r})")
-        self.time = time
-        self.step = step
+        super().__init__(f"step {step} does not advance time from t={time!r} (dt={dt!r})",
+                         time, step)
 
 
 # The most time steps a run may take. A horizon over max_dt is the fewest
@@ -554,16 +569,14 @@ class StalledStep(RuntimeError):
 MAX_STEPS = 10**6
 
 
-class StepBudgetSpent(RuntimeError):
+class StepBudgetSpent(StoppedShort):
     """Raised by ``integrate`` when a run has taken ``MAX_STEPS`` steps and
     not reached its end: ``time`` is where the budget ran out and ``step``
     the number of steps taken; the rows recorded so far stay."""
 
     def __init__(self, time: float, step: int, t_final: float):
         super().__init__(f"step budget spent: {step} steps reach only t={time!r} "
-                         f"of t_final={t_final!r}")
-        self.time = time
-        self.step = step
+                         f"of t_final={t_final!r}", time, step)
 
 
 def keep_state(u, t: float):

@@ -188,12 +188,12 @@ def test_measure_strichartz_on_the_occupied_columns_equals_the_full_width_bit_fo
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def full_table_rotate(grid, modes, t, eps, trig, out, tmp):
+def full_table_rotate(grid, modes, scale, trig, out, tmp):
     """The rotation with cos and sin evaluated over the whole table of
-    theta = t |k| / eps on the columns of ``modes``; the once-per-|k|
-    rotation must reproduce it bit for bit."""
+    theta = |k| * scale, scale = t / eps, on the columns of ``modes``; the
+    once-per-|k| rotation must reproduce it bit for bit."""
     cos_t, sin_t = trig
-    np.multiply(grid.kmag[:, :modes.shape[-1]], t / eps, out=cos_t)
+    np.multiply(grid.kmag[:, :modes.shape[-1]], scale, out=cos_t)
     np.sin(cos_t, out=sin_t)
     np.cos(cos_t, out=cos_t)
     re, im = modes
@@ -205,7 +205,7 @@ def full_table_rotate(grid, modes, t, eps, trig, out, tmp):
 def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
     for f in pairs(acoustic.make_acoustic(state64)):
         for t in (0.37, -1.48):
-            want = full_table_rotate(f.grid, f.modes, t, state64.eps,
+            want = full_table_rotate(f.grid, f.modes, t / state64.eps,
                                      np.empty(f.modes.shape, float),
                                      np.empty_like(f.modes), np.empty_like(f.modes[0]))
             assert acoustic.free_propagate(f, t, state64.eps).modes.tobytes() == want.tobytes()

@@ -415,6 +415,11 @@ class TestCli:
                                      "spent: 3 steps reach only t=0.06")
         assert summary[1].endswith(" of t_final=0.1")
         assert summary[2:] == ["RESULT FAIL"]
+        # every member ran to its stop, and its ledger was written
+        for tag in ("0p2", "0p1", "0p05"):
+            ledger = RunLedger.from_csv(out / f"ledger_eps_{tag}.csv")
+            assert list(ledger.time_array()) == pytest.approx([0.0, 0.02, 0.04, 0.06], abs=1e-15)
+            assert ledger.time_array()[-1] == 0.06
 
     def test_unknown_experiment_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,13 @@
 import filecmp
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from machlab import compressible, experiments, incompressible, littlewood_paley, spectral
+from machlab import acoustic, compressible, experiments, incompressible, littlewood_paley, spectral
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -40,6 +42,58 @@ def test_free_wave_normalized_reports_window_validity(grid64):
     for e, (val, normalized, ok) in out.items():
         assert val > 0.0 and normalized > 0.0
         assert ok  # the shared window sits inside every member's wraparound
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([16, 32]), p=st.sampled_from([math.inf, 4.0]),
+       sweep=st.one_of(
+           st.builds(lambda top, k: [top / 2**i for i in range(k)],
+                     st.floats(0.05, 1.0), st.integers(1, 5)),
+           st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5, unique=True)))
+def test_free_wave_normalized_equals_one_measurement_per_eps_bit_for_bit(n, p, sweep):
+    grid = Grid(n, 16.0 * math.pi)
+    window, free = free_wave_normalized(grid, sweep, 1, p)
+    probe = gaussian_bump_complex(grid)
+    got = {e: np.float64(v[0]).tobytes() for e, v in free.items()}
+    want = {e: np.float64(acoustic.measure_strichartz(probe, e, window, p)).tobytes()
+            for e in sweep}
+    assert got == want
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("eps, scales", [
+    ((0.2, 0.1, 0.05, 0.025), 160),  # the default dyadic sweep: 256 sample times
+    # irrational ratios: no two eps share a phase t/eps but the phase 0 at t = 0
+    ((0.2, 0.2 / math.sqrt(2.0), 0.2 / math.pi), 3 * 63 + 1),
+])
+def test_free_wave_normalized_rotates_and_inverts_each_distinct_phase_once(monkeypatch, eps,
+                                                                          scales):
+    grid = Grid(32, 16.0 * math.pi)
+    window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps))
+    times = acoustic.sample_times(window)
+    assert len({float(t) / e for e in eps for t in times}) == scales
+    rotations = _count_calls(monkeypatch, acoustic, "_rotate")
+    inverses = _count_calls(monkeypatch, spectral, "to_samples")
+    free_wave_normalized(grid, eps, 1)
+    assert len(rotations) == len(inverses) == scales
+
+
+def test_free_wave_normalized_does_not_depend_on_the_thread_count():
+    grid = Grid(32, 16.0 * math.pi)
+    one = free_wave_normalized(grid, (0.2, 0.1, 0.05, 0.025), 1, 4.0)
+    two = free_wave_normalized(grid, (0.2, 0.1, 0.05, 0.025), 2, 4.0)
+    assert repr(one) == repr(two)
 
 
 def test_transport_catalog_contract():
@@ -87,6 +141,34 @@ def test_run_sweep_output_does_not_depend_on_thread_count(tmp_path):
         a.to_csv(pa, f"eps={e:g}", "h")
         b.to_csv(pb, f"eps={e:g}", "h")
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_stopped_member_lets_the_sweep_finish_and_carries_every_ledger(monkeypatch, threads):
+    base = ExperimentConfig(experiment="acoustic-decay", n=32, eps=(0.2, 0.1, 0.05, 0.025),
+                            t_final=0.1, max_dt=0.05, profile="constant", threads=threads)
+    states = initial_states(base, Grid(base.n, base.box_length))
+    run, cfl_dt = compressible.run, compressible.cfl_dt
+
+    def blows_up_at_0p2(initial, t_final, config, **kwargs):
+        if initial.eps == 0.2:
+            config = replace(config, blowup_grad_linf=0.0)  # trips at step 0
+        return run(initial, t_final, config, **kwargs)
+
+    def stalls_at_0p1_and_0p025(state, config):
+        return math.nan if state.eps in (0.1, 0.025) else cfl_dt(state, config)
+
+    monkeypatch.setattr(compressible, "run", blows_up_at_0p2)
+    monkeypatch.setattr(compressible, "cfl_dt", stalls_at_0p1_and_0p025)
+    with pytest.raises(spectral.StalledStep, match=r"step 1 does not advance time") as err:
+        run_sweep(base, states)
+    ledgers = err.value.ledgers
+    assert sorted(ledgers) == [0.025, 0.05, 0.1, 0.2]
+    assert err.value.ledger is ledgers[0.1]  # the stop of the largest eps that stopped
+    assert list(ledgers[0.2].time_array()) == [0.0]  # its blowup ledger
+    assert list(ledgers[0.1].time_array()) == [0.0]
+    assert list(ledgers[0.05].time_array()) == [0.0, 0.05, 0.1]  # ran to its end
+    assert list(ledgers[0.025].time_array()) == [0.0]
 
 
 def test_strichartz_driver_artifacts(tmp_path):

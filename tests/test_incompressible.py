@@ -47,3 +47,20 @@ def test_mean_vorticity_stays_zero(grid64, rng):
     omega.modes[0, 0] = 0.0
     out = incompressible.step_incompressible(omega, 0.01)
     assert abs(out.modes[0, 0]) <= 1e-18  # rounding-level quadrature residue
+
+
+def test_row_and_cfl_on_the_band_equal_the_full_width_norms_bit_for_bit(grid64, rng):
+    """The ledger row and the CFL speed invert the velocity, its Jacobian and
+    omega on the dealias band only; each must be the full-width value."""
+    omega = spectral.dealias(spectral.fft_forward(grid64, rng.standard_normal((64, 64))))
+    final, ledger, _ = incompressible.run_incompressible(omega, 0.01, cfl=0.4, max_dt=0.01)
+    assert list(ledger.time_array()) == [0.0, 0.01]
+    for i, w in enumerate((omega, final)):
+        v = incompressible.velocity_from_vorticity(w)
+        assert ledger.column("grad_v_linf")[i] == spectral.jacobian_sup(grid64, v.modes)
+        assert ledger.column("omega_linf")[i] == spectral.lp_norm(w, math.inf)
+        assert ledger.column("v_l2")[i] == spectral.l2_norm(v)
+        for cfl, max_dt in ((0.4, 10.0), (0.4, 1e-9)):
+            speed = spectral.lp_norm(v, math.inf)
+            assert (incompressible.cfl_dt_incompressible(w, cfl, max_dt)
+                    == spectral.advective_dt(grid64, speed, cfl, max_dt))
