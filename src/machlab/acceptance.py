@@ -192,7 +192,7 @@ def check_linear_acoustics(bench: Workbench) -> CheckResult:
 
     def one(e: float) -> tuple[float, float]:
         st0 = spectral.dealias(bench.initial_states[e])
-        stT, _, _ = compressible.run(st0, LINEAR_T, cfg, blowup_only=True)
+        stT, _, _ = compressible.run(st0, LINEAR_T, cfg, monitor=compressible.BLOWUP_MONITOR)
         moved = acoustic.free_propagate(acoustic.make_acoustic(st0), LINEAR_T, e)
         exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), e,
                                            bench.config.gamma_bar)
@@ -215,8 +215,8 @@ def check_splitting_order(bench: Workbench) -> CheckResult:
                                             bench.grid)
     st0 = spectral.dealias(states[ORDER_EPS])
     finals = experiments.map_solves(bench.config.threads, lambda dt: compressible.run(
-        st0, ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt), blowup_only=True)[0],
-        ORDER_DTS)
+        st0, ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt),
+        monitor=compressible.BLOWUP_MONITOR)[0], ORDER_DTS)
     e1 = _rel_state_diff(finals[0], finals[1])
     e2 = _rel_state_diff(finals[1], finals[2])
     order = math.log2(e1 / e2)

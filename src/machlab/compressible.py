@@ -52,20 +52,19 @@ class StepperConfig:
             raise ValueError(f"max_dt must be positive, got {self.max_dt}")
 
 
-class Blowup(RuntimeError):
+class Blowup(spectral.RunEnded):
     """Raised when a monitored norm crosses its threshold or goes non-finite.
 
     ``time`` is the ledger time of the row that tripped, ``column`` names
     the ledger column that tripped and ``step`` is the number of the
-    accepted step whose monitor row tripped (0 is the initial state).
+    accepted step whose monitor row tripped (0 is the initial state); that
+    row is the last of ``ledger``.
     """
 
-    def __init__(self, time: float, reason: str, ledger: Optional[RunLedger] = None,
-                 column: str = "", step: int = 0):
+    def __init__(self, time: float, reason: str, column: str = "", step: int = 0):
         super().__init__(f"blowup at t={time:.6g}, step {step}: {reason}")
         self.time = time
         self.reason = reason
-        self.ledger = ledger
         self.column = column
         self.step = step
 
@@ -233,47 +232,38 @@ def blowup_row(state: FlowState) -> dict[str, float]:
     }
 
 
-def _check_blowup(t: float, row: dict[str, float], config: StepperConfig,
-                  ledger: RunLedger) -> None:
-    step_no = len(ledger) - 1
+# the monitors of ``run``: every ledger column, or the two the blowup thresholds read
+MONITOR = (lambda state, t: monitor_row(state), COMPRESSIBLE_COLUMNS)
+BLOWUP_MONITOR = (lambda state, t: blowup_row(state), BLOWUP_COLUMNS)
+
+
+def _check_blowup(t: float, row: dict[str, float], step_no: int,
+                  config: StepperConfig) -> None:
     for k, v in row.items():
         if not math.isfinite(v):
-            raise Blowup(t, f"non-finite {k}", ledger, k, step_no)
+            raise Blowup(t, f"non-finite {k}", k, step_no)
     for k, limit in (("grad_v_linf", config.blowup_grad_linf), ("vc_b2", BLOWUP_BESOV)):
         if row[k] > limit:
-            raise Blowup(t, f"{k} {row[k]:.3e} over threshold", ledger, k, step_no)
+            raise Blowup(t, f"{k} {row[k]:.3e} over threshold", k, step_no)
 
 
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
-        blowup_only: bool = False, capture=spectral.keep_state,
+        monitor=MONITOR, capture=spectral.keep_state,
         ) -> tuple[FlowState, RunLedger, dict]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
     ``snapshot_times`` are hit exactly (dt is clipped); the returned dict maps
     each requested time t to ``capture(state, t)`` of the state there, the
-    state itself by default (see ``spectral.integrate``). On blowup, and on a
-    stop short of t_final (``spectral.StoppedShort``), the partial ledger is
-    attached to the raised exception. With ``blowup_only`` each row is
-    ``blowup_row`` and the ledger holds ``BLOWUP_COLUMNS``: the run trips at
-    the same step and time as with full monitor rows, though the column it
-    names may differ.
+    state itself by default (see ``spectral.integrate``). ``monitor`` keeps
+    every column (``MONITOR``) or the two of ``blowup_row`` (``BLOWUP_MONITOR``);
+    a run trips at the same step and time with either, though the column it
+    names may differ. A ``Blowup``, and a stop short of t_final
+    (``spectral.StoppedShort``), carries the partial ledger.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
-    columns = BLOWUP_COLUMNS if blowup_only else COMPRESSIBLE_COLUMNS
-    ledger = RunLedger(columns)
-
-    def record(state: FlowState, t: float) -> None:
-        row = blowup_row(state) if blowup_only else monitor_row(state)
-        ledger.append(t, **row)
-        _check_blowup(t, row, config, ledger)
-
-    try:
-        state, snapshots = spectral.integrate(
-            spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
-            lambda s, t, dt: step(s, config, dt), record, snapshot_times or (), capture)
-    except spectral.StoppedShort as stop:
-        stop.ledger = ledger
-        raise
-    return state, ledger, snapshots
+    return spectral.integrate(
+        spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
+        lambda s, t, dt: step(s, config, dt), monitor, snapshot_times or (), capture,
+        lambda t, row, step_no: _check_blowup(t, row, step_no, config))

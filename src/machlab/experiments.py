@@ -115,7 +115,7 @@ def run_sweep(config: ExperimentConfig, states: dict[float, FlowState],
             final, ledger, snaps = compressible.run(states[eps], config.t_final, stepper,
                                                     snapshot_times=snapshot_times,
                                                     capture=capture)
-        except (compressible.Blowup, spectral.StoppedShort) as end:
+        except spectral.RunEnded as end:  # a Blowup or a StoppedShort
             return end
         return SweepRun(ledger, final if snapshot_times else None, snaps)
 
@@ -139,8 +139,8 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     ``config.blowup_factor`` times its initial Jacobian sup (floored at 1e-12,
     so a state with no gradient does not trip at step 0). Returns eps ->
     (t_num, censored): the blowup time, or the cap when no blowup came.
-    Nothing here reads a ledger column, so each run records only the two
-    blowup columns (``compressible.blowup_row``), which trip at the same
+    Nothing here reads a ledger column, so each run keeps only the two
+    blowup columns (``compressible.BLOWUP_MONITOR``), which trip at the same
     step as full monitor rows.
     """
     def one(state: FlowState) -> tuple[float, bool]:
@@ -150,7 +150,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),
         )
         try:
-            compressible.run(state, config.t_cap, stepper, blowup_only=True)
+            compressible.run(state, config.t_cap, stepper, monitor=compressible.BLOWUP_MONITOR)
         except compressible.Blowup as blow:
             return blow.time, False
         return config.t_cap, True

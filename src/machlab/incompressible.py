@@ -87,32 +87,30 @@ def cfl_dt_incompressible(omega: Field, cfl: float, max_dt: float) -> float:
     return spectral.advective_dt(g, speed, cfl, max_dt)
 
 
+def vorticity_monitor_row(omega: Field) -> dict[str, float]:
+    """The ledger row of a dealiased vorticity: the sups invert the band columns
+    in this thread's scratch, and the Parseval sum reads v at full width."""
+    g = omega.grid
+    band = g.band
+    v = velocity_from_vorticity(omega)
+    buf = spectral.scratch(g.n)
+    stack = buf.modes(4, band)
+    jac = stack.reshape((2, 2, g.n, band))  # jac[i, j] = d_i v_j
+    np.multiply(1j * g.kx, v.modes[..., :band], out=jac[0])
+    np.multiply(1j * g.ky[:, :band], v.modes[..., :band], out=jac[1])
+    grad_v_linf = _sup(spectral.to_samples(stack, out=buf.samples(4)))
+    omega_linf = _sup(spectral.to_samples(omega.modes[None, :, :band], out=buf.samples(1)))
+    return {"grad_v_linf": grad_v_linf, "omega_linf": omega_linf, "v_l2": spectral.l2_norm(v)}
+
+
 def run_incompressible(omega0: Field, t_final: float, cfl: float = 0.4,
                        max_dt: float = 0.05, snapshot_times: Optional[list[float]] = None,
                        ) -> tuple[Field, RunLedger, dict[float, Field]]:
     """Integrate the vorticity from t = 0 to t_final with per-step norm
-    logging and exact snapshot times."""
+    logging (``vorticity_monitor_row``) and exact snapshot times."""
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
-    ledger = RunLedger(INCOMPRESSIBLE_COLUMNS)
-
-    def record(omega: Field, t: float) -> None:
-        # omega is dealiased, and so is its velocity: the sups invert the band
-        # columns in this thread's scratch, and the Parseval sum reads v at full width
-        g = omega.grid
-        band = g.band
-        v = velocity_from_vorticity(omega)
-        buf = spectral.scratch(g.n)
-        stack = buf.modes(4, band)
-        jac = stack.reshape((2, 2, g.n, band))  # jac[i, j] = d_i v_j
-        np.multiply(1j * g.kx, v.modes[..., :band], out=jac[0])
-        np.multiply(1j * g.ky[:, :band], v.modes[..., :band], out=jac[1])
-        grad_v_linf = _sup(spectral.to_samples(stack, out=buf.samples(4)))
-        omega_linf = _sup(spectral.to_samples(omega.modes[None, :, :band], out=buf.samples(1)))
-        ledger.append(t, grad_v_linf=grad_v_linf, omega_linf=omega_linf,
-                      v_l2=spectral.l2_norm(v))
-
-    omega, snapshots = spectral.integrate(
+    return spectral.integrate(
         spectral.dealias(omega0), 0.0, t_final, lambda w: cfl_dt_incompressible(w, cfl, max_dt),
-        lambda w, t, dt: step_incompressible(w, dt), record, snapshot_times or ())
-    return omega, ledger, snapshots
+        lambda w, t, dt: step_incompressible(w, dt),
+        (lambda w, t: vorticity_monitor_row(w), INCOMPRESSIBLE_COLUMNS), snapshot_times or ())

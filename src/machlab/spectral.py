@@ -531,26 +531,31 @@ def advective_dt(grid: Grid, speed: float, cfl: float, max_dt: float) -> float:
     return min(max_dt, cfl * grid.spacing / (speed + 1e-12))
 
 
-class StoppedShort(RuntimeError):
+class RunEnded(RuntimeError):
+    """A run ended early inside ``integrate`` (``StoppedShort``, or a check's
+    ``compressible.Blowup``): ``integrate`` sets ``ledger`` to its rows so far."""
+
+    ledger = None
+
+
+class StoppedShort(RunEnded):
     """A run that ``integrate`` stopped before its end: ``time`` is where it
-    stopped and ``step`` the step count there. ``ledger`` holds the rows
-    recorded so far where the solver that records them attaches them
-    (``compressible.run``), and ``ledgers`` every member's ledger where a
-    sweep attaches them (``experiments.run_sweep``); each is None otherwise.
+    stopped and ``step`` the step count there. ``ledgers`` holds every
+    member's ledger where a sweep attaches them (``experiments.run_sweep``),
+    and is None otherwise.
     """
 
     def __init__(self, message: str, time: float, step: int):
         super().__init__(message)
         self.time = time
         self.step = step
-        self.ledger = None
         self.ledgers = None
 
 
 class StalledStep(StoppedShort):
     """Raised by ``integrate`` when a step would not advance time: its dt is
     not finite, not positive, or too small to change t. ``step`` is the
-    number of that step (1 is the first); the rows recorded before it stay.
+    number of that step (1 is the first); ``ledger`` holds the rows before it.
     """
 
     def __init__(self, time: float, step: int, dt: float):
@@ -572,7 +577,7 @@ MAX_STEPS = 10**6
 class StepBudgetSpent(StoppedShort):
     """Raised by ``integrate`` when a run has taken ``MAX_STEPS`` steps and
     not reached its end: ``time`` is where the budget ran out and ``step``
-    the number of steps taken; the rows recorded so far stay."""
+    the number of steps taken; ``ledger`` holds the rows so far."""
 
     def __init__(self, time: float, step: int, t_final: float):
         super().__init__(f"step budget spent: {step} steps reach only t={time!r} "
@@ -584,45 +589,61 @@ def keep_state(u, t: float):
     return u
 
 
-def integrate(u, t: float, t_final: float, dt_of, advance, record, snapshot_times=(),
-              capture=keep_state):
+def integrate(u, t: float, t_final: float, dt_of, advance, monitor, snapshot_times=(),
+              capture=keep_state, check=lambda t, row, step: None):
     """The time loop shared by every solver: step u from time t to t_final.
 
     ``dt_of(u)`` proposes a step size, which is clipped to t_final and to the
     next pending snapshot time; ``advance(u, t, dt)`` returns the state one
-    step of dt later; ``record(u, t)`` runs on the initial state and after
-    every accepted step, and whatever it raises propagates with the earlier
-    rows already recorded. Time advances as t + dt, step by step.
+    step of dt later. Time advances as t + dt, step by step. ``monitor`` is a
+    (row, columns) pair: ``row(u, t)`` of the initial state and of every
+    accepted step is appended to the run's ``RunLedger`` of ``columns``, then
+    ``check(t, row, step)`` runs on it (step 0 is the initial state).
 
-    Returns (u, snapshots); ``snapshots`` maps each requested time s to
-    ``capture(u, s)`` of the state there, hit exactly, and every time at or
-    before the start to that of the initial state. ``capture`` keeps the
+    Returns (u, ledger, snapshots); ``snapshots`` maps each requested time s
+    to ``capture(u, s)`` of the state there, hit exactly, and every time at
+    or before the start to that of the initial state. ``capture`` keeps the
     state itself by default; a caller that reads only some reduction of a
     snapshot passes that reduction, so the states pass through and are
     never held. A step whose clipped dt would not advance t raises
     ``StalledStep`` instead of looping or ending at t = NaN, and a run that
-    would take more than ``MAX_STEPS`` steps raises ``StepBudgetSpent``.
+    would take more than ``MAX_STEPS`` steps raises ``StepBudgetSpent``;
+    each, and any ``RunEnded`` of ``check``, carries the ledger so far.
     """
-    pending = sorted({s for s in snapshot_times if s > t})  # a repeated time would stall
-    record(u, t)
-    snapshots = {s: capture(u, s) for s in snapshot_times if s <= t}
+    from .ledger import RunLedger  # the ledger module reads mixed_time_norm from here
+
+    row_of, columns = monitor
+    ledger = RunLedger(columns)
     steps = 0
-    while t < t_final - 1e-12:
-        if steps == MAX_STEPS:
-            raise StepBudgetSpent(t, steps, t_final)
-        dt = min(dt_of(u), t_final - t)
-        if pending:
-            dt = min(dt, pending[0] - t)
-        steps += 1
-        if not (math.isfinite(dt) and dt > 0.0 and t + dt != t):
-            raise StalledStep(t, steps, dt)
-        u = advance(u, t, dt)
-        t = t + dt
+
+    def record(u, t: float) -> None:
+        row = row_of(u, t)
+        ledger.append(t, **row)
+        check(t, row, steps)
+
+    pending = sorted({s for s in snapshot_times if s > t})  # a repeated time would stall
+    try:
         record(u, t)
-        if pending and t >= pending[0] - 1e-12:
-            s = pending.pop(0)
-            snapshots[s] = capture(u, s)
-    return u, snapshots
+        snapshots = {s: capture(u, s) for s in snapshot_times if s <= t}
+        while t < t_final - 1e-12:
+            if steps == MAX_STEPS:
+                raise StepBudgetSpent(t, steps, t_final)
+            dt = min(dt_of(u), t_final - t)
+            if pending:
+                dt = min(dt, pending[0] - t)
+            steps += 1
+            if not (math.isfinite(dt) and dt > 0.0 and t + dt != t):
+                raise StalledStep(t, steps, dt)
+            u = advance(u, t, dt)
+            t = t + dt
+            record(u, t)
+            if pending and t >= pending[0] - 1e-12:
+                s = pending.pop(0)
+                snapshots[s] = capture(u, s)
+    except RunEnded as end:
+        end.ledger = ledger
+        raise
+    return u, ledger, snapshots
 
 
 def cubic_spline_at(f: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -203,13 +203,13 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
 
     The velocity's spatial factors are sampled on the grid once per solve
     (``vel.on_grid``) and scaled by their time factor at every stage and
-    ledger row; the mean of f (total mass) is conserved to rounding because
-    the tendency is an exact divergence of a resolvable product.
+    ledger row (``transport_monitor_row``); the mean of f (total mass) is
+    conserved to rounding because the tendency is an exact divergence of a
+    resolvable product.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     grid = f0.grid
-    ledger = RunLedger(TRANSPORT_COLUMNS)
     dt_base = spectral.advective_dt(grid, vel.speed_bound, cfl, max_dt)
     sampled = vel.on_grid(*grid.coordinates())
 
@@ -217,10 +217,9 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
         return Field(grid, spectral.rk4(
             lambda m, s, out: _transport_tendency(m, grid, sampled, s, out), f.modes, t, dt))
 
-    f, _ = spectral.integrate(
+    return spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt_base, advance,
-        lambda f, t: ledger.append(t, **transport_monitor_row(f, sampled, t)))
-    return f, ledger
+        (lambda f, t: transport_monitor_row(f, sampled, t), TRANSPORT_COLUMNS))[:2]
 
 
 def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,

@@ -169,13 +169,13 @@ def test_blowup_row_trips_a_nan_in_the_c_modes_at_the_same_step(grid32, monkeypa
         return out
 
     monkeypatch.setattr(compressible, "step", planting_step)
-    trips = {}
-    for blowup_only in (False, True):
+    trips = []
+    for monitor in (compressible.MONITOR, compressible.BLOWUP_MONITOR):
         calls.clear()
         with pytest.raises(Blowup) as info:
-            compressible.run(state, 1.0, StepperConfig(), blowup_only=blowup_only)
-        trips[blowup_only] = info.value
-    full, blowup = trips[False], trips[True]
+            compressible.run(state, 1.0, StepperConfig(), monitor=monitor)
+        trips.append(info.value)
+    full, blowup = trips
     assert full.step == blowup.step == 3
     assert full.time == blowup.time == full.ledger.times[-1] > 0.0
     assert (full.column, blowup.column) == ("grad_c_linf", "vc_b2")

@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from machlab import incompressible, spectral
+from machlab.ledger import INCOMPRESSIBLE_COLUMNS
 
 
 def test_velocity_from_vorticity_inverts_curl(grid64, rng):
@@ -64,3 +66,16 @@ def test_row_and_cfl_on_the_band_equal_the_full_width_norms_bit_for_bit(grid64, 
             speed = spectral.lp_norm(v, math.inf)
             assert (incompressible.cfl_dt_incompressible(w, cfl, max_dt)
                     == spectral.advective_dt(grid64, speed, cfl, max_dt))
+
+
+def test_a_stopped_run_carries_every_row_up_to_its_stop(grid32, rng, monkeypatch):
+    omega = spectral.dealias(spectral.fft_forward(grid32, rng.standard_normal((32, 32))))
+    _, full, _ = incompressible.run_incompressible(omega, 0.05, cfl=0.4, max_dt=0.01)
+    assert len(full) == 6
+    monkeypatch.setattr(spectral, "MAX_STEPS", 3)
+    with pytest.raises(spectral.StepBudgetSpent) as err:
+        incompressible.run_incompressible(omega, 0.05, cfl=0.4, max_dt=0.01)
+    ledger = err.value.ledger
+    assert ledger.times == full.times[:4] and ledger.times[-1] == err.value.time
+    for column in INCOMPRESSIBLE_COLUMNS:
+        assert ledger.column(column).tobytes() == full.column(column)[:4].tobytes(), column

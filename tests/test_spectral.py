@@ -262,7 +262,18 @@ def test_rk4_matches_the_textbook_formula_bit_for_bit(rng):
     assert got.tobytes() == want.tobytes()
 
 
-def toy_integrate(rows, steps, check=lambda u, t: None, snapshot_times=()):
+def clock_row(rows):
+    """A one-column monitor of a state that is its own clock; each row also
+    appends its time to ``rows``."""
+
+    def row(u, t):
+        rows.append(t)
+        return {"u": u}
+
+    return row, ["u"]
+
+
+def toy_integrate(rows, steps, check=lambda t, row, step: None, snapshot_times=()):
     """spectral.integrate from 0 to 1 on a state that is its own clock, with
     a proposed dt of 0.375; every value involved is exact in binary."""
 
@@ -271,32 +282,65 @@ def toy_integrate(rows, steps, check=lambda u, t: None, snapshot_times=()):
         steps.append(dt)
         return u + dt
 
-    def record(u, t):
-        rows.append(t)
-        check(u, t)
-
-    return spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, advance, record, snapshot_times)
+    return spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, advance, clock_row(rows),
+                              snapshot_times, check=check)
 
 
 def test_integrate_clips_to_snapshots_and_to_t_final():
     rows, steps = [], []
-    u, snaps = toy_integrate(rows, steps, snapshot_times=(0.5, 0.0, 0.25, 0.5))
+    u, ledger, snaps = toy_integrate(rows, steps, snapshot_times=(0.5, 0.0, 0.25, 0.5))
     assert steps == [0.25, 0.25, 0.375, 0.125]  # two snapshot clips, then t_final
     assert rows == [0.0, 0.25, 0.5, 0.875, 1.0]  # the start, then once per step
     assert snaps == {0.0: 0.0, 0.25: 0.25, 0.5: 0.5}
     assert u == 1.0
+    assert ledger.times == rows
+
+
+def test_integrate_returns_the_ledger_of_its_monitor():
+    def row(u, t):
+        return {"u": u, "twice": 2.0 * t}
+
+    u, ledger, _ = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, lambda u, t, dt: u + dt,
+                                      (row, ["u", "twice", "int_u"]))
+    assert u == 1.0
+    assert ledger.columns == ["u", "twice", "int_u"]
+    assert ledger.times == [0.0, 0.375, 0.75, 1.0]
+    assert list(ledger.column("u")) == ledger.times
+    assert list(ledger.column("twice")) == [0.0, 0.75, 1.5, 2.0]
+    assert list(ledger.column("int_u")) == [0.0, 0.0703125, 0.28125, 0.5]  # trapezoids of u
+
+
+class StopCheck(spectral.RunEnded):
+    """A run-ending exception raised by a test's check."""
+
+
+def test_integrate_runs_check_after_each_append_with_its_step_number():
+    seen = []
+
+    def check(t, row, step):
+        seen.append((t, row, step))
+        if step == 2:
+            raise StopCheck(t)
+
+    rows, steps = [], []
+    with pytest.raises(StopCheck) as err:
+        toy_integrate(rows, steps, check)
+    assert seen == [(0.0, {"u": 0.0}, 0), (0.375, {"u": 0.375}, 1), (0.75, {"u": 0.75}, 2)]
+    assert err.value.ledger.times == [0.0, 0.375, 0.75]  # the row that tripped was appended
+    assert steps == [0.375, 0.375]
 
 
 def test_integrate_propagates_a_raise_in_record_after_the_earlier_rows():
-    def check(u, t):
+    def check(t, row, step):
         if t > 0.6:
             raise RuntimeError(f"tripped at {t}")
 
     rows, steps = [], []
-    with pytest.raises(RuntimeError, match="tripped at 0.75"):
+    with pytest.raises(RuntimeError, match="tripped at 0.75") as err:
         toy_integrate(rows, steps, check)
     assert rows == [0.0, 0.375, 0.75]
     assert steps == [0.375, 0.375]
+    assert not hasattr(err.value, "ledger")  # only a RunEnded carries the rows
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan])
@@ -310,9 +354,10 @@ def test_integrate_raises_on_a_step_that_does_not_advance_time(bad):
 
     with pytest.raises(spectral.StalledStep, match=r"step 3 does not advance time from t=0\.5") as err:
         spectral.integrate(0.0, 0.0, 1.0, lambda u: proposals.pop(0), advance,
-                           lambda u, t: rows.append(t))
+                           clock_row(rows))
     assert (err.value.time, err.value.step) == (0.5, 3)
     assert rows == [0.0, 0.25, 0.5]  # the rows before the stall are kept
+    assert err.value.ledger.times == rows and list(err.value.ledger.column("u")) == rows
     assert steps == [0.25, 0.25]
 
 
@@ -323,8 +368,8 @@ def test_integrate_keeps_only_what_capture_returns_at_each_snapshot():
         seen.append((u, s))
         return -u
 
-    u, snaps = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, lambda u, t, dt: u + dt,
-                                  lambda u, t: None, (0.5, 0.0, 0.25), capture)
+    u, _, snaps = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.375, lambda u, t, dt: u + dt,
+                                     clock_row([]), (0.5, 0.0, 0.25), capture)
     assert snaps == {0.0: -0.0, 0.25: -0.25, 0.5: -0.5}
     assert seen == [(0.0, 0.0), (0.25, 0.25), (0.5, 0.5)]  # once per time, as the run passes it
     assert u == 1.0
@@ -340,14 +385,15 @@ def test_integrate_stops_a_run_that_spends_its_step_budget(monkeypatch):
 
     with pytest.raises(spectral.StepBudgetSpent,
                        match=r"3 steps reach only t=0\.75 of t_final=1\.0") as err:
-        spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, advance, lambda u, t: rows.append(t))
+        spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, advance, clock_row(rows))
     assert (err.value.time, err.value.step) == (0.75, 3)
     assert rows == [0.0, 0.25, 0.5, 0.75]  # the rows before the budget ran out are kept
+    assert err.value.ledger.times == rows and list(err.value.ledger.column("u")) == rows
     assert steps == [0.25] * 3
     # a run that needs exactly the budget ends at t_final
     monkeypatch.setattr(spectral, "MAX_STEPS", 4)
-    u, _ = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, lambda u, t, dt: u + dt,
-                              lambda u, t: None)
+    u, _, _ = spectral.integrate(0.0, 0.0, 1.0, lambda u: 0.25, lambda u, t, dt: u + dt,
+                                 clock_row([]))
     assert u == 1.0
 
 

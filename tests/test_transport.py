@@ -10,7 +10,7 @@ import pytest
 
 from machlab import littlewood_paley as lp
 from machlab import spectral, transport
-from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
+from machlab.ledger import TRANSPORT_COLUMNS
 from machlab.experiments import transport_catalog, transport_initial_density
 
 
@@ -42,6 +42,20 @@ def test_mass_is_conserved_exactly(grid64):
     _, ledger = transport.solve_transport_spectral(f0, vel, 0.5, max_dt=0.02)
     mass = ledger.column("f_mass")
     assert np.max(np.abs(mass - mass[0])) <= 1e-12 * abs(mass[0])
+
+
+def test_a_stopped_solve_carries_every_row_up_to_its_stop(grid32, monkeypatch):
+    f0 = transport_initial_density(grid32, seed=5)
+    vel = transport.compressible_mode(1.0, (2, 2), 1.5, BOX)
+    _, full = transport.solve_transport_spectral(f0, vel, 0.1, max_dt=0.02)
+    assert len(full) == 6
+    monkeypatch.setattr(spectral, "MAX_STEPS", 2)
+    with pytest.raises(spectral.StepBudgetSpent) as err:
+        transport.solve_transport_spectral(f0, vel, 0.1, max_dt=0.02)
+    ledger = err.value.ledger
+    assert ledger.times == full.times[:3] and ledger.times[-1] == err.value.time
+    for column in TRANSPORT_COLUMNS:
+        assert ledger.column(column).tobytes() == full.column(column)[:3].tobytes(), column
 
 
 def test_spectral_solution_matches_characteristics(grid64):
@@ -146,16 +160,15 @@ def point_sampled_solve(f0, vel, t_final, max_dt):
     at_nodes = transport.GridVelocity(lambda t: vel.velocity(t, x, y),
                                       lambda t: vel.jacobian(t, x, y),
                                       lambda t: vel.divergence(t, x, y))
-    ledger = RunLedger(TRANSPORT_COLUMNS)
     dt = min(max_dt, 0.4 * grid.spacing / (vel.speed_bound + 1e-12))
 
     def advance(f, t, h):
         return spectral.Field(grid, spectral.rk4(
             lambda m, s, out: parent_tendency(m, grid, vel, s, out), f.modes, t, h))
 
-    f, _ = spectral.integrate(
+    f, ledger, _ = spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt, advance,
-        lambda f, t: ledger.append(t, **transport.transport_monitor_row(f, at_nodes, t)))
+        (lambda f, t: transport.transport_monitor_row(f, at_nodes, t), TRANSPORT_COLUMNS))
     return f, ledger
 
 
