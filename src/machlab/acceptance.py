@@ -316,7 +316,7 @@ def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
         phis = [asymptotics.phi_of_eps(model, float(e)) for e in eps_grid]
         if not nondecreasing(phis, tol=1e-15):
             problems.append(f"{name}: smallness scale not monotone")
-        ts = [asymptotics.lifespan_prediction(model, float(e)).t_psi for e in eps_grid]
+        ts = [asymptotics.lifespan_prediction(model, float(e)) for e in eps_grid]
         if not nondecreasing(ts[::-1], tol=1e-15):
             problems.append(f"{name}: predicted lifespan not monotone")
     worst_closed = 0.0
@@ -324,11 +324,11 @@ def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
         for e in (1e-2, 1e-4, 1e-8):
             y = math.log(1.0 / e)
             m_exp = asymptotics.LifespanModel(lp.named_profile("exp:1"), c0=c0)
-            got = asymptotics.lifespan_prediction(m_exp, e).t_psi
+            got = asymptotics.lifespan_prediction(m_exp, e)
             want = math.log(y) / c0
             worst_closed = max(worst_closed, abs(got - want) / abs(want))
             m_pow = asymptotics.LifespanModel(lp.named_profile("power:2"), c0=c0)
-            got = asymptotics.lifespan_prediction(m_pow, e).t_psi
+            got = asymptotics.lifespan_prediction(m_pow, e)
             want = math.log(2.0 * math.log(y + 2.0)) / c0
             worst_closed = max(worst_closed, abs(got - want) / abs(want))
     if worst_closed > 1e-12:

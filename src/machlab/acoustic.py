@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from . import spectral
+from .ledger import mixed_time_norm
 from .spectral import Field, FlowState
 
 
@@ -173,4 +174,4 @@ def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> 
     _check_eps(eps)
     r, _ = strichartz_exponents(p)
     times = sample_times(t_final)
-    return spectral.mixed_time_norm(times, free_wave_norms(initial, times / eps, p), r)
+    return mixed_time_norm(times, free_wave_norms(initial, times / eps, p), r)

@@ -8,9 +8,9 @@ The central objects are a slowly varying frequency weight Psi (see
     beta = min(1, 1 / alpha),  alpha = fitted growth exponent of Psi,
 
 with natural logarithms throughout. Phi tends to 0 as eps does whenever Psi
-is unbounded, and the predicted life span of the fast-oscillation regime is
-T(eps) = (1/C0) log log Psi(log(1/eps)), together with an equivalent variant
-expressed through Phi: exp(exp(C0 T)) = Phi(eps)**(-1/2).
+is unbounded; it scales the acoustic-decay and limit-rate bounds. The
+predicted life span of the fast-oscillation regime is the clock
+T(eps) = (1/C0) log log Psi(log(1/eps)).
 
 All trend checks run on ledgers or snapshot series produced elsewhere; each
 fits its constant on one calibration member and asserts on the rest.
@@ -61,30 +61,13 @@ def phi_of_eps(model: LifespanModel, eps: float) -> float:
     return model.profile.psi_at(x) ** (-model.beta)
 
 
-@dataclass(frozen=True)
-class LifespanEstimate:
-    """Both clocks at one eps; 0.0 marks a clock that is undefined there."""
-
-    eps: float
-    t_psi: float
-    t_phi: float
-
-
-def lifespan_prediction(model: LifespanModel, eps: float) -> LifespanEstimate:
-    """Both closed-form lifespan estimates at one eps.
-
-    ``t_psi`` = (1/C0) log log Psi(log(1/eps)); undefined (returned as 0)
-    while Psi(log(1/eps)) <= e. ``t_phi`` solves
-    exp(exp(C0 t)) = Phi(eps)**(-1/2), the same clock expressed through the
-    smallness scale; both are reported so drift between them is visible.
-    """
+def lifespan_prediction(model: LifespanModel, eps: float) -> float:
+    """The closed-form lifespan t_psi = (1/C0) log log Psi(log(1/eps)) at one
+    eps; undefined, and returned as 0, while Psi(log(1/eps)) <= e."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     psi_val = model.profile.psi_at(math.log(1.0 / eps))
-    t_psi = math.log(math.log(psi_val)) / model.c0 if psi_val > math.e else 0.0
-    z = phi_of_eps(model, eps) ** (-0.5)
-    t_phi = math.log(math.log(z)) / model.c0 if z > math.e else 0.0
-    return LifespanEstimate(eps=eps, t_psi=t_psi, t_phi=t_phi)
+    return math.log(math.log(psi_val)) / model.c0 if psi_val > math.e else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 effective configuration) before the driver runs and ``summary.txt`` (one
 PASS/FAIL line per check, naming the operation and any fitted constant)
 after it, also after a sweep blowup or a run that stops short of its end,
-with every sweep member's ledger, partial ones included.
+with every sweep member's ledger, partial ones included, or the stopped
+lifespan run's.
 The driver adds its summary lines and writes its own artifacts: ledgers,
 CSV tables through one writer, and MLF1 snapshots.
 
@@ -33,7 +34,7 @@ from . import littlewood_paley as lp
 from .config import ExperimentConfig, canonical_dump, config_hash
 from .fitting import nondecreasing
 from .initial_data import make_initial_data, periodized_bump
-from .ledger import RunLedger
+from .ledger import RunLedger, mixed_time_norm
 from .spectral import Field, FlowState, Grid
 
 
@@ -141,9 +142,14 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     (t_num, censored): the blowup time, or the cap when no blowup came.
     Nothing here reads a ledger column, so each run keeps only the two
     blowup columns (``compressible.BLOWUP_MONITOR``), which trip at the same
-    step as full monitor rows.
+    step as full monitor rows. A run that stops short
+    (``spectral.StoppedShort``) propagates, with ``{eps: its ledger}``
+    attached as ``ledgers``; the first such eps in config order is raised.
     """
-    def one(state: FlowState) -> tuple[float, bool]:
+    states = initial_states(config, Grid(config.n, config.box_length))
+
+    def one(eps: float) -> tuple[float, bool]:
+        state = states[eps]
         g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # not yet dealiased
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
@@ -153,10 +159,12 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
             compressible.run(state, config.t_cap, stepper, monitor=compressible.BLOWUP_MONITOR)
         except compressible.Blowup as blow:
             return blow.time, False
+        except spectral.StoppedShort as stop:
+            stop.ledgers = {eps: stop.ledger}
+            raise
         return config.t_cap, True
 
-    states = initial_states(config, Grid(config.n, config.box_length))
-    return dict(zip(states, map_solves(config.threads, one, states.values())))
+    return dict(zip(states, map_solves(config.threads, one, states)))
 
 
 def lifespan_rules(lifespans: dict[float, tuple[float, bool]]) -> tuple[list[float], bool, bool]:
@@ -206,7 +214,7 @@ def free_wave_normalized(grid: Grid, eps_list, threads: int, p: float = math.inf
                                       parts))
     free = {}
     for e in eps_list:
-        val = spectral.mixed_time_norm(times, norms[np.searchsorted(scales, phases[e])], r)
+        val = mixed_time_norm(times, norms[np.searchsorted(scales, phases[e])], r)
         ok = window < acoustic.wraparound_window(grid.box_length, e)
         free[e] = val, val / e**decay if decay > 0 else val, ok
     return window, free
@@ -578,10 +586,6 @@ def drive_lifespan_table(config: ExperimentConfig, summary: _Summary) -> None:
     eps_desc = sorted(config.eps, reverse=True)
     lifespans = measure_lifespans(config)
     t_nums, t_num_ok, blew_up = lifespan_rules(lifespans)
-    preds = {}
-    for tag in ("exp:1", "power:2"):
-        model = asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
-        preds[tag] = [asymptotics.lifespan_prediction(model, e) for e in eps_desc]
     summary.check("lifespan.t_num_nondecreasing", t_num_ok,
                   "measured lifespan proxies per eps (descending): "
                   + ", ".join(_fmt(t) for t in t_nums))
@@ -592,14 +596,12 @@ def drive_lifespan_table(config: ExperimentConfig, summary: _Summary) -> None:
         blow_detail = (f"eps={eps_desc[0]:g} stayed below the gradient threshold up to "
                        f"the cap {config.t_cap:g}")
     summary.check("lifespan.blowup_at_largest_eps", blew_up, blow_detail)
-    for tag, est in preds.items():
-        t_psi = [p.t_psi for p in est]
-        summary.check(f"lifespan.model_monotone[{tag}]", nondecreasing(t_psi, tol=1e-12),
-                      "predicted T(eps): " + ", ".join(_fmt(p) for p in t_psi))
+    models = [asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
+              for tag in ("exp:1", "power:2")]
     _write_csv(os.path.join(config.out, "lifespan.csv"),
-               "eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2",
-               [(e, t, lifespans[e][1], p1.t_psi, p1.t_phi, p2.t_psi, p2.t_phi)
-                for e, t, p1, p2 in zip(eps_desc, t_nums, preds["exp:1"], preds["power:2"])])
+               "eps,t_num,censored,t_psi_exp1,t_psi_power2",
+               [(e, t, lifespans[e][1], *(asymptotics.lifespan_prediction(m, e) for m in models))
+                for e, t in zip(eps_desc, t_nums)])
     _write_csv(os.path.join(config.out, "plot_lifespan_vs_eps.csv"), "eps,t_num",
                zip(eps_desc, t_nums))
 
@@ -641,9 +643,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[bool, list[str]]:
     member's ledger, partial ones included, and the summary, then
     propagates. A run that stops short of its end (``spectral.StoppedShort``:
     ``StalledStep`` or ``StepBudgetSpent``) adds one FAIL line naming the
-    time and the step, writes every sweep member's ledger when a sweep
-    stopped, then the summary, and propagates. Any other exception leaves no
-    summary.
+    time and the step, writes the ledgers the stop carries (every sweep
+    member's, or the stopped lifespan run's), then the summary, and
+    propagates. Any other exception leaves no summary.
     """
     driver = _DRIVERS.get(config.experiment)
     if driver is None:

@@ -4,17 +4,41 @@ A ledger is an append-only table keyed by column name. Columns whose name
 starts with ``int_`` are running time integrals of the column named after the
 prefix, updated by the trapezoidal rule on append. CSV output uses 17
 significant digits so identical runs produce byte-identical files.
+
+``mixed_time_norm`` is the trapezoidal L^r-in-time norm of a sampled series:
+``RunLedger.window_mixed_norm`` applies it to a column over a window, and
+the free-wave measurements to their sampled norms.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
-from .spectral import mixed_time_norm
-
 _FLOAT_FMT = "{:.17g}"
+
+
+def mixed_time_norm(times, values, r: float) -> float:
+    """Trapezoidal L^r-in-time norm of sampled nonnegative values.
+
+    ``times`` must be nondecreasing with at least two samples; ``r`` is a
+    time exponent >= 1, or inf for the running supremum.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.size < 2:
+        raise ValueError("need at least two time samples")
+    if times.shape != values.shape:
+        raise ValueError("times and values must have matching shapes")
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be nondecreasing")
+    if math.isinf(r):
+        return float(np.max(values))
+    if not (r >= 1.0):
+        raise ValueError(f"time exponent must be >= 1 or inf, got {r}")
+    return float(np.trapezoid(values**r, times) ** (1.0 / r))
 
 
 class RunLedger:

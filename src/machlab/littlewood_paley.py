@@ -188,18 +188,6 @@ def named_profile(spec: str) -> BesovProfile:
     raise ValueError(f"unknown profile spec {spec!r}")
 
 
-def load_profile(path) -> BesovProfile:
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            _, v = line.split()
-            values.append(float(v))
-    return validate_profile(values)
-
-
 def find_profile(f, s: float, p: float) -> BesovProfile:
     """Fit a slowly varying weight to the block tails of a field (or family).
 

@@ -46,6 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .ledger import RunLedger
+
 DEFAULT_BOX_LENGTH = 16.0 * math.pi
 
 _SNAPSHOT_MAGIC = b"MLF1"
@@ -540,9 +542,10 @@ class RunEnded(RuntimeError):
 
 class StoppedShort(RunEnded):
     """A run that ``integrate`` stopped before its end: ``time`` is where it
-    stopped and ``step`` the step count there. ``ledgers`` holds every
-    member's ledger where a sweep attaches them (``experiments.run_sweep``),
-    and is None otherwise.
+    stopped and ``step`` the step count there. ``ledgers`` maps eps to the
+    ledgers a driver writes: every member's where a sweep attaches them
+    (``experiments.run_sweep``), the stopped run's where a lifespan run does
+    (``experiments.measure_lifespans``), and is None otherwise.
     """
 
     def __init__(self, message: str, time: float, step: int):
@@ -610,8 +613,6 @@ def integrate(u, t: float, t_final: float, dt_of, advance, monitor, snapshot_tim
     would take more than ``MAX_STEPS`` steps raises ``StepBudgetSpent``;
     each, and any ``RunEnded`` of ``check``, carries the ledger so far.
     """
-    from .ledger import RunLedger  # the ledger module reads mixed_time_norm from here
-
     row_of, columns = monitor
     ledger = RunLedger(columns)
     steps = 0
@@ -765,27 +766,6 @@ def refined_extrema(f: Field) -> tuple[float, float]:
         out.append((val, seed))
     (lo, lo_seed), (hi, hi_seed) = out
     return min(lo, lo_seed), max(hi, hi_seed)
-
-
-def mixed_time_norm(times, values, r: float) -> float:
-    """Trapezoidal L^r-in-time norm of sampled nonnegative values.
-
-    ``times`` must be nondecreasing with at least two samples; ``r`` is a
-    time exponent >= 1, or inf for the running supremum.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.size < 2:
-        raise ValueError("need at least two time samples")
-    if times.shape != values.shape:
-        raise ValueError("times and values must have matching shapes")
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be nondecreasing")
-    if math.isinf(r):
-        return float(np.max(values))
-    if not (r >= 1.0):
-        raise ValueError(f"time exponent must be >= 1 or inf, got {r}")
-    return float(np.trapezoid(values**r, times) ** (1.0 / r))
 
 
 @dataclass(frozen=True)

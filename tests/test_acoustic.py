@@ -7,6 +7,7 @@ import pytest
 
 from machlab import acoustic, spectral
 from machlab.initial_data import make_initial_data
+from machlab.ledger import mixed_time_norm
 
 
 @pytest.fixture
@@ -173,7 +174,7 @@ def full_width_strichartz(f, eps, t_final, p):
         else:
             vals.append((np.sum(mag2 ** (0.5 * p)) * f.grid.cell_area) ** (1.0 / p))
     r, _ = acoustic.strichartz_exponents(p)
-    return spectral.mixed_time_norm(times, np.asarray(vals), r)
+    return mixed_time_norm(times, np.asarray(vals), r)
 
 
 @pytest.mark.parametrize("p", [math.inf, 4.0])

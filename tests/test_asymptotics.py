@@ -84,28 +84,24 @@ class TestSmallnessScale:
 class TestLifespan:
     def test_exp_profile_lifespan_closed_form(self):
         model = LifespanModel(lp.named_profile("exp:1"), c0=2.5)
-        est = lifespan_prediction(model, 0.01)
-        assert est.t_psi == pytest.approx(math.log(math.log(100.0)) / 2.5, rel=1e-12)
-        # Phi(0.01)^{-1/2} = 100^{1/16} < e, so the Phi-clock is still mute
-        assert est.t_phi == 0.0
+        t_psi = lifespan_prediction(model, 0.01)
+        assert t_psi == pytest.approx(math.log(math.log(100.0)) / 2.5, rel=1e-12)
 
-    def test_lifespan_grows_as_eps_shrinks(self):
-        model = LifespanModel(lp.named_profile("power:2"), c0=1.0)
-        ts = [lifespan_prediction(model, e).t_psi for e in (1e-2, 1e-4, 1e-8)]
+    @pytest.mark.parametrize("c0", [1.0, 2.5])
+    @pytest.mark.parametrize("profile", ["exp:1", "power:2"])
+    @pytest.mark.parametrize("eps_desc", [
+        (1e-2, 1e-4, 1e-8),
+        (1.0, 0.5, 0.25),          # the acceptance lifespan sweep
+        (0.2, 0.1, 0.05, 0.025),   # the default eps of every config
+    ])
+    def test_lifespan_grows_as_eps_shrinks(self, eps_desc, profile, c0):
+        model = LifespanModel(lp.named_profile(profile), c0=c0)
+        ts = [lifespan_prediction(model, e) for e in eps_desc]
         assert ts == sorted(ts) and ts[0] < ts[-1]
 
     def test_undefined_below_single_log_threshold(self):
         model = LifespanModel(lp.named_profile("exp:1"))
-        est = lifespan_prediction(model, 0.5)  # Psi(log 2) = 2 < e
-        assert est.t_psi == 0.0
-
-    def test_phi_clock_kicks_in_for_tiny_eps(self):
-        model = LifespanModel(lp.named_profile("exp:1"), c0=1.0)
-        eps = math.exp(-32.0)
-        est = lifespan_prediction(model, eps)
-        # exp(exp(t)) = Phi^{-1/2} = exp(32/16) => t = log 2
-        assert est.t_phi == pytest.approx(math.log(2.0), rel=1e-12)
-        assert est.t_psi == pytest.approx(math.log(32.0), rel=1e-12)
+        assert lifespan_prediction(model, 0.5) == 0.0  # Psi(log 2) = 2 < e
 
 
 def _acoustic_ledger(level: float, times) -> RunLedger:

@@ -421,6 +421,39 @@ class TestCli:
             assert list(ledger.time_array()) == pytest.approx([0.0, 0.02, 0.04, 0.06], abs=1e-15)
             assert ledger.time_array()[-1] == 0.06
 
+    def test_stopped_lifespan_run_exits_three_after_writing_its_ledger(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        # a budget of three steps stops the first eps long before its blowup
+        monkeypatch.setattr(spectral, "MAX_STEPS", 3)
+        cfg = _write_cfg(tmp_path, "n = 32\neps = 1, 0.5, 0.25\namplitude = 8\nt_cap = 2\n"
+                                   "blowup_factor = 2\n")
+        outs = [tmp_path / f"threads{k}" for k in (1, 2)]
+        for k, out in zip((1, 2), outs):
+            code = cli.main(["lifespan-table", "--config", cfg, "--out", str(out),
+                             "--threads", str(k)])
+            assert code == cli.EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert err.startswith("machlab: step budget spent: 3 steps reach only t=")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        out = outs[0]
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["config.resolved", "ledger_eps_1.csv", "summary.txt"]
+        assert sorted(p.name for p in outs[1].iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[1] / name).read_bytes()
+        summary = (out / "summary.txt").read_text().splitlines()
+        resolved = parse_config((out / "config.resolved").read_text())
+        assert summary[0] == f"machlab summary v1 config={config_hash(resolved)}"
+        assert summary[1].startswith("FAIL run.reaches_end: StepBudgetSpent: step budget "
+                                     "spent: 3 steps reach only t=")
+        assert summary[2:] == ["RESULT FAIL"]
+        # the stopped run's rows: the initial state and three steps, blowup columns only
+        ledger = RunLedger.from_csv(out / "ledger_eps_1.csv")
+        assert ledger.columns == ["grad_v_linf", "vc_b2"]
+        assert len(ledger) == 4 and ledger.time_array()[0] == 0.0
+        t_stop = summary[1].split("reach only t=")[1].split(" of")[0]
+        assert repr(ledger.times[-1]) == t_stop
+
     def test_unknown_experiment_is_rejected_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

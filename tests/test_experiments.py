@@ -372,10 +372,10 @@ _TABLES = {
     "lifespan.csv": (
         "lifespan-table", dict(eps=(1.0, 0.5, 0.25), amplitude=8.0, t_cap=2.0,
                                blowup_factor=2.0), [
-            "eps,t_num,censored,t_psi_exp1,t_phi_exp1,t_psi_power2,t_phi_power2",
-            "1,1.819216452950972,0,0,0,0.32663425997828094,0",
-            "0.5,2,1,0,0,0.68381422908990686,0",
-            "0.25,2,1,0.32663425997828094,0,0.8917817984669012,0",
+            "eps,t_num,censored,t_psi_exp1,t_psi_power2",
+            "1,1.819216452950972,0,0,0.32663425997828094",
+            "0.5,2,1,0,0.68381422908990686",
+            "0.25,2,1,0.32663425997828094,0.8917817984669012",
         ]),
     "transport_compare.csv": (
         "transport-log", dict(t_final=0.05), [

@@ -151,11 +151,15 @@ class TestProfiles:
         assert all(b <= 2.0 * a + 1e-12 for a, b in zip(vals, vals[1:]))
         lp.validate_profile(vals)  # must not raise
 
-    def test_serialize_roundtrip(self, tmp_path):
+    def test_serialize_writes_one_line_per_block(self, tmp_path):
         prof = lp.named_profile("power:2")
         path = tmp_path / "profile.txt"
         prof.serialize(path)
-        back = lp.load_profile(path)
-        # the table survives; the closed-form extension is not revived
-        for q in range(-1, prof.q_hi + 1):
-            assert abs(back.psi(q) - prof.psi(q)) <= 1e-12 * prof.psi(q)
+        # a header naming the profile, then "q Psi(q)" at 17 significant digits
+        assert path.read_text().splitlines() == (
+            ["# besov profile power:2"] + [f"{q} {(q + 2) ** 2}" for q in range(-1, 49)])
+        lp.named_profile("exp:1").serialize(path)
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# besov profile exp:1", "-1 0.36787944117144233", "0 1",
+                             "1 2.7182818284590451"]
+        assert len(lines) == 51

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from machlab import spectral
+from machlab.ledger import mixed_time_norm
 from machlab.spectral import Grid
 
 
@@ -443,9 +444,9 @@ def test_mixed_time_norm():
     times = np.linspace(0.0, 2.0, 201)
     values = np.full_like(times, 3.0)
     # constant c on [0, T]: L1 = c T, L4 = c T**(1/4), Linf = c
-    assert abs(spectral.mixed_time_norm(times, values, 1.0) - 6.0) <= 1e-12
-    assert abs(spectral.mixed_time_norm(times, values, 4.0) - 3.0 * 2.0**0.25) <= 1e-12
-    assert abs(spectral.mixed_time_norm(times, values, math.inf) - 3.0) <= 1e-12
+    assert abs(mixed_time_norm(times, values, 1.0) - 6.0) <= 1e-12
+    assert abs(mixed_time_norm(times, values, 4.0) - 3.0 * 2.0**0.25) <= 1e-12
+    assert abs(mixed_time_norm(times, values, math.inf) - 3.0) <= 1e-12
 
 
 def test_snapshot_roundtrip(tmp_path, grid32, rng):
