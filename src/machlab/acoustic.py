@@ -20,6 +20,10 @@ propagator rotates every pair of a stack at once,
 re' = cos(theta) re + sin(theta) im, im' = cos(theta) im - sin(theta) re
 with theta = |k| s on the half table, its cos and sin evaluated once per
 distinct |k| and gathered onto the table (``spectral.kmag_cos_sin``).
+The rotation keeps every zero mode zero, so ``free_wave_norms`` works on
+the support of its input only: the leading columns and the two row blocks
+0..K and n-K..n-1 that hold its nonzero modes, with the cos and sin taken
+on the |k| levels below the largest level they reach.
 No full spectrum is ever formed, and ``spectral.lp_norm``/``l2_norm``
 measure the pointwise modulus of a complex field like that of a
 two-component real field.
@@ -71,6 +75,19 @@ def acoustic_to_state(waves: Field, solenoidal: Field, eps: float,
                      eps, gamma_bar)
 
 
+def _turn(cos_t: np.ndarray, sin_t: np.ndarray, modes: np.ndarray, out: np.ndarray,
+          tmp: np.ndarray) -> np.ndarray:
+    """Write the (re, im) pairs on axis -3 of ``modes`` turned by the angles
+    whose cos and sin are ``cos_t`` and ``sin_t`` into ``out``, shaped alike:
+    re' = cos re + sin im, im' = cos im - sin re. ``tmp``, shaped like one
+    (re, im) plane of ``out``, is work space."""
+    re, im = np.moveaxis(modes, -3, 0)
+    out_re, out_im = np.moveaxis(out, -3, 0)
+    np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
+    np.subtract(np.multiply(cos_t, im, out=out_im), np.multiply(sin_t, re, out=tmp), out=out_im)
+    return out
+
+
 def _rotate(grid: spectral.Grid, modes: np.ndarray, scale: float, trig: np.ndarray,
             out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Write ``modes``, the first c half-spectrum columns of a stack of
@@ -80,11 +97,7 @@ def _rotate(grid: spectral.Grid, modes: np.ndarray, scale: float, trig: np.ndarr
     The cos and sin of theta = |k| * scale are evaluated once per distinct
     |k| by ``spectral.kmag_cos_sin``."""
     cos_t, sin_t = spectral.kmag_cos_sin(grid, scale, out=trig)
-    re, im = np.moveaxis(modes, -3, 0)
-    out_re, out_im = np.moveaxis(out, -3, 0)
-    np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
-    np.subtract(np.multiply(cos_t, im, out=out_im), np.multiply(sin_t, re, out=tmp), out=out_im)
-    return out
+    return _turn(cos_t, sin_t, modes, out, tmp)
 
 
 def _check_eps(eps: float) -> None:
@@ -131,26 +144,70 @@ def sample_times(t_final: float) -> np.ndarray:
     return np.linspace(0.0, t_final, 64)
 
 
-def free_wave_norms(initial: Field, scales, p: float) -> np.ndarray:
-    """Spatial L^p norm of the free evolution of ``initial`` at each phase
-    scale s = t / eps of ``scales``.
+def _occupied_support(grid: spectral.Grid, modes: np.ndarray) -> tuple[int, int, int]:
+    """Where the nonzero modes of the half-spectrum stack ``modes`` lie, as
+    (rows, columns, levels): ``rows`` is K, the largest |kx| in grid units
+    of a row that holds one, so they lie in the rows 0..K and n-K..n-1;
+    ``columns`` is the count c of leading columns that hold them; ``levels``
+    is the level cut, 1 + the largest ``grid.kmag_index`` of one. A zero
+    stack gives (0, 1, 1)."""
+    rows, cols = np.nonzero(np.any(modes != 0.0, axis=tuple(range(modes.ndim - 2))))
+    if not rows.size:
+        return 0, 1, 1
+    return (int(np.max(np.minimum(rows, grid.n - rows))), int(np.max(cols)) + 1,
+            int(np.max(grid.kmag_index[rows, cols])) + 1)
 
-    The rotation keeps every zero mode zero, so the cos and sin are
-    gathered, and the pairs rotated and inverted, on the c leading
-    half-spectrum columns that hold the nonzero modes of ``initial`` only (a
-    cut spectrum, see ``spectral.to_samples``); c is counted once per call.
-    Each scale rotates, inverts and reduces in this thread's scratch, so the
+
+def _rotate_rows(levels: np.ndarray, blocks, modes: np.ndarray, scale: float,
+                 trig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_rotate`` of ``modes``, the first c columns of one (re, im) pair on
+    axis 0, to the phase scale ``scale``, written into the rows of
+    ``blocks`` of ``out[:2]``; ``out[2]`` and ``trig`` (2, n, c) real are work
+    space. The cos and sin of theta = |k| * scale are evaluated on
+    ``levels``, the |k| levels below the cut, and gathered on each block, a
+    (rows, index) pair of a row slice and its rows of ``grid.kmag_index``. An
+    index past the cut is clipped to the last level: it marks a zero mode,
+    which any rotation keeps zero."""
+    theta = levels * scale
+    cos_l, sin_l = np.cos(theta), np.sin(theta)
+    for rows, index in blocks:
+        cos_t, sin_t = trig[0, rows], trig[1, rows]
+        # mode="clip" also spares np.take a copy of out
+        np.take(cos_l, index, out=cos_t, mode="clip")
+        np.take(sin_l, index, out=sin_t, mode="clip")
+        _turn(cos_t, sin_t, modes[:, rows], out[:2, rows], out[2, rows])
+    return out
+
+
+def free_wave_norms(initial: Field, scales, p: float) -> np.ndarray:
+    """Spatial L^p norm of the free evolution of the (re, im) pair
+    ``initial`` at each phase scale s = t / eps of ``scales``.
+
+    The rotation keeps every zero mode zero, so each call first finds the
+    support of ``initial`` (``_occupied_support``): the c leading
+    half-spectrum columns, the two row blocks 0..K and n-K..n-1, and the
+    level cut. Each scale then evaluates the cos and sin on the |k| levels
+    below the cut only, and gathers them and rotates on the two blocks
+    (``_rotate_rows``), straight into their rows of a cut spectrum (see
+    ``spectral.to_samples``) whose other rows are zeroed once per call. It
+    then inverts and reduces. The values equal those of the whole-table
+    rotation bit for bit. Each scale works in this thread's scratch, so the
     loop allocates no n-by-n array.
     """
     g = initial.grid
-    nonzero = np.flatnonzero(np.any(initial.modes != 0.0, axis=(0, 1)))
-    c = int(nonzero[-1]) + 1 if nonzero.size else 1
+    n = g.n
+    k, c, top = _occupied_support(g, initial.modes)
     modes = np.ascontiguousarray(initial.modes[..., :c])
-    buf = spectral.scratch(g.n)
+    # with K = n/2 the two blocks meet and cover every row
+    rows = (slice(0, k + 1), slice(max(n - k, k + 1), n))
+    blocks = [(r, np.ascontiguousarray(g.kmag_index[r, :c])) for r in rows]
+    levels = g.kmag_levels[:top]
+    buf = spectral.scratch(n)
     trig, rotated, samples = buf.multipliers(2, c), buf.modes(3, c), buf.samples(2)
+    rotated[:2, rows[0].stop:rows[1].start] = 0.0
     vals = np.empty(len(scales))
     for i, s in enumerate(scales):
-        _rotate(g, modes, float(s), trig, rotated[:2], rotated[2])
+        _rotate_rows(levels, blocks, modes, float(s), trig, rotated)
         re, im = spectral.to_samples(rotated[:2], out=samples)
         mag2 = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
         if math.isinf(p):

@@ -61,9 +61,11 @@ class ExperimentConfig:
 
 
 # each experiment's own preconditions: the decay-trend fits need three eps, the
-# limit contraction two, and every experiment but strichartz-sweep measures
-# block norms, which need the first dyadic ring below the dealias cutoff
-_MIN_EPS = {"selftest": 3, "acoustic-decay": 3, "incompressible-limit": 2}
+# limit contraction two, the free-wave scaling check two (one eps has spread 1
+# and passes whatever the field does), and every experiment but strichartz-sweep
+# measures block norms, which need the first dyadic ring below the dealias cutoff
+_MIN_EPS = {"selftest": 3, "acoustic-decay": 3, "incompressible-limit": 2,
+            "strichartz-sweep": 2}
 
 _FINITE_FIELDS = ("t_final", "t_cap", "max_dt", "amplitude", "box_length", "gamma", "c0",
                   "blowup_factor")

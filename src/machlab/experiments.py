@@ -383,8 +383,10 @@ class TransportRun:
 
 def evaluate_transport_velocity(f0: Field,
                                 vel: transport.SyntheticVelocity, t_final: float,
-                                cfl: float, max_dt: float) -> TransportRun:
-    fT, led = transport.solve_transport_spectral(f0, vel, t_final, cfl=cfl, max_dt=max_dt)
+                                cfl: float, max_dt: float,
+                                monitor=transport.MONITOR) -> TransportRun:
+    fT, led = transport.solve_transport_spectral(f0, vel, t_final, cfl=cfl, max_dt=max_dt,
+                                                 monitor=monitor)
     mass = led.column("f_mass")
     growth = None
     if float(np.max(led.column("div_v_linf"))) < 1e-12:

@@ -170,3 +170,6 @@ TRANSPORT_COLUMNS = [
     "f_mass", "f_b0", "grad_v_linf", "div_v_linf", "div_v_b0", "div_v_b12", "div_v_b1",
     "int_grad_v_linf", "int_div_v_b12",
 ]
+
+# f_mass and div_v_linf: all that the transport cross-check at n_hi reads
+TRANSPORT_MASS_COLUMNS = ["f_mass", "div_v_linf"]

@@ -31,7 +31,7 @@ import numpy as np
 from . import littlewood_paley as lp
 from . import spectral
 from .fitting import smallest_passing
-from .ledger import TRANSPORT_COLUMNS, RunLedger
+from .ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS, RunLedger
 from .spectral import Field, Grid
 
 Arrays = tuple[np.ndarray, np.ndarray]
@@ -197,13 +197,33 @@ def transport_monitor_row(f: Field, vel: GridVelocity, t: float) -> dict:
     }
 
 
+def transport_mass_row(f: Field, vel: GridVelocity, t: float) -> dict:
+    """The two columns of ``transport_monitor_row`` that mass conservation
+    and divergence-free detection read, each computed as there, with no
+    transform."""
+    grid = f.grid
+    return {
+        "f_mass": float(np.real(f.modes[0, 0])) * grid.box_length**2,
+        "div_v_linf": float(np.max(np.abs(np.broadcast_to(vel.divergence(t),
+                                                          (grid.n, grid.n))))),
+    }
+
+
+# the monitors of ``solve_transport_spectral``: every ledger column, or the two
+# of ``transport_mass_row``; each row takes (f, vel sampled on the grid, t)
+MONITOR = (lambda f, vel, t: transport_monitor_row(f, vel, t), TRANSPORT_COLUMNS)
+MASS_MONITOR = (lambda f, vel, t: transport_mass_row(f, vel, t), TRANSPORT_MASS_COLUMNS)
+
+
 def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
-                             cfl: float = 0.4, max_dt: float = 0.05) -> tuple[Field, RunLedger]:
+                             cfl: float = 0.4, max_dt: float = 0.05,
+                             monitor=MONITOR) -> tuple[Field, RunLedger]:
     """RK4 integration of the continuity-form transport equation.
 
     The velocity's spatial factors are sampled on the grid once per solve
     (``vel.on_grid``) and scaled by their time factor at every stage and
-    ledger row (``transport_monitor_row``); the mean of f (total mass) is
+    ledger row; ``monitor`` keeps every column (``MONITOR``) or the two of
+    ``transport_mass_row`` (``MASS_MONITOR``). The mean of f (total mass) is
     conserved to rounding because the tendency is an exact divergence of a
     resolvable product.
     """
@@ -212,6 +232,7 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
     grid = f0.grid
     dt_base = spectral.advective_dt(grid, vel.speed_bound, cfl, max_dt)
     sampled = vel.on_grid(*grid.coordinates())
+    row, columns = monitor
 
     def advance(f: Field, t: float, dt: float) -> Field:
         return Field(grid, spectral.rk4(
@@ -219,7 +240,7 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
 
     return spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt_base, advance,
-        (lambda f, t: transport_monitor_row(f, sampled, t), TRANSPORT_COLUMNS))[:2]
+        (lambda f, t: row(f, sampled, t), columns))[:2]
 
 
 def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,

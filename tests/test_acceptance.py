@@ -13,9 +13,9 @@ import re
 
 import pytest
 
-from machlab import acceptance, experiments
+from machlab import acceptance, experiments, transport
 from machlab.config import ExperimentConfig
-from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
+from machlab.ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS, RunLedger
 
 SELFTEST = ExperimentConfig(experiment="selftest", threads=2)
 
@@ -122,13 +122,26 @@ def test_transport_detail_prints_the_tolerances_its_rule_reads(monkeypatch):
                        experiments.MASS_DRIFT_TOL, experiments.MAX_PRINCIPLE_TOL]
 
 
+def test_transport_cross_check_at_n_hi_records_only_the_columns_it_reads(monkeypatch):
+    columns = {}
+
+    def evaluate(f0, vel, t_final, cfl, max_dt, monitor=transport.MONITOR):
+        columns.setdefault(f0.grid.n, set()).add(tuple(monitor[1]))
+        return experiments.TransportRun(_flat_ledger(), 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(experiments, "evaluate_transport_velocity", evaluate)
+    acceptance.check_transport_lab(
+        acceptance.Workbench(ExperimentConfig(experiment="selftest", n=256)))
+    assert columns == {256: {tuple(TRANSPORT_COLUMNS)}, 512: {tuple(TRANSPORT_MASS_COLUMNS)}}
+
+
 def _transport_lab_on_flat_runs(monkeypatch, n):
     """``check_transport_lab`` at n with every solve replaced by a flat ledger
     and an oracle gap of 5e-4, between the two oracle tolerances, so only a
     pass at n_hi can fail it; returns the result and the resolutions visited."""
     seen = []
 
-    def evaluate(f0, vel, t_final, cfl, max_dt):
+    def evaluate(f0, vel, t_final, cfl, max_dt, monitor=transport.MONITOR):
         seen.append(f0.grid.n)
         return experiments.TransportRun(_flat_ledger(), 5e-4, 0.0, 0.0)
 

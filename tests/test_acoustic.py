@@ -220,3 +220,74 @@ def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64,
     monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)
     want = acoustic.measure_strichartz(f, state64.eps, window, p)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def lopsided_pair(grid):
+    """A pair whose nonzero modes lie in the rows 2..9 (kx >= 0 only) and the
+    columns 1..12."""
+    rng = np.random.default_rng(11)
+    modes = np.zeros((2,) + grid.modes_shape, complex)
+    modes[:, 2:10, 1:13] = (rng.standard_normal((2, 8, 12))
+                            + 1j * rng.standard_normal((2, 8, 12)))
+    return spectral.Field(grid, modes)
+
+
+def nyquist_row_pair(grid):
+    """The Gaussian probe plus one mode on the Nyquist row n/2."""
+    from machlab.experiments import gaussian_bump_complex
+    modes = gaussian_bump_complex(grid).modes.copy()
+    modes[:, grid.n // 2, 3] = (0.25 - 0.5j, 0.125 + 0.75j)
+    return spectral.Field(grid, modes)
+
+
+def rough_pair(grid):
+    """The complex field of random samples: every row and column is occupied."""
+    rng = np.random.default_rng(7)
+    n = grid.n
+    return complex_field(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def upsilon_pair(grid):
+    """The Upsilon pair of the ``state64`` flow state."""
+    state = make_initial_data("vortex-pair-ill", grid, eps=0.1, amplitude=0.5, seed=2,
+                              gamma_bar=0.2)
+    return pairs(acoustic.make_acoustic(state))[2]
+
+
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+@pytest.mark.parametrize("make, support", [
+    (lopsided_pair, (9, 13)),
+    (nyquist_row_pair, (32, 22)),  # the probe fills the band, 64 // 3 + 1 = 22 columns
+    (rough_pair, (32, 33)),
+    (upsilon_pair, None),
+])
+def test_free_wave_norms_on_the_occupied_support_equal_the_whole_table_bit_for_bit(
+        grid64, monkeypatch, make, support, p):
+    f = make(grid64)
+    k, c, top = acoustic._occupied_support(grid64, f.modes)
+    rows, cols = np.nonzero(np.any(f.modes != 0.0, axis=0))
+    assert np.all(np.minimum(rows, 64 - rows) <= k) and np.all(cols < c)
+    assert np.all(grid64.kmag_index[rows, cols] < top)
+    assert top == int(np.max(grid64.kmag_index[rows, cols])) + 1
+    if support is not None:
+        assert (k, c) == support
+    eps = 0.05
+    window = 0.99 * acoustic.wraparound_window(grid64.box_length, eps)
+    got = acoustic.measure_strichartz(f, eps, window, p)
+    scales = acoustic.sample_times(window) / eps
+    assert got == mixed_time_norm(acoustic.sample_times(window),
+                                  acoustic.free_wave_norms(f, scales, p),
+                                  acoustic.strichartz_exponents(p)[0])
+    want = full_width_strichartz(f, eps, window, p)
+    monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)
+    whole_table = full_width_strichartz(f, eps, window, p)
+    for other in (want, whole_table):
+        assert np.float64(got).tobytes() == np.float64(other).tobytes()
+
+
+def test_the_level_cut_of_a_dealiased_probe_leaves_out_the_levels_past_the_disk(grid64):
+    from machlab.experiments import gaussian_bump_complex
+    k, c, top = acoustic._occupied_support(grid64, gaussian_bump_complex(grid64).modes)
+    assert (k, c) == (21, grid64.band)  # |kx| <= n/3
+    assert grid64.kmag_levels[top - 1] <= grid64.kmax_dealias < grid64.kmag_levels[top]
+    assert acoustic._occupied_support(grid64, np.zeros((2,) + grid64.modes_shape)) == (0, 1, 1)

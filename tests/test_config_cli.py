@@ -130,6 +130,7 @@ class TestValidation:
         ("acoustic-decay", {"eps": (0.2, 0.1)}, ["eps needs at least 3 values"]),
         ("selftest", {"eps": (0.2, 0.1)}, ["eps needs at least 3 values"]),
         ("incompressible-limit", {"eps": (0.2,)}, ["eps needs at least 2 values"]),
+        ("strichartz-sweep", {"eps": (0.1,)}, ["eps needs at least 2 values"]),
         ("acoustic-decay", {"n": 8}, ["n = 8", "box_length", "first dyadic ring"]),
         ("transport-log", {"n": 16}, ["n = 16", "box_length", "first dyadic ring"]),
         ("lifespan-table", {"n": 32, "box_length": 200.0}, ["n = 32", "box_length = 200"]),
@@ -143,8 +144,8 @@ class TestValidation:
     def test_defaults_and_the_benchmark_workloads_are_accepted(self):
         for experiment in EXPERIMENTS:
             with_overrides(ExperimentConfig(), experiment=experiment)
-        # no dyadic block is measured by the free-wave sweep: any grid, any eps count
-        with_overrides(ExperimentConfig(), experiment="strichartz-sweep", n=8, eps=(0.1,))
+        # no dyadic block is measured by the free-wave sweep: any grid
+        with_overrides(ExperimentConfig(), experiment="strichartz-sweep", n=8, eps=(0.2, 0.1))
         workloads = _load_benchmark_workloads()
         for w in workloads.WORKLOADS.values():
             cfg = parse_config(workloads.config_text(w.spec(seed=1, nproc=2)))

@@ -83,7 +83,7 @@ def test_free_wave_normalized_rotates_and_inverts_each_distinct_phase_once(monke
     window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps))
     times = acoustic.sample_times(window)
     assert len({float(t) / e for e in eps for t in times}) == scales
-    rotations = _count_calls(monkeypatch, acoustic, "_rotate")
+    rotations = _count_calls(monkeypatch, acoustic, "_rotate_rows")
     inverses = _count_calls(monkeypatch, spectral, "to_samples")
     free_wave_normalized(grid, eps, 1)
     assert len(rotations) == len(inverses) == scales

@@ -9,6 +9,7 @@ from machlab.ledger import (
     COMPRESSIBLE_COLUMNS,
     INCOMPRESSIBLE_COLUMNS,
     TRANSPORT_COLUMNS,
+    TRANSPORT_MASS_COLUMNS,
     RunLedger,
 )
 
@@ -123,6 +124,7 @@ def test_from_csv_rejects_rows_of_the_wrong_width(tmp_path, edit, cells):
 
 
 def test_shared_column_sets_are_self_consistent():
-    for cols in (COMPRESSIBLE_COLUMNS, INCOMPRESSIBLE_COLUMNS, TRANSPORT_COLUMNS):
+    for cols in (COMPRESSIBLE_COLUMNS, INCOMPRESSIBLE_COLUMNS, TRANSPORT_COLUMNS,
+                 TRANSPORT_MASS_COLUMNS):
         led = RunLedger(cols)  # accumulator sources all present
         assert len(set(cols)) == len(cols)

@@ -10,8 +10,9 @@ import pytest
 
 from machlab import littlewood_paley as lp
 from machlab import spectral, transport
-from machlab.ledger import TRANSPORT_COLUMNS
-from machlab.experiments import transport_catalog, transport_initial_density
+from machlab.ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS
+from machlab.experiments import (evaluate_transport_velocity, transport_catalog,
+                                 transport_initial_density)
 
 
 BOX = 16.0 * math.pi
@@ -184,6 +185,20 @@ def test_grid_sampled_solve_matches_point_evaluation_bit_for_bit(grid32):
         for column in TRANSPORT_COLUMNS:
             assert got.column(column).tobytes() == want.column(column).tobytes(), \
                 (vel.name, column)
+
+
+def test_the_mass_monitor_keeps_its_two_columns_and_the_solve_bit_for_bit(grid32):
+    f0 = transport_initial_density(grid32, seed=3)
+    cal, holdouts = transport_catalog(BOX)
+    for vel in [cal] + holdouts:
+        full = evaluate_transport_velocity(f0, vel, 0.3, 0.4, 0.05)
+        cut = evaluate_transport_velocity(f0, vel, 0.3, 0.4, 0.05, transport.MASS_MONITOR)
+        assert cut.ledger.columns == TRANSPORT_MASS_COLUMNS
+        assert cut.ledger.times == full.ledger.times, vel.name
+        for column in TRANSPORT_MASS_COLUMNS:
+            assert cut.ledger.column(column).tobytes() == full.ledger.column(column).tobytes()
+        assert (cut.oracle_gap, cut.mass_drift, cut.range_growth) == \
+            (full.oracle_gap, full.mass_drift, full.range_growth), vel.name
 
 
 def batched_monitor_norms(f, div_modes):
