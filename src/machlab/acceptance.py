@@ -24,7 +24,7 @@ import numpy as np
 
 from . import acoustic, asymptotics, compressible, experiments, spectral, transport
 from . import littlewood_paley as lp
-from .config import ExperimentConfig, selftest_n_hi, with_overrides
+from .config import SELFTEST_FIXED_HORIZON, ExperimentConfig, selftest_n_hi, with_overrides
 from .fitting import nondecreasing
 from .spectral import Field, FlowState, Grid
 
@@ -32,7 +32,7 @@ from .spectral import Field, FlowState, Grid
 LINEAR_T = 0.5                      # linear-acoustics horizon
 ORDER_EPS, ORDER_T = 0.1, 0.4       # splitting-order run
 ORDER_DTS = (0.02, 0.01, 0.005)
-TRANSPORT_T = 1.0                   # transport-lab horizon
+TRANSPORT_T = SELFTEST_FIXED_HORIZON  # transport-lab horizon, the longest
 HI_ORACLE_GAP_TOL = 2.5e-4          # transport-lab oracle gap at n_hi
 REFERENCE_T, REFERENCE_MAX_DT = 5.0, 0.05   # long incompressible reference
 LIFESPAN_EPS = (1.0, 0.5, 0.25)

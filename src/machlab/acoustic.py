@@ -19,11 +19,13 @@ spectrum like every real field: ``make_acoustic`` returns the
 propagator rotates every pair of a stack at once,
 re' = cos(theta) re + sin(theta) im, im' = cos(theta) im - sin(theta) re
 with theta = |k| s on the half table, its cos and sin evaluated once per
-distinct |k| and gathered onto the table (``spectral.kmag_cos_sin``).
-The rotation keeps every zero mode zero, so ``free_wave_norms`` works on
-the support of its input only: the leading columns and the two row blocks
-0..K and n-K..n-1 that hold its nonzero modes, with the cos and sin taken
-on the |k| levels below the largest level they reach.
+distinct |k| and gathered onto the table. One kernel, ``_rotate_rows``,
+does this for both ``free_propagate``, which turns every row and level,
+and ``free_wave_norms``. The rotation keeps every zero mode zero, so
+``free_wave_norms`` works on the support of its input only: the leading
+columns and the two row blocks 0..K and n-K..n-1 that hold its nonzero
+modes, with the cos and sin taken on the |k| levels below the largest
+level they reach.
 No full spectrum is ever formed, and ``spectral.lp_norm``/``l2_norm``
 measure the pointwise modulus of a complex field like that of a
 two-component real field.
@@ -75,31 +77,6 @@ def acoustic_to_state(waves: Field, solenoidal: Field, eps: float,
                      eps, gamma_bar)
 
 
-def _turn(cos_t: np.ndarray, sin_t: np.ndarray, modes: np.ndarray, out: np.ndarray,
-          tmp: np.ndarray) -> np.ndarray:
-    """Write the (re, im) pairs on axis -3 of ``modes`` turned by the angles
-    whose cos and sin are ``cos_t`` and ``sin_t`` into ``out``, shaped alike:
-    re' = cos re + sin im, im' = cos im - sin re. ``tmp``, shaped like one
-    (re, im) plane of ``out``, is work space."""
-    re, im = np.moveaxis(modes, -3, 0)
-    out_re, out_im = np.moveaxis(out, -3, 0)
-    np.add(np.multiply(cos_t, re, out=out_re), np.multiply(sin_t, im, out=tmp), out=out_re)
-    np.subtract(np.multiply(cos_t, im, out=out_im), np.multiply(sin_t, re, out=tmp), out=out_im)
-    return out
-
-
-def _rotate(grid: spectral.Grid, modes: np.ndarray, scale: float, trig: np.ndarray,
-            out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Write ``modes``, the first c half-spectrum columns of a stack of
-    (re, im) pairs on axis -3, after free evolution to the phase scale
-    ``scale`` = t / eps into ``out``, shaped alike; ``trig`` (2, n, c) real
-    and ``tmp``, shaped like one (re, im) plane of ``out``, are work space.
-    The cos and sin of theta = |k| * scale are evaluated once per distinct
-    |k| by ``spectral.kmag_cos_sin``."""
-    cos_t, sin_t = spectral.kmag_cos_sin(grid, scale, out=trig)
-    return _turn(cos_t, sin_t, modes, out, tmp)
-
-
 def _check_eps(eps: float) -> None:
     if not (eps > 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
@@ -107,11 +84,16 @@ def _check_eps(eps: float) -> None:
 
 def free_propagate(f: Field, t: float, eps: float) -> Field:
     """Source-free evolution: multiply mode k by exp(-i t |k| / eps), which
-    rotates every (re, im) pair (axis -3) of f by theta = t |k| / eps."""
+    rotates every (re, im) pair (axis -3) of f by theta = t |k| / eps.
+
+    The rotation is ``_rotate_rows`` on one block of all rows and on every
+    |k| level: each mode, a zero one too, is turned."""
     _check_eps(eps)
-    trig = np.empty((2,) + f.grid.modes_shape)
-    tmp = np.empty(f.modes.shape[:-3] + f.grid.modes_shape, dtype=f.modes.dtype)
-    return Field(f.grid, _rotate(f.grid, f.modes, t / eps, trig, np.empty_like(f.modes), tmp))
+    g = f.grid
+    trig = np.empty((2,) + g.modes_shape)
+    tmp = np.empty(f.modes.shape[:-3] + g.modes_shape, dtype=f.modes.dtype)
+    return Field(g, _rotate_rows(g.kmag_levels, [(slice(None), g.kmag_index)], f.modes,
+                                 t / eps, trig, np.empty_like(f.modes), tmp))
 
 
 def strichartz_exponents(p: float) -> tuple[float, float]:
@@ -159,23 +141,30 @@ def _occupied_support(grid: spectral.Grid, modes: np.ndarray) -> tuple[int, int,
 
 
 def _rotate_rows(levels: np.ndarray, blocks, modes: np.ndarray, scale: float,
-                 trig: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``_rotate`` of ``modes``, the first c columns of one (re, im) pair on
-    axis 0, to the phase scale ``scale``, written into the rows of
-    ``blocks`` of ``out[:2]``; ``out[2]`` and ``trig`` (2, n, c) real are work
-    space. The cos and sin of theta = |k| * scale are evaluated on
-    ``levels``, the |k| levels below the cut, and gathered on each block, a
-    (rows, index) pair of a row slice and its rows of ``grid.kmag_index``. An
-    index past the cut is clipped to the last level: it marks a zero mode,
-    which any rotation keeps zero."""
+                 trig: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Write ``modes``, the first c half-spectrum columns of a stack of
+    (re, im) pairs on axis -3, after free evolution to the phase scale
+    ``scale`` = t / eps into the rows of ``blocks`` of ``out``, shaped alike:
+    re' = cos re + sin im, im' = cos im - sin re with theta = |k| * scale.
+    ``trig`` (2, n, c) real and ``tmp``, shaped like one (re, im) plane of
+    ``out``, are work space. The cos and sin are evaluated once per |k|
+    level of ``levels``, the leading ``grid.kmag_levels``, and gathered on
+    each block, a (rows, index) pair of a row slice and its rows of
+    ``grid.kmag_index``; each theta is the same float product as
+    ``grid.kmag * scale``. An index past the last level is clipped to it: it
+    marks a zero mode, which any rotation keeps zero."""
     theta = levels * scale
     cos_l, sin_l = np.cos(theta), np.sin(theta)
+    re, im = np.moveaxis(modes, -3, 0)
+    out_re, out_im = np.moveaxis(out, -3, 0)
     for rows, index in blocks:
         cos_t, sin_t = trig[0, rows], trig[1, rows]
         # mode="clip" also spares np.take a copy of out
         np.take(cos_l, index, out=cos_t, mode="clip")
         np.take(sin_l, index, out=sin_t, mode="clip")
-        _turn(cos_t, sin_t, modes[:, rows], out[:2, rows], out[2, rows])
+        r, i, o_re, o_im, w = (a[..., rows, :] for a in (re, im, out_re, out_im, tmp))
+        np.add(np.multiply(cos_t, r, out=o_re), np.multiply(sin_t, i, out=w), out=o_re)
+        np.subtract(np.multiply(cos_t, i, out=o_im), np.multiply(sin_t, r, out=w), out=o_im)
     return out
 
 
@@ -207,7 +196,7 @@ def free_wave_norms(initial: Field, scales, p: float) -> np.ndarray:
     rotated[:2, rows[0].stop:rows[1].start] = 0.0
     vals = np.empty(len(scales))
     for i, s in enumerate(scales):
-        _rotate_rows(levels, blocks, modes, float(s), trig, rotated)
+        _rotate_rows(levels, blocks, modes, float(s), trig, rotated[:2], rotated[2])
         re, im = spectral.to_samples(rotated[:2], out=samples)
         mag2 = np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im), out=re)
         if math.isinf(p):

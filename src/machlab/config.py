@@ -86,9 +86,9 @@ _REFERENCE_SNAPSHOT_PLANES = 1
 
 # the horizons each experiment steps over at max_dt; strichartz-sweep takes no
 # time steps, and selftest also runs the acceptance checks' fixed horizons,
-# the longest of them acceptance.TRANSPORT_T. A config whose horizon needs
-# more than ``spectral.MAX_STEPS`` steps at max_dt cannot end in a desk-scale
-# time, and is rejected.
+# the longest of them SELFTEST_FIXED_HORIZON, which acceptance.TRANSPORT_T
+# reads. A config whose horizon needs more than ``spectral.MAX_STEPS`` steps
+# at max_dt cannot end in a desk-scale time, and is rejected.
 _HORIZON_KEYS = {"acoustic-decay": ("t_final",), "incompressible-limit": ("t_final",),
                  "transport-log": ("t_final",), "lifespan-table": ("t_cap",),
                  "selftest": ("t_final", "t_cap")}

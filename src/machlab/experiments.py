@@ -150,7 +150,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
 
     def one(eps: float) -> tuple[float, bool]:
         state = states[eps]
-        g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # not yet dealiased
+        g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # full width, see ROADMAP item 5
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),

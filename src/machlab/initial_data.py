@@ -100,6 +100,7 @@ def _taylor_green(grid: Grid, amplitude: float, gamma_bar: float, eps: float) ->
     c = (amplitude / kappa) * np.sin(kappa * x) * np.sin(kappa * y)
     samples = np.stack(np.broadcast_arrays(vx, vy, c))
     modes = spectral.to_dealiased_modes(grid, samples)
+    modes[:, 0, 0] = 0.0  # mean-free: the sampled products are so only up to roundoff
     return FlowState(grid, modes, eps, gamma_bar)
 
 

@@ -203,7 +203,8 @@ class Grid:
     row of the half-spectrum sums. ``kmag_levels`` holds the sorted distinct
     values of ``kmag`` and the intp table ``kmag_index`` places them,
     ``kmag_levels[kmag_index] == kmag`` exactly, so a function of |k| is
-    evaluated once per distinct value (``kmag_cos_sin``). These are built
+    evaluated once per distinct value (``kmag_cos_sin``,
+    ``acoustic._rotate_rows``). These are built
     with the grid. The tables that only some runs read are built on first
     read: ``kvec`` stacks kx and ky to (2, n, n/2 + 1), ``khat`` is the unit
     wavevector ``kvec * inv_kmag`` (zero at k = 0), ``k2`` is |k|^2,
@@ -330,23 +331,20 @@ class Grid:
         return tuple(int(np.flatnonzero(row)[-1]) + 1 for row in occupied)
 
 
-def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The (2, n, c) stack (cos, sin) of theta = |k| * scale on the first c
-    columns of the half table, written into ``out`` when it is given; c is
-    the column count of ``out``, n/2 + 1 without it.
+def kmag_cos_sin(grid: Grid, scale: float) -> np.ndarray:
+    """The (2, n, n/2 + 1) stack (cos, sin) of theta = |k| * scale on the
+    half table, for the compressible solver's exact acoustic step.
 
     Many modes share one |k|, so the cos and sin are evaluated once per
     distinct |k| (``grid.kmag_levels``) and gathered by ``grid.kmag_index``;
     each theta is the same float product as ``grid.kmag * scale``, so the
     result equals ``np.cos``/``np.sin`` of that table bit for bit.
     """
-    if out is None:
-        out = np.empty((2,) + grid.modes_shape)
+    out = np.empty((2,) + grid.modes_shape)
     theta = grid.kmag_levels * scale
-    index = grid.kmag_index[:, :out.shape[-1]]
     # the index is in range by construction; mode="clip" spares np.take a copy of out
-    np.take(np.cos(theta), index, out=out[0], mode="clip")
-    np.take(np.sin(theta), index, out=out[1], mode="clip")
+    np.take(np.cos(theta), grid.kmag_index, out=out[0], mode="clip")
+    np.take(np.sin(theta), grid.kmag_index, out=out[1], mode="clip")
     return out
 
 

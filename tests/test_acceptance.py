@@ -14,7 +14,7 @@ import re
 import pytest
 
 from machlab import acceptance, experiments, transport
-from machlab.config import ExperimentConfig
+from machlab.config import SELFTEST_FIXED_HORIZON, ExperimentConfig
 from machlab.ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS, RunLedger
 
 SELFTEST = ExperimentConfig(experiment="selftest", threads=2)
@@ -84,6 +84,11 @@ def test_acceptance_scale_at_the_defaults():
     assert (acceptance.REFERENCE_T, acceptance.REFERENCE_MAX_DT) == (5.0, 0.05)
     assert acceptance.ORDER_DTS == (0.02, 0.01, 0.005)
     assert (acceptance.SUBSTRATE_FIELDS, acceptance.PARTITION_FIELDS) == (100, 50)
+
+
+def test_the_horizons_stepped_at_max_dt_stay_within_the_config_horizon():
+    # validate_config bounds selftest's steps at max_dt by this one horizon
+    assert max(acceptance.LINEAR_T, acceptance.TRANSPORT_T) <= SELFTEST_FIXED_HORIZON
 
 
 def test_splitting_order_builds_its_own_state_outside_the_sweep():

@@ -160,14 +160,28 @@ def test_measure_strichartz_of_an_input_that_is_not_dealiased_matches_the_full_s
     assert abs(got - expect) <= 1e-12 * expect
 
 
-def full_width_strichartz(f, eps, t_final, p):
-    """measure_strichartz with every sample time rotated and inverted on all
-    n/2 + 1 columns of the half spectrum."""
+def full_table_rotate(f, t, eps):
+    """The modes of f, a stack of (re, im) pairs on axis -3, rotated with cos
+    and sin evaluated over the whole table of theta = |k| * t / eps; the
+    once-per-|k| rotation must reproduce it bit for bit."""
+    theta = f.grid.kmag * (t / eps)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    re, im = np.moveaxis(f.modes, -3, 0)
+    return np.stack([cos_t * re + sin_t * im, cos_t * im - sin_t * re], axis=-3)
+
+
+def propagated(f, t, eps):
+    """The modes of ``acoustic.free_propagate(f, t, eps)``."""
+    return acoustic.free_propagate(f, t, eps).modes
+
+
+def full_width_strichartz(f, eps, t_final, p, rotate):
+    """measure_strichartz with every sample time rotated by ``rotate(f, t, eps)``
+    and inverted on all n/2 + 1 columns of the half spectrum."""
     times = np.linspace(0.0, t_final, 64)
     vals = []
     for t in times:
-        re, im = np.fft.irfftn(acoustic.free_propagate(f, float(t), eps).modes,
-                               axes=(-2, -1), norm="forward")
+        re, im = np.fft.irfftn(rotate(f, float(t), eps), axes=(-2, -1), norm="forward")
         mag2 = re * re + im * im
         if math.isinf(p):
             vals.append(math.sqrt(np.max(mag2)))
@@ -185,40 +199,7 @@ def test_measure_strichartz_on_the_occupied_columns_equals_the_full_width_bit_fo
     assert not np.any(probe.modes[..., grid64.band:])  # a dealiased probe: a cut spectrum
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, 0.05)
     got = acoustic.measure_strichartz(probe, 0.05, window, p)
-    want = full_width_strichartz(probe, 0.05, window, p)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
-def full_table_rotate(grid, modes, scale, trig, out, tmp):
-    """The rotation with cos and sin evaluated over the whole table of
-    theta = |k| * scale, scale = t / eps, on the columns of ``modes``; the
-    once-per-|k| rotation must reproduce it bit for bit."""
-    cos_t, sin_t = trig
-    np.multiply(grid.kmag[:, :modes.shape[-1]], scale, out=cos_t)
-    np.sin(cos_t, out=sin_t)
-    np.cos(cos_t, out=cos_t)
-    re, im = modes
-    np.add(np.multiply(cos_t, re, out=out[0]), np.multiply(sin_t, im, out=tmp), out=out[0])
-    np.subtract(np.multiply(cos_t, im, out=out[1]), np.multiply(sin_t, re, out=tmp), out=out[1])
-    return out
-
-
-def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
-    for f in pairs(acoustic.make_acoustic(state64)):
-        for t in (0.37, -1.48):
-            want = full_table_rotate(f.grid, f.modes, t / state64.eps,
-                                     np.empty(f.modes.shape, float),
-                                     np.empty_like(f.modes), np.empty_like(f.modes[0]))
-            assert acoustic.free_propagate(f, t, state64.eps).modes.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("p", [math.inf, 4.0])
-def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64, monkeypatch, p):
-    f = pairs(acoustic.make_acoustic(state64))[2]  # Upsilon
-    window = acoustic.wraparound_window(state64.grid.box_length, state64.eps)
-    got = acoustic.measure_strichartz(f, state64.eps, window, p)
-    monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)
-    want = acoustic.measure_strichartz(f, state64.eps, window, p)
+    want = full_width_strichartz(probe, 0.05, window, p, propagated)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -254,6 +235,26 @@ def upsilon_pair(grid):
     return pairs(acoustic.make_acoustic(state))[2]
 
 
+def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
+    g = state64.grid
+    waves = acoustic.make_acoustic(state64)
+    inputs = [waves] + pairs(waves) + [
+        make(g) for make in (lopsided_pair, nyquist_row_pair, rough_pair)]
+    for i, f in enumerate(inputs):
+        for t in (0.37, -1.48, 3.0):
+            want = full_table_rotate(f, t, state64.eps)
+            assert propagated(f, t, state64.eps).tobytes() == want.tobytes(), (i, t)
+
+
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64, p):
+    f = upsilon_pair(state64.grid)
+    window = acoustic.wraparound_window(state64.grid.box_length, state64.eps)
+    got = acoustic.measure_strichartz(f, state64.eps, window, p)
+    want = full_width_strichartz(f, state64.eps, window, p, full_table_rotate)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("p", [math.inf, 4.0])
 @pytest.mark.parametrize("make, support", [
     (lopsided_pair, (9, 13)),
@@ -262,7 +263,7 @@ def upsilon_pair(grid):
     (upsilon_pair, None),
 ])
 def test_free_wave_norms_on_the_occupied_support_equal_the_whole_table_bit_for_bit(
-        grid64, monkeypatch, make, support, p):
+        grid64, make, support, p):
     f = make(grid64)
     k, c, top = acoustic._occupied_support(grid64, f.modes)
     rows, cols = np.nonzero(np.any(f.modes != 0.0, axis=0))
@@ -278,11 +279,9 @@ def test_free_wave_norms_on_the_occupied_support_equal_the_whole_table_bit_for_b
     assert got == mixed_time_norm(acoustic.sample_times(window),
                                   acoustic.free_wave_norms(f, scales, p),
                                   acoustic.strichartz_exponents(p)[0])
-    want = full_width_strichartz(f, eps, window, p)
-    monkeypatch.setattr(acoustic, "_rotate", full_table_rotate)
-    whole_table = full_width_strichartz(f, eps, window, p)
-    for other in (want, whole_table):
-        assert np.float64(got).tobytes() == np.float64(other).tobytes()
+    for rotate in (propagated, full_table_rotate):
+        want = full_width_strichartz(f, eps, window, p, rotate)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), rotate.__name__
 
 
 def test_the_level_cut_of_a_dealiased_probe_leaves_out_the_levels_past_the_disk(grid64):

@@ -78,7 +78,8 @@ def test_random_band_block_decay(grid64):
 
 
 def test_states_are_mean_free_and_dealiased(grid64):
-    for name in ("vortex-pair-ill", "random-band:2", "well-prepared-contrast"):
+    for name in ("vortex-pair-ill", "random-band:2", "well-prepared-contrast",
+                 "taylor-green-ill"):
         state = make_initial_data(name, grid64, eps=0.1, seed=2)
         assert state.modes[2, 0, 0] == 0.0
         assert state.modes[0, 0, 0] == 0.0

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import machlab
@@ -32,3 +33,23 @@ def test_no_module_imports_inside_a_function():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     found.add((path.stem, func.name, ast.unparse(node)))
     assert found == _LOCAL_IMPORTS
+
+
+def _referenced(node) -> Counter:
+    """How often each name is read as a ``Name`` or an ``Attribute`` under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_and_class_has_a_use_in_the_package():
+    """A private module-level function or class that nothing in the package
+    reaches, outside its own definition, is dead code, even if a test calls it."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(machlab.__file__).parent.glob("*.py"))]
+    refs = sum(map(_referenced, trees), Counter())
+    private = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert private
+    assert [node.name for node in private
+            if refs[node.name] <= _referenced(node)[node.name]] == []

@@ -54,7 +54,7 @@ def test_traced_transport_round_records_spans_and_velocity_evals(tmp_path):
 
 # spectral.fft.* are spans of the numpy transforms, not package names.
 # acoustic.complex_lp_norm names no function; ROADMAP item 5 asks the benchmark
-# to replace it with metrics for acoustic.measure_strichartz and spectral.kmag_cos_sin.
+# to replace it with a metric for acoustic.free_wave_norms.
 _UNBOUND_LAYERS = {"acoustic.complex_lp_norm"}
 
 
