@@ -5,10 +5,11 @@ suite prints one line per check and asserts it. The checks read one
 ``ExperimentConfig`` (the ``selftest`` defaults keep every check within a few
 minutes on one core while leaving the trends it probes visible) through a
 ``Workbench``: an ``experiments.SweepStudy`` at the config's snapshot times,
-so the eps sweep and the reference run are computed once. The decay, limit
-and transport checks call the evaluators the experiment drivers call, and
-add only their own cross-checks: the transport lab again at ``n_hi``, the
-long reference, linear acoustics, the splitting order and determinism.
+so the eps sweep and the reference run are computed once. The decay, limit,
+transport and lifespan checks call the evaluators and pass rules the
+experiment drivers call, and add only their own cross-checks: the transport
+lab again at ``n_hi``, the long reference, linear acoustics, the splitting
+order and determinism.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import acoustic, asymptotics, compressible, experiments, spectral, transport
+from . import acoustic, compressible, experiments, spectral, transport
 from . import littlewood_paley as lp
 from .config import SELFTEST_FIXED_HORIZON, ExperimentConfig, selftest_n_hi, with_overrides
-from .fitting import nondecreasing
 from .spectral import Field, FlowState, Grid
 
 # The fixed scale of the checks, which no config key reaches.
@@ -311,41 +311,17 @@ def check_vorticity_control(bench: Workbench) -> CheckResult:
 
 
 def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
-    problems: list[str] = []
-    eps_grid = np.geomspace(1e-6, 0.9, 40)
-    for name in ("exp:1", "power:2"):
-        model = asymptotics.LifespanModel(lp.named_profile(name), c0=1.0)
-        phis = [asymptotics.phi_of_eps(model, float(e)) for e in eps_grid]
-        if not nondecreasing(phis, tol=1e-15):
-            problems.append(f"{name}: smallness scale not monotone")
-        ts = [asymptotics.lifespan_prediction(model, float(e)) for e in eps_grid]
-        if not nondecreasing(ts[::-1], tol=1e-15):
-            problems.append(f"{name}: predicted lifespan not monotone")
-    worst_closed = 0.0
-    for c0 in (1.0, 2.5):
-        for e in (1e-2, 1e-4, 1e-8):
-            y = math.log(1.0 / e)
-            m_exp = asymptotics.LifespanModel(lp.named_profile("exp:1"), c0=c0)
-            got = asymptotics.lifespan_prediction(m_exp, e)
-            want = math.log(y) / c0
-            worst_closed = max(worst_closed, abs(got - want) / abs(want))
-            m_pow = asymptotics.LifespanModel(lp.named_profile("power:2"), c0=c0)
-            got = asymptotics.lifespan_prediction(m_pow, e)
-            want = math.log(2.0 * math.log(y + 2.0)) / c0
-            worst_closed = max(worst_closed, abs(got - want) / abs(want))
-    if worst_closed > 1e-12:
-        problems.append(f"closed forms off by {worst_closed:.2e}")
     cfg = bench.lifespan_config
-    t_nums, t_num_ok, blew_up = experiments.lifespan_rules(experiments.measure_lifespans(cfg))
+    t_nums, grows, blew_up = experiments.lifespan_rules(experiments.measure_lifespans(cfg))
+    problems = []
     if not blew_up:
         problems.append(f"no blowup at eps={max(cfg.eps):g} within T={cfg.t_cap:g}")
-    if not t_num_ok:
-        problems.append("measured lifespans not nondecreasing")
-    passed = not problems
-    detail = (f"closed-form error {worst_closed:.2e} (tol 1e-12); measured lifespans "
-              + ", ".join(f"{t:.3f}" for t in t_nums)
+    if not grows:
+        problems.append("measured lifespans not increasing: a run reached the cap, "
+                        "or t_num did not strictly increase as eps fell")
+    detail = (f"measured lifespans {', '.join(f'{t:.3f}' for t in t_nums)} (cap {cfg.t_cap:g})"
               + (f"; ISSUES: {'; '.join(problems)}" if problems else ""))
-    return CheckResult("lifespan-bookkeeping", passed, detail)
+    return CheckResult("lifespan-bookkeeping", not problems, detail)
 
 
 def check_determinism(bench: Workbench) -> CheckResult:

@@ -56,9 +56,3 @@ def max_ratio(lhs, rhs) -> float:
 def strictly_decreasing(values) -> bool:
     values = np.asarray(values, dtype=np.float64)
     return bool(np.all(np.diff(values) < 0.0))
-
-
-def nondecreasing(values, tol: float = 0.0) -> bool:
-    """Every value at most its successor plus ``tol``."""
-    values = np.asarray(values, dtype=np.float64)
-    return bool(np.all(values[:-1] <= values[1:] + tol))

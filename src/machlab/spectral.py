@@ -54,10 +54,9 @@ _SNAPSHOT_MAGIC = b"MLF1"
 _SNAPSHOT_HEADER = struct.Struct("<4sIdI")
 
 
-def to_modes(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectra of real samples, batched over every leading axis; written
-    into ``out`` when it is given."""
-    return np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
+def to_modes(samples: np.ndarray) -> np.ndarray:
+    """Half spectra of real samples, batched over every leading axis."""
+    return np.fft.rfftn(samples, axes=(-2, -1), norm="forward")
 
 
 def to_samples(modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

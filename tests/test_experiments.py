@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from machlab import acoustic, compressible, experiments, incompressible, littlewood_paley, spectral
+from machlab import (acceptance, acoustic, asymptotics, compressible, experiments,
+                     incompressible, littlewood_paley, spectral)
 from machlab.config import ExperimentConfig, canonical_dump, with_overrides
 from machlab.experiments import (
     build_profile,
@@ -425,3 +426,106 @@ def test_lifespans_need_no_monitor_row(monkeypatch):
 
     monkeypatch.setattr(compressible, "monitor_row", no_monitor_row)
     assert measure_lifespans(config) == full
+
+
+# ---------------------------------------------------------------------------
+# each trend rule fails on a synthetic report that breaks only its property
+
+
+def _flat_acoustic_ledger(level, l4_level) -> RunLedger:
+    led = RunLedger(["div_v_linf", "grad_c_linf", "qv_linf", "c_linf", "div_v_b0"])
+    for t in np.linspace(0.0, 1.0, 11):
+        led.append(t, div_v_linf=level, grad_c_linf=level, qv_linf=l4_level,
+                   c_linf=l4_level, div_v_b0=level)
+    return led
+
+
+# broken property -> (L4 level per eps, eps^(1/4)-normalized free-wave values, failing line)
+_ACOUSTIC_BREAKS = {
+    "l4 budget flat": (lambda e: 1.0, (1.0, 1.0, 1.0), "acoustic_decay.l4_monotone"),
+    "l4 budget falls as eps^2": (lambda e: e**2, (1.0, 1.0, 1.0),
+                                 "acoustic_decay.l4_scaling_spread"),
+    "free wave spreads x3": (lambda e: e, (1.0, 2.0, 3.0), "strichartz.free_wave_scaling"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_ACOUSTIC_BREAKS))
+def test_acoustic_decay_rules_fail_on_a_broken_report(tmp_path, monkeypatch, broken):
+    l4_level, free_normalized, failing = _ACOUSTIC_BREAKS[broken]
+    eps = (0.2, 0.1, 0.05)
+
+    def synthetic(study):
+        ledgers = {e: _flat_acoustic_ledger(e, l4_level(e)) for e in eps}
+        report = asymptotics.check_acoustic_decay(ledgers, study.model, study.grid.box_length)
+        return report, {e: (v * e**0.25, v, True) for e, v in zip(eps, free_normalized)}
+
+    monkeypatch.setattr(experiments, "evaluate_acoustic_decay", synthetic)
+    cfg = ExperimentConfig(experiment="acoustic-decay", n=32, eps=eps, t_final=0.1,
+                           max_dt=0.05, out=str(tmp_path / "out"))
+    passed, lines = run_experiment(cfg)
+    assert not passed
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {failing}"], "\n".join(lines)
+    bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
+    assert not acceptance.check_acoustic_decay_trend(bench).passed
+
+
+# broken property -> (L2 gap and B2 gap of eps at s = t / t_final, failing line,
+# whether the acceptance check reads the rule). In "gap outgrows the bound" a
+# flat gap calibrates C0 at eps = 0.4; at eps = 0.2 a gap that starts at 0 and
+# grows to 9 outruns C0 exp(exp(C0 t)) (gap(0) + Phi^(1/4)).
+_LIMIT_BREAKS = {
+    "b2 gap flat": (lambda e, s: e * (1.0 + s), lambda e, s: np.ones_like(s),
+                    "incompressible_limit.b2_monotone", False),
+    "gap contracts by half": (lambda e, s: (0.2 + e) * (1.0 + s), lambda e, s: e * (1.0 + s),
+                              "incompressible_limit.contraction", True),
+    "gap outgrows the bound": (lambda e, s: {0.4: np.full_like(s, 10.0), 0.2: 9.0 * s,
+                                             0.1: 2.0 * s}[e],
+                               lambda e, s: e * (1.0 + s),
+                               "incompressible_limit.rate_bound", True),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_LIMIT_BREAKS))
+def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatch, broken):
+    l2_gap, b2_gap, failing, read_by_acceptance = _LIMIT_BREAKS[broken]
+
+    def synthetic(study):
+        s = np.asarray(study.times) / study.times[-1]
+        l2s = {e: l2_gap(e, s) for e in study.config.eps}
+        b2s = {e: b2_gap(e, s) for e in study.config.eps}
+        return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.model), l2s
+
+    monkeypatch.setattr(experiments, "evaluate_incompressible_limit", synthetic)
+    cfg = ExperimentConfig(experiment="incompressible-limit", n=32, eps=(0.4, 0.2, 0.1),
+                           t_final=0.1, max_dt=0.02, snapshots=4, profile="exp:1",
+                           out=str(tmp_path / "out"))
+    passed, lines = run_experiment(cfg)
+    assert not passed
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {failing}"], "\n".join(lines)
+    bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
+    assert acceptance.check_incompressible_limit_trend(bench).passed is not read_by_acceptance
+
+
+@pytest.mark.parametrize("lifespans, grows", [
+    ({1.0: (1.2, False), 0.5: (1.6, False), 0.25: (2.0, False)}, True),
+    ({1.0: (3.594, False), 0.5: (4.0, True), 0.25: (4.0, True)}, False),
+    ({1.0: (1.2, False), 0.5: (1.6, False), 0.25: (4.0, True)}, False),  # t_cap 4
+    ({1.0: (1.2, False), 0.5: (1.6, False), 0.25: (1.6, False)}, False),
+    ({1.0: (1.2, False), 0.5: (1.0, False), 0.25: (2.0, False)}, False),
+], ids=["increasing", "two-at-the-cap", "censored-tail", "equal", "falls-once"])
+def test_lifespans_grow_only_if_every_run_blew_up_and_t_num_strictly_increases(
+        tmp_path, monkeypatch, lifespans, grows):
+    t_nums, got, blew_up = experiments.lifespan_rules(lifespans)
+    assert (t_nums, got, blew_up) == ([lifespans[e][0] for e in (1.0, 0.5, 0.25)], grows, True)
+    monkeypatch.setattr(experiments, "measure_lifespans", lambda config: lifespans)
+    cfg = ExperimentConfig(experiment="lifespan-table", n=32, eps=(1.0, 0.5, 0.25),
+                           out=str(tmp_path / "out"))
+    passed, lines = run_experiment(cfg)
+    verdict = "PASS" if grows else "FAIL"
+    assert passed is grows
+    assert f"{verdict} lifespan.t_num_increasing" in {line.split(":")[0] for line in lines}
+    result = acceptance.check_lifespan_bookkeeping(
+        acceptance.Workbench(with_overrides(cfg, experiment="selftest")))
+    assert result.passed is grows, result.detail

@@ -53,3 +53,57 @@ def test_every_private_function_and_class_has_a_use_in_the_package():
     assert private
     assert [node.name for node in private
             if refs[node.name] <= _referenced(node)[node.name]] == []
+
+
+def _call_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _sets(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` passes the parameter at ``position`` (None if keyword-only)
+    named ``name``, counting any ``*args`` or ``**kwargs`` as passing it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter name, position) of every defaulted parameter of
+    every function under ``tree``. The ``self`` or ``cls`` of a method takes
+    no position, a keyword-only parameter has none, and an ``__init__`` is
+    called by its class name."""
+    owners = {id(item): node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(func))
+        callee = owner.name if owner is not None and func.name == "__init__" else func.name
+        positional = func.args.posonlyargs + func.args.args
+        bound = owner is not None and "staticmethod" not in map(ast.unparse, func.decorator_list)
+        for i in range(len(positional) - len(func.args.defaults), len(positional)):
+            yield callee, positional[i].arg, i - bound
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
+    """A parameter default that no call in the package overrides is a knob
+    that only tests turn: the parameter, and any branch behind it, can go.
+    Calls match by name, so a call to a class counts as a call to its
+    ``__init__``. The console entry point ``cli.main(argv)`` is exempt."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(machlab.__file__).parent.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    unset = {f"{callee}({name})" for tree in trees
+             for callee, name, position in _defaulted_parameters(tree)
+             if not any(_sets(call, position, name) for call in calls.get(callee, []))}
+    assert unset == {"main(argv)"}

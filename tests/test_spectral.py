@@ -126,9 +126,6 @@ def test_transforms_write_into_out_bit_for_bit(rng):
     buf = np.full((3, 3, 32, 32), np.nan)
     assert spectral.to_samples(stack, out=buf) is buf
     assert buf.tobytes() == want.tobytes()
-    modes = np.full(stack.shape, np.nan, dtype=np.complex128)
-    assert spectral.to_modes(want, out=modes) is modes
-    assert modes.tobytes() == np.fft.rfft2(want, norm="forward").tobytes()
 
 
 def dealiased_stack(grid, planes, rng):

@@ -149,7 +149,7 @@ def parent_tendency(f_modes, grid, vel, t, out):
     vx, vy = vel.velocity(t, x, y)
     dvg = vel.divergence(t, x, y)
     f, fx, fy = spectral.to_samples(np.concatenate([f_modes[None], 1j * grid.kvec * f_modes]))
-    spectral.to_modes(-(vx * fx + vy * fy) - f * dvg, out=out)
+    np.copyto(out, spectral.to_modes(-(vx * fx + vy * fy) - f * dvg))
     np.copyto(out, 0.0, where=~grid.dealias_mask)
 
 
