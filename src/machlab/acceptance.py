@@ -1,15 +1,15 @@
 """Desk-scale acceptance checks for the whole laboratory.
 
-Each check returns a CheckResult with a fixed tolerance baked in; the test
-suite prints one line per check and asserts it. The checks read one
-``ExperimentConfig`` (the ``selftest`` defaults keep every check within a few
-minutes on one core while leaving the trends it probes visible) through a
-``Workbench``: an ``experiments.SweepStudy`` at the config's snapshot times,
-so the eps sweep and the reference run are computed once. The decay, limit,
-transport and lifespan checks call the evaluators and pass rules the
-experiment drivers call, and add only their own cross-checks: the transport
-lab again at ``n_hi``, the long reference, linear acoustics, the splitting
-order and determinism.
+Each check returns a ``CheckResult``; the test suite prints one line per
+check and asserts it. The checks read one ``ExperimentConfig`` (the
+``selftest`` defaults keep every check within a few minutes on one core
+while leaving the trends it probes visible) through a ``Workbench``: an
+``experiments.SweepStudy`` at the config's snapshot times, so the eps sweep
+and the reference run are computed once. The decay, limit and lifespan
+checks run their driver's evaluator and rule function, and pass only when
+every rule of that driver passes. The transport check calls the driver's
+evaluator and tolerances and adds its own pass at ``n_hi``; the other
+checks hold their own tolerances.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import filecmp
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from . import acoustic, compressible, experiments, spectral, transport
 from . import littlewood_paley as lp
 from .config import SELFTEST_FIXED_HORIZON, ExperimentConfig, selftest_n_hi, with_overrides
+from .experiments import CheckResult
 from .spectral import Field, FlowState, Grid
 
 # The fixed scale of the checks, which no config key reaches.
@@ -37,13 +38,6 @@ HI_ORACLE_GAP_TOL = 2.5e-4          # transport-lab oracle gap at n_hi
 REFERENCE_T, REFERENCE_MAX_DT = 5.0, 0.05   # long incompressible reference
 LIFESPAN_EPS = (1.0, 0.5, 0.25)
 SUBSTRATE_FIELDS, PARTITION_FIELDS = 100, 50   # random fields per substrate check
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _random_band_field(grid: Grid, rng: np.random.Generator,
@@ -263,32 +257,23 @@ def check_transport_lab(bench: Workbench) -> CheckResult:
     return CheckResult("transport-lab", passed, detail)
 
 
+def _driver_rules(name: str, rules: list[CheckResult]) -> CheckResult:
+    """One check over a driver's rule list: it passes only when every rule
+    passes, and its detail is each rule's summary line."""
+    return CheckResult(name, all(rule.passed for rule in rules),
+                       "; ".join(rule.line() for rule in rules))
+
+
 def check_acoustic_decay_trend(bench: Workbench) -> CheckResult:
-    rep, free = experiments.evaluate_acoustic_decay(bench)
-    free_spread = experiments.free_wave_spread(free)
-    passed = (rep.a1_decreasing and rep.a4_decreasing
-              and free_spread <= experiments.FREE_WAVE_SPREAD_TOL
-              and rep.a4_normalized_spread <= experiments.L4_SPREAD_TOL)
-    detail = (f"L1 budget {'decreasing' if rep.a1_decreasing else 'NOT decreasing'} "
-              f"{tuple(round(v, 4) for v in rep.a1)}, "
-              f"L4 budget {'decreasing' if rep.a4_decreasing else 'NOT decreasing'} "
-              f"{tuple(round(v, 4) for v in rep.a4)}; "
-              f"eps^(1/4)-normalized spread: free x{free_spread:.2f} "
-              f"(tol x{experiments.FREE_WAVE_SPREAD_TOL:g}), "
-              f"nonlinear x{rep.a4_normalized_spread:.2f} (tol x{experiments.L4_SPREAD_TOL:g})")
-    return CheckResult("acoustic-decay-trend", passed, detail)
+    report, free = experiments.evaluate_acoustic_decay(bench)
+    return _driver_rules("acoustic-decay-trend",
+                         experiments.acoustic_decay_rules(report, free, bench.ledgers))
 
 
 def check_incompressible_limit_trend(bench: Workbench) -> CheckResult:
-    rep, _ = experiments.evaluate_incompressible_limit(bench)
-    ratio = rep.smallest_over_largest
-    passed = rep.l2_decreasing and ratio <= experiments.CONTRACTION_TOL and rep.rate_bound_holds
-    detail = (f"sup-L2 gaps {tuple(round(v, 5) for v in rep.sup_l2)} "
-              f"{'decreasing' if rep.l2_decreasing else 'NOT decreasing'}; "
-              f"smallest/largest {ratio:.3f} (tol {experiments.CONTRACTION_TOL:g}); "
-              f"rate bound {'holds' if rep.rate_bound_holds else 'FAILS'} "
-              f"with C0={rep.c0_rate:.3g}")
-    return CheckResult("incompressible-limit-trend", passed, detail)
+    report, _ = experiments.evaluate_incompressible_limit(bench)
+    return _driver_rules("incompressible-limit-trend",
+                         experiments.incompressible_limit_rules(report))
 
 
 def check_vorticity_control(bench: Workbench) -> CheckResult:
@@ -312,16 +297,8 @@ def check_vorticity_control(bench: Workbench) -> CheckResult:
 
 def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
     cfg = bench.lifespan_config
-    t_nums, grows, blew_up = experiments.lifespan_rules(experiments.measure_lifespans(cfg))
-    problems = []
-    if not blew_up:
-        problems.append(f"no blowup at eps={max(cfg.eps):g} within T={cfg.t_cap:g}")
-    if not grows:
-        problems.append("measured lifespans not increasing: a run reached the cap, "
-                        "or t_num did not strictly increase as eps fell")
-    detail = (f"measured lifespans {', '.join(f'{t:.3f}' for t in t_nums)} (cap {cfg.t_cap:g})"
-              + (f"; ISSUES: {'; '.join(problems)}" if problems else ""))
-    return CheckResult("lifespan-bookkeeping", not problems, detail)
+    return _driver_rules("lifespan-bookkeeping", experiments.lifespan_rules(
+        experiments.measure_lifespans(cfg), cfg.t_cap))
 
 
 def check_determinism(bench: Workbench) -> CheckResult:

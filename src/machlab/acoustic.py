@@ -38,7 +38,6 @@ import math
 import numpy as np
 
 from . import spectral
-from .ledger import mixed_time_norm
 from .spectral import Field, FlowState
 
 
@@ -204,20 +203,3 @@ def free_wave_norms(initial: Field, scales, p: float) -> np.ndarray:
         else:
             vals[i] = (np.sum(np.power(mag2, 0.5 * p, out=mag2)) * g.cell_area) ** (1.0 / p)
     return vals
-
-
-def measure_strichartz(initial: Field, eps: float, t_final: float, p: float) -> float:
-    """Mixed time-space norm of the free evolution, sampled at uniform times.
-
-    Returns the L^r-in-time (r from ``strichartz_exponents``) of the spatial
-    L^p norm over [0, t_final] at the ``sample_times``, each evaluated by
-    ``free_wave_norms`` at its phase scale t / eps. Callers should keep
-    t_final inside ``wraparound_window``; the measurement itself does not
-    enforce it.
-    """
-    if not (t_final > 0.0):
-        raise ValueError("t_final must be positive")
-    _check_eps(eps)
-    r, _ = strichartz_exponents(p)
-    times = sample_times(t_final)
-    return mixed_time_norm(times, free_wave_norms(initial, times / eps, p), r)

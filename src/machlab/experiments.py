@@ -10,8 +10,10 @@ The driver adds its summary lines and writes its own artifacts: ledgers,
 CSV tables through one writer, and MLF1 snapshots.
 
 A driver that ``acceptance`` also checks is an evaluator (``evaluate_*``),
-which returns numbers, and a writer; the acceptance checks call the same
-evaluators and read the same pass rules. Each list of independent solves
+which returns numbers, and a writer. The decay, limit and lifespan drivers
+also have a rule function (``*_rules``) that turns the numbers into their
+summary lines as ``CheckResult``s; the acceptance checks call the same
+evaluators and rule functions. Each list of independent solves
 (sweep members, lifespan runs, free-wave phases, transport holdouts, and
 acceptance's linear-acoustics, splitting-order and transport-catalog runs)
 runs through ``map_solves`` on ``config.threads`` threads. Results come back
@@ -44,6 +46,10 @@ def _eps_tag(eps: float) -> str:
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _fmts(values) -> str:
+    return ", ".join(map(_fmt, values))
 
 
 def initial_states(config: ExperimentConfig, grid: Grid) -> dict[float, FlowState]:
@@ -167,16 +173,33 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
     return dict(zip(states, map_solves(config.threads, one, states)))
 
 
-def lifespan_rules(lifespans: dict[float, tuple[float, bool]]) -> tuple[list[float], bool, bool]:
-    """The pass rules on ``measure_lifespans`` output: the measured lifespans
-    by descending eps, whether they grow (every run blew up before the cap,
-    so none is censored, and they strictly increase as eps falls), and
-    whether the largest eps blew up before the cap."""
+class CheckResult(NamedTuple):
+    """One pass rule's verdict: a driver's summary line or an acceptance check."""
+
+    name: str
+    passed: bool
+    detail: str
+
+    def line(self) -> str:
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}" + (
+            f": {self.detail}" if self.detail else "")
+
+
+def lifespan_rules(lifespans: dict[float, tuple[float, bool]], t_cap: float) -> list[CheckResult]:
+    """The pass rules on ``measure_lifespans`` output: the lifespans grow
+    (every run blew up before the cap ``t_cap``, so none is censored, and they
+    strictly increase as eps falls), and the largest eps blew up before it."""
     eps_desc = sorted(lifespans, reverse=True)
     t_nums = [lifespans[e][0] for e in eps_desc]
     grows = (not any(censored for _, censored in lifespans.values())
              and strictly_decreasing(t_nums[::-1]))
-    return t_nums, grows, not lifespans[eps_desc[0]][1]
+    blew_up = not lifespans[eps_desc[0]][1]
+    blow_detail = f"eps={eps_desc[0]:g} " + (
+        f"crossed the gradient threshold at t={_fmt(t_nums[0])} (cap {t_cap:g})" if blew_up
+        else f"stayed below the gradient threshold up to the cap {t_cap:g}")
+    return [CheckResult("lifespan.t_num_increasing", grows,
+                        f"measured lifespan proxies per eps (descending): {_fmts(t_nums)}"),
+            CheckResult("lifespan.blowup_at_largest_eps", blew_up, blow_detail)]
 
 
 def gaussian_bump_complex(grid: Grid) -> Field:
@@ -192,7 +215,9 @@ def gaussian_bump_complex(grid: Grid) -> Field:
 
 def free_wave_normalized(grid: Grid, eps_list, threads: int, p: float = math.inf,
                          ) -> tuple[float, dict[float, tuple[float, float, bool]]]:
-    """measure_strichartz over an eps sweep on the shared Gaussian probe.
+    """The mixed time-space norm of the free evolution of the shared Gaussian
+    probe over an eps sweep: the L^r-in-time (r from ``strichartz_exponents``)
+    of its L^p norm at the 64 ``acoustic.sample_times`` of the window.
 
     Returns (window, eps -> (value, value / eps**decay, window_ok)); all
     measurements use the common wraparound window of the smallest eps so
@@ -200,8 +225,8 @@ def free_wave_normalized(grid: Grid, eps_list, threads: int, p: float = math.inf
     the phase scale t / eps, and the eps of a dyadic sweep share many of
     them, so each distinct scale over the sweep is evaluated once, the
     sorted scales split into ``threads`` contiguous parts, and every eps
-    reads its series from that table: the values are those of
-    ``measure_strichartz`` bit for bit.
+    reads its series from that table: the values are those of one
+    ``acoustic.free_wave_norms`` call per eps bit for bit.
     """
     eps_list = sorted(eps_list, reverse=True)
     window = 0.99 * acoustic.wraparound_window(grid.box_length, min(eps_list))
@@ -283,9 +308,10 @@ def transport_initial_density(grid: Grid, seed: int = 0) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# evaluators and rule functions
 
-# Pass rules that a driver and an ``acceptance`` check share.
+# Pass-rule tolerances: the first three are read by the rule functions only,
+# the transport ones by ``drive_transport_log`` and ``acceptance``.
 FREE_WAVE_SPREAD_TOL = 2.0   # max/min of the eps^(1/4)-normalized free-wave values
 L4_SPREAD_TOL = 4.0          # max/min of the eps^(1/4)-normalized L4-in-time budgets
 CONTRACTION_TOL = 0.25       # smallest/largest sup-L2 gap to the incompressible limit
@@ -372,6 +398,61 @@ def evaluate_incompressible_limit(study: SweepStudy) -> tuple[
     return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.model), l2s
 
 
+def acoustic_decay_rules(report: asymptotics.AcousticDecayReport,
+                         free: dict[float, tuple[float, float, bool]],
+                         ledgers: dict[float, RunLedger]) -> list[CheckResult]:
+    """The acoustic-decay pass rules on ``evaluate_acoustic_decay`` output and
+    the sweep's ledgers: both budgets fall with eps, both eps^(1/4)-normalized
+    series stay within their spread, and each member's L^2 energy growth."""
+    spread = free_wave_spread(free)
+    rules = [
+        CheckResult("acoustic_decay.l1_monotone", report.a1_decreasing,
+                    f"L1-in-time sup of (div v, grad c) per eps: {_fmts(report.a1)}"),
+        CheckResult("acoustic_decay.l4_monotone", report.a4_decreasing,
+                    f"L4-in-time sup of (Qv, c) per eps: {_fmts(report.a4)}"),
+        CheckResult("acoustic_decay.l4_scaling_spread",
+                    report.a4_normalized_spread <= L4_SPREAD_TOL,
+                    f"L4 values normalized by eps^(1/4) spread by "
+                    f"x{_fmt(report.a4_normalized_spread)} (tolerance x{L4_SPREAD_TOL:g})"),
+        CheckResult("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
+                    f"normalized values spread by x{_fmt(spread)} "
+                    f"(tolerance x{FREE_WAVE_SPREAD_TOL:g})"),
+    ]
+    for e in sorted(ledgers, reverse=True):
+        rep = asymptotics.check_energy_growth(ledgers[e])
+        rules.append(CheckResult(f"energy.l2_growth[eps={e:g}]", rep.l2_ok,
+                                 f"fitted C={_fmt(rep.c_l2)} (must be <= 2)"))
+    return rules
+
+
+def strichartz_rules(free: dict[float, tuple[float, float, bool]], p: float) -> list[CheckResult]:
+    """The strichartz-sweep pass rule: the normalized free-wave spread."""
+    r, _ = acoustic.strichartz_exponents(p)
+    spread = free_wave_spread(free)
+    return [CheckResult("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
+                        f"p={p:g}, r={r:g}: normalized spread x{_fmt(spread)}")]
+
+
+def incompressible_limit_rules(report: asymptotics.IncompressibleLimitReport,
+                               ) -> list[CheckResult]:
+    """The limit pass rules on ``evaluate_incompressible_limit``'s report: the
+    sup-in-time L^2 and B^2 gaps fall with eps, the smallest eps's L^2 gap
+    contracts, and the double-exponential rate bound holds."""
+    return [
+        CheckResult("incompressible_limit.l2_monotone", report.l2_decreasing,
+                    f"sup_t ||P v_eps - v||_L2 per eps: {_fmts(report.sup_l2)}"),
+        CheckResult("incompressible_limit.b2_monotone", report.b2_decreasing,
+                    f"sup_t ||P v_eps - v||_B2 per eps: {_fmts(report.sup_b2)}"),
+        CheckResult("incompressible_limit.contraction",
+                    report.smallest_over_largest <= CONTRACTION_TOL,
+                    f"smallest/largest = {_fmt(report.smallest_over_largest)} "
+                    f"(tolerance {CONTRACTION_TOL:g})"),
+        CheckResult("incompressible_limit.rate_bound", report.rate_bound_holds,
+                    f"double-exponential rate bound with C0={_fmt(report.c0_rate)} "
+                    f"fitted at eps={report.eps[0]:g}"),
+    ]
+
+
 @dataclass(frozen=True)
 class TransportRun:
     """One catalog velocity's spectral solve, measured against the oracle.
@@ -418,7 +499,7 @@ class _Summary:
         self.passed = True
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
+        self.lines.append(CheckResult(name, ok, detail).line())
         self.passed = self.passed and bool(ok)
 
     def note(self, text: str) -> None:
@@ -450,30 +531,14 @@ def _write_ledgers(config: ExperimentConfig, ledgers: dict[float, RunLedger]) ->
 def drive_acoustic_decay(config: ExperimentConfig, summary: _Summary) -> None:
     study = SweepStudy(config)
     report, free = evaluate_acoustic_decay(study)
-    spread, ledgers = free_wave_spread(free), study.ledgers
     summary.note(
         "block norms are inhomogeneous (low block included); decay measured on "
         f"window [0, {_fmt(report.window)}] before torus wraparound"
     )
-    summary.check("acoustic_decay.l1_monotone", report.a1_decreasing,
-                  "L1-in-time sup of (div v, grad c) per eps: "
-                  + ", ".join(_fmt(v) for v in report.a1))
-    summary.check("acoustic_decay.l4_monotone", report.a4_decreasing,
-                  "L4-in-time sup of (Qv, c) per eps: "
-                  + ", ".join(_fmt(v) for v in report.a4))
-    summary.check("acoustic_decay.l4_scaling_spread",
-                  report.a4_normalized_spread <= L4_SPREAD_TOL,
-                  f"L4 values normalized by eps^(1/4) spread by "
-                  f"x{_fmt(report.a4_normalized_spread)} (tolerance x{L4_SPREAD_TOL:g})")
-    summary.check("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
-                  f"normalized values spread by x{_fmt(spread)} "
-                  f"(tolerance x{FREE_WAVE_SPREAD_TOL:g})")
-    for e in sorted(ledgers, reverse=True):
-        rep = asymptotics.check_energy_growth(ledgers[e])
-        summary.check(f"energy.l2_growth[eps={e:g}]", rep.l2_ok,
-                      f"fitted C={_fmt(rep.c_l2)} (must be <= 2)")
+    for rule in acoustic_decay_rules(report, free, study.ledgers):
+        summary.check(*rule)
     out = config.out
-    _write_ledgers(config, ledgers)
+    _write_ledgers(config, study.ledgers)
     _write_csv(os.path.join(out, "acoustic_decay.csv"),
                "eps,a1_window,a4_window,blocksum_window,phi,free_wave,free_wave_normalized",
                [(e, report.a1[i], report.a4[i], report.b1[i], report.phi[i], *free[e][:2])
@@ -492,19 +557,8 @@ def drive_incompressible_limit(config: ExperimentConfig, summary: _Summary) -> N
     report, l2s = evaluate_incompressible_limit(study)
     times, sweep = study.times, study.sweep
     _, ref_ledger, ref_snaps = study.reference
-    summary.check("incompressible_limit.l2_monotone", report.l2_decreasing,
-                  "sup_t ||P v_eps - v||_L2 per eps: "
-                  + ", ".join(_fmt(v) for v in report.sup_l2))
-    summary.check("incompressible_limit.b2_monotone", report.b2_decreasing,
-                  "sup_t ||P v_eps - v||_B2 per eps: "
-                  + ", ".join(_fmt(v) for v in report.sup_b2))
-    summary.check("incompressible_limit.contraction",
-                  report.smallest_over_largest <= CONTRACTION_TOL,
-                  f"smallest/largest = {_fmt(report.smallest_over_largest)} "
-                  f"(tolerance {CONTRACTION_TOL:g})")
-    summary.check("incompressible_limit.rate_bound", report.rate_bound_holds,
-                  f"double-exponential rate bound with C0={_fmt(report.c0_rate)} "
-                  f"fitted at eps={report.eps[0]:g}")
+    for rule in incompressible_limit_rules(report):
+        summary.check(*rule)
     out = config.out
     _write_ledgers(config, study.ledgers)
     ref_ledger.to_csv(os.path.join(out, "ledger_reference.csv"), "reference",
@@ -569,9 +623,8 @@ def drive_strichartz_sweep(config: ExperimentConfig, summary: _Summary) -> None:
     r, decay = acoustic.strichartz_exponents(config.p)
     summary.note("free half-wave propagator on the inhomogeneous torus; "
                  "decay exponents quoted from the homogeneous-space scaling")
-    spread = free_wave_spread(free)
-    summary.check("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
-                  f"p={config.p:g}, r={r:g}: normalized spread x{_fmt(spread)}")
+    for rule in strichartz_rules(free, config.p):
+        summary.check(*rule)
     eps_desc = sorted(free, reverse=True)
     _write_csv(os.path.join(config.out, "strichartz.csv"),
                "eps,p,r,decay_exponent,window,value,normalized,window_ok",
@@ -583,25 +636,16 @@ def drive_strichartz_sweep(config: ExperimentConfig, summary: _Summary) -> None:
 def drive_lifespan_table(config: ExperimentConfig, summary: _Summary) -> None:
     eps_desc = sorted(config.eps, reverse=True)
     lifespans = measure_lifespans(config)
-    t_nums, grows, blew_up = lifespan_rules(lifespans)
-    summary.check("lifespan.t_num_increasing", grows,
-                  "measured lifespan proxies per eps (descending): "
-                  + ", ".join(_fmt(t) for t in t_nums))
-    if blew_up:
-        blow_detail = (f"eps={eps_desc[0]:g} crossed the gradient threshold at "
-                       f"t={_fmt(t_nums[0])} (cap {config.t_cap:g})")
-    else:
-        blow_detail = (f"eps={eps_desc[0]:g} stayed below the gradient threshold up to "
-                       f"the cap {config.t_cap:g}")
-    summary.check("lifespan.blowup_at_largest_eps", blew_up, blow_detail)
+    for rule in lifespan_rules(lifespans, config.t_cap):
+        summary.check(*rule)
     models = [asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
               for tag in ("exp:1", "power:2")]
     _write_csv(os.path.join(config.out, "lifespan.csv"),
                "eps,t_num,censored,t_psi_exp1,t_psi_power2",
-               [(e, t, lifespans[e][1], *(asymptotics.lifespan_prediction(m, e) for m in models))
-                for e, t in zip(eps_desc, t_nums)])
+               [(e, *lifespans[e], *(asymptotics.lifespan_prediction(m, e) for m in models))
+                for e in eps_desc])
     _write_csv(os.path.join(config.out, "plot_lifespan_vs_eps.csv"), "eps,t_num",
-               zip(eps_desc, t_nums))
+               [(e, lifespans[e][0]) for e in eps_desc])
 
 
 def drive_selftest(config: ExperimentConfig, summary: _Summary) -> None:
@@ -609,7 +653,7 @@ def drive_selftest(config: ExperimentConfig, summary: _Summary) -> None:
 
     results = acceptance.run_all(config)
     for res in results:
-        summary.check(res.name, res.passed, res.detail)
+        summary.check(*res)
     _write_csv(os.path.join(config.out, "acceptance.csv"), "check,passed,detail",
                [(res.name, res.passed, f'"{res.detail}"') for res in results])
 

@@ -386,11 +386,6 @@ def fft_forward(grid: Grid, samples: np.ndarray) -> Field:
     return Field(grid, to_modes(samples))
 
 
-def from_function(grid: Grid, fn) -> Field:
-    x, y = grid.coordinates()
-    return fft_forward(grid, np.broadcast_to(fn(x, y), (grid.n, grid.n)))
-
-
 def dealias(f):
     """Zero every mode with |k| above the radial 2/3 cutoff.
 

@@ -100,12 +100,23 @@ def test_free_wave_sup_decays_inside_window(grid64):
     assert supT < 0.75 * sup0
 
 
+def measure_strichartz(initial, eps, t_final, p):
+    """The mixed time-space norm of the free evolution of ``initial``: the
+    L^r-in-time (r from ``strichartz_exponents``) of its L^p norm at the 64
+    ``sample_times`` of [0, t_final], each from ``free_wave_norms`` at its
+    phase scale t / eps. ``experiments.free_wave_normalized`` is this
+    measurement over an eps sweep."""
+    r, _ = acoustic.strichartz_exponents(p)
+    times = acoustic.sample_times(t_final)
+    return mixed_time_norm(times, acoustic.free_wave_norms(initial, times / eps, p), r)
+
+
 def test_measure_strichartz_normalization_is_eps_stable(grid64):
     from machlab.experiments import gaussian_bump_complex
     probe = gaussian_bump_complex(grid64)
     eps_list = (0.2, 0.1, 0.05)
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, min(eps_list))
-    vals = {e: acoustic.measure_strichartz(probe, e, window, math.inf) for e in eps_list}
+    vals = {e: measure_strichartz(probe, e, window, math.inf) for e in eps_list}
     normalized = [vals[e] / e**0.25 for e in eps_list]
     assert max(normalized) / min(normalized) <= 2.0
 
@@ -141,7 +152,7 @@ def test_measure_strichartz_matches_the_full_spectrum_evolution(grid64, p):
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, eps)
     for f, z in ((probe, spectral.to_samples(probe.modes[0])),
                  (complex_field(grid64, z_wave), z_wave)):
-        got = acoustic.measure_strichartz(f, eps, window, p)
+        got = measure_strichartz(f, eps, window, p)
         expect = full_spectrum_strichartz(grid64, z, eps, window, p)
         assert abs(got - expect) <= 1e-12 * expect
 
@@ -155,7 +166,7 @@ def test_measure_strichartz_of_an_input_that_is_not_dealiased_matches_the_full_s
     assert np.all(np.any(f.modes != 0.0, axis=(0, 1)))  # every column, n/2 included
     eps = 0.05
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, eps)
-    got = acoustic.measure_strichartz(f, eps, window, p)
+    got = measure_strichartz(f, eps, window, p)
     expect = full_spectrum_strichartz(grid64, z, eps, window, p)
     assert abs(got - expect) <= 1e-12 * expect
 
@@ -198,7 +209,7 @@ def test_measure_strichartz_on_the_occupied_columns_equals_the_full_width_bit_fo
     probe = gaussian_bump_complex(grid64)
     assert not np.any(probe.modes[..., grid64.band:])  # a dealiased probe: a cut spectrum
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, 0.05)
-    got = acoustic.measure_strichartz(probe, 0.05, window, p)
+    got = measure_strichartz(probe, 0.05, window, p)
     want = full_width_strichartz(probe, 0.05, window, p, propagated)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -250,7 +261,7 @@ def test_free_propagate_matches_the_full_table_rotation_bit_for_bit(state64):
 def test_measure_strichartz_matches_the_full_table_rotation_bit_for_bit(state64, p):
     f = upsilon_pair(state64.grid)
     window = acoustic.wraparound_window(state64.grid.box_length, state64.eps)
-    got = acoustic.measure_strichartz(f, state64.eps, window, p)
+    got = measure_strichartz(f, state64.eps, window, p)
     want = full_width_strichartz(f, state64.eps, window, p, full_table_rotate)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -274,7 +285,7 @@ def test_free_wave_norms_on_the_occupied_support_equal_the_whole_table_bit_for_b
         assert (k, c) == support
     eps = 0.05
     window = 0.99 * acoustic.wraparound_window(grid64.box_length, eps)
-    got = acoustic.measure_strichartz(f, eps, window, p)
+    got = measure_strichartz(f, eps, window, p)
     scales = acoustic.sample_times(window) / eps
     assert got == mixed_time_norm(acoustic.sample_times(window),
                                   acoustic.free_wave_norms(f, scales, p),

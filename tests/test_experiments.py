@@ -23,7 +23,7 @@ from machlab.experiments import (
     transport_catalog,
     transport_initial_density,
 )
-from machlab.ledger import TRANSPORT_COLUMNS, RunLedger
+from machlab.ledger import TRANSPORT_COLUMNS, RunLedger, mixed_time_norm
 from machlab.spectral import Grid
 
 
@@ -56,8 +56,10 @@ def test_free_wave_normalized_equals_one_measurement_per_eps_bit_for_bit(n, p, s
     window, free = free_wave_normalized(grid, sweep, 1, p)
     probe = gaussian_bump_complex(grid)
     got = {e: np.float64(v[0]).tobytes() for e, v in free.items()}
-    want = {e: np.float64(acoustic.measure_strichartz(probe, e, window, p)).tobytes()
-            for e in sweep}
+    times = acoustic.sample_times(window)
+    r, _ = acoustic.strichartz_exponents(p)
+    norms = {e: acoustic.free_wave_norms(probe, times / e, p) for e in sweep}
+    want = {e: np.float64(mixed_time_norm(times, norms[e], r)).tobytes() for e in sweep}
     assert got == want
 
 
@@ -432,33 +434,43 @@ def test_lifespans_need_no_monitor_row(monkeypatch):
 # each trend rule fails on a synthetic report that breaks only its property
 
 
-def _flat_acoustic_ledger(level, l4_level) -> RunLedger:
-    led = RunLedger(["div_v_linf", "grad_c_linf", "qv_linf", "c_linf", "div_v_b0"])
+def _flat_acoustic_ledger(level, l4_level, energy_rate) -> RunLedger:
+    """Flat acoustic norms; vc_l2 grows as exp(energy_rate * int_div_v_linf)."""
+    led = RunLedger(["div_v_linf", "grad_c_linf", "qv_linf", "c_linf", "div_v_b0", "vc_l2",
+                     "int_div_v_linf"])
     for t in np.linspace(0.0, 1.0, 11):
         led.append(t, div_v_linf=level, grad_c_linf=level, qv_linf=l4_level,
-                   c_linf=l4_level, div_v_b0=level)
+                   c_linf=l4_level, div_v_b0=level, vc_l2=math.exp(energy_rate * level * t))
     return led
 
 
-# broken property -> (L4 level per eps, eps^(1/4)-normalized free-wave values, failing line)
+# broken property -> (L4 level per eps, eps^(1/4)-normalized free-wave values,
+# energy growth rate per eps, failing line)
 _ACOUSTIC_BREAKS = {
-    "l4 budget flat": (lambda e: 1.0, (1.0, 1.0, 1.0), "acoustic_decay.l4_monotone"),
-    "l4 budget falls as eps^2": (lambda e: e**2, (1.0, 1.0, 1.0),
+    "l4 budget flat": (lambda e: 1.0, (1.0, 1.0, 1.0), lambda e: 0.0,
+                       "acoustic_decay.l4_monotone"),
+    "l4 budget falls as eps^2": (lambda e: e**2, (1.0, 1.0, 1.0), lambda e: 0.0,
                                  "acoustic_decay.l4_scaling_spread"),
-    "free wave spreads x3": (lambda e: e, (1.0, 2.0, 3.0), "strichartz.free_wave_scaling"),
+    "free wave spreads x3": (lambda e: e, (1.0, 2.0, 3.0), lambda e: 0.0,
+                             "strichartz.free_wave_scaling"),
+    "energy outgrows exp(2 int div v)": (lambda e: e, (1.0, 1.0, 1.0),
+                                         lambda e: 3.0 if e == 0.1 else 1.0,
+                                         "energy.l2_growth[eps=0.1]"),
 }
 
 
 @pytest.mark.parametrize("broken", sorted(_ACOUSTIC_BREAKS))
 def test_acoustic_decay_rules_fail_on_a_broken_report(tmp_path, monkeypatch, broken):
-    l4_level, free_normalized, failing = _ACOUSTIC_BREAKS[broken]
+    l4_level, free_normalized, energy_rate, failing = _ACOUSTIC_BREAKS[broken]
     eps = (0.2, 0.1, 0.05)
+    ledgers = {e: _flat_acoustic_ledger(e, l4_level(e), energy_rate(e)) for e in eps}
 
     def synthetic(study):
-        ledgers = {e: _flat_acoustic_ledger(e, l4_level(e)) for e in eps}
-        report = asymptotics.check_acoustic_decay(ledgers, study.model, study.grid.box_length)
+        report = asymptotics.check_acoustic_decay(study.ledgers, study.model,
+                                                  study.grid.box_length)
         return report, {e: (v * e**0.25, v, True) for e, v in zip(eps, free_normalized)}
 
+    monkeypatch.setattr(experiments.SweepStudy, "ledgers", property(lambda study: ledgers))
     monkeypatch.setattr(experiments, "evaluate_acoustic_decay", synthetic)
     cfg = ExperimentConfig(experiment="acoustic-decay", n=32, eps=eps, t_final=0.1,
                            max_dt=0.05, out=str(tmp_path / "out"))
@@ -467,28 +479,29 @@ def test_acoustic_decay_rules_fail_on_a_broken_report(tmp_path, monkeypatch, bro
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         f"FAIL {failing}"], "\n".join(lines)
     bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
-    assert not acceptance.check_acoustic_decay_trend(bench).passed
+    result = acceptance.check_acoustic_decay_trend(bench)
+    assert not result.passed and f"FAIL {failing}:" in result.detail, result.detail
 
 
-# broken property -> (L2 gap and B2 gap of eps at s = t / t_final, failing line,
-# whether the acceptance check reads the rule). In "gap outgrows the bound" a
-# flat gap calibrates C0 at eps = 0.4; at eps = 0.2 a gap that starts at 0 and
-# grows to 9 outruns C0 exp(exp(C0 t)) (gap(0) + Phi^(1/4)).
+# broken property -> (L2 gap and B2 gap of eps at s = t / t_final, failing line).
+# In "gap outgrows the bound" a flat gap calibrates C0 at eps = 0.4; at
+# eps = 0.2 a gap that starts at 0 and grows to 9 outruns
+# C0 exp(exp(C0 t)) (gap(0) + Phi^(1/4)).
 _LIMIT_BREAKS = {
     "b2 gap flat": (lambda e, s: e * (1.0 + s), lambda e, s: np.ones_like(s),
-                    "incompressible_limit.b2_monotone", False),
+                    "incompressible_limit.b2_monotone"),
     "gap contracts by half": (lambda e, s: (0.2 + e) * (1.0 + s), lambda e, s: e * (1.0 + s),
-                              "incompressible_limit.contraction", True),
+                              "incompressible_limit.contraction"),
     "gap outgrows the bound": (lambda e, s: {0.4: np.full_like(s, 10.0), 0.2: 9.0 * s,
                                              0.1: 2.0 * s}[e],
                                lambda e, s: e * (1.0 + s),
-                               "incompressible_limit.rate_bound", True),
+                               "incompressible_limit.rate_bound"),
 }
 
 
 @pytest.mark.parametrize("broken", sorted(_LIMIT_BREAKS))
 def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatch, broken):
-    l2_gap, b2_gap, failing, read_by_acceptance = _LIMIT_BREAKS[broken]
+    l2_gap, b2_gap, failing = _LIMIT_BREAKS[broken]
 
     def synthetic(study):
         s = np.asarray(study.times) / study.times[-1]
@@ -505,7 +518,8 @@ def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatc
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         f"FAIL {failing}"], "\n".join(lines)
     bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
-    assert acceptance.check_incompressible_limit_trend(bench).passed is not read_by_acceptance
+    result = acceptance.check_incompressible_limit_trend(bench)
+    assert not result.passed and f"FAIL {failing}:" in result.detail, result.detail
 
 
 @pytest.mark.parametrize("lifespans, grows", [
@@ -517,8 +531,11 @@ def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatc
 ], ids=["increasing", "two-at-the-cap", "censored-tail", "equal", "falls-once"])
 def test_lifespans_grow_only_if_every_run_blew_up_and_t_num_strictly_increases(
         tmp_path, monkeypatch, lifespans, grows):
-    t_nums, got, blew_up = experiments.lifespan_rules(lifespans)
-    assert (t_nums, got, blew_up) == ([lifespans[e][0] for e in (1.0, 0.5, 0.25)], grows, True)
+    rules = experiments.lifespan_rules(lifespans, 4.0)
+    assert [(rule.name, rule.passed) for rule in rules] == [
+        ("lifespan.t_num_increasing", grows), ("lifespan.blowup_at_largest_eps", True)]
+    assert rules[0].detail.endswith(
+        ": " + ", ".join(f"{lifespans[e][0]:.6g}" for e in (1.0, 0.5, 0.25)))
     monkeypatch.setattr(experiments, "measure_lifespans", lambda config: lifespans)
     cfg = ExperimentConfig(experiment="lifespan-table", n=32, eps=(1.0, 0.5, 0.25),
                            out=str(tmp_path / "out"))

@@ -55,6 +55,33 @@ def test_every_private_function_and_class_has_a_use_in_the_package():
             if refs[node.name] <= _referenced(node)[node.name]] == []
 
 
+# Public functions that nothing in the package calls: the artifact readers,
+# which tests and the benchmark use to read back what the drivers write.
+_READERS = {"spectral.read_snapshot", "ledger.RunLedger.from_csv"}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """A public function or method that nothing in the package reaches,
+    outside its own definition, serves only the tests: it belongs there, or
+    nowhere. Names match as in the private-name test above, so a method
+    counts as reached when any attribute of its name is read."""
+    paths = sorted(Path(machlab.__file__).parent.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    refs = sum(map(_referenced, trees.values()), Counter())
+    public = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{stem}.{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                public.append((f"{stem}.{node.name}", node))
+    public = [(name, node) for name, node in public if not node.name.startswith("_")]
+    assert public
+    assert {name for name, node in public
+            if refs[node.name] <= _referenced(node)[node.name]} == _READERS
+
+
 def _call_name(call: ast.Call):
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
