@@ -3,13 +3,15 @@
 Each check returns a ``CheckResult``; the test suite prints one line per
 check and asserts it. The checks read one ``ExperimentConfig`` (the
 ``selftest`` defaults keep every check within a few minutes on one core
-while leaving the trends it probes visible) through a ``Workbench``: an
+while leaving the trends it probes visible) through one
 ``experiments.SweepStudy`` at the config's snapshot times, so the eps sweep
-and the reference run are computed once. The decay, limit and lifespan
-checks run their driver's evaluator and rule function, and pass only when
-every rule of that driver passes. The transport check calls the driver's
-evaluator and tolerances and adds its own pass at ``n_hi``; the other
-checks hold their own tolerances.
+and the reference run are computed once. The transport, decay, limit and
+lifespan checks run their driver's evaluator and rule function, and pass
+only when every rule of that driver passes. The transport check keeps its
+own schedule, which also measures the calibration run against the oracle
+and repeats the catalog at ``n_hi``, and adds rules for what the driver
+never runs; it reads the driver's tolerances. The checks without a driver
+hold their own tolerances.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import os
 import tempfile
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 
@@ -62,29 +63,12 @@ def _mode_energy(state: FlowState) -> np.ndarray:
     return np.abs(a) ** 2 + np.abs(state.modes[2]) ** 2
 
 
-class Workbench(experiments.SweepStudy):
-    """The shared sweep of ``config`` at its snapshot times, plus the two
-    values acceptance derives from the config."""
-
-    def __init__(self, config: ExperimentConfig):
-        super().__init__(config, experiments.snapshot_times(config))
-
-    @property
-    def n_hi(self) -> int:
-        return selftest_n_hi(self.config.n)
-
-    @cached_property
-    def lifespan_config(self) -> ExperimentConfig:
-        return with_overrides(self.config, eps=LIFESPAN_EPS,
-                              amplitude=8.0 * self.config.amplitude)
-
-
 # ---------------------------------------------------------------------------
 # checks
 
 
-def check_spectral_substrate(bench: Workbench) -> CheckResult:
-    grid = bench.grid
+def check_spectral_substrate(study: experiments.SweepStudy) -> CheckResult:
+    grid = study.grid
     rng = np.random.default_rng(101)
     tol = 1e-12
     worst = {"roundtrip": 0.0, "parseval": 0.0, "idempotent": 0.0, "gradient": 0.0}
@@ -109,8 +93,8 @@ def check_spectral_substrate(bench: Workbench) -> CheckResult:
     return CheckResult("spectral-substrate", passed, detail)
 
 
-def check_dyadic_partition(bench: Workbench) -> CheckResult:
-    grid = bench.grid
+def check_dyadic_partition(study: experiments.SweepStudy) -> CheckResult:
+    grid = study.grid
     blocks = grid.blocks
     total = np.sum(blocks, axis=0)
     resid = float(np.max(np.abs(total[grid.dealias_mask] - 1.0)))
@@ -148,8 +132,8 @@ def check_dyadic_partition(bench: Workbench) -> CheckResult:
     return CheckResult("dyadic-partition", passed, detail)
 
 
-def check_weighted_norms(bench: Workbench) -> CheckResult:
-    grid = bench.grid
+def check_weighted_norms(study: experiments.SweepStudy) -> CheckResult:
+    grid = study.grid
     rng = np.random.default_rng(303)
     worst_red = 0.0
     for alpha in (0.5, 1.0):
@@ -180,20 +164,20 @@ def check_weighted_norms(bench: Workbench) -> CheckResult:
     return CheckResult("weighted-besov", passed, detail)
 
 
-def check_linear_acoustics(bench: Workbench) -> CheckResult:
-    cfg = compressible.StepperConfig(cfl=bench.config.cfl, max_dt=bench.config.max_dt,
+def check_linear_acoustics(study: experiments.SweepStudy) -> CheckResult:
+    cfg = compressible.StepperConfig(cfl=study.config.cfl, max_dt=study.config.max_dt,
                                      disable_nonlinear=True)
 
     def one(e: float) -> tuple[float, float]:
-        st0 = spectral.dealias(bench.initial_states[e])
+        st0 = spectral.dealias(study.initial_states[e])
         stT, _, _ = compressible.run(st0, LINEAR_T, cfg, monitor=compressible.BLOWUP_MONITOR)
         moved = acoustic.free_propagate(acoustic.make_acoustic(st0), LINEAR_T, e)
         exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), e,
-                                           bench.config.gamma_bar)
+                                           study.config.gamma_bar)
         e0, eT = _mode_energy(st0), _mode_energy(stT)
         return _rel_state_diff(stT, exact), float(np.max(np.abs(eT - e0)) / np.max(e0))
 
-    errs, drifts = zip(*experiments.map_solves(bench.config.threads, one, bench.initial_states))
+    errs, drifts = zip(*experiments.map_solves(study.config.threads, one, study.initial_states))
     worst_err, worst_drift = max(errs), max(drifts)
     passed = worst_err <= 1e-12 and worst_drift <= 1e-13
     detail = (f"propagator mismatch {worst_err:.2e} (tol 1e-12), "
@@ -201,14 +185,14 @@ def check_linear_acoustics(bench: Workbench) -> CheckResult:
     return CheckResult("linear-acoustics", passed, detail)
 
 
-def check_splitting_order(bench: Workbench) -> CheckResult:
-    states = bench.initial_states
+def check_splitting_order(study: experiments.SweepStudy) -> CheckResult:
+    states = study.initial_states
     if ORDER_EPS not in states:  # a sweep without it still checks the order there
         # replace, not with_overrides: a one-eps selftest config is not a valid run
-        states = experiments.initial_states(replace(bench.config, eps=(ORDER_EPS,)),
-                                            bench.grid)
+        states = experiments.initial_states(replace(study.config, eps=(ORDER_EPS,)),
+                                            study.grid)
     st0 = spectral.dealias(states[ORDER_EPS])
-    finals = experiments.map_solves(bench.config.threads, lambda dt: compressible.run(
+    finals = experiments.map_solves(study.config.threads, lambda dt: compressible.run(
         st0, ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt),
         monitor=compressible.BLOWUP_MONITOR)[0], ORDER_DTS)
     e1 = _rel_state_diff(finals[0], finals[1])
@@ -220,43 +204,6 @@ def check_splitting_order(bench: Workbench) -> CheckResult:
     return CheckResult("splitting-order", passed, detail)
 
 
-def check_transport_lab(bench: Workbench) -> CheckResult:
-    cfg, n, n_hi = bench.config, bench.config.n, bench.n_hi
-    tol_by_n = {n: experiments.ORACLE_GAP_TOL}
-    if n_hi > n:
-        tol_by_n[n_hi] = HI_ORACLE_GAP_TOL
-    cal, holdouts = experiments.transport_catalog(cfg.box_length)
-    worst_oracle = {}
-    worst_mass = 0.0
-    growths = []
-    for res in tol_by_n:
-        f0 = experiments.transport_initial_density(Grid(res, cfg.box_length), cfg.seed)
-        # the log-estimate fit reads the pass at n only; n_hi reads f_mass and div_v_linf
-        monitor = transport.MONITOR if res == n else transport.MASS_MONITOR
-        runs = experiments.map_solves(
-            cfg.threads, lambda vel: experiments.evaluate_transport_velocity(
-                f0, vel, TRANSPORT_T, cfg.cfl, cfg.max_dt, monitor), [cal] + holdouts)
-        worst_oracle[res] = max(r.oracle_gap for r in runs)
-        worst_mass = max([worst_mass] + [r.mass_drift for r in runs])
-        growths += [r.range_growth for r in runs if r.range_growth is not None]
-        if res == n:
-            c_fit = transport.fit_log_constant(runs[0].ledger)
-            logs = [transport.evaluate_log_estimate(r.ledger, c_fit) for r in runs[1:]]
-    worst_maxprin = max(growths, default=0.0)
-    oracle_ok = all(worst_oracle[res] <= tol for res, tol in tol_by_n.items())
-    log_ok = len(logs) >= 3 and all(rep.passed for rep in logs)
-    passed = (oracle_ok and worst_mass <= experiments.MASS_DRIFT_TOL and bool(growths)
-              and worst_maxprin <= experiments.MAX_PRINCIPLE_TOL and log_ok)
-    hi = (f"{worst_oracle[n_hi]:.2e}@n={n_hi} (tol 2.5e-4)" if n_hi > n
-          else f"no pass at n_hi={n_hi}, which is not above n")
-    detail = (f"oracle gap {worst_oracle[n]:.2e}@n={n} (tol 1e-3), {hi}; "
-              f"mass drift {worst_mass:.2e} (tol 1e-8); "
-              f"max-principle drift {worst_maxprin:.2e} (tol 1e-6); "
-              f"growth-bound ratios max {max(rep.max_ratio for rep in logs):.3f} "
-              f"over {len(logs)} holdouts")
-    return CheckResult("transport-lab", passed, detail)
-
-
 def _driver_rules(name: str, rules: list[CheckResult]) -> CheckResult:
     """One check over a driver's rule list: it passes only when every rule
     passes, and its detail is each rule's summary line."""
@@ -264,25 +211,77 @@ def _driver_rules(name: str, rules: list[CheckResult]) -> CheckResult:
                        "; ".join(rule.line() for rule in rules))
 
 
-def check_acoustic_decay_trend(bench: Workbench) -> CheckResult:
-    report, free = experiments.evaluate_acoustic_decay(bench)
+def _tol(x: float) -> str:
+    """A tolerance in short scientific form: 1e-3, 2.5e-4."""
+    mantissa, exponent = f"{x:e}".split("e")
+    return f"{float(mantissa):g}e{int(exponent)}"
+
+
+def check_transport_lab(study: experiments.SweepStudy) -> CheckResult:
+    """The transport-log rules on the catalog at n, plus what the driver never
+    runs: the calibration measured against the oracle, the catalog again at
+    ``n_hi`` (when above n, on the two columns that pass reads), and a
+    divergence-free run for the max-principle rule."""
+    cfg, n = study.config, study.config.n
+    n_hi = selftest_n_hi(n)
+    cal, holdouts = experiments.transport_catalog(cfg.box_length)
+    passes = {}
+    for res in ([n, n_hi] if n_hi > n else [n]):
+        f0 = experiments.transport_initial_density(Grid(res, cfg.box_length), cfg.seed)
+        monitor = transport.MONITOR if res == n else transport.MASS_MONITOR
+        passes[res] = experiments.map_solves(
+            cfg.threads, lambda vel: experiments.evaluate_transport_velocity(
+                f0, vel, TRANSPORT_T, cfg.cfl, cfg.max_dt, monitor), [cal] + holdouts)
+    runs = passes[n]
+    report = experiments.evaluate_transport_log(runs[0].ledger, runs[1:])
+    gap_tol, drift_tol = experiments.ORACLE_GAP_TOL, experiments.MASS_DRIFT_TOL
+    rules = experiments.transport_rules(report, holdouts, runs[1:]) + [
+        CheckResult("transport.calibration_oracle_agreement", runs[0].oracle_gap <= gap_tol,
+                    f"max |spectral - oracle| = {runs[0].oracle_gap:.2e}@n={n} "
+                    f"(tol {_tol(gap_tol)})"),
+        CheckResult("transport.calibration_mass_conservation", runs[0].mass_drift <= drift_tol,
+                    f"relative mass drift {runs[0].mass_drift:.3e} (tol {_tol(drift_tol)})"),
+    ]
+    if n_hi > n:
+        gap = max(r.oracle_gap for r in passes[n_hi])
+        drift = max(r.mass_drift for r in passes[n_hi])
+        growth = max((r.range_growth for r in passes[n_hi] if r.range_growth is not None),
+                     default=0.0)
+        rules.append(CheckResult(
+            "transport.cross_check_at_n_hi",
+            gap <= HI_ORACLE_GAP_TOL and drift <= drift_tol
+            and growth <= experiments.MAX_PRINCIPLE_TOL,
+            f"max |spectral - oracle| = {gap:.2e}@n={n_hi} (tol {_tol(HI_ORACLE_GAP_TOL)}), "
+            f"relative mass drift {drift:.3e} (tol {_tol(drift_tol)}), interpolant range "
+            f"growth {growth:.3e} (tol {_tol(experiments.MAX_PRINCIPLE_TOL)})"))
+    else:
+        rules.append(CheckResult("transport.cross_check_at_n_hi", True,
+                                 f"no pass at n_hi={n_hi}, which is not above n"))
+    div_free = sum(r.range_growth is not None for r in runs)
+    rules.append(CheckResult("transport.divergence_free_run", div_free > 0,
+                             f"{div_free} of {len(runs)} catalog runs divergence-free"))
+    return _driver_rules("transport-lab", rules)
+
+
+def check_acoustic_decay_trend(study: experiments.SweepStudy) -> CheckResult:
+    report, free = experiments.evaluate_acoustic_decay(study)
     return _driver_rules("acoustic-decay-trend",
-                         experiments.acoustic_decay_rules(report, free, bench.ledgers))
+                         experiments.acoustic_decay_rules(report, free, study.ledgers))
 
 
-def check_incompressible_limit_trend(bench: Workbench) -> CheckResult:
-    report, _ = experiments.evaluate_incompressible_limit(bench)
+def check_incompressible_limit_trend(study: experiments.SweepStudy) -> CheckResult:
+    report, _ = experiments.evaluate_incompressible_limit(study)
     return _driver_rules("incompressible-limit-trend",
                          experiments.incompressible_limit_rules(report))
 
 
-def check_vorticity_control(bench: Workbench) -> CheckResult:
+def check_vorticity_control(study: experiments.SweepStudy) -> CheckResult:
     worst_sweep = 0.0
-    for led in bench.ledgers.values():
+    for led in study.ledgers.values():
         w = led.column("omega_linf")
         worst_sweep = max(worst_sweep, float(np.max(np.abs(w - w[0]))) / w[0])
     _, led_ref, _ = experiments.reference_incompressible(
-        with_overrides(bench.config, max_dt=REFERENCE_MAX_DT), bench.initial_states,
+        with_overrides(study.config, max_dt=REFERENCE_MAX_DT), study.initial_states,
         REFERENCE_T, [])
     w = led_ref.column("omega_linf")
     ref_drift = float(np.max(np.abs(w - w[0]))) / w[0]
@@ -295,17 +294,17 @@ def check_vorticity_control(bench: Workbench) -> CheckResult:
     return CheckResult("vorticity-control", passed, detail)
 
 
-def check_lifespan_bookkeeping(bench: Workbench) -> CheckResult:
-    cfg = bench.lifespan_config
+def check_lifespan_bookkeeping(study: experiments.SweepStudy) -> CheckResult:
+    cfg = with_overrides(study.config, eps=LIFESPAN_EPS, amplitude=8.0 * study.config.amplitude)
     return _driver_rules("lifespan-bookkeeping", experiments.lifespan_rules(
         experiments.measure_lifespans(cfg), cfg.t_cap))
 
 
-def check_determinism(bench: Workbench) -> CheckResult:
+def check_determinism(study: experiments.SweepStudy) -> CheckResult:
     base = with_overrides(
         ExperimentConfig(), experiment="acoustic-decay", n=64,
-        box_length=bench.config.box_length, eps=(0.2, 0.1, 0.05), t_final=0.3,
-        amplitude=bench.config.amplitude, seed=bench.config.seed, max_dt=0.05,
+        box_length=study.config.box_length, eps=(0.2, 0.1, 0.05), t_final=0.3,
+        amplitude=study.config.amplitude, seed=study.config.seed, max_dt=0.05,
         snapshots=2, threads=2,
     )
     with tempfile.TemporaryDirectory(prefix="machlab-det-") as first, \
@@ -341,5 +340,5 @@ _CHECKS = (
 
 def run_all(config: ExperimentConfig = ExperimentConfig(experiment="selftest"),
             ) -> list[CheckResult]:
-    bench = Workbench(config)
-    return [fn(bench) for fn in _CHECKS]
+    study = experiments.SweepStudy(config, experiments.snapshot_times(config))
+    return [fn(study) for fn in _CHECKS]

@@ -12,9 +12,11 @@ is unbounded; it scales the limit-rate bound, and the acoustic-decay report
 tabulates it beside the block-sum budgets. The predicted life span of the
 fast-oscillation regime is the clock T(eps) = (1/C0) log log Psi(log(1/eps)).
 
-All trend checks run on ledgers or snapshot series produced elsewhere; a
-check with a fitted constant fits it on one calibration member and asserts
-on the rest.
+The trend reports are numbers measured on ledgers or snapshot series
+produced elsewhere; the rule functions of ``experiments`` turn them into
+verdicts and hold the tolerances. A report with a fitted constant fits it
+on one calibration member and asserts it on the rest, so its one verdict,
+``IncompressibleLimitReport.rate_bound_holds``, is part of the fit.
 """
 
 from __future__ import annotations
@@ -25,53 +27,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import wraparound_window
-from .fitting import max_ratio, smallest_passing, strictly_decreasing
+from .fitting import max_ratio, smallest_passing
 from .littlewood_paley import BesovProfile
 from .ledger import RunLedger
 
 
-@dataclass(frozen=True)
-class LifespanModel:
-    """A weight profile plus the calibrated constants entering the bounds."""
-
-    profile: BesovProfile
-    c0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.c0 > 0.0):
-            raise ValueError(f"c0 must be positive, got {self.c0}")
-
-    @property
-    def alpha(self) -> float:
-        return self.profile.growth_exponent
-
-    @property
-    def beta(self) -> float:
-        a = self.alpha
-        if a <= 0.0:
-            return 1.0
-        return min(1.0, 1.0 / a)
-
-
-def phi_of_eps(model: LifespanModel, eps: float) -> float:
-    """Smallness scale Phi(eps) = Psi(log(1/eps)/8)**(-beta), eps in (0, 1]."""
+def phi_of_eps(profile: BesovProfile, eps: float) -> float:
+    """Smallness scale Phi(eps) = Psi(log(1/eps)/8)**(-beta), eps in (0, 1],
+    with beta = min(1, 1/alpha) from the profile's growth exponent alpha (1
+    when alpha <= 0)."""
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    x = math.log(1.0 / eps) / 8.0
-    return model.profile.psi_at(x) ** (-model.beta)
+    alpha = profile.growth_exponent
+    beta = min(1.0, 1.0 / alpha) if alpha > 0.0 else 1.0
+    return profile.psi_at(math.log(1.0 / eps) / 8.0) ** (-beta)
 
 
-def lifespan_prediction(model: LifespanModel, eps: float) -> float:
+def lifespan_prediction(profile: BesovProfile, eps: float, c0: float) -> float:
     """The closed-form lifespan t_psi = (1/C0) log log Psi(log(1/eps)) at one
-    eps; undefined, and returned as 0, while Psi(log(1/eps)) <= e."""
+    eps, for C0 = ``c0`` > 0; undefined, and returned as 0, while
+    Psi(log(1/eps)) <= e."""
+    if not (c0 > 0.0):
+        raise ValueError(f"c0 must be positive, got {c0}")
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    psi_val = model.profile.psi_at(math.log(1.0 / eps))
-    return math.log(math.log(psi_val)) / model.c0 if psi_val > math.e else 0.0
+    psi_val = profile.psi_at(math.log(1.0 / eps))
+    return math.log(math.log(psi_val)) / c0 if psi_val > math.e else 0.0
 
 
 # ---------------------------------------------------------------------------
-# Trend checks over measured runs
+# Trend reports over measured runs
 
 
 @dataclass(frozen=True)
@@ -91,14 +76,13 @@ class AcousticDecayReport:
     a4: tuple[float, ...]
     b1: tuple[float, ...]
     phi: tuple[float, ...]
-    a1_decreasing: bool
-    a4_decreasing: bool
     a4_normalized_spread: float
 
 
-def check_acoustic_decay(ledgers: dict[float, RunLedger], model: LifespanModel,
+def check_acoustic_decay(ledgers: dict[float, RunLedger], profile: BesovProfile,
                          box_length: float) -> AcousticDecayReport:
-    """Monotone-decay and eps^(1/4)-scaling checks on a compressible eps sweep.
+    """The decay budgets and the eps^(1/4)-normalized L^4 spread of a
+    compressible eps sweep, Phi at each eps from ``profile``.
 
     All quantities are measured inside the common wraparound window of the
     smallest eps, clipped to the end of the shortest ledger; beyond it a
@@ -120,9 +104,7 @@ def check_acoustic_decay(ledgers: dict[float, RunLedger], model: LifespanModel,
     normalized = [a / e**0.25 for a, e in zip(a4, eps_sorted)]
     return AcousticDecayReport(
         eps=eps_sorted, window=window, a1=tuple(a1), a4=tuple(a4), b1=tuple(b1),
-        phi=tuple(phi_of_eps(model, e) for e in eps_sorted),
-        a1_decreasing=strictly_decreasing(a1),
-        a4_decreasing=strictly_decreasing(a4),
+        phi=tuple(phi_of_eps(profile, e) for e in eps_sorted),
         a4_normalized_spread=float(max(normalized) / min(normalized)),
     )
 
@@ -132,8 +114,6 @@ class IncompressibleLimitReport:
     eps: tuple[float, ...]          # descending
     sup_l2: tuple[float, ...]
     sup_b2: tuple[float, ...]
-    l2_decreasing: bool
-    b2_decreasing: bool
     smallest_over_largest: float
     c0_rate: float
     rate_bound_holds: bool
@@ -141,7 +121,7 @@ class IncompressibleLimitReport:
 
 def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
                                b2_series: dict[float, np.ndarray],
-                               model: LifespanModel) -> IncompressibleLimitReport:
+                               profile: BesovProfile) -> IncompressibleLimitReport:
     """Convergence of the filtered velocity to the incompressible solution.
 
     ``l2_series[eps][j]`` is ||P v_eps(t_j) - v(t_j)||_{L^2}, from t_0 = 0; the rate bound
@@ -161,7 +141,7 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
     sup_b2 = tuple(float(np.max(b2_series[e])) for e in eps_sorted)
 
     def bound_holds(eps: float, c0: float) -> bool:
-        base = l2_series[eps][0] + phi_of_eps(model, eps) ** 0.25
+        base = l2_series[eps][0] + phi_of_eps(profile, eps) ** 0.25
         # probing large c0 may overflow the double exponential to inf, in
         # which case the bound holds trivially
         with np.errstate(over="ignore"):
@@ -173,25 +153,14 @@ def check_incompressible_limit(times, l2_series: dict[float, np.ndarray],
     holds = all(bound_holds(e, c0) for e in eps_sorted[1:])
     return IncompressibleLimitReport(
         eps=eps_sorted, sup_l2=sup_l2, sup_b2=sup_b2,
-        l2_decreasing=strictly_decreasing(sup_l2),
-        b2_decreasing=strictly_decreasing(sup_b2),
         smallest_over_largest=sup_l2[-1] / sup_l2[0] if sup_l2[0] > 0 else math.inf,
         c0_rate=c0, rate_bound_holds=holds,
     )
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    c_l2: float
-    l2_ok: bool
-
-
-def check_energy_growth(ledger: RunLedger) -> EnergyReport:
-    """Gronwall-type L^2 energy monitor along one compressible run:
-    ||(v,c)(t)|| <= init * exp(C int ||div v||_inf). The symmetric form of
-    the system makes the smallest such C at most 2 at any resolution that
-    holds the spectrum.
-    """
+def check_energy_growth(ledger: RunLedger) -> float:
+    """The smallest C of the Gronwall-type L^2 energy bound along one
+    compressible run: ||(v,c)(t)|| <= init * exp(C int ||div v||_inf)."""
     vc = ledger.column("vc_l2")
     div_budget = ledger.column("int_div_v_linf")
     init = vc[0]
@@ -200,8 +169,7 @@ def check_energy_growth(ledger: RunLedger) -> EnergyReport:
         with np.errstate(over="ignore"):
             return bool(np.all(vc <= init * np.exp(c * div_budget) * (1.0 + 1e-12)))
 
-    c_l2 = smallest_passing(l2_holds, hi=1e3)
-    return EnergyReport(c_l2=float(c_l2), l2_ok=c_l2 <= 2.0)
+    return smallest_passing(l2_holds, hi=1e3)
 
 
 def interpolation_ratio(ledger: RunLedger) -> float:

@@ -10,9 +10,9 @@ The driver adds its summary lines and writes its own artifacts: ledgers,
 CSV tables through one writer, and MLF1 snapshots.
 
 A driver that ``acceptance`` also checks is an evaluator (``evaluate_*``),
-which returns numbers, and a writer. The decay, limit and lifespan drivers
-also have a rule function (``*_rules``) that turns the numbers into their
-summary lines as ``CheckResult``s; the acceptance checks call the same
+which returns numbers, a rule function (``*_rules``), which turns the numbers
+into the driver's summary lines as ``CheckResult``s and holds every
+tolerance they read, and a writer. The acceptance checks call the same
 evaluators and rule functions. Each list of independent solves
 (sweep members, lifespan runs, free-wave phases, transport holdouts, and
 acceptance's linear-acoustics, splitting-order and transport-catalog runs)
@@ -310,10 +310,11 @@ def transport_initial_density(grid: Grid, seed: int = 0) -> Field:
 # ---------------------------------------------------------------------------
 # evaluators and rule functions
 
-# Pass-rule tolerances: the first three are read by the rule functions only,
-# the transport ones by ``drive_transport_log`` and ``acceptance``.
+# Pass-rule tolerances, read by the rule functions; ``acceptance`` reads the
+# transport ones also for the runs the driver does not make.
 FREE_WAVE_SPREAD_TOL = 2.0   # max/min of the eps^(1/4)-normalized free-wave values
 L4_SPREAD_TOL = 4.0          # max/min of the eps^(1/4)-normalized L4-in-time budgets
+ENERGY_GROWTH_TOL = 2.0      # fitted C of the L2 energy bound; at most 2 by symmetry
 CONTRACTION_TOL = 0.25       # smallest/largest sup-L2 gap to the incompressible limit
 ORACLE_GAP_TOL = 1e-3        # max |spectral - oracle| of a transport solve at n
 MASS_DRIFT_TOL = 1e-8        # relative mass drift of a transport solve
@@ -327,9 +328,8 @@ def snapshot_times(config: ExperimentConfig) -> list[float]:
 
 class SweepStudy:
     """What the checks on one eps sweep share, each part computed on first
-    use: the initial states, the weight profile and its lifespan model, the
-    incompressible reference, stored at ``times``, and the compressible
-    sweep.
+    use: the initial states, the weight profile, the incompressible
+    reference, stored at ``times``, and the compressible sweep.
 
     A study with no times runs the sweep alone. A study at ``times`` runs the
     reference first, on the calling thread, whose scratch its tendency reuses
@@ -356,10 +356,6 @@ class SweepStudy:
         return build_profile(self.config, self.initial_states)
 
     @cached_property
-    def model(self) -> asymptotics.LifespanModel:
-        return asymptotics.LifespanModel(self.profile, c0=self.config.c0)
-
-    @cached_property
     def reference(self):
         return reference_incompressible(self.config, self.initial_states, self.config.t_final,
                                         self.times)
@@ -377,17 +373,11 @@ class SweepStudy:
         return {e: run.ledger for e, run in self.sweep.items()}
 
 
-def free_wave_spread(free: dict[float, tuple[float, float, bool]]) -> float:
-    """Largest over smallest normalized value of a ``free_wave_normalized`` sweep."""
-    normalized = [v[1] for v in free.values()]
-    return max(normalized) / min(normalized)
-
-
 def evaluate_acoustic_decay(study: SweepStudy) -> tuple[asymptotics.AcousticDecayReport,
                                                         dict[float, tuple[float, float, bool]]]:
     """The sweep's windowed decay report, and the free-wave probe at p = inf
     over the same eps."""
-    return (asymptotics.check_acoustic_decay(study.ledgers, study.model, study.grid.box_length),
+    return (asymptotics.check_acoustic_decay(study.ledgers, study.profile, study.grid.box_length),
             free_wave_normalized(study.grid, study.config.eps, study.config.threads)[1])
 
 
@@ -395,7 +385,7 @@ def evaluate_incompressible_limit(study: SweepStudy) -> tuple[
         asymptotics.IncompressibleLimitReport, dict[float, np.ndarray]]:
     """The limit report over the study's times, and its per-eps L^2 gap series."""
     l2s, b2s = limit_error_series(study.sweep, study.times)
-    return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.model), l2s
+    return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.profile), l2s
 
 
 def acoustic_decay_rules(report: asymptotics.AcousticDecayReport,
@@ -403,34 +393,35 @@ def acoustic_decay_rules(report: asymptotics.AcousticDecayReport,
                          ledgers: dict[float, RunLedger]) -> list[CheckResult]:
     """The acoustic-decay pass rules on ``evaluate_acoustic_decay`` output and
     the sweep's ledgers: both budgets fall with eps, both eps^(1/4)-normalized
-    series stay within their spread, and each member's L^2 energy growth."""
-    spread = free_wave_spread(free)
+    series stay within their spread (the free wave's at p = inf, the norm
+    ``evaluate_acoustic_decay`` measures), and each member's L^2 energy growth."""
     rules = [
-        CheckResult("acoustic_decay.l1_monotone", report.a1_decreasing,
+        CheckResult("acoustic_decay.l1_monotone", strictly_decreasing(report.a1),
                     f"L1-in-time sup of (div v, grad c) per eps: {_fmts(report.a1)}"),
-        CheckResult("acoustic_decay.l4_monotone", report.a4_decreasing,
+        CheckResult("acoustic_decay.l4_monotone", strictly_decreasing(report.a4),
                     f"L4-in-time sup of (Qv, c) per eps: {_fmts(report.a4)}"),
         CheckResult("acoustic_decay.l4_scaling_spread",
                     report.a4_normalized_spread <= L4_SPREAD_TOL,
                     f"L4 values normalized by eps^(1/4) spread by "
                     f"x{_fmt(report.a4_normalized_spread)} (tolerance x{L4_SPREAD_TOL:g})"),
-        CheckResult("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
-                    f"normalized values spread by x{_fmt(spread)} "
-                    f"(tolerance x{FREE_WAVE_SPREAD_TOL:g})"),
+        *strichartz_rules(free, math.inf),
     ]
     for e in sorted(ledgers, reverse=True):
-        rep = asymptotics.check_energy_growth(ledgers[e])
-        rules.append(CheckResult(f"energy.l2_growth[eps={e:g}]", rep.l2_ok,
-                                 f"fitted C={_fmt(rep.c_l2)} (must be <= 2)"))
+        c_l2 = asymptotics.check_energy_growth(ledgers[e])
+        rules.append(CheckResult(f"energy.l2_growth[eps={e:g}]", c_l2 <= ENERGY_GROWTH_TOL,
+                                 f"fitted C={_fmt(c_l2)} (must be <= {ENERGY_GROWTH_TOL:g})"))
     return rules
 
 
 def strichartz_rules(free: dict[float, tuple[float, float, bool]], p: float) -> list[CheckResult]:
-    """The strichartz-sweep pass rule: the normalized free-wave spread."""
+    """The pass rule on a ``free_wave_normalized`` sweep at ``p``: its
+    normalized values spread by at most ``FREE_WAVE_SPREAD_TOL``."""
     r, _ = acoustic.strichartz_exponents(p)
-    spread = free_wave_spread(free)
+    normalized = [v[1] for v in free.values()]
+    spread = max(normalized) / min(normalized)
     return [CheckResult("strichartz.free_wave_scaling", spread <= FREE_WAVE_SPREAD_TOL,
-                        f"p={p:g}, r={r:g}: normalized spread x{_fmt(spread)}")]
+                        f"p={p:g}, r={r:g}: normalized values spread by x{_fmt(spread)} "
+                        f"(tolerance x{FREE_WAVE_SPREAD_TOL:g})")]
 
 
 def incompressible_limit_rules(report: asymptotics.IncompressibleLimitReport,
@@ -439,9 +430,9 @@ def incompressible_limit_rules(report: asymptotics.IncompressibleLimitReport,
     sup-in-time L^2 and B^2 gaps fall with eps, the smallest eps's L^2 gap
     contracts, and the double-exponential rate bound holds."""
     return [
-        CheckResult("incompressible_limit.l2_monotone", report.l2_decreasing,
+        CheckResult("incompressible_limit.l2_monotone", strictly_decreasing(report.sup_l2),
                     f"sup_t ||P v_eps - v||_L2 per eps: {_fmts(report.sup_l2)}"),
-        CheckResult("incompressible_limit.b2_monotone", report.b2_decreasing,
+        CheckResult("incompressible_limit.b2_monotone", strictly_decreasing(report.sup_b2),
                     f"sup_t ||P v_eps - v||_B2 per eps: {_fmts(report.sup_b2)}"),
         CheckResult("incompressible_limit.contraction",
                     report.smallest_over_largest <= CONTRACTION_TOL,
@@ -487,6 +478,57 @@ def evaluate_transport_velocity(f0: Field,
     return TransportRun(led, float(np.max(np.abs(fT.values() - oracle))),
                         float(np.max(np.abs(mass - mass[0]))) / max(abs(mass[0]), 1e-300),
                         growth)
+
+
+class TransportReport(NamedTuple):
+    """The growth-bound constant ``c_fit`` fitted on a calibration ledger and
+    that ledger's interpolation ratio; per holdout, its ``LogEstimateReport``
+    at ``c_fit`` and its interpolation ratio."""
+
+    c_fit: float
+    interp_cal: float
+    logs: list[transport.LogEstimateReport]
+    interps: list[float]
+
+
+def evaluate_transport_log(cal_ledger: RunLedger, runs: Sequence[TransportRun],
+                           ) -> TransportReport:
+    """The log-estimate report of a calibration ledger and holdout runs."""
+    c_fit = transport.fit_log_constant(cal_ledger)
+    return TransportReport(c_fit, asymptotics.interpolation_ratio(cal_ledger),
+                           [transport.evaluate_log_estimate(r.ledger, c_fit) for r in runs],
+                           [asymptotics.interpolation_ratio(r.ledger) for r in runs])
+
+
+def transport_rules(report: TransportReport, holdouts: Sequence[transport.SyntheticVelocity],
+                    runs: Sequence[TransportRun]) -> list[CheckResult]:
+    """The transport-log pass rules, per holdout in order: the growth bound
+    at the fitted constant holds, the solve agrees with the oracle and keeps
+    its mass, a divergence-free run keeps its range, and a finite positive
+    interpolation ratio stays within twice the calibration's."""
+    rules = []
+    for i, (vel, rep, run, ratio) in enumerate(zip(holdouts, report.logs, runs,
+                                                   report.interps)):
+        extra = " (divergence-free reduction)" if rep.div_free else ""
+        rules += [
+            CheckResult(f"transport.log_estimate[{i}]", rep.passed,
+                        f"max LHS/RHS = {_fmt(rep.max_ratio)} on {vel.name}{extra}"),
+            CheckResult(f"transport.oracle_agreement[{i}]", run.oracle_gap <= ORACLE_GAP_TOL,
+                        f"max |spectral - oracle| = {_fmt(run.oracle_gap)} on {vel.name}"),
+            CheckResult(f"transport.mass_conservation[{i}]", run.mass_drift <= MASS_DRIFT_TOL,
+                        f"relative mass drift {run.mass_drift:.3e}"),
+        ]
+        if run.range_growth is not None:
+            rules.append(CheckResult(f"transport.max_principle[{i}]",
+                                     run.range_growth <= MAX_PRINCIPLE_TOL,
+                                     f"interpolant range grew by {run.range_growth:.3e} of "
+                                     f"the initial range on {vel.name}"))
+        if math.isfinite(ratio) and ratio > 0:
+            rules.append(CheckResult(f"transport.interpolation[{i}]",
+                                     ratio <= 2.0 * max(report.interp_cal, 1e-12),
+                                     f"interpolation ratio {_fmt(ratio)} vs calibration "
+                                     f"{_fmt(report.interp_cal)}"))
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -581,38 +623,24 @@ def drive_transport_log(config: ExperimentConfig, summary: _Summary) -> None:
     cal_vel, holdouts = transport_catalog(grid.box_length)
     _, cal_ledger = transport.solve_transport_spectral(f0, cal_vel, config.t_final,
                                                        cfl=config.cfl, max_dt=config.max_dt)
-    c_fit = transport.fit_log_constant(cal_ledger)
-    summary.note(f"growth-bound constant fitted on {cal_vel.name}: C={_fmt(c_fit)} "
+    # noted before the holdout solves, so a holdout that stops short leaves it in the
+    # summary; evaluate_transport_log refits the same C from the same ledger
+    summary.note(f"growth-bound constant fitted on {cal_vel.name}: "
+                 f"C={_fmt(transport.fit_log_constant(cal_ledger))} "
                  "(smallest passing, x2 headroom)")
-    interp_cal = asymptotics.interpolation_ratio(cal_ledger)
     runs = map_solves(config.threads, lambda vel: evaluate_transport_velocity(
         f0, vel, config.t_final, config.cfl, config.max_dt), holdouts)
-    reps = [transport.evaluate_log_estimate(run.ledger, c_fit) for run in runs]
-    for i, (vel, rep, run) in enumerate(zip(holdouts, reps, runs)):
-        extra = " (divergence-free reduction)" if rep.div_free else ""
-        summary.check(f"transport.log_estimate[{i}]", rep.passed,
-                      f"max LHS/RHS = {_fmt(rep.max_ratio)} on {vel.name}{extra}")
-        summary.check(f"transport.oracle_agreement[{i}]", run.oracle_gap <= ORACLE_GAP_TOL,
-                      f"max |spectral - oracle| = {_fmt(run.oracle_gap)} on {vel.name}")
-        summary.check(f"transport.mass_conservation[{i}]", run.mass_drift <= MASS_DRIFT_TOL,
-                      f"relative mass drift {run.mass_drift:.3e}")
-        if run.range_growth is not None:
-            summary.check(f"transport.max_principle[{i}]",
-                          run.range_growth <= MAX_PRINCIPLE_TOL,
-                          f"interpolant range grew by {run.range_growth:.3e} of the "
-                          f"initial range on {vel.name}")
-        ratio = asymptotics.interpolation_ratio(run.ledger)
-        if math.isfinite(ratio) and ratio > 0:
-            summary.check(f"transport.interpolation[{i}]", ratio <= 2.0 * max(interp_cal, 1e-12),
-                          f"interpolation ratio {_fmt(ratio)} vs calibration {_fmt(interp_cal)}")
+    report = evaluate_transport_log(cal_ledger, runs)
+    for rule in transport_rules(report, holdouts, runs):
+        summary.check(*rule)
     out = config.out
     cal_ledger.to_csv(os.path.join(out, "ledger_transport_calibration.csv"), "calibration",
                       config_hash(config))
     _write_csv(os.path.join(out, "transport_compare.csv"),
                "velocity,log_ratio,oracle_diff,mass_drift",
                [(f'"{vel.name}"', rep.max_ratio, run.oracle_gap, run.mass_drift)
-                for vel, rep, run in zip(holdouts, reps, runs)])
-    for i, rep in enumerate(reps):
+                for vel, rep, run in zip(holdouts, report.logs, runs)])
+    for i, rep in enumerate(report.logs):
         _write_csv(os.path.join(out, f"plot_growth_ratio_holdout{i}.csv"), "t,lhs_over_bound",
                    zip(rep.times, rep.ratios))
 
@@ -638,11 +666,11 @@ def drive_lifespan_table(config: ExperimentConfig, summary: _Summary) -> None:
     lifespans = measure_lifespans(config)
     for rule in lifespan_rules(lifespans, config.t_cap):
         summary.check(*rule)
-    models = [asymptotics.LifespanModel(lp.named_profile(tag), c0=config.c0)
-              for tag in ("exp:1", "power:2")]
+    profiles = [lp.named_profile(tag) for tag in ("exp:1", "power:2")]
     _write_csv(os.path.join(config.out, "lifespan.csv"),
                "eps,t_num,censored,t_psi_exp1,t_psi_power2",
-               [(e, *lifespans[e], *(asymptotics.lifespan_prediction(m, e) for m in models))
+               [(e, *lifespans[e],
+                 *(asymptotics.lifespan_prediction(p, e, config.c0) for p in profiles))
                 for e in eps_desc])
     _write_csv(os.path.join(config.out, "plot_lifespan_vs_eps.csv"), "eps,t_num",
                [(e, lifespans[e][0]) for e in eps_desc])

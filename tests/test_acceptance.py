@@ -2,11 +2,12 @@
 
 Everything runs at the default ``selftest`` config (n = 256, high-resolution
 cross-checks at 512), so this file is the slow end of the suite; its
-independent solves run on two threads, and the shared Workbench caches the
-eps sweep and the reference run across tests. The checks call the experiment
-drivers' evaluators; fast tests pin the scale the checks resolve from the
-config, and the resolutions the transport lab visits and the tolerances its
-detail prints.
+independent solves run on two threads, and one shared ``SweepStudy`` at the
+config's snapshot times caches the eps sweep and the reference run across
+tests, as ``acceptance.run_all`` builds it. The checks call the experiment
+drivers' evaluators and rule functions; fast tests pin the scale the checks
+resolve from the config, and the resolutions the transport lab visits and
+the tolerances its own rules print.
 """
 
 import re
@@ -14,15 +15,19 @@ import re
 import pytest
 
 from machlab import acceptance, experiments, transport
-from machlab.config import SELFTEST_FIXED_HORIZON, ExperimentConfig
+from machlab.config import SELFTEST_FIXED_HORIZON, ExperimentConfig, selftest_n_hi
 from machlab.ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS, RunLedger
 
 SELFTEST = ExperimentConfig(experiment="selftest", threads=2)
 
 
+def _study(config: ExperimentConfig) -> experiments.SweepStudy:
+    return experiments.SweepStudy(config, experiments.snapshot_times(config))
+
+
 @pytest.fixture(scope="module")
 def bench():
-    return acceptance.Workbench(SELFTEST)
+    return _study(SELFTEST)
 
 
 def _report(result: acceptance.CheckResult) -> None:
@@ -74,11 +79,18 @@ def test_repeatability(bench):
     _report(acceptance.check_determinism(bench))
 
 
-def test_acceptance_scale_at_the_defaults():
-    bench = acceptance.Workbench(SELFTEST)
-    assert (bench.config.n, bench.n_hi) == (256, 512)
-    assert bench.config.eps == (0.2, 0.1, 0.05, 0.025)
-    life = bench.lifespan_config
+def test_acceptance_scale_at_the_defaults(monkeypatch):
+    assert (SELFTEST.n, selftest_n_hi(SELFTEST.n)) == (256, 512)
+    assert SELFTEST.eps == (0.2, 0.1, 0.05, 0.025)
+    measured = []
+
+    def lifespans(config):
+        measured.append(config)
+        return {1.0: (1.2, False), 0.5: (1.6, False), 0.25: (2.0, False)}
+
+    monkeypatch.setattr(experiments, "measure_lifespans", lifespans)
+    assert acceptance.check_lifespan_bookkeeping(_study(SELFTEST)).passed
+    [life] = measured
     assert life.eps == acceptance.LIFESPAN_EPS == (1.0, 0.5, 0.25)
     assert (life.amplitude, life.t_cap, life.blowup_factor) == (4.0, 4.0, 8.0)
     assert (acceptance.REFERENCE_T, acceptance.REFERENCE_MAX_DT) == (5.0, 0.05)
@@ -95,7 +107,7 @@ def test_splitting_order_builds_its_own_state_outside_the_sweep():
     # eps = 0.1 is not in this sweep, and a one-eps selftest config is not a valid run:
     # the check must build that one state without validating such a config
     config = ExperimentConfig(experiment="selftest", n=32, eps=(0.4, 0.2, 0.05))
-    result = acceptance.check_splitting_order(acceptance.Workbench(config))
+    result = acceptance.check_splitting_order(_study(config))
     assert result.passed, result.detail
 
 
@@ -121,10 +133,20 @@ def test_transport_cross_check_runs_only_above_n(monkeypatch, n, visited, passed
 
 
 def test_transport_detail_prints_the_tolerances_its_rule_reads(monkeypatch):
+    # each constant set to a value of its own, so a printed value names the constant read
+    for module, name, value in [(experiments, "ORACLE_GAP_TOL", 1.5e-3),
+                                (experiments, "MASS_DRIFT_TOL", 2.5e-8),
+                                (acceptance, "HI_ORACLE_GAP_TOL", 3.5e-4),
+                                (experiments, "MAX_PRINCIPLE_TOL", 4.5e-6)]:
+        monkeypatch.setattr(module, name, value)
     result, _ = _transport_lab_on_flat_runs(monkeypatch, 256)
+    # the driver's lines print no tolerance; the rules of selftest's own runs print theirs
+    printing = [line.split(":")[0] for line in result.detail.split("; ") if "(tol " in line]
+    assert printing == ["PASS transport.calibration_oracle_agreement",
+                        "PASS transport.calibration_mass_conservation",
+                        "FAIL transport.cross_check_at_n_hi"]
     printed = [float(x) for x in re.findall(r"\(tol ([^)]*)\)", result.detail)]
-    assert printed == [experiments.ORACLE_GAP_TOL, acceptance.HI_ORACLE_GAP_TOL,
-                       experiments.MASS_DRIFT_TOL, experiments.MAX_PRINCIPLE_TOL]
+    assert printed == [1.5e-3, 2.5e-8, 3.5e-4, 2.5e-8, 4.5e-6]
 
 
 def test_transport_cross_check_at_n_hi_records_only_the_columns_it_reads(monkeypatch):
@@ -135,8 +157,7 @@ def test_transport_cross_check_at_n_hi_records_only_the_columns_it_reads(monkeyp
         return experiments.TransportRun(_flat_ledger(), 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(experiments, "evaluate_transport_velocity", evaluate)
-    acceptance.check_transport_lab(
-        acceptance.Workbench(ExperimentConfig(experiment="selftest", n=256)))
+    acceptance.check_transport_lab(_study(ExperimentConfig(experiment="selftest", n=256)))
     assert columns == {256: {tuple(TRANSPORT_COLUMNS)}, 512: {tuple(TRANSPORT_MASS_COLUMNS)}}
 
 
@@ -151,6 +172,5 @@ def _transport_lab_on_flat_runs(monkeypatch, n):
         return experiments.TransportRun(_flat_ledger(), 5e-4, 0.0, 0.0)
 
     monkeypatch.setattr(experiments, "evaluate_transport_velocity", evaluate)
-    result = acceptance.check_transport_lab(
-        acceptance.Workbench(ExperimentConfig(experiment="selftest", n=n)))
+    result = acceptance.check_transport_lab(_study(ExperimentConfig(experiment="selftest", n=n)))
     return result, seen

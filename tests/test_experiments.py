@@ -434,6 +434,12 @@ def test_lifespans_need_no_monitor_row(monkeypatch):
 # each trend rule fails on a synthetic report that breaks only its property
 
 
+def _selftest_study(cfg: ExperimentConfig) -> experiments.SweepStudy:
+    """The study ``acceptance.run_all`` builds for ``cfg`` run as a selftest."""
+    config = with_overrides(cfg, experiment="selftest")
+    return experiments.SweepStudy(config, experiments.snapshot_times(config))
+
+
 def _flat_acoustic_ledger(level, l4_level, energy_rate) -> RunLedger:
     """Flat acoustic norms; vc_l2 grows as exp(energy_rate * int_div_v_linf)."""
     led = RunLedger(["div_v_linf", "grad_c_linf", "qv_linf", "c_linf", "div_v_b0", "vc_l2",
@@ -466,7 +472,7 @@ def test_acoustic_decay_rules_fail_on_a_broken_report(tmp_path, monkeypatch, bro
     ledgers = {e: _flat_acoustic_ledger(e, l4_level(e), energy_rate(e)) for e in eps}
 
     def synthetic(study):
-        report = asymptotics.check_acoustic_decay(study.ledgers, study.model,
+        report = asymptotics.check_acoustic_decay(study.ledgers, study.profile,
                                                   study.grid.box_length)
         return report, {e: (v * e**0.25, v, True) for e, v in zip(eps, free_normalized)}
 
@@ -478,7 +484,7 @@ def test_acoustic_decay_rules_fail_on_a_broken_report(tmp_path, monkeypatch, bro
     assert not passed
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         f"FAIL {failing}"], "\n".join(lines)
-    bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
+    bench = _selftest_study(cfg)
     result = acceptance.check_acoustic_decay_trend(bench)
     assert not result.passed and f"FAIL {failing}:" in result.detail, result.detail
 
@@ -507,7 +513,7 @@ def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatc
         s = np.asarray(study.times) / study.times[-1]
         l2s = {e: l2_gap(e, s) for e in study.config.eps}
         b2s = {e: b2_gap(e, s) for e in study.config.eps}
-        return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.model), l2s
+        return asymptotics.check_incompressible_limit(study.times, l2s, b2s, study.profile), l2s
 
     monkeypatch.setattr(experiments, "evaluate_incompressible_limit", synthetic)
     cfg = ExperimentConfig(experiment="incompressible-limit", n=32, eps=(0.4, 0.2, 0.1),
@@ -517,7 +523,7 @@ def test_incompressible_limit_rules_fail_on_a_broken_report(tmp_path, monkeypatc
     assert not passed
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
         f"FAIL {failing}"], "\n".join(lines)
-    bench = acceptance.Workbench(with_overrides(cfg, experiment="selftest"))
+    bench = _selftest_study(cfg)
     result = acceptance.check_incompressible_limit_trend(bench)
     assert not result.passed and f"FAIL {failing}:" in result.detail, result.detail
 
@@ -543,6 +549,56 @@ def test_lifespans_grow_only_if_every_run_blew_up_and_t_num_strictly_increases(
     verdict = "PASS" if grows else "FAIL"
     assert passed is grows
     assert f"{verdict} lifespan.t_num_increasing" in {line.split(":")[0] for line in lines}
-    result = acceptance.check_lifespan_bookkeeping(
-        acceptance.Workbench(with_overrides(cfg, experiment="selftest")))
+    result = acceptance.check_lifespan_bookkeeping(_selftest_study(cfg))
     assert result.passed is grows, result.detail
+
+
+def _flat_transport_run(vel, gap=0.0, drift=0.0, growth=0.0, f_b0_late=1.0, div_b12=1.0):
+    """A catalog run with flat ledger columns, div v zero on a divergence-free
+    velocity (whose run alone measures its range growth, as a real run does),
+    and f_b0 at ``f_b0_late`` after t = 0."""
+    div_free = vel.name.startswith("shear(")
+    div = 0.0 if div_free else 1.0
+    led = RunLedger(TRANSPORT_COLUMNS)
+    for t in (0.0, 0.025, 0.05):
+        led.append(t, f_mass=1.0, f_b0=1.0 if t == 0.0 else f_b0_late, grad_v_linf=1.0,
+                   div_v_linf=div, div_v_b0=div, div_v_b12=div * div_b12, div_v_b1=div)
+    return experiments.TransportRun(led, gap, drift, growth if div_free else None)
+
+
+# broken property -> (holdout, what its run at n reads, failing line); holdout 3 is
+# the catalog's divergence-free shear
+_TRANSPORT_BREAKS = {
+    "log estimate above 1": (0, dict(f_b0_late=10.0), "transport.log_estimate[0]"),
+    "oracle gap above its tolerance": (1, dict(gap=2.0 * experiments.ORACLE_GAP_TOL),
+                                       "transport.oracle_agreement[1]"),
+    "mass drift above its tolerance": (2, dict(drift=2.0 * experiments.MASS_DRIFT_TOL),
+                                       "transport.mass_conservation[2]"),
+    "range growth above its tolerance": (3, dict(growth=2.0 * experiments.MAX_PRINCIPLE_TOL),
+                                         "transport.max_principle[3]"),
+    "interpolation ratio above twice the calibration's": (0, dict(div_b12=3.0),
+                                                          "transport.interpolation[0]"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_TRANSPORT_BREAKS))
+def test_transport_rules_fail_on_a_broken_run(tmp_path, monkeypatch, broken):
+    index, fields, failing = _TRANSPORT_BREAKS[broken]
+    cfg = ExperimentConfig(experiment="transport-log", n=32, t_final=0.05,
+                           out=str(tmp_path / "out"))
+    name = transport_catalog(cfg.box_length)[1][index].name
+
+    def flat(f0, vel, t_final, cfl, max_dt, monitor=None):
+        # selftest's pass at n_hi stays flat
+        return _flat_transport_run(vel, **(fields if (vel.name, f0.grid.n) == (name, 32)
+                                           else {}))
+
+    monkeypatch.setattr(experiments, "evaluate_transport_velocity", flat)
+    passed, lines = run_experiment(cfg)
+    assert not passed
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        f"FAIL {failing}"], "\n".join(lines)
+    result = acceptance.check_transport_lab(_selftest_study(cfg))
+    assert not result.passed
+    assert [line.split(":")[0] for line in result.detail.split("; ")
+            if line.startswith("FAIL")] == [f"FAIL {failing}"], result.detail
