@@ -13,6 +13,12 @@ advective CFL condition. The Strang composition
 
 is second order in dt and conserves the per-mode acoustic energy of the
 linear flow to rounding.
+
+The state is dealiased, so its modes lie in the first ``grid.band`` columns
+of the half spectrum. A step works on (3, n, band) stacks in this thread's
+scratch and writes the modes inside the dealias disk of its result, and
+``run`` steps one state in place: a step allocates no array of the grid's
+size, and neither do ``cfl_dt`` and ``blowup_row``.
 """
 
 from __future__ import annotations
@@ -69,32 +75,35 @@ class Blowup(spectral.RunEnded):
         self.step = step
 
 
-def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Quadratic tendencies of (vx, vy, c), dealiased, as one (3, n, n/2 + 1) array:
+def rhs_nonlinear(grid: spectral.Grid, u: np.ndarray, gamma_bar: float,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Quadratic tendencies of (vx, vy, c), dealiased, on the dealias band:
 
     f = -(v.grad) v - gamma_bar c grad c
     g = -(v.grad) c - gamma_bar c div v
 
-    Written into ``out`` when it is given, else into a new array. The state
-    must be dealiased: the inverse reads its first ``grid.band`` columns
-    only. The transforms run in this thread's scratch.
+    ``u`` is the (3, n, c) mode stack of a dealiased state, c >= ``grid.band``;
+    only its first ``grid.band`` columns are read. The tendencies are the
+    (3, n, band) stack of their first ``grid.band`` columns (every later
+    column is zero), written into ``out`` when it is given, else into a new
+    array. The transforms run in this thread's scratch.
     """
-    g = state.grid
-    u = state.modes[..., :g.band]  # the state is dealiased
+    band = grid.band
+    u = u[..., :band]
     if out is None:
-        out = np.empty_like(state.modes)
-    buf = spectral.scratch(g.n)
+        out = np.empty_like(u)
+    buf = spectral.scratch(grid.n)
     # one inverse of 9 planes: (vx, vy, c), their x derivatives, their y derivatives
-    stack = buf.modes(9, g.band)
+    stack = buf.modes(9, band)
     stack[:3] = u
-    np.multiply(1j * g.kx, u, out=stack[3:6])
-    np.multiply(1j * g.ky[:, :g.band], u, out=stack[6:9])
+    np.multiply(1j * grid.kx, u, out=stack[3:6])
+    np.multiply(1j * grid.ky[:, :band], u, out=stack[6:9])
     samples = buf.samples(10)
     spectral.to_samples(stack, out=samples[:9])
     vx, vy, gc = samples[:3]
     dx, dy, div_v = samples[3:6], samples[6:9], samples[9]
     np.add(dx[0], dy[1], out=div_v)
-    gc *= state.gamma_bar
+    gc *= gamma_bar
     # tendency i = -(vx dx_i + vy dy_i) - gamma_bar c coupling_i, formed over dx_i;
     # dy_i is free once read, and each coupling plane is read before it is overwritten
     for i, coupling in enumerate((dx[2], dy[2], div_v)):
@@ -102,18 +111,23 @@ def rhs_nonlinear(state: FlowState, out: Optional[np.ndarray] = None) -> np.ndar
         np.add(dx[i], np.multiply(vy, dy[i], out=dy[i]), out=dx[i])
         np.negative(dx[i], out=dx[i])
         np.subtract(dx[i], np.multiply(gc, coupling, out=dy[i]), out=dx[i])
-    return spectral.to_dealiased_modes(g, dx, out=out)
+    return spectral.to_dealiased_modes(grid, dx, out=out)
 
 
 def _rotation(grid: spectral.Grid, dt: float, eps: float) -> tuple[np.ndarray, ...]:
-    """cos(theta), sin(theta) with theta = |k| dt / eps, each evaluated once per
-    distinct |k| (``spectral.kmag_cos_sin``), and the unit wavevector."""
-    cos_t, sin_t = spectral.kmag_cos_sin(grid, dt / eps)
-    return cos_t, sin_t, grid.khat
+    """cos(theta), sin(theta) with theta = |k| dt / eps on the dealias band,
+    each evaluated once per distinct |k| (``spectral.kmag_cos_sin``) into
+    this thread's scratch, and the unit wavevector there."""
+    cos_t, sin_t = spectral.kmag_cos_sin(grid, dt / eps,
+                                         spectral.scratch(grid.n).multipliers(2, grid.band))
+    return cos_t, sin_t, grid.khat[..., :grid.band]
 
 
-def acoustic_exact_step(state: FlowState, dt: float, rotation=None) -> FlowState:
-    """Exact flow of the stiff linear part over dt.
+def acoustic_exact_step(u: np.ndarray, rotation, out: np.ndarray) -> np.ndarray:
+    """Exact flow of the stiff linear part over dt, on the first c columns
+    of a (vx, vy, c) mode stack: ``u`` and ``out`` are (3, n, c) and must not
+    overlap, and ``rotation`` is ``_rotation(grid, dt, eps)`` (tables at
+    least c columns wide).
 
     Per mode, with a the component of the velocity coefficient along the unit
     wavevector and b the sound speed coefficient, the update is the rotation
@@ -122,53 +136,69 @@ def acoustic_exact_step(state: FlowState, dt: float, rotation=None) -> FlowState
         b' = b cos(theta) - i a sin(theta),    theta = |k| dt / eps.
 
     The divergence-free velocity part and the zero mode are untouched, and
-    |a|^2 + |b|^2 is conserved mode by mode. ``rotation`` is
-    ``_rotation(grid, dt, eps)`` when the caller already holds it; the
-    temporaries live in this thread's scratch and the returned state is new.
+    |a|^2 + |b|^2 is conserved mode by mode. The result is written into
+    ``out``; the temporaries live in this thread's scratch.
     """
-    g = state.grid
-    cos_t, sin_t, khat = rotation if rotation is not None else _rotation(g, dt, state.eps)
-    v, b = state.modes[:2], state.modes[2]
-    modes = np.empty_like(state.modes)
-    a, a2, tmp = spectral.scratch(g.n).modes(3)
+    n, c = u.shape[-2:]
+    cos_t, sin_t, khat = (table[..., :c] for table in rotation)
+    v, b = u[:2], u[2]
+    a, a2, tmp = spectral.scratch(n).modes(3, c)
     np.add(np.multiply(khat[0], v[0], out=a), np.multiply(khat[1], v[1], out=tmp), out=a)
     # a2 = a cos - (i b) sin and b2 = b cos - (i a) sin, each term in that order
     np.subtract(np.multiply(a, cos_t, out=a2),
                 np.multiply(np.multiply(1j, b, out=tmp), sin_t, out=tmp), out=a2)
-    np.subtract(np.multiply(b, cos_t, out=modes[2]),
-                np.multiply(np.multiply(1j, a, out=tmp), sin_t, out=tmp), out=modes[2])
-    np.multiply(np.subtract(a2, a, out=a2), khat, out=modes[:2])
-    np.add(v, modes[:2], out=modes[:2])
-    return replace(state, modes=modes)
+    np.subtract(np.multiply(b, cos_t, out=out[2]),
+                np.multiply(np.multiply(1j, a, out=tmp), sin_t, out=tmp), out=out[2])
+    np.multiply(np.subtract(a2, a, out=a2), khat, out=out[:2])
+    np.add(v, out[:2], out=out[:2])
+    return out
 
 
 def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     """Advective step size: the fast linear part is integrated exactly, so
-    only |v| and the quadratic sound speed coupling constrain dt."""
+    only |v| and the quadratic sound speed coupling constrain dt. The sups
+    are taken in place in this thread's scratch."""
     g = state.grid  # the state is dealiased
     samples = spectral.to_samples(state.modes[..., :g.band], out=spectral.scratch(g.n).samples(3))
-    v_max = float(np.max(spectral.magnitude(samples[:2])))
-    c_max = float(np.max(np.abs(samples[2])))
+    vx, vy, c = samples
+    # the sup of sqrt(vx^2 + vy^2) is the square root of the sup of the sum
+    v_max = math.sqrt(np.max(np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy),
+                                    out=vx)))
+    c_max = float(np.max(np.abs(c, out=c)))
     return spectral.advective_dt(state.grid, v_max + state.gamma_bar * c_max,
                                  config.cfl, config.max_dt)
 
 
-def _nonlinear_rk4(state: FlowState, dt: float) -> FlowState:
-    def deriv(u: np.ndarray, t: float, out: np.ndarray) -> None:
-        rhs_nonlinear(replace(state, modes=u), out)
+def step(state: FlowState, config: StepperConfig, dt: float,
+         out: Optional[np.ndarray] = None) -> FlowState:
+    """One Strang step of size dt of a dealiased state, on the dealias band.
 
-    # the quadratic terms do not depend on time, so the stage times are never read
-    return replace(state, modes=spectral.rk4(deriv, state.modes, 0.0, dt))
-
-
-def step(state: FlowState, config: StepperConfig, dt: float) -> FlowState:
-    """One Strang step of size dt."""
-    rotation = _rotation(state.grid, 0.5 * dt, state.eps)  # shared by both half steps
-    half = acoustic_exact_step(state, 0.5 * dt, rotation)
+    The stages run on the first ``grid.band`` columns in this thread's
+    scratch: both half steps share one rotation, and the RK4 of the
+    quadratic terms writes into its own stage array. The result goes into
+    the modes inside the dealias disk of ``out``, a (3, n, n/2 + 1) array
+    whose other entries must be zero (``state.modes`` itself, for a step in
+    place), and the returned state holds ``out``; without ``out`` it holds
+    a new array.
+    """
+    g = state.grid
+    band = g.band
+    if out is None:
+        out = np.zeros_like(state.modes)
+    buf = spectral.scratch(g.n)
+    rotation = _rotation(g, 0.5 * dt, state.eps)  # shared by both half steps
+    half = acoustic_exact_step(state.modes[..., :band], rotation, buf.state(band))
+    stage = buf.rk4_work(half)[2]
     if not config.disable_nonlinear:
-        half = _nonlinear_rk4(half, dt)
-    full = acoustic_exact_step(half, 0.5 * dt, rotation)
-    return spectral.dealias(full)
+        def deriv(u: np.ndarray, t: float, k: np.ndarray) -> None:
+            rhs_nonlinear(g, u, state.gamma_bar, k)
+
+        # the quadratic terms do not depend on time, so the stage times are never read;
+        # the RK4 result lands in its stage array, and the state stack is free again
+        half, stage = spectral.rk4(deriv, half, 0.0, dt, out=stage), half
+    full = acoustic_exact_step(half, rotation, stage)
+    np.copyto(out[..., :band], full, where=g.dealias_mask[:, :band])
+    return replace(state, modes=out)
 
 
 def monitor_row(state: FlowState) -> dict[str, float]:
@@ -223,7 +253,8 @@ def blowup_row(state: FlowState) -> dict[str, float]:
 
     A non-finite mode of any component makes ``vc_b2`` non-finite (a zero
     partition weight times inf is NaN), so a state that trips a full monitor
-    row trips this one too, at the same step.
+    row trips this one too, at the same step. Both work in this thread's
+    scratch, so a row allocates no array of the grid's size.
     """
     g = state.grid  # the state is dealiased
     return {
@@ -247,15 +278,24 @@ def _check_blowup(t: float, row: dict[str, float], step_no: int,
             raise Blowup(t, f"{k} {row[k]:.3e} over threshold", k, step_no)
 
 
+def _copy_state(state: FlowState, t: float) -> FlowState:
+    """``spectral.keep_state`` for a run that steps its state in place."""
+    return replace(state, modes=state.modes.copy())
+
+
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
         monitor=MONITOR, capture=spectral.keep_state,
         ) -> tuple[FlowState, RunLedger, dict]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
-    ``snapshot_times`` are hit exactly (dt is clipped); the returned dict maps
-    each requested time t to ``capture(state, t)`` of the state there, the
-    state itself by default (see ``spectral.integrate``). ``monitor`` keeps
+    The run steps one state in place (``step`` into its own modes): the
+    ``spectral.dealias`` copy of ``initial``, which is never written. That
+    copy is the returned final state. ``snapshot_times`` are hit exactly (dt
+    is clipped); the returned dict maps each requested time t to
+    ``capture(state, t)`` of the state there, a copy of the state by default
+    (see ``spectral.integrate``). Any other ``capture`` sees the live state,
+    which later steps overwrite, so it must not keep it. ``monitor`` keeps
     every column (``MONITOR``) or the two of ``blowup_row`` (``BLOWUP_MONITOR``);
     a run trips at the same step and time with either, though the column it
     names may differ. A ``Blowup``, and a stop short of t_final
@@ -263,7 +303,9 @@ def run(initial: FlowState, t_final: float, config: StepperConfig,
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
+    if capture is spectral.keep_state:
+        capture = _copy_state
     return spectral.integrate(
         spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
-        lambda s, t, dt: step(s, config, dt), monitor, snapshot_times or (), capture,
+        lambda s, t, dt: step(s, config, dt, s.modes), monitor, snapshot_times or (), capture,
         lambda t, row, step_no: _check_blowup(t, row, step_no, config))

@@ -156,7 +156,7 @@ def measure_lifespans(config: ExperimentConfig) -> dict[float, tuple[float, bool
 
     def one(eps: float) -> tuple[float, bool]:
         state = states[eps]
-        g0 = spectral.jacobian_sup(state.grid, state.modes[:2])  # full width, see ROADMAP item 18
+        g0 = spectral.jacobian_sup(state.grid, state.modes[:2, :, :state.grid.band])
         stepper = compressible.StepperConfig(
             cfl=config.cfl, max_dt=config.max_dt,
             blowup_grad_linf=config.blowup_factor * max(g0, 1e-12),

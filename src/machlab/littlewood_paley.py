@@ -44,15 +44,23 @@ def per_block(grid: Grid, modes: np.ndarray, reduce: Callable[[np.ndarray], obje
 def block_norms(f, p: float) -> np.ndarray:
     """||Delta_q f||_p for q = -1 .. q_max; the components of a stack jointly.
 
-    For p = 2 the norms are evaluated in mode space via Parseval, which keeps
-    per-step diagnostics cheap; other p go through real space, one block at a
-    time (``per_block``).
+    For p = 2 the norms are evaluated in mode space via Parseval, at full
+    width in this thread's scratch, which keeps per-step diagnostics cheap;
+    other p go through real space, one block at a time (``per_block``).
     """
     grid = f.grid
     modes = f.modes.reshape((-1,) + grid.modes_shape)
     if p == 2.0:
-        power = grid.parseval_weight * np.sum(np.abs(modes) ** 2, axis=0)
-        return grid.box_length * np.sqrt(np.sum(grid.blocks**2 * power, axis=(1, 2)))
+        # power = weight * (|m_0|^2 + |m_1|^2 + ...), summed plane by plane in the
+        # order of a sum over the plane axis, then the sum of block^2 * power per block
+        power, mag, weighted = spectral.scratch(grid.n).multipliers(3)
+        np.square(np.abs(modes[0], out=power), out=power)
+        for plane in modes[1:]:
+            power += np.square(np.abs(plane, out=mag), out=mag)
+        np.multiply(grid.parseval_weight, power, out=power)
+        sums = [np.sum(np.multiply(np.square(block, out=weighted), power, out=weighted))
+                for block in grid.blocks]
+        return grid.box_length * np.sqrt(sums)
     return per_block(grid, modes,
                      lambda s: spectral.plane_norms(spectral.magnitude(s), p, grid.cell_area))
 

@@ -18,7 +18,8 @@ take the pointwise magnitude over all its components. ``FlowState`` is the
 
 Every transform goes through ``to_modes``/``to_samples``, which act on the
 last two axes, so stacks of fields transform in one batched call. Hot paths
-pass ``out=`` arrays from ``scratch``, the per-thread work buffers.
+pass ``out=`` arrays from ``scratch``, the per-thread work buffers, and the
+two-pass transforms run three planes at a time through its column buffer.
 
 The solvers keep their fields inside the dealias disk, whose modes lie in
 the first ``Grid.band`` = n//3 + 1 of the n/2 + 1 columns. ``to_samples``
@@ -26,9 +27,10 @@ takes a half spectrum cut to its first c columns, the missing columns
 meaning zero, and runs its column pass on those c columns only; callers
 whose input is dealiased by construction pass ``modes[..., :grid.band]``.
 ``to_dealiased_modes`` is the forward transform followed by the dealias
-mask, with its column pass on the band only. Both give the full-width
-results bit for bit. All transforms call numpy's N-D entry points
-(``rfftn``, ``irfftn``, ``fftn``, ``ifftn``) with ``axes=``.
+mask, with its column pass on the band only, into an output of every
+column or of the band only. Both give the full-width results bit for bit.
+All transforms call numpy's N-D entry points (``rfftn``, ``irfftn``,
+``fftn``, ``ifftn``) with ``axes=``.
 Derivatives, inverse operators, and the Leray projectors are exact Fourier
 multipliers; quadrature norms use the uniform cell weight ``(box_length/n)**2``.
 The dyadic partition of the Littlewood-Paley blocks is a table of the grid,
@@ -64,19 +66,29 @@ def to_samples(modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     into ``out`` when it is given.
 
     ``modes`` may be cut to its first c <= n/2 + 1 columns, the missing
-    columns being zero. The column pass (``ifftn`` over axis -2) runs on those
-    c columns into a full-width array whose other columns are zeroed, and the
-    row pass (``irfftn`` over axis -1) inverts that, so the samples equal
-    those of the full-width spectrum bit for bit. These are the two passes
-    ``irfftn`` over both axes takes. (Handing ``irfftn`` the c columns to pad
-    itself gives the same samples, but its row pass then runs slower than at
-    full width.)
+    columns being zero. Three planes at a time, the column pass (``ifftn``
+    over axis -2) runs on those c columns into this thread's column buffer
+    (``Scratch.columns``), whose other columns are zeroed, and the row pass
+    (``irfftn`` over axis -1) inverts that into ``out``. These are the two
+    passes ``irfftn`` over both axes takes, and each plane is transformed on
+    its own, so the samples equal those of the full-width spectrum bit for
+    bit. (Handing ``irfftn`` the c columns to pad itself gives the same
+    samples, but its row pass then runs slower than at full width.) ``out``
+    is written in place, so its leading axes must flatten without a copy.
     """
     n, c = modes.shape[-2:]
-    columns = np.empty(modes.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(modes.shape[:-1] + (n,))
+    planes = modes.reshape((-1, n, c))
+    samples = np.reshape(out, (-1, n, n), copy=False)
+    columns = scratch(n).columns(len(planes))
     columns[..., c:] = 0.0
-    np.fft.ifftn(modes, axes=(-2,), norm="forward", out=columns[..., :c])
-    return np.fft.irfftn(columns, s=(n,), axes=(-1,), norm="forward", out=out)
+    for i in range(0, len(planes), len(columns)):
+        chunk = planes[i:i + len(columns)]
+        m = len(chunk)
+        np.fft.ifftn(chunk, axes=(-2,), norm="forward", out=columns[:m, :, :c])
+        np.fft.irfftn(columns[:m], s=(n,), axes=(-1,), norm="forward", out=samples[i:i + m])
+    return out
 
 
 def to_dealiased_modes(grid: "Grid", samples: np.ndarray,
@@ -84,15 +96,26 @@ def to_dealiased_modes(grid: "Grid", samples: np.ndarray,
     """``to_modes`` of ``samples`` with every mode outside the dealias disk
     zeroed, bit for bit; written into ``out`` when it is given.
 
-    The row pass (``rfftn`` over axis -1) fills every column, and the column
-    pass (``fftn`` over axis -2) runs on the first ``grid.band`` columns only,
-    in place; the columns past the band are zeroed.
+    ``out`` holds either every column or only the first ``grid.band``, which
+    hold the disk. Three planes at a time, the row pass (``rfftn`` over axis
+    -1) fills this thread's column buffer (``Scratch.columns``), and the
+    column pass (``fftn`` over axis -2) runs on its first ``grid.band``
+    columns only, into ``out``; any columns of ``out`` past the band are
+    zeroed. ``out`` is written in place, as in ``to_samples``.
     """
-    out = np.fft.rfftn(samples, axes=(-1,), norm="forward", out=out)
-    band = out[..., :grid.band]
-    np.fft.fftn(band, axes=(-2,), norm="forward", out=band)
-    out[..., grid.band:] = 0.0
-    np.copyto(band, 0.0, where=~grid.dealias_mask[:, :grid.band])
+    n, band = grid.n, grid.band
+    if out is None:
+        out = np.empty(samples.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    planes = samples.reshape((-1, n, n))
+    modes = np.reshape(out, (-1, n, out.shape[-1]), copy=False)
+    rows = scratch(n).columns(len(planes))
+    for i in range(0, len(planes), len(rows)):
+        chunk = planes[i:i + len(rows)]
+        m = len(chunk)
+        np.fft.rfftn(chunk, axes=(-1,), norm="forward", out=rows[:m])
+        np.fft.fftn(rows[:m, :, :band], axes=(-2,), norm="forward", out=modes[i:i + m, :, :band])
+    modes[..., band:] = 0.0
+    np.copyto(modes[..., :band], 0.0, where=~grid.dealias_mask[:, :band])
     return out
 
 
@@ -100,7 +123,11 @@ class Scratch:
     """Work arrays of one thread for one grid size, kept from call to call.
 
     Their contents are garbage on entry. No array that is returned, stored in
-    a state or kept in a snapshot may alias them.
+    a state or kept in a snapshot may alias them. Each kind is one buffer:
+    ``modes``, ``multipliers``, ``samples`` and ``rk4_work`` for the callers'
+    stacks, ``columns`` for the transforms' column passes and ``state`` for
+    a compressible step between its stages, so a caller may hand a stack of
+    one kind to a function that takes another.
     """
 
     def __init__(self, n: int):
@@ -134,6 +161,17 @@ class Scratch:
         """The RK4 work arrays (acc, k, stage) shaped like ``u``; only the last
         dtype's are kept."""
         return self._take("rk4", (3,) + u.shape, u.dtype)
+
+    def columns(self, planes: int) -> np.ndarray:
+        """The (min(planes, 3), n, n/2 + 1) complex stack that ``to_samples``
+        and ``to_dealiased_modes`` pass their planes through, three at a
+        time."""
+        return self._take("columns", (min(planes, 3), self.n, self.n // 2 + 1), np.complex128)
+
+    def state(self, columns: int) -> np.ndarray:
+        """A (3, n, columns) complex stack: a state between two stages of a
+        step (``compressible.step``)."""
+        return self._take("state", (3, self.n, columns), np.complex128)
 
 
 _THREAD = threading.local()
@@ -207,7 +245,8 @@ class Grid:
     with the grid. The tables that only some runs read are built on first
     read: ``kvec`` stacks kx and ky to (2, n, n/2 + 1), ``khat`` is the unit
     wavevector ``kvec * inv_kmag`` (zero at k = 0), ``k2`` is |k|^2,
-    ``inv_k2`` and ``inv_kmag`` are 1/|k|^2 and 1/|k| (zero at k = 0), and
+    ``inv_k2`` and ``inv_kmag`` are 1/|k|^2 and 1/|k| (zero at k = 0),
+    ``band_kmag_index`` is ``kmag_index`` on the ``band`` columns, and
     ``blocks`` and ``block_columns`` hold the dyadic partition.
 
     The 2/3-rule dealiasing cutoff is radial:
@@ -273,6 +312,12 @@ class Grid:
         out[nz] = 1.0 / self.kmag[nz]
         return out
 
+    @cached_property
+    def band_kmag_index(self) -> np.ndarray:
+        """``kmag_index`` on the first ``band`` columns, contiguous, so that a
+        gather from it needs no copy of the index."""
+        return np.ascontiguousarray(self.kmag_index[:, :self.band])
+
     @property
     def band(self) -> int:
         """The number of leading half-spectrum columns that hold the dealias
@@ -330,20 +375,21 @@ class Grid:
         return tuple(int(np.flatnonzero(row)[-1]) + 1 for row in occupied)
 
 
-def kmag_cos_sin(grid: Grid, scale: float) -> np.ndarray:
-    """The (2, n, n/2 + 1) stack (cos, sin) of theta = |k| * scale on the
-    half table, for the compressible solver's exact acoustic step.
+def kmag_cos_sin(grid: Grid, scale: float, out: np.ndarray) -> np.ndarray:
+    """The (2, n, band) stack (cos, sin) of theta = |k| * scale on the first
+    ``grid.band`` columns of the half table, written into ``out``, for the
+    compressible solver's exact acoustic step.
 
     Many modes share one |k|, so the cos and sin are evaluated once per
-    distinct |k| (``grid.kmag_levels``) and gathered by ``grid.kmag_index``;
-    each theta is the same float product as ``grid.kmag * scale``, so the
-    result equals ``np.cos``/``np.sin`` of that table bit for bit.
+    distinct |k| (``grid.kmag_levels``) and gathered by
+    ``grid.band_kmag_index``; each theta is the same float product as
+    ``grid.kmag * scale``, so the result equals ``np.cos``/``np.sin`` of that
+    table's band columns bit for bit.
     """
-    out = np.empty((2,) + grid.modes_shape)
     theta = grid.kmag_levels * scale
     # the index is in range by construction; mode="clip" spares np.take a copy of out
-    np.take(np.cos(theta), grid.kmag_index, out=out[0], mode="clip")
-    np.take(np.sin(theta), grid.kmag_index, out=out[1], mode="clip")
+    np.take(np.cos(theta), grid.band_kmag_index, out=out[0], mode="clip")
+    np.take(np.sin(theta), grid.band_kmag_index, out=out[1], mode="clip")
     return out
 
 
@@ -484,25 +530,34 @@ def l2_norm(f) -> float:
 
 
 def jacobian_sup(grid: Grid, v: np.ndarray) -> float:
-    """Largest sup norm over the four entries of grad v, from one batched inverse.
+    """Largest sup norm over the four entries of grad v, from one batched
+    inverse in this thread's scratch.
 
     ``v`` is the (2, n, c) half spectrum of the velocity, cut to its first c
     columns as ``to_samples`` allows: a caller whose velocity is dealiased
-    passes ``modes[..., :grid.band]``, any other the full width.
+    passes ``modes[..., :grid.band]``, any other the full width. It must not
+    lie in this thread's scratch.
     """
     c = v.shape[-1]
-    return float(np.max(np.abs(to_samples(1j * grid.kvec[:, None, :, :c] * v[None]))))
+    buf = scratch(grid.n)
+    jac = buf.modes(4, c).reshape((2, 2, grid.n, c))  # jac[i, j] = d_i v_j
+    np.multiply(np.multiply(grid.kvec[:, None, :, :c], 1j, out=jac), v[None], out=jac)
+    samples = to_samples(jac, out=buf.samples(4))
+    return float(np.max(np.abs(samples, out=samples)))
 
 
-def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
+def rk4(tendency, u: np.ndarray, t: float, dt: float, out: np.ndarray | None = None
+        ) -> np.ndarray:
     """One classical RK4 step of du/dt = tendency(u, t): the only RK4 of the
     three solvers and the transport oracle. ``u`` is a mode array, or a real
     array whose second-to-last axis has n points (the oracle's feet).
 
     ``tendency(u, t, out)`` writes its value into ``out``. The stages live in
-    this thread's scratch, and the returned array is new. The sum runs in the
-    order ((k1 + 2 k2) + 2 k3) + k4, then times dt/6, then plus u, so the
-    result is bit for bit that of the textbook expression.
+    this thread's scratch. The result is written into ``out`` when it is
+    given, which may be the stage array ``scratch(n).rk4_work(u)[2]``, free
+    once the fourth stage is read; else the returned array is new. The sum
+    runs in the order ((k1 + 2 k2) + 2 k3) + k4, then times dt/6, then plus
+    u, so the result is bit for bit that of the textbook expression.
     """
     acc, k, stage = scratch(u.shape[-2]).rk4_work(u)
     tendency(u, t, acc)
@@ -515,7 +570,7 @@ def rk4(tendency, u: np.ndarray, t: float, dt: float) -> np.ndarray:
     acc += np.multiply(2.0, k, out=k)
     tendency(stage, t + dt, k)
     acc += k
-    return u + np.multiply(dt / 6.0, acc, out=acc)
+    return np.add(u, np.multiply(dt / 6.0, acc, out=acc), out=out)
 
 
 def advective_dt(grid: Grid, speed: float, cfl: float, max_dt: float) -> float:

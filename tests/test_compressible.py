@@ -3,13 +3,16 @@
 import math
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from machlab import compressible, incompressible, spectral
+from machlab import littlewood_paley as lp
 from machlab.compressible import Blowup, StepperConfig
-from machlab.initial_data import make_initial_data
+from machlab.initial_data import KNOWN_DATA, make_initial_data
 
 
 def small_state(grid, eps=0.1, amplitude=0.5, seed=0):
@@ -21,9 +24,20 @@ def state_norm(a, b):
     return spectral.l2_norm(spectral.sub(a, b))
 
 
+def acoustic_state(state, dt, rotation=None):
+    """The exact acoustic step of a dealiased state as a new state: the
+    kernel's band columns, zero past them."""
+    g = state.grid
+    if rotation is None:
+        rotation = compressible._rotation(g, dt, state.eps)
+    modes = np.zeros_like(state.modes)
+    compressible.acoustic_exact_step(state.modes[..., :g.band], rotation, modes[..., :g.band])
+    return spectral.FlowState(g, modes, state.eps, state.gamma_bar)
+
+
 def test_acoustic_exact_step_conserves_mode_energy(grid64):
     state = small_state(grid64)
-    out = compressible.acoustic_exact_step(state, 0.043)
+    out = acoustic_state(state, 0.043)
     grid = grid64
     khat_x = np.where(grid.kmag > 0, grid.kx / np.where(grid.kmag > 0, grid.kmag, 1.0), 0.0)
     khat_y = np.where(grid.kmag > 0, grid.ky / np.where(grid.kmag > 0, grid.kmag, 1.0), 0.0)
@@ -46,8 +60,8 @@ def full_table_rotation(grid, dt, eps):
 def test_acoustic_step_matches_the_full_table_rotation_bit_for_bit(grid64, monkeypatch):
     state = small_state(grid64)
     for dt in (0.043, 0.19):
-        got = compressible.acoustic_exact_step(state, dt)
-        want = compressible.acoustic_exact_step(state, dt, full_table_rotation(grid64, dt, state.eps))
+        got = acoustic_state(state, dt)
+        want = acoustic_state(state, dt, full_table_rotation(grid64, dt, state.eps))
         assert got.modes.tobytes() == want.modes.tobytes(), dt
     cfg = StepperConfig()
     got = compressible.step(state, cfg, 0.05)
@@ -57,7 +71,7 @@ def test_acoustic_step_matches_the_full_table_rotation_bit_for_bit(grid64, monke
 
 def test_acoustic_exact_step_leaves_solenoidal_part_alone(grid64):
     state = small_state(grid64)
-    out = compressible.acoustic_exact_step(state, 0.19)
+    out = acoustic_state(state, 0.19)
     p0 = spectral.leray_p(state.v)
     p1 = spectral.leray_p(out.v)
     assert np.max(np.abs(p1.modes - p0.modes)) <= 1e-14
@@ -82,9 +96,11 @@ def test_projected_dynamics_matches_vorticity_solver(grid64, monkeypatch):
     split scheme into the incompressible solver, step for step."""
     rhs = compressible.rhs_nonlinear
 
-    def projected_rhs(state, out=None):
-        out = rhs(state, out)
-        out[:2] = spectral.leray_p(spectral.Field(state.grid, out[:2])).modes
+    def projected_rhs(grid, u, gamma_bar, out=None):
+        out = rhs(grid, u, gamma_bar, out)
+        full = np.zeros((2,) + grid.modes_shape, complex)
+        full[..., :grid.band] = out[:2]  # the tendency is zero past the band
+        out[:2] = spectral.leray_p(spectral.Field(grid, full)).modes[..., :grid.band]
         return out
 
     monkeypatch.setattr(compressible, "rhs_nonlinear", projected_rhs)
@@ -161,8 +177,8 @@ def test_blowup_row_trips_a_nan_in_the_c_modes_at_the_same_step(grid32, monkeypa
     real_step = compressible.step
     calls = []
 
-    def planting_step(s, config, dt):
-        out = real_step(s, config, dt)
+    def planting_step(s, config, dt, out=None):
+        out = real_step(s, config, dt, out)
         calls.append(dt)
         if len(calls) == 3:
             out.modes[2, 1, 1] = np.nan
@@ -209,11 +225,90 @@ def parent_rhs(state):
 
 def test_rhs_nonlinear_into_out_matches_the_plain_expression(grid64):
     state = small_state(grid64, amplitude=2.0)
-    out = np.full_like(state.modes, np.nan)
-    assert compressible.rhs_nonlinear(state, out=out) is out
-    assert out.tobytes() == parent_rhs(state).tobytes()
-    fresh = compressible.rhs_nonlinear(state)
+    band = grid64.band
+    want = parent_rhs(state)
+    assert not np.any(want[..., band:])
+    out = np.full((3, grid64.n, band), np.nan, complex)
+    assert compressible.rhs_nonlinear(grid64, state.modes, state.gamma_bar, out=out) is out
+    assert out.tobytes() == np.ascontiguousarray(want[..., :band]).tobytes()
+    fresh = compressible.rhs_nonlinear(grid64, state.modes[..., :band], state.gamma_bar)
     assert fresh.tobytes() == out.tobytes() and not np.shares_memory(fresh, out)
+
+
+def full_width_acoustic(state, dt):
+    """The allocating full-width acoustic step, with the full cos and sin tables."""
+    cos_t, sin_t, khat = full_table_rotation(state.grid, dt, state.eps)
+    v, b = state.modes[:2], state.modes[2]
+    a = khat[0] * v[0] + khat[1] * v[1]
+    modes = np.empty_like(state.modes)
+    modes[2] = b * cos_t - (1j * a) * sin_t
+    modes[:2] = v + ((a * cos_t - (1j * b) * sin_t) - a) * khat
+    return replace(state, modes=modes)
+
+
+def full_width_rk4(state, dt):
+    """The allocating RK4 of the quadratic terms, in the sum order of ``spectral.rk4``."""
+    def f(u):
+        return parent_rhs(replace(state, modes=u))
+
+    u = state.modes
+    acc = f(u)
+    k = f(u + (dt / 2.0) * acc)
+    acc = acc + 2.0 * k
+    k = f(u + (dt / 2.0) * k)
+    acc = acc + 2.0 * k
+    acc = acc + f(u + dt * k)
+    return replace(state, modes=u + (dt / 6.0) * acc)
+
+
+def full_width_step(state, config, dt):
+    """The full-width Strang step: both acoustic halves, the RK4, then the
+    ``np.where`` dealias, each on new arrays."""
+    half = full_width_acoustic(state, 0.5 * dt)
+    if not config.disable_nonlinear:
+        half = full_width_rk4(half, dt)
+    full = full_width_acoustic(half, 0.5 * dt)
+    return replace(full, modes=np.where(state.grid.dealias_mask, full.modes, 0.0))
+
+
+def full_width_cfl_dt(state, config):
+    """The CFL step from a full-width inverse and the magnitude of the velocity."""
+    samples = np.fft.irfft2(state.modes, norm="forward")
+    v_max = float(np.max(np.sqrt(np.sum(samples[:2] ** 2, axis=0))))
+    c_max = float(np.max(np.abs(samples[2])))
+    return spectral.advective_dt(state.grid, v_max + state.gamma_bar * c_max,
+                                 config.cfl, config.max_dt)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("name", KNOWN_DATA)
+@pytest.mark.parametrize("linear", [False, True])
+def test_band_steps_equal_the_full_width_steps_bit_for_bit(n, name, linear):
+    grid = spectral.Grid(n)
+    cfg = StepperConfig(disable_nonlinear=linear)
+    want = make_initial_data(name, grid, eps=0.3, amplitude=2.0, seed=1)
+    got = spectral.dealias(want)  # the copy run steps
+    modes = got.modes
+    for i in range(5):
+        dt = full_width_cfl_dt(want, cfg)
+        assert compressible.cfl_dt(got, cfg) == dt, i
+        want = full_width_step(want, cfg, dt)
+        got = compressible.step(got, cfg, dt, modes)  # in place, as run steps
+        assert got.modes is modes and modes.tobytes() == want.modes.tobytes(), i
+    assert compressible.step(got, cfg, 0.01).modes.tobytes() \
+        == full_width_step(want, cfg, 0.01).modes.tobytes()
+
+
+def test_blowup_row_equals_the_full_width_expressions_bit_for_bit(grid64):
+    g = grid64
+    state = small_state(g, amplitude=2.0)
+    for _ in range(3):
+        state = compressible.step(state, StepperConfig(), 0.05)
+        grad = float(np.max(np.abs(spectral.to_samples(1j * g.kvec[:, None] * state.modes[None, :2]))))
+        power = g.parseval_weight * np.sum(np.abs(state.modes) ** 2, axis=0)
+        b2 = g.box_length * np.sqrt(np.sum(g.blocks**2 * power, axis=(1, 2)))
+        assert compressible.blowup_row(state) == {"grad_v_linf": grad,
+                                                  "vc_b2": lp.besov_sum(b2, 2.0)}
 
 
 def run_steps(state, steps, between=lambda: None):
@@ -263,19 +358,58 @@ def test_steps_are_bit_identical_across_grids_and_threads(grid64, grid32):
 
 
 def test_returned_states_do_not_alias_the_scratch(grid64):
+    """What a step, a tendency and a run return survives later work and a
+    NaN fill of every scratch array; the run steps its own copy of the
+    initial state and snapshots copies of the live one."""
     cfg = StepperConfig()
     s0 = small_state(grid64, amplitude=2.0)
+    initial = s0.modes.copy()
     s1 = compressible.step(s0, cfg, compressible.cfl_dt(s0, cfg))
-    k = compressible.rhs_nonlinear(s1)
-    final, _, snaps = compressible.run(s1, 0.05, cfg, snapshot_times=[0.02])
+    k = compressible.rhs_nonlinear(grid64, s1.modes, s1.gamma_bar)
+    final, ledger, snaps = compressible.run(s1, 0.05, cfg, snapshot_times=[0.0, 0.02, 0.05])
+    assert s0.modes.tobytes() == initial.tobytes()
+    assert final.modes is not s1.modes
     returned = [s0.modes, s1.modes, k, final.modes] + [s.modes for s in snaps.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(returned) for b in returned[i + 1:])
     kept = [a.copy() for a in returned]
+    columns = {c: ledger.column(c).tobytes() for c in ledger.columns}
+    times = list(ledger.times)
+    for arr in spectral.scratch(grid64.n)._arrays.values():
+        arr.fill(np.nan)
+    for a, b in zip(returned, kept):
+        assert a.tobytes() == b.tobytes()
     state = s1
     for _ in range(3):
         state = compressible.step(state, cfg, compressible.cfl_dt(state, cfg))
         compressible.monitor_row(state)
-        compressible.rhs_nonlinear(state)
+        compressible.rhs_nonlinear(grid64, state.modes, state.gamma_bar)
         compressible.cfl_dt(state, cfg)
     compressible.run(s0, 0.05, cfg)
     for a, b in zip(returned, kept):
         assert a.tobytes() == b.tobytes()
+    assert {c: ledger.column(c).tobytes() for c in ledger.columns} == columns
+    assert ledger.times == times
+
+
+def test_a_run_allocates_no_array_per_step(grid64):
+    """After a warm-up run, a run of ten or more steps holds at once no more
+    than its state and its ledger, and less than one band plane besides.
+    numpy's ufunc iteration buffers (up to 8192 elements an operand) are
+    numpy's, not the step's, and a buffer size of 64 keeps them out of the
+    count; a per-step array of the grid's size still fails."""
+    state = small_state(grid64, amplitude=2.0)
+    cfg = StepperConfig(max_dt=0.01)
+    compressible.run(state, 0.02, cfg, monitor=compressible.BLOWUP_MONITOR)
+    size = np.setbufsize(64)
+    tracemalloc.start()
+    try:
+        final, ledger, _ = compressible.run(state, 0.1, cfg, monitor=compressible.BLOWUP_MONITOR)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(size)
+    assert len(ledger) > 10
+    band_plane = grid64.n * grid64.band * 16
+    ledger_bytes = held - final.modes.nbytes  # what the run returns beside its state
+    assert 0 < ledger_bytes < band_plane
+    assert peak < final.modes.nbytes + ledger_bytes + band_plane

@@ -155,7 +155,7 @@ def test_to_samples_of_a_cut_spectrum_equals_the_full_width_inverse_bit_for_bit(
 def test_to_dealiased_modes_equals_to_modes_and_the_mask_bit_for_bit(n):
     grid = Grid(n)
     rng = np.random.default_rng(n)
-    for shape in ((n, n), (3, n, n)):
+    for shape in ((n, n), (3, n, n), (7, n, n)):
         samples = rng.standard_normal(shape)
         want = spectral.to_modes(samples)
         np.copyto(want, 0.0, where=~grid.dealias_mask)
@@ -163,6 +163,36 @@ def test_to_dealiased_modes_equals_to_modes_and_the_mask_bit_for_bit(n):
         out = np.full(want.shape, np.nan, dtype=np.complex128)
         assert spectral.to_dealiased_modes(grid, samples, out=out) is out
         assert out.tobytes() == want.tobytes()
+        # the band columns only, into a contiguous array or a view of a wider one
+        band = np.full(shape[:-1] + (grid.band,), np.nan, dtype=np.complex128)
+        assert spectral.to_dealiased_modes(grid, samples, out=band) is band
+        assert band.tobytes() == np.ascontiguousarray(want[..., :grid.band]).tobytes()
+        wide = np.full(want.shape, np.nan, dtype=np.complex128)
+        spectral.to_dealiased_modes(grid, samples, out=wide[..., :grid.band])
+        assert wide[..., :grid.band].tobytes() == band.tobytes()
+        assert np.all(np.isnan(wide[..., grid.band:]))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_to_samples_in_chunks_equals_irfft2_bit_for_bit(n):
+    """Any plane count, across the three-plane chunks of the column buffer,
+    and any cut that keeps every nonzero column: the samples are irfft2's."""
+    grid = Grid(n)
+    rng = np.random.default_rng(n)
+    for c in sorted({grid.band, n // 2 + 1, *grid.block_columns}):
+        for planes in range(1, 11):
+            modes = spectral.to_modes(rng.standard_normal((planes, n, n)))
+            modes[..., c:] = 0.0
+            want = np.fft.irfft2(modes, norm="forward").tobytes()
+            assert spectral.to_samples(modes[..., :c]).tobytes() == want, (c, planes)
+            out = np.full((planes, n, n), np.nan)
+            assert spectral.to_samples(modes[..., :c], out=out) is out
+            assert out.tobytes() == want, (c, planes)
+    # leading axes that flatten into a view are written in place, any other is refused
+    modes = spectral.to_modes(rng.standard_normal((2, 5, n, n)))
+    out = np.full((5, 2, n, n), np.nan).transpose(1, 0, 2, 3)
+    with pytest.raises(ValueError):
+        spectral.to_samples(modes, out=out)
 
 
 @pytest.mark.parametrize("n, band", [(8, 3), (32, 11), (128, 43), (256, 86), (512, 171)])
@@ -188,7 +218,7 @@ def test_block_columns_hold_exactly_the_support_of_each_block(n, columns):
 
 def test_wavenumber_tables_are_built_on_first_read_and_equal_their_formulas():
     grid = Grid(64)
-    lazy = ("kvec", "khat", "k2", "inv_k2", "inv_kmag")
+    lazy = ("kvec", "khat", "k2", "inv_k2", "inv_kmag", "band_kmag_index")
     assert not set(lazy) & set(vars(grid))
     kx, ky = grid.kx, grid.ky
     k2 = kx * kx + ky * ky
@@ -203,6 +233,7 @@ def test_wavenumber_tables_are_built_on_first_read_and_equal_their_formulas():
     kvec = np.stack(np.broadcast_arrays(kx, ky))
     assert grid.kvec.tobytes() == kvec.tobytes()
     assert grid.khat.tobytes() == (kvec * inv_kmag).tobytes()
+    assert grid.band_kmag_index.tobytes() == grid.kmag_index[:, :grid.band].tobytes()
     assert all(getattr(grid, name) is vars(grid)[name] for name in lazy)
 
 
@@ -213,15 +244,24 @@ def test_scratch_arrays_of_any_column_count_share_one_buffer():
     assert cut.shape == (9, 32, 11) and cut.flags.c_contiguous
     assert np.shares_memory(cut, full)
     assert buf.multipliers(2, 11).shape == (2, 32, 11)
+    # the column buffer and the step's state stack are buffers of their own
+    columns, state = buf.columns(9), buf.state(11)
+    assert columns.shape == (3, 32, 17) and state.shape == (3, 32, 11)
+    assert buf.columns(2).shape == (2, 32, 17) and np.shares_memory(buf.columns(2), columns)
+    assert not any(np.shares_memory(a, b) for a in (columns, state) for b in (full, buf.rk4_work(cut)))
+    assert not np.shares_memory(columns, state)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512])
 def test_kmag_cos_sin_equals_the_full_table_trig_bit_for_bit(n):
     grid = Grid(n)
+    out = np.full((2, n, grid.band), np.nan)
     for s in (0.0, 4e-3, -14.8, 22.0):  # negative: free propagation backwards in time
-        cos_t, sin_t = spectral.kmag_cos_sin(grid, s)
-        assert cos_t.tobytes() == np.cos(grid.kmag * s).tobytes(), s
-        assert sin_t.tobytes() == np.sin(grid.kmag * s).tobytes(), s
+        assert spectral.kmag_cos_sin(grid, s, out) is out
+        theta = grid.kmag[:, :grid.band] * s
+        assert out[0].tobytes() == np.cos(theta).tobytes(), s
+        assert out[1].tobytes() == np.sin(theta).tobytes(), s
+    assert grid.band_kmag_index.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
@@ -253,6 +293,12 @@ def test_rk4_matches_the_textbook_formula_bit_for_bit(rng):
     assert again.tobytes() == want.tobytes()
     assert not np.shares_memory(got, again)
     assert got.tobytes() == want.tobytes()
+    # into a given array, and into the stage array of the RK4's own work
+    out = np.full_like(u, np.nan)
+    assert spectral.rk4(into, u, t, dt, out=out) is out and out.tobytes() == want.tobytes()
+    stage = spectral.scratch(32).rk4_work(u)[2]
+    assert spectral.rk4(into, u, t, dt, out=stage) is stage
+    assert stage.tobytes() == want.tobytes()
 
 
 def clock_row(rows):
