@@ -169,7 +169,7 @@ def check_linear_acoustics(study: experiments.SweepStudy) -> CheckResult:
                                      disable_nonlinear=True)
 
     def one(e: float) -> tuple[float, float]:
-        st0 = spectral.dealias(study.initial_states[e])
+        st0 = study.initial_states[e]
         stT, _, _ = compressible.run(st0, LINEAR_T, cfg, monitor=compressible.BLOWUP_MONITOR)
         moved = acoustic.free_propagate(acoustic.make_acoustic(st0), LINEAR_T, e)
         exact = acoustic.acoustic_to_state(moved, spectral.leray_p(st0.v), e,
@@ -191,9 +191,8 @@ def check_splitting_order(study: experiments.SweepStudy) -> CheckResult:
         # replace, not with_overrides: a one-eps selftest config is not a valid run
         states = experiments.initial_states(replace(study.config, eps=(ORDER_EPS,)),
                                             study.grid)
-    st0 = spectral.dealias(states[ORDER_EPS])
     finals = experiments.map_solves(study.config.threads, lambda dt: compressible.run(
-        st0, ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt),
+        states[ORDER_EPS], ORDER_T, compressible.StepperConfig(cfl=0.95, max_dt=dt),
         monitor=compressible.BLOWUP_MONITOR)[0], ORDER_DTS)
     e1 = _rel_state_diff(finals[0], finals[1])
     e2 = _rel_state_diff(finals[1], finals[2])

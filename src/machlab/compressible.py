@@ -16,15 +16,15 @@ linear flow to rounding.
 
 The state is dealiased, so its modes lie in the first ``grid.band`` columns
 of the half spectrum. A step works on (3, n, band) stacks in this thread's
-scratch and writes the modes inside the dealias disk of its result, and
-``run`` steps one state in place: a step allocates no array of the grid's
-size, and neither do ``cfl_dt`` and ``blowup_row``.
+scratch and writes the modes inside the dealias disk of the state it steps,
+in place: a step allocates no array of the grid's size, and neither do
+``cfl_dt`` and ``blowup_row``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ class Blowup(spectral.RunEnded):
 
 
 def rhs_nonlinear(grid: spectral.Grid, u: np.ndarray, gamma_bar: float,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out: np.ndarray) -> np.ndarray:
     """Quadratic tendencies of (vx, vy, c), dealiased, on the dealias band:
 
     f = -(v.grad) v - gamma_bar c grad c
@@ -85,13 +85,11 @@ def rhs_nonlinear(grid: spectral.Grid, u: np.ndarray, gamma_bar: float,
     ``u`` is the (3, n, c) mode stack of a dealiased state, c >= ``grid.band``;
     only its first ``grid.band`` columns are read. The tendencies are the
     (3, n, band) stack of their first ``grid.band`` columns (every later
-    column is zero), written into ``out`` when it is given, else into a new
-    array. The transforms run in this thread's scratch.
+    column is zero), written into ``out`` and returned. The transforms run
+    in this thread's scratch.
     """
     band = grid.band
     u = u[..., :band]
-    if out is None:
-        out = np.empty_like(u)
     buf = spectral.scratch(grid.n)
     # one inverse of 9 planes: (vx, vy, c), their x derivatives, their y derivatives
     stack = buf.modes(9, band)
@@ -160,31 +158,24 @@ def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     are taken in place in this thread's scratch."""
     g = state.grid  # the state is dealiased
     samples = spectral.to_samples(state.modes[..., :g.band], out=spectral.scratch(g.n).samples(3))
-    vx, vy, c = samples
-    # the sup of sqrt(vx^2 + vy^2) is the square root of the sup of the sum
-    v_max = math.sqrt(np.max(np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy),
-                                    out=vx)))
-    c_max = float(np.max(np.abs(c, out=c)))
+    v_max = spectral.speed_sup(samples[:2])
+    c_max = float(np.max(np.abs(samples[2], out=samples[2])))
     return spectral.advective_dt(state.grid, v_max + state.gamma_bar * c_max,
                                  config.cfl, config.max_dt)
 
 
-def step(state: FlowState, config: StepperConfig, dt: float,
-         out: Optional[np.ndarray] = None) -> FlowState:
-    """One Strang step of size dt of a dealiased state, on the dealias band.
+def step(state: FlowState, config: StepperConfig, dt: float) -> FlowState:
+    """One Strang step of size dt of a dealiased state, on the dealias band,
+    in place: returns ``state``, its modes stepped.
 
     The stages run on the first ``grid.band`` columns in this thread's
     scratch: both half steps share one rotation, and the RK4 of the
     quadratic terms writes into its own stage array. The result goes into
-    the modes inside the dealias disk of ``out``, a (3, n, n/2 + 1) array
-    whose other entries must be zero (``state.modes`` itself, for a step in
-    place), and the returned state holds ``out``; without ``out`` it holds
-    a new array.
+    the modes inside the dealias disk of ``state.modes``; the entries
+    outside it stay zero.
     """
     g = state.grid
     band = g.band
-    if out is None:
-        out = np.zeros_like(state.modes)
     buf = spectral.scratch(g.n)
     rotation = _rotation(g, 0.5 * dt, state.eps)  # shared by both half steps
     half = acoustic_exact_step(state.modes[..., :band], rotation, buf.state(band))
@@ -197,8 +188,8 @@ def step(state: FlowState, config: StepperConfig, dt: float,
         # the RK4 result lands in its stage array, and the state stack is free again
         half, stage = spectral.rk4(deriv, half, 0.0, dt, out=stage), half
     full = acoustic_exact_step(half, rotation, stage)
-    np.copyto(out[..., :band], full, where=g.dealias_mask[:, :band])
-    return replace(state, modes=out)
+    np.copyto(state.modes[..., :band], full, where=g.dealias_mask[:, :band])
+    return state
 
 
 def monitor_row(state: FlowState) -> dict[str, float]:
@@ -278,34 +269,26 @@ def _check_blowup(t: float, row: dict[str, float], step_no: int,
             raise Blowup(t, f"{k} {row[k]:.3e} over threshold", k, step_no)
 
 
-def _copy_state(state: FlowState, t: float) -> FlowState:
-    """``spectral.keep_state`` for a run that steps its state in place."""
-    return replace(state, modes=state.modes.copy())
-
-
 def run(initial: FlowState, t_final: float, config: StepperConfig,
         snapshot_times: Optional[list[float]] = None,
         monitor=MONITOR, capture=spectral.keep_state,
         ) -> tuple[FlowState, RunLedger, dict]:
     """Integrate from t = 0 to t_final, logging every accepted step.
 
-    The run steps one state in place (``step`` into its own modes): the
-    ``spectral.dealias`` copy of ``initial``, which is never written. That
-    copy is the returned final state. ``snapshot_times`` are hit exactly (dt
-    is clipped); the returned dict maps each requested time t to
-    ``capture(state, t)`` of the state there, a copy of the state by default
-    (see ``spectral.integrate``). Any other ``capture`` sees the live state,
-    which later steps overwrite, so it must not keep it. ``monitor`` keeps
-    every column (``MONITOR``) or the two of ``blowup_row`` (``BLOWUP_MONITOR``);
-    a run trips at the same step and time with either, though the column it
-    names may differ. A ``Blowup``, and a stop short of t_final
-    (``spectral.StoppedShort``), carries the partial ledger.
+    The run steps one state in place: the ``spectral.dealias`` copy of
+    ``initial``, which is never written. That copy is the returned final
+    state. ``snapshot_times`` are hit exactly (dt is clipped); the returned
+    dict maps each requested time t to ``capture(state, t)`` of the state
+    there, a copy of it by default (see ``spectral.integrate``).
+    ``monitor`` keeps every column (``MONITOR``) or the two of
+    ``blowup_row`` (``BLOWUP_MONITOR``); a run trips at the same step and
+    time with either, though the column it names may differ. A ``Blowup``,
+    and a stop short of t_final (``spectral.StoppedShort``), carries the
+    partial ledger.
     """
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
-    if capture is spectral.keep_state:
-        capture = _copy_state
     return spectral.integrate(
         spectral.dealias(initial), 0.0, t_final, lambda s: cfl_dt(s, config),
-        lambda s, t, dt: step(s, config, dt, s.modes), monitor, snapshot_times or (), capture,
+        lambda s, t, dt: step(s, config, dt), monitor, snapshot_times or (), capture,
         lambda t, row, step_no: _check_blowup(t, row, step_no, config))

@@ -546,18 +546,26 @@ def jacobian_sup(grid: Grid, v: np.ndarray) -> float:
     return float(np.max(np.abs(samples, out=samples)))
 
 
-def rk4(tendency, u: np.ndarray, t: float, dt: float, out: np.ndarray | None = None
-        ) -> np.ndarray:
-    """One classical RK4 step of du/dt = tendency(u, t): the only RK4 of the
-    three solvers and the transport oracle. ``u`` is a mode array, or a real
-    array whose second-to-last axis has n points (the oracle's feet).
+def speed_sup(v: np.ndarray) -> float:
+    """The sup of |v| over the (2, n, n) velocity samples ``v``: the square
+    root of the sup of vx^2 + vy^2, taken in place, so ``v`` is overwritten."""
+    vx, vy = v
+    return math.sqrt(np.max(np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy),
+                                   out=vx)))
+
+
+def rk4(tendency, u: np.ndarray, t: float, dt: float, out: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of du/dt = tendency(u, t), written into ``out``
+    and returned: the only RK4 of the three solvers and the transport oracle.
+    ``u`` is a mode array, or a real array whose second-to-last axis has n
+    points (the oracle's feet).
 
     ``tendency(u, t, out)`` writes its value into ``out``. The stages live in
-    this thread's scratch. The result is written into ``out`` when it is
-    given, which may be the stage array ``scratch(n).rk4_work(u)[2]``, free
-    once the fourth stage is read; else the returned array is new. The sum
-    runs in the order ((k1 + 2 k2) + 2 k3) + k4, then times dt/6, then plus
-    u, so the result is bit for bit that of the textbook expression.
+    this thread's scratch, and ``u`` is read last by the final sum, so
+    ``out`` may be ``u`` itself (a step in place) or the stage array
+    ``scratch(n).rk4_work(u)[2]``. The sum runs in the order
+    ((k1 + 2 k2) + 2 k3) + k4, then times dt/6, then plus u, so the result is
+    bit for bit that of the textbook expression.
     """
     acc, k, stage = scratch(u.shape[-2]).rk4_work(u)
     tendency(u, t, acc)
@@ -635,8 +643,9 @@ class StepBudgetSpent(StoppedShort):
 
 
 def keep_state(u, t: float):
-    """The default capture of ``integrate``: the state itself."""
-    return u
+    """The default capture of ``integrate``: a copy of the state, which the
+    solvers step in place."""
+    return replace(u, modes=u.modes.copy())
 
 
 def integrate(u, t: float, t_final: float, dt_of, advance, monitor, snapshot_times=(),
@@ -644,21 +653,25 @@ def integrate(u, t: float, t_final: float, dt_of, advance, monitor, snapshot_tim
     """The time loop shared by every solver: step u from time t to t_final.
 
     ``dt_of(u)`` proposes a step size, which is clipped to t_final and to the
-    next pending snapshot time; ``advance(u, t, dt)`` returns the state one
-    step of dt later. Time advances as t + dt, step by step. ``monitor`` is a
-    (row, columns) pair: ``row(u, t)`` of the initial state and of every
-    accepted step is appended to the run's ``RunLedger`` of ``columns``, then
-    ``check(t, row, step)`` runs on it (step 0 is the initial state).
+    next pending snapshot time; ``advance(u, t, dt)`` steps u by dt and
+    returns it. Every solver advances its own state in place, so the loop
+    holds one state from start to end. Time advances as t + dt, step by
+    step. ``monitor`` is a (row, columns) pair: ``row(u, t)`` of the initial
+    state and of every accepted step is appended to the run's ``RunLedger``
+    of ``columns``, then ``check(t, row, step)`` runs on it (step 0 is the
+    initial state).
 
     Returns (u, ledger, snapshots); ``snapshots`` maps each requested time s
     to ``capture(u, s)`` of the state there, hit exactly, and every time at
-    or before the start to that of the initial state. ``capture`` keeps the
-    state itself by default; a caller that reads only some reduction of a
-    snapshot passes that reduction, so the states pass through and are
-    never held. A step whose clipped dt would not advance t raises
-    ``StalledStep`` instead of looping or ending at t = NaN, and a run that
-    would take more than ``MAX_STEPS`` steps raises ``StepBudgetSpent``;
-    each, and any ``RunEnded`` of ``check``, carries the ledger so far.
+    or before the start to that of the initial state. ``capture`` copies the
+    state by default (``keep_state``). Any other capture sees the live
+    state, which later steps overwrite, so it must not keep it: a caller
+    that reads only some reduction of a snapshot passes that reduction, and
+    the states are never held. A step whose clipped dt would not advance t
+    raises ``StalledStep`` instead of looping or ending at t = NaN, and a
+    run that would take more than ``MAX_STEPS`` steps raises
+    ``StepBudgetSpent``; each, and any ``RunEnded`` of ``check``, carries
+    the ledger so far.
     """
     row_of, columns = monitor
     ledger = RunLedger(columns)

@@ -4,15 +4,15 @@ Advances d f/dt + v . grad f + f div v = 0 for synthetic velocities with
 closed-form derivatives, two independent ways:
 
 * a pseudo-spectral RK4 integrator (products dealiased, derivatives exact),
-  which samples the velocity's spatial factors on the grid once per solve
-  (``SyntheticVelocity.on_grid``) and only scales them by their time factor
-  at each stage and ledger row,
+  which steps its own dealiased copy of f0 in place, samples the velocity's
+  spatial factors on the grid once per solve (``SyntheticVelocity.on_grid``)
+  and only scales them by their time factor at each stage and ledger row,
 * a semi-Lagrangian oracle that traces characteristics backward with the
-  same RK4 step (``spectral.rk4``), reads the velocity and its divergence at
-  the feet with the point methods (``SyntheticVelocity.velocity``,
-  ``divergence``), evaluates f0 at the foot by its periodic cubic B-spline
-  (``spectral.cubic_spline_at``), and multiplies by exp of minus the
-  divergence accumulated along the path.
+  same RK4 step (``spectral.rk4``), in place on its path, reads the
+  velocity and its divergence at the feet with the point methods
+  (``SyntheticVelocity.velocity``, ``divergence``), evaluates f0 at the
+  foot by its periodic cubic B-spline (``spectral.cubic_spline_at``), and
+  multiplies by exp of minus the divergence accumulated along the path.
 
 Each velocity is written once, as ``on_grid``. Agreement between the two
 validates both; the ledger feeds the logarithmic growth estimate for the
@@ -218,7 +218,8 @@ MASS_MONITOR = (lambda f, vel, t: transport_mass_row(f, vel, t), TRANSPORT_MASS_
 def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
                              cfl: float = 0.4, max_dt: float = 0.05,
                              monitor=MONITOR) -> tuple[Field, RunLedger]:
-    """RK4 integration of the continuity-form transport equation.
+    """RK4 integration of the continuity-form transport equation, in place on
+    the ``spectral.dealias`` copy of ``f0``, which is returned with the ledger.
 
     The velocity's spatial factors are sampled on the grid once per solve
     (``vel.on_grid``) and scaled by their time factor at every stage and
@@ -235,8 +236,9 @@ def solve_transport_spectral(f0: Field, vel: SyntheticVelocity, t_final: float,
     row, columns = monitor
 
     def advance(f: Field, t: float, dt: float) -> Field:
-        return Field(grid, spectral.rk4(
-            lambda m, s, out: _transport_tendency(m, grid, sampled, s, out), f.modes, t, dt))
+        spectral.rk4(lambda m, s, out: _transport_tendency(m, grid, sampled, s, out),
+                     f.modes, t, dt, out=f.modes)
+        return f
 
     return spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt_base, advance,
@@ -267,7 +269,7 @@ def solve_transport_oracle(f0: Field, vel: SyntheticVelocity, t_final: float,
     h = -t_final / substeps
     t = t_final
     for _ in range(substeps):
-        path = spectral.rk4(tendency, path, t, h)
+        spectral.rk4(tendency, path, t, h, out=path)
         t += h
     return spectral.cubic_spline_at(f0, path[0], path[1]) * np.exp(path[2])
 

@@ -6,15 +6,17 @@ independent solves run on two threads, and one shared ``SweepStudy`` at the
 config's snapshot times caches the eps sweep and the reference run across
 tests, as ``acceptance.run_all`` builds it. The checks call the experiment
 drivers' evaluators and rule functions; fast tests pin the scale the checks
-resolve from the config, and the resolutions the transport lab visits and
-the tolerances its own rules print.
+resolve from the config, the resolutions the transport lab visits and the
+tolerances its own rules print, and make the two checks of the Strang step
+fail on an n = 32 sweep under a sabotaged step.
 """
 
 import re
 
+import numpy as np
 import pytest
 
-from machlab import acceptance, experiments, transport
+from machlab import acceptance, compressible, experiments, spectral, transport
 from machlab.config import SELFTEST_FIXED_HORIZON, ExperimentConfig, selftest_n_hi
 from machlab.ledger import TRANSPORT_COLUMNS, TRANSPORT_MASS_COLUMNS, RunLedger
 
@@ -103,12 +105,56 @@ def test_the_horizons_stepped_at_max_dt_stay_within_the_config_horizon():
     assert max(acceptance.LINEAR_T, acceptance.TRANSPORT_T) <= SELFTEST_FIXED_HORIZON
 
 
+# a small sweep without ORDER_EPS = 0.1
+SMALL = ExperimentConfig(experiment="selftest", n=32, eps=(0.4, 0.2, 0.05))
+
+
 def test_splitting_order_builds_its_own_state_outside_the_sweep():
     # eps = 0.1 is not in this sweep, and a one-eps selftest config is not a valid run:
     # the check must build that one state without validating such a config
-    config = ExperimentConfig(experiment="selftest", n=32, eps=(0.4, 0.2, 0.05))
-    result = acceptance.check_splitting_order(_study(config))
+    result = acceptance.check_splitting_order(_study(SMALL))
     assert result.passed, result.detail
+
+
+def _detail_number(result: acceptance.CheckResult, label: str) -> float:
+    return float(re.search(label + r" ([-+.e0-9]+)", result.detail).group(1))
+
+
+def lie_step(state, config, dt):
+    """A first-order Lie composition, in place: a full acoustic step, then the
+    RK4 of the quadratic terms."""
+    g = state.grid
+    u = np.empty((3, g.n, g.band), complex)
+    compressible.acoustic_exact_step(state.modes[..., :g.band],
+                                     compressible._rotation(g, dt, state.eps), u)
+    spectral.rk4(lambda w, t, k: compressible.rhs_nonlinear(g, w, state.gamma_bar, k),
+                 u, 0.0, dt, out=u)
+    np.copyto(state.modes[..., :g.band], u, where=g.dealias_mask[:, :g.band])
+    return state
+
+
+def test_splitting_order_fails_a_first_order_step(monkeypatch):
+    monkeypatch.setattr(compressible, "step", lie_step)
+    result = acceptance.check_splitting_order(_study(SMALL))
+    assert not result.passed
+    assert 0.9 < _detail_number(result, "self-convergence order") < 1.1, result.detail
+
+
+def test_linear_acoustics_fails_a_rotation_of_the_wrong_sense(monkeypatch):
+    result = acceptance.check_linear_acoustics(_study(SMALL))
+    assert result.passed, result.detail
+    rotation = compressible._rotation
+
+    def flipped(grid, dt, eps):
+        cos_t, sin_t, khat = rotation(grid, dt, eps)
+        return cos_t, -sin_t, khat
+
+    monkeypatch.setattr(compressible, "_rotation", flipped)
+    result = acceptance.check_linear_acoustics(_study(SMALL))
+    assert not result.passed
+    # the flipped rotation still conserves each mode's energy: the propagator comparison fails
+    assert _detail_number(result, "propagator mismatch") > 0.5, result.detail
+    assert _detail_number(result, "energy drift") <= 1e-13, result.detail
 
 
 def _flat_ledger() -> RunLedger:

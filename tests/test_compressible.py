@@ -64,9 +64,10 @@ def test_acoustic_step_matches_the_full_table_rotation_bit_for_bit(grid64, monke
         want = acoustic_state(state, dt, full_table_rotation(grid64, dt, state.eps))
         assert got.modes.tobytes() == want.modes.tobytes(), dt
     cfg = StepperConfig()
-    got = compressible.step(state, cfg, 0.05)
+    got = compressible.step(spectral.dealias(state), cfg, 0.05)  # each step on its own copy
     monkeypatch.setattr(compressible, "_rotation", full_table_rotation)
-    assert got.modes.tobytes() == compressible.step(state, cfg, 0.05).modes.tobytes()
+    want = compressible.step(spectral.dealias(state), cfg, 0.05)
+    assert got.modes.tobytes() == want.modes.tobytes()
 
 
 def test_acoustic_exact_step_leaves_solenoidal_part_alone(grid64):
@@ -96,7 +97,7 @@ def test_projected_dynamics_matches_vorticity_solver(grid64, monkeypatch):
     split scheme into the incompressible solver, step for step."""
     rhs = compressible.rhs_nonlinear
 
-    def projected_rhs(grid, u, gamma_bar, out=None):
+    def projected_rhs(grid, u, gamma_bar, out):
         out = rhs(grid, u, gamma_bar, out)
         full = np.zeros((2,) + grid.modes_shape, complex)
         full[..., :grid.band] = out[:2]  # the tendency is zero past the band
@@ -177,12 +178,12 @@ def test_blowup_row_trips_a_nan_in_the_c_modes_at_the_same_step(grid32, monkeypa
     real_step = compressible.step
     calls = []
 
-    def planting_step(s, config, dt, out=None):
-        out = real_step(s, config, dt, out)
+    def planting_step(s, config, dt):
+        s = real_step(s, config, dt)
         calls.append(dt)
         if len(calls) == 3:
-            out.modes[2, 1, 1] = np.nan
-        return out
+            s.modes[2, 1, 1] = np.nan
+        return s
 
     monkeypatch.setattr(compressible, "step", planting_step)
     trips = []
@@ -231,8 +232,9 @@ def test_rhs_nonlinear_into_out_matches_the_plain_expression(grid64):
     out = np.full((3, grid64.n, band), np.nan, complex)
     assert compressible.rhs_nonlinear(grid64, state.modes, state.gamma_bar, out=out) is out
     assert out.tobytes() == np.ascontiguousarray(want[..., :band]).tobytes()
-    fresh = compressible.rhs_nonlinear(grid64, state.modes[..., :band], state.gamma_bar)
-    assert fresh.tobytes() == out.tobytes() and not np.shares_memory(fresh, out)
+    cut = np.full_like(out, np.nan)  # from the band columns of the state only
+    compressible.rhs_nonlinear(grid64, state.modes[..., :band], state.gamma_bar, out=cut)
+    assert cut.tobytes() == out.tobytes()
 
 
 def full_width_acoustic(state, dt):
@@ -293,7 +295,7 @@ def test_band_steps_equal_the_full_width_steps_bit_for_bit(n, name, linear):
         dt = full_width_cfl_dt(want, cfg)
         assert compressible.cfl_dt(got, cfg) == dt, i
         want = full_width_step(want, cfg, dt)
-        got = compressible.step(got, cfg, dt, modes)  # in place, as run steps
+        got = compressible.step(got, cfg, dt)
         assert got.modes is modes and modes.tobytes() == want.modes.tobytes(), i
     assert compressible.step(got, cfg, 0.01).modes.tobytes() \
         == full_width_step(want, cfg, 0.01).modes.tobytes()
@@ -312,9 +314,10 @@ def test_blowup_row_equals_the_full_width_expressions_bit_for_bit(grid64):
 
 
 def run_steps(state, steps, between=lambda: None):
-    """Final modes and monitor rows after ``steps`` CFL-sized Strang steps,
-    calling ``between`` after each one."""
+    """Final modes and monitor rows after ``steps`` CFL-sized Strang steps of
+    a copy of ``state``, calling ``between`` after each one."""
     cfg = StepperConfig()
+    state = spectral.dealias(state)
     rows = []
     for _ in range(steps):
         state = compressible.step(state, cfg, compressible.cfl_dt(state, cfg))
@@ -359,17 +362,19 @@ def test_steps_are_bit_identical_across_grids_and_threads(grid64, grid32):
 
 def test_returned_states_do_not_alias_the_scratch(grid64):
     """What a step, a tendency and a run return survives later work and a
-    NaN fill of every scratch array; the run steps its own copy of the
-    initial state and snapshots copies of the live one."""
+    NaN fill of every scratch array; a step returns the state it stepped in
+    place, and the run steps its own copy of the initial state and
+    snapshots copies of the live one."""
     cfg = StepperConfig()
-    s0 = small_state(grid64, amplitude=2.0)
-    initial = s0.modes.copy()
-    s1 = compressible.step(s0, cfg, compressible.cfl_dt(s0, cfg))
-    k = compressible.rhs_nonlinear(grid64, s1.modes, s1.gamma_bar)
+    s1 = small_state(grid64, amplitude=2.0)
+    assert compressible.step(s1, cfg, compressible.cfl_dt(s1, cfg)) is s1
+    initial = s1.modes.copy()
+    k = compressible.rhs_nonlinear(grid64, s1.modes, s1.gamma_bar,
+                                   np.empty((3, grid64.n, grid64.band), complex))
     final, ledger, snaps = compressible.run(s1, 0.05, cfg, snapshot_times=[0.0, 0.02, 0.05])
-    assert s0.modes.tobytes() == initial.tobytes()
+    assert s1.modes.tobytes() == initial.tobytes()
     assert final.modes is not s1.modes
-    returned = [s0.modes, s1.modes, k, final.modes] + [s.modes for s in snaps.values()]
+    returned = [s1.modes, k, final.modes] + [s.modes for s in snaps.values()]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(returned) for b in returned[i + 1:])
     kept = [a.copy() for a in returned]
     columns = {c: ledger.column(c).tobytes() for c in ledger.columns}
@@ -378,17 +383,45 @@ def test_returned_states_do_not_alias_the_scratch(grid64):
         arr.fill(np.nan)
     for a, b in zip(returned, kept):
         assert a.tobytes() == b.tobytes()
-    state = s1
+    state = spectral.dealias(s1)
     for _ in range(3):
         state = compressible.step(state, cfg, compressible.cfl_dt(state, cfg))
         compressible.monitor_row(state)
-        compressible.rhs_nonlinear(grid64, state.modes, state.gamma_bar)
+        compressible.rhs_nonlinear(grid64, state.modes, state.gamma_bar, np.empty_like(k))
         compressible.cfl_dt(state, cfg)
-    compressible.run(s0, 0.05, cfg)
+    compressible.run(s1, 0.05, cfg)
     for a, b in zip(returned, kept):
         assert a.tobytes() == b.tobytes()
     assert {c: ledger.column(c).tobytes() for c in ledger.columns} == columns
     assert ledger.times == times
+
+
+@pytest.mark.parametrize("solver", ["compressible", "incompressible"])
+def test_snapshots_are_copies_that_keep_their_values(grid64, solver):
+    """Each solver steps one state in place; its snapshots share no memory
+    with each other or with the final state, and each keeps the state of
+    its time: the dealiased start, or the end of a run stopped there."""
+    state = small_state(grid64, amplitude=2.0)
+    if solver == "compressible":
+        start = state
+
+        def run(t_final, times=()):
+            return compressible.run(state, t_final, StepperConfig(max_dt=0.01), times)
+    else:
+        start = spectral.curl2d(spectral.leray_p(state.v))
+
+        def run(t_final, times=()):
+            return incompressible.run_incompressible(start, t_final, max_dt=0.01,
+                                                     snapshot_times=times)
+
+    times = [0.0, 0.02, 0.05]
+    final, _, snaps = run(0.05, times)
+    arrays = [final.modes] + [snaps[t].modes for t in times]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    assert snaps[0.0].modes.tobytes() == spectral.dealias(start).modes.tobytes()
+    for t in times[1:]:
+        assert snaps[t].modes.tobytes() == run(t)[0].modes.tobytes(), t
+    assert snaps[0.05].modes.tobytes() == final.modes.tobytes()
 
 
 def test_a_run_allocates_no_array_per_step(grid64):

@@ -1,6 +1,7 @@
 """Vorticity-form reference solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,28 @@ def test_mean_vorticity_stays_zero(grid64, rng):
     omega.modes[0, 0] = 0.0
     out = incompressible.step_incompressible(omega, 0.01)
     assert abs(out.modes[0, 0]) <= 1e-18  # rounding-level quadrature residue
+
+
+def test_a_warmed_step_loop_allocates_no_array(grid64, rng):
+    """After a warm-up step, ten RK4 steps of the vorticity, each written into
+    its own modes, hold at once less than one band plane. numpy's ufunc
+    iteration buffers are kept out of the count by a buffer size of 64, as in
+    ``test_compressible.py::test_a_run_allocates_no_array_per_step``; a step
+    that returns a new (n, n/2 + 1) array fails."""
+    omega = spectral.dealias(spectral.fft_forward(grid64, rng.standard_normal((64, 64))))
+    modes = omega.modes
+    omega = incompressible.step_incompressible(omega, 0.001)
+    size = np.setbufsize(64)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            omega = incompressible.step_incompressible(omega, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(size)
+    assert peak < grid64.n * grid64.band * 16
+    assert omega.modes is modes
 
 
 def test_row_and_cfl_on_the_band_equal_the_full_width_norms_bit_for_bit(grid64, rng):

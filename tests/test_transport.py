@@ -164,8 +164,9 @@ def point_sampled_solve(f0, vel, t_final, max_dt):
     dt = min(max_dt, 0.4 * grid.spacing / (vel.speed_bound + 1e-12))
 
     def advance(f, t, h):
-        return spectral.Field(grid, spectral.rk4(
-            lambda m, s, out: parent_tendency(m, grid, vel, s, out), f.modes, t, h))
+        spectral.rk4(lambda m, s, out: parent_tendency(m, grid, vel, s, out), f.modes, t, h,
+                     out=f.modes)
+        return f
 
     f, ledger, _ = spectral.integrate(
         spectral.dealias(f0), 0.0, t_final, lambda f: dt, advance,
